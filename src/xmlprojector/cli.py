@@ -1,4 +1,4 @@
-"""Command-line front end: infer, prune, validate, gen, check, bench.
+"""Command-line front end: infer, prune, validate, gen, check.
 
 Exit codes: 0 success, 1 validation or soundness-check failure, 2 usage
 and format errors.  Documents read from files or `-` (stdin) and write to
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from typing import IO, Iterable
 
 from .doc import SaxEvent, XmlSyntaxError, iter_events, parse_xml, serialize, serialize_event
@@ -124,15 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--dump-dir", default=".", help="where to write counterexamples")
     check.set_defaults(func=_cmd_check)
 
-    bench = sub.add_parser("bench", help="time pruning against a parse-only baseline")
-    add_dtd(bench, required=False)
-    add_queries(bench)
-    bench.add_argument("--projector", help="projector file from `infer`")
-    bench.add_argument("-i", "--input", required=True, help="document file (not stdin)")
-    bench.add_argument("-o", "--output", help="write pruned output (default: discard)")
-    bench.add_argument("--policy", choices=("strict", "drop"), default="strict")
-    bench.set_defaults(func=_cmd_bench)
-
     return parser
 
 
@@ -145,14 +135,19 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _load_queries(args) -> list[QueryEll]:
+def _query_texts(args) -> list[str]:
+    """`--query` values, then the lines of the `--queries` batch file."""
     texts = list(args.query)
     if args.queries:
         for line in _read_text(args.queries).splitlines():
             line = line.strip()
             if line and not line.startswith("#"):
                 texts.append(line)
-    return [approximate_to_ell(parse_query(t)) for t in texts]
+    return texts
+
+
+def _load_queries(args) -> list[QueryEll]:
+    return [approximate_to_ell(parse_query(t)) for t in _query_texts(args)]
 
 
 def _load_projector(args) -> Projector:
@@ -273,12 +268,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check(args) -> int:
     grammar = parse_dtd(_read_text(args.dtd), root=args.root)
-    texts = list(args.query)
-    if args.queries:
-        for line in _read_text(args.queries).splitlines():
-            line = line.strip()
-            if line and not line.startswith("#"):
-                texts.append(line)
+    texts = _query_texts(args)
     if not texts:
         raise QuerySyntaxError("no queries given (use --query or --queries)")
     cfg = GenConfig(seed=args.seed, max_depth=args.max_depth)
@@ -292,34 +282,6 @@ def _cmd_check(args) -> int:
     for line in report.lines(doc_paths):
         print(line)
     return 0 if report.passed else 1
-
-
-def _cmd_bench(args) -> int:
-    if args.input == "-":
-        raise GrammarFormatError("bench needs a real input file, not stdin")
-    projector = _load_projector(args)
-    if not is_streamable(projector.grammar):
-        raise GrammarFormatError("bench requires a streamable grammar")
-
-    t0 = time.perf_counter()
-    with open(args.input, "rb") as src:
-        for _ in iter_events(src):
-            pass
-    parse_seconds = time.perf_counter() - t0
-
-    stats = PruneStats()
-    out_path = args.output or os.devnull
-    t0 = time.perf_counter()
-    with open(args.input, "rb") as src, open(out_path, "w", encoding="utf-8") as out:
-        _write_events(
-            prune_stream(iter_events(src), projector, policy=args.policy, stats=stats), out
-        )
-    prune_seconds = time.perf_counter() - t0
-
-    ratio = prune_seconds / parse_seconds if parse_seconds > 0 else float("inf")
-    print(f"parse_seconds={parse_seconds:.3f} prune_seconds={prune_seconds:.3f} ratio={ratio:.3f}")
-    print(stats.line())
-    return 0
 
 
 if __name__ == "__main__":

@@ -154,12 +154,6 @@ class Document:
             if isinstance(node, Element):
                 stack.extend(reversed(node.children))
 
-    def node_by_id(self, nid: int) -> "Document | Node":
-        for node in self.iter_nodes():
-            if node.nid == nid:
-                return node
-        raise KeyError(nid)
-
 
 def node_path(node: Document | Node) -> str:
     """Slash path of tag names from the root, e.g. ``/doc/a/text()``."""

@@ -12,6 +12,14 @@ validation producing a rule-per-node witness, the top-down-determinism
 check that decides whether one-pass streaming is possible, rule
 reachability, and the line-oriented text format used by grammar and
 projector files.
+
+``Grammar`` also owns the rule index, built once at construction: the
+rules in sort order, the names each rule's content mentions, and for each
+name the element rules that mention it (each rule's child rules are cached
+on first use).  Inference, validation, the streamability check and the
+streaming pruner's dispatch all read these tables (``sorted_rules``,
+``child_names``, ``children``, ``parents``); none of them walks content
+regexes or scans the rule set per step.
 """
 
 from __future__ import annotations
@@ -166,6 +174,15 @@ class Rule:
             raise GrammarError("rule must have both label and content, or neither")
         if not _NAME_RE.match(self.name):
             raise GrammarError(f"illegal rule name {self.name!r}")
+        # rules live in sets; re-hashing the content tree per lookup dominated inference
+        object.__setattr__(self, "_hash", hash((self.name, self.label, self.content)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__: string hashes, and so `_hash`, differ per process
+        return (Rule, (self.name, self.label, self.content))
 
     @classmethod
     def element(cls, name: str, label: str | Label | None, content: ContentRegex) -> "Rule":
@@ -200,7 +217,19 @@ class Grammar:
     never drives validation or pruning.
     """
 
-    __slots__ = ("start", "rules", "attributes", "_by_name", "_automata", "_start_reach")
+    __slots__ = (
+        "start",
+        "rules",
+        "attributes",
+        "_sorted",
+        "_by_name",
+        "_child_names",
+        "_children",
+        "_parents",
+        "_automata",
+        "_start_reach",
+        "_streamable",
+    )
 
     def __init__(
         self,
@@ -213,18 +242,25 @@ class Grammar:
         self.attributes: dict[str, tuple[str, ...]] = dict(attributes or {})
         if not self.start:
             raise GrammarError("grammar needs at least one start name")
+        self._sorted: tuple[Rule, ...] = tuple(sorted(self.rules, key=Rule.sort_key))
         by_name: dict[str, list[Rule]] = {}
-        for rule in sorted(self.rules, key=Rule.sort_key):
+        parents: dict[str, list[Rule]] = {}
+        self._child_names: dict[Rule, tuple[str, ...]] = {}
+        for rule in self._sorted:
             by_name.setdefault(rule.name, []).append(rule)
+            if not rule.is_text:
+                names = self._child_names[rule] = tuple(names_in(rule.content))
+                for name in names:
+                    parents.setdefault(name, []).append(rule)
         self._by_name: dict[str, tuple[Rule, ...]] = {n: tuple(rs) for n, rs in by_name.items()}
-        missing = sorted(self.start - set(self._by_name))
-        for rule in self.rules:
-            if rule.content is not None:
-                missing.extend(n for n in sorted(names_in(rule.content)) if n not in self._by_name)
+        self._parents: dict[str, tuple[Rule, ...]] = {n: tuple(rs) for n, rs in parents.items()}
+        missing = (self.start | self._parents.keys()) - self._by_name.keys()
         if missing:
-            raise GrammarError("names without rules: " + ", ".join(sorted(set(missing))))
+            raise GrammarError("names without rules: " + ", ".join(sorted(missing)))
+        self._children: dict[Rule, tuple[Rule, ...]] = {}
         self._automata: dict[Rule, ContentAutomaton] = {}
         self._start_reach: frozenset[Rule] | None = None
+        self._streamable: bool | None = None
 
     def __eq__(self, other):
         return (
@@ -253,7 +289,24 @@ class Grammar:
         return tuple(out)
 
     def sorted_rules(self) -> tuple[Rule, ...]:
-        return tuple(sorted(self.rules, key=Rule.sort_key))
+        return self._sorted
+
+    def child_names(self, rule: Rule) -> tuple[str, ...]:
+        """Names the rule's content mentions; none for text rules."""
+        return self._child_names.get(rule, ())
+
+    def children(self, rule: Rule) -> tuple[Rule, ...]:
+        """Rules that can generate a child of a node the rule generates."""
+        found = self._children.get(rule)
+        if found is None:
+            found = tuple(r for name in self.child_names(rule) for r in self._by_name[name])
+            self._children[rule] = found
+        return found
+
+    def parents(self, rule: Rule) -> tuple[Rule, ...]:
+        """Element rules whose content mentions the rule's name, whether or
+        not the start names reach them."""
+        return self._parents.get(rule.name, ())
 
     def automaton(self, rule: Rule) -> "ContentAutomaton":
         """Cached content-model automaton for an element rule."""
@@ -408,8 +461,10 @@ def validate_tree(doc: Document, g: Grammar) -> Interpretation | Invalid:
     if root is None:
         return Invalid("/", "document has no root element")
 
-    all_text_rules = tuple(sorted((r for r in g.rules if r.is_text), key=Rule.sort_key))
+    all_text_rules = tuple(r for r in g.sorted_rules() if r.is_text)
+    by_tag: dict[str, tuple[Rule, ...]] = {}  # element rules matching a tag, in sort order
     possible: dict[int, tuple[Rule, ...]] = {}
+    names_of: dict[tuple[Rule, ...], tuple[str, ...]] = {}  # names in a `possible` entry
 
     def compute(node: Node) -> tuple[Rule, ...]:
         if isinstance(node, TextNode):
@@ -419,18 +474,16 @@ def validate_tree(doc: Document, g: Grammar) -> Interpretation | Invalid:
             children = _content_children(node)
             for child in children:
                 compute(child)
-            found = tuple(
-                rule
-                for rule in sorted(g.rules, key=Rule.sort_key)
-                if not rule.is_text
-                and rule.label.matches(node.tag)
-                and _children_match(node, rule) is not None
-            )
+            candidates = by_tag.get(node.tag)
+            if candidates is None:
+                candidates = by_tag[node.tag] = tuple(
+                    r for r in g.sorted_rules() if not r.is_text and r.label.matches(node.tag)
+                )
+            found = tuple(rule for rule in candidates if _children_match(node, rule) is not None)
         possible[node.nid] = found
+        if found not in names_of:
+            names_of[found] = tuple(dict.fromkeys(r.name for r in found))
         return found
-
-    def _cand_names(child: Node) -> tuple[str, ...]:
-        return tuple(sorted({r.name for r in possible[child.nid]}))
 
     def _children_match(elem: Element, rule: Rule) -> list[set[int]] | None:
         # Forward reachable DFA state sets over the children, one per gap.
@@ -438,9 +491,10 @@ def validate_tree(doc: Document, g: Grammar) -> Interpretation | Invalid:
         states: set[int] = {auto.start_state}
         trace = [set(states)]
         for child in _content_children(elem):
+            names = names_of[possible[child.nid]]
             nxt: set[int] = set()
             for q in states:
-                for name in _cand_names(child):
+                for name in names:
                     t = auto.step(q, name)
                     if t is not None:
                         nxt.add(t)
@@ -486,19 +540,16 @@ def validate_tree(doc: Document, g: Grammar) -> Interpretation | Invalid:
         picks: list[tuple[Node, str] | None] = []
         for i in range(len(children) - 1, -1, -1):
             child = children[i]
-            chosen: tuple[int, tuple[Node, str] | None] | None = None
-            for q in sorted(trace[i]):
-                for name in _cand_names(child):
-                    if auto.step(q, name) == state:
-                        chosen = (q, (child, name))
-                        break
-                if chosen:
-                    break
-            if chosen is None and _is_ignorable(child) and state in trace[i]:
-                chosen = (state, None)
-            assert chosen is not None, "forward trace guarantees a backward path"
-            state, pick = chosen
-            picks.append(pick)
+            names = names_of[possible[child.nid]]
+            moves = [(q, name) for q in trace[i] for name in names if auto.step(q, name) == state]
+            if moves:
+                state, name = min(moves)  # lowest state, then first name
+                picks.append((child, name))
+            else:
+                assert _is_ignorable(child) and state in trace[i], (
+                    "forward trace guarantees a backward path"
+                )
+                picks.append(None)
         for pick in reversed(picks):
             if pick is None:
                 continue
@@ -522,9 +573,15 @@ def is_streamable(g: Grammar) -> bool:
     (with exactly one element rule), both under each element rule's content
     and at the root against the start names, and a rule's content may
     mention at most one text-capable name.  DTD imports always satisfy
-    this; hand-built regular grammars may not.
+    this; hand-built regular grammars may not.  The verdict is cached on
+    the grammar.
     """
+    if g._streamable is None:
+        g._streamable = _is_streamable(g)
+    return g._streamable
 
+
+def _is_streamable(g: Grammar) -> bool:
     def resolvable(names: Iterable[str]) -> bool:
         rules_per_name = [(n, g.element_rules(n)) for n in sorted(set(names))]
         with_elements = [(n, rs) for n, rs in rules_per_name if rs]
@@ -542,7 +599,7 @@ def is_streamable(g: Grammar) -> bool:
     for rule in g.rules:
         if rule.is_text:
             continue
-        names = names_in(rule.content)
+        names = g.child_names(rule)
         if not resolvable(names):
             return False
         text_capable = [n for n in names if g.text_rules(n)]
@@ -551,20 +608,23 @@ def is_streamable(g: Grammar) -> bool:
     return True
 
 
-def reachable_rules(g: Grammar, from_rules: Iterable[Rule]) -> frozenset[Rule]:
-    """Least fixpoint: seed rules plus rules of names mentioned in the
-    content of any reachable element rule."""
-    seen: set[Rule] = set()
-    work = list(from_rules)
+def _closure(step, seeds: Iterable) -> set:
+    """Least fixpoint: everything one or more `step`s away from the seeds."""
+    seen = set()
+    work = list(seeds)
     while work:
-        rule = work.pop()
-        if rule in seen:
-            continue
-        seen.add(rule)
-        if rule.content is not None:
-            for name in names_in(rule.content):
-                work.extend(g.rules_of(name))
-    return frozenset(seen)
+        for nxt in step(work.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                work.append(nxt)
+    return seen
+
+
+def reachable_rules(g: Grammar, from_rules: Iterable[Rule]) -> frozenset[Rule]:
+    """Seed rules plus rules of names mentioned in the content of any
+    reachable element rule."""
+    seeds = frozenset(from_rules)
+    return seeds | _closure(g.children, seeds)
 
 
 def start_reachable(g: Grammar) -> frozenset[Rule]:

@@ -29,8 +29,8 @@ from .grammar import (
     Grammar,
     GrammarFormatError,
     Rule,
+    _closure,
     _parse_grammar_lines,
-    names_in,
     parse_rule_text,
     reachable_rules,
     rule_to_text,
@@ -71,12 +71,6 @@ class Projector:
     def dropped(self) -> frozenset[Rule]:
         return self.grammar.rules - self.kept
 
-    def keeps(self, rule: Rule) -> bool:
-        return rule in self.kept
-
-    def is_identity(self) -> bool:
-        return self.kept == self.grammar.rules
-
 
 def identity_projector(g: Grammar) -> Projector:
     return Projector(g, g.rules)
@@ -90,43 +84,20 @@ def empty_projector(g: Grammar) -> Projector:
 # Single steps over rule sets
 
 
-def _rules_of_names(g: Grammar, names: Iterable[str]) -> set[Rule]:
-    out: set[Rule] = set()
-    for name in names:
-        out.update(g.rules_of(name))
-    return out
-
-
-def _child_of(g: Grammar, key: _Key) -> set[_Key]:
+def _child_of(g: Grammar, key: _Key) -> tuple[_Key, ...]:
     if key is None:
-        return set(g.start_rules())
-    if key.is_text:
-        return set()
-    return _rules_of_names(g, names_in(key.content))
+        return g.start_rules()
+    return g.children(key)
 
 
 def _parent_of(g: Grammar, key: _Key) -> set[_Key]:
     if key is None:
         return set()
     live = start_reachable(g)
-    out: set[_Key] = {
-        r for r in g.rules if not r.is_text and key.name in names_in(r.content) and r in live
-    }
+    out: set[_Key] = {r for r in g.parents(key) if r in live}
     if key.name in g.start:
         out.add(None)
     return out
-
-
-def _closure(step, seeds: Iterable[_Key]) -> set[_Key]:
-    seen: set[_Key] = set()
-    work = list(seeds)
-    while work:
-        key = work.pop()
-        for nxt in step(key):
-            if nxt not in seen:
-                seen.add(nxt)
-                work.append(nxt)
-    return seen
 
 
 def _apply_axis(g: Grammar, ctx: frozenset[_Key], axis: Axis) -> set[_Key]:
@@ -135,7 +106,7 @@ def _apply_axis(g: Grammar, ctx: frozenset[_Key], axis: Axis) -> set[_Key]:
     if axis is Axis.CHILD:
         out: set[_Key] = set()
         for key in ctx:
-            out |= _child_of(g, key)
+            out.update(_child_of(g, key))
         return out
     if axis is Axis.DESCENDANT:
         return _closure(lambda k: _child_of(g, k), ctx)
@@ -200,22 +171,6 @@ def _has_always_true_part(pred: Predicate | None) -> bool:
     return _has_always_true_part(pred.left) or _has_always_true_part(pred.right)
 
 
-def _co_reachable(g: Grammar, bottoms: Iterable[Rule]) -> set[Rule]:
-    seen: set[Rule] = set()
-    work = list(bottoms)
-    while work:
-        rule = work.pop()
-        if rule in seen:
-            continue
-        seen.add(rule)
-        for parent in g.rules:
-            if parent.is_text or parent in seen:
-                continue
-            if rule.name in names_in(parent.content):
-                work.append(parent)
-    return seen
-
-
 def _rules_between(g: Grammar, uppers: set[_Key], lowers: set[_Key]) -> frozenset[Rule]:
     """Rules lying on some downward chain from `uppers` to `lowers`; the
     document node routes through the start rules."""
@@ -228,7 +183,8 @@ def _rules_between(g: Grammar, uppers: set[_Key], lowers: set[_Key]) -> frozense
     bottoms = {k for k in lowers if k is not None}
     if not tops or not bottoms:
         return frozenset()
-    return frozenset(reachable_rules(g, tops) & _co_reachable(g, bottoms))
+    co_reachable = bottoms | _closure(g.parents, bottoms)
+    return reachable_rules(g, tops) & co_reachable
 
 
 def _fold_path(

@@ -26,7 +26,7 @@ from .doc import (
     Text,
     TextNode,
 )
-from .grammar import Grammar, Interpretation, Invalid, Rule, is_streamable, names_in, validate_tree
+from .grammar import Grammar, Interpretation, Invalid, Rule, is_streamable, validate_tree
 from .inference import Projector
 
 
@@ -86,7 +86,7 @@ def _build_dispatch(p: Projector) -> tuple[dict[str, _Entry], _Entry | None]:
     def entry_for(rule: Rule) -> _Entry:
         entry = entries.get(rule)
         if entry is None:
-            names = names_in(rule.content)
+            names = g.child_names(rule)
             text_ok = any(t in p.kept for n in names for t in g.text_rules(n))
             entry = [rule in p.kept, text_ok, {}, None]
             entries[rule] = entry

@@ -5,7 +5,7 @@ import pytest
 
 from xmlprojector.cli import main
 
-from conftest import D0_XML, G0_DTD, DEEP_DTD, write_deep_doc
+from conftest import D0_XML, G0_DTD
 
 
 @pytest.fixture()
@@ -139,14 +139,3 @@ def test_usage_errors_exit_2(g0_dtd, tmp_path, capsys):
     assert run(["infer", "--dtd", g0_dtd, "--query", "/doc["]) == 2
     assert run(["infer", "--dtd", g0_dtd]) == 2
     assert run(["prune", "--projector", str(tmp_path / "missing.proj")]) == 2
-
-
-def test_bench_reports_ratio(tmp_path, capsys):
-    dtd = tmp_path / "deep.dtd"
-    dtd.write_text(DEEP_DTD)
-    doc = tmp_path / "doc.xml"
-    write_deep_doc(doc, 300_000)
-    code = run(["bench", "--dtd", str(dtd), "--query", "/root/sec/meta", "-i", str(doc)])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "parse_seconds=" in out and "ratio=" in out and "max_depth=8" in out

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -27,7 +28,7 @@ from xmlprojector import (
     reachable_rules,
     validate_tree,
 )
-from xmlprojector.grammar import EPSILON, names_in, regex_to_text, parse_regex_text
+from xmlprojector.grammar import EPSILON, names_in, regex_to_text, parse_regex_text, rule_to_text
 
 # ---------------------------------------------------------------------------
 # Independent language-membership oracle: Brzozowski derivatives.  Nothing
@@ -223,6 +224,33 @@ def test_validate_ambiguous_grammar_any_witness():
     assert sorted(r.name for r in interp.values()) == ["A", "F"]
 
 
+_WILD_AND_EXACT = """\
+start: A F
+F -> f [ A* ]
+A -> a [ ]
+A -> _ [ ]
+A -> Z [ ]
+"""
+
+
+@pytest.mark.parametrize(
+    "xml,expected",
+    [
+        # `_` sorts after `Z` and before `a`: whichever rule sorts lowest wins
+        ("<a/>", ["A -> _ [ ]"]),
+        ("<Z/>", ["A -> Z [ ]"]),
+        ("<f/>", ["A -> _ [ ]"]),
+        ("<f><a/><Z/><q/></f>", ["F -> f [ A* ]", "A -> _ [ ]", "A -> Z [ ]", "A -> _ [ ]"]),
+    ],
+)
+def test_validate_witness_mixes_wildcard_and_exact_rules(xml, expected):
+    g = parse_grammar_text(_WILD_AND_EXACT)
+    doc = parse_xml(xml)
+    interp = validate_tree(doc, g)
+    assert not isinstance(interp, Invalid)
+    assert [rule_to_text(interp[n.nid]) for n in doc.iter_nodes() if n.nid in interp] == expected
+
+
 # ---------------------------------------------------------------------------
 # Streamability
 
@@ -340,6 +368,13 @@ def test_grammar_text_round_trip(g0, xmark_grammar, recursive_grammar, mixed_gra
 @given(_regex_strategy)
 def test_regex_text_round_trip(regex):
     assert parse_regex_text(regex_to_text(regex)) == regex
+
+
+def test_rule_pickle_recomputes_cached_hash():
+    rule = Rule.element("A", "a", Seq(Star(Atom("B")), Atom("C")))
+    data = pickle.dumps(rule)
+    assert b"_hash" not in data  # a hash from another process would be stale
+    assert pickle.loads(data) == rule and hash(pickle.loads(data)) == hash(rule)
 
 
 def test_grammar_requires_declared_names():
