@@ -8,12 +8,13 @@ answer.
 Typical use::
 
     from xmlprojector import parse_dtd, parse_query, approximate_to_ell
-    from xmlprojector import infer_projector, prune_stream, iter_events
+    from xmlprojector import infer_projector, prune_file
 
     grammar = parse_dtd(open("schema.dtd").read())
     query = approximate_to_ell(parse_query("/site/people/person/name"))
     projector = infer_projector([query], grammar)
-    events = prune_stream(iter_events(open("doc.xml", "rb")), projector)
+    with open("doc.xml", "rb") as src, open("pruned.xml", "w") as out:
+        prune_file(src, projector, out.write)
 """
 
 __version__ = "0.1.0"
@@ -90,6 +91,7 @@ from .pruner import (
     NotStreamableError,
     PruneStats,
     UnresolvableTagError,
+    prune_file,
     prune_stream,
     prune_tree,
 )

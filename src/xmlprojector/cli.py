@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import IO, Iterable
+from typing import IO
 
-from .doc import SaxEvent, XmlSyntaxError, iter_events, parse_xml, serialize, serialize_event
+from .doc import XmlSyntaxError, parse_xml, serialize
 from .dtd import DtdError, parse_dtd
 from .grammar import (
     GrammarFormatError,
@@ -33,7 +33,7 @@ from .pruner import (
     InvalidDocumentError,
     PruneStats,
     UnresolvableTagError,
-    prune_stream,
+    prune_file,
     prune_tree,
 )
 from .xpath import QueryEll, QuerySyntaxError, approximate_to_ell, parse_query
@@ -55,6 +55,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError as exc:
+        # the in-memory paths (validate_tree, prune_tree) recurse per nesting level
+        print(f"error: document nested too deeply for the in-memory path ({exc})", file=sys.stderr)
         return 2
 
 
@@ -97,7 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
     prune.add_argument("-i", "--input", default="-", help="document (default stdin)")
     prune.add_argument("-o", "--output", default="-", help="pruned document (default stdout)")
     prune.add_argument("--policy", choices=("strict", "drop"), default="strict",
-                       help="what to do with tags the grammar cannot resolve")
+                       help="what to do with tags the grammar cannot resolve; streaming "
+                       "prune does not validate, so strict checks tags only, not content models")
     prune.add_argument("--stats", action="store_true", help="print a stats line to stderr")
     prune.set_defaults(func=_cmd_prune)
 
@@ -179,16 +184,6 @@ def _close(fh, path: str) -> None:
         fh.close()
 
 
-def _write_events(events: Iterable[SaxEvent], fh: IO[str], flush_every: int = 2048) -> None:
-    buffer: list[str] = []
-    for event in events:
-        buffer.append(serialize_event(event))
-        if len(buffer) >= flush_every:
-            fh.write("".join(buffer))
-            buffer.clear()
-    fh.write("".join(buffer))
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -222,10 +217,7 @@ def _cmd_prune(args) -> int:
     out = _open_out(args.output)
     try:
         if is_streamable(projector.grammar):
-            events = prune_stream(
-                iter_events(src), projector, policy=args.policy, stats=stats
-            )
-            _write_events(events, out)
+            prune_file(src, projector, out.write, policy=args.policy, stats=stats)
         else:
             print("grammar is not streamable; pruning in memory", file=sys.stderr)
             doc = parse_xml(src)

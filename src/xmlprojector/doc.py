@@ -176,23 +176,40 @@ def node_path(node: Document | Node) -> str:
 # Parsing
 
 
-def _make_parser(sink: list[SaxEvent]) -> xml.parsers.expat.XMLParserType:
+def new_parser() -> xml.parsers.expat.XMLParserType:
+    """An expat parser configured as every reader in this package uses it:
+    adjacent text buffered into one call, attributes as a flat list."""
     parser = xml.parsers.expat.ParserCreate()
     parser.buffer_text = True
     parser.ordered_attributes = True
-
-    def start(tag, attr_list):
-        pairs = tuple((attr_list[i], attr_list[i + 1]) for i in range(0, len(attr_list), 2))
-        sink.append(StartElement(tag, pairs))
-
-    parser.StartElementHandler = start
-    parser.EndElementHandler = lambda tag: sink.append(EndElement(tag))
-    parser.CharacterDataHandler = lambda data: sink.append(Text(data))
-    parser.CommentHandler = lambda data: sink.append(Comment(data))
-    parser.ProcessingInstructionHandler = lambda target, data: sink.append(
-        ProcessingInstruction(target, data)
-    )
     return parser
+
+
+def feed(
+    parser: xml.parsers.expat.XMLParserType,
+    source: str | bytes | IO[bytes],
+    chunk_size: int = 1 << 16,
+) -> Iterator[None]:
+    """Parse XML text or a binary file object, pausing after each chunk.
+
+    The parser's handlers run during each pause's chunk; expat's errors
+    surface as XmlSyntaxError with line and 1-based column.
+    """
+    try:
+        if isinstance(source, (str, bytes)):
+            parser.Parse(source.encode("utf-8") if isinstance(source, str) else source, True)
+            yield
+            return
+        while True:
+            chunk = source.read(chunk_size)
+            parser.Parse(chunk, not chunk)
+            yield
+            if not chunk:
+                return
+    except xml.parsers.expat.ExpatError as exc:
+        raise XmlSyntaxError(
+            xml.parsers.expat.errors.messages[exc.code], exc.lineno, exc.offset + 1
+        ) from None
 
 
 def iter_events(source: str | bytes | IO[bytes], chunk_size: int = 1 << 16) -> Iterator[SaxEvent]:
@@ -202,27 +219,22 @@ def iter_events(source: str | bytes | IO[bytes], chunk_size: int = 1 << 16) -> I
     events; the input is never materialized as a tree.
     """
     pending: list[SaxEvent] = []
-    parser = _make_parser(pending)
-    try:
-        if isinstance(source, (str, bytes)):
-            data = source.encode("utf-8") if isinstance(source, str) else source
-            parser.Parse(data, True)
-            yield from pending
-            return
-        while True:
-            chunk = source.read(chunk_size)
-            if not chunk:
-                parser.Parse(b"", True)
-                yield from pending
-                return
-            parser.Parse(chunk, False)
-            if pending:
-                yield from pending
-                pending.clear()
-    except xml.parsers.expat.ExpatError as exc:
-        raise XmlSyntaxError(
-            xml.parsers.expat.errors.messages[exc.code], exc.lineno, exc.offset + 1
-        ) from None
+    parser = new_parser()
+
+    def start(tag, attr_list):
+        pairs = tuple((attr_list[i], attr_list[i + 1]) for i in range(0, len(attr_list), 2))
+        pending.append(StartElement(tag, pairs))
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = lambda tag: pending.append(EndElement(tag))
+    parser.CharacterDataHandler = lambda data: pending.append(Text(data))
+    parser.CommentHandler = lambda data: pending.append(Comment(data))
+    parser.ProcessingInstructionHandler = lambda target, data: pending.append(
+        ProcessingInstruction(target, data)
+    )
+    for _ in feed(parser, source, chunk_size):
+        yield from pending
+        pending.clear()
 
 
 def build_tree(events: Iterable[SaxEvent]) -> Document:
@@ -271,35 +283,60 @@ def parse_xml(source: str | bytes | IO[bytes]) -> Document:
 
 def tree_events(doc: Document) -> Iterator[SaxEvent]:
     """Event view of a tree; inverse of build_tree up to text merging."""
-    for child in doc.children:
-        yield from _node_events(child)
+    return _events_of(doc.children)
 
 
-def _node_events(node: Node) -> Iterator[SaxEvent]:
-    if isinstance(node, Element):
-        yield StartElement(node.tag, node.attributes)
-        for child in node.children:
-            yield from _node_events(child)
-        yield EndElement(node.tag)
-    elif isinstance(node, TextNode):
-        yield Text(node.content)
-    elif isinstance(node, CommentNode):
-        yield Comment(node.content)
-    else:
-        yield ProcessingInstruction(node.target, node.data)
+def _events_of(nodes: list[Node]) -> Iterator[SaxEvent]:
+    # An explicit stack, not recursion, so nesting depth is unbounded.
+    # It holds nodes still to visit and the end events of open elements.
+    stack: list[Node | EndElement] = list(reversed(nodes))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Element):
+            yield StartElement(node.tag, node.attributes)
+            stack.append(EndElement(node.tag))
+            stack.extend(reversed(node.children))
+        elif isinstance(node, EndElement):
+            yield node
+        elif isinstance(node, TextNode):
+            yield Text(node.content)
+        elif isinstance(node, CommentNode):
+            yield Comment(node.content)
+        else:
+            yield ProcessingInstruction(node.target, node.data)
+
+
+def _attributes(pairs: Iterable[tuple[str, str]]) -> str:
+    return "".join(f" {name}={quoteattr(value)}" for name, value in pairs)
+
+
+def _pi_text(target: str, data: str) -> str:
+    return f"<?{target} {data}?>" if data else f"<?{target}?>"
 
 
 def serialize_event(event: SaxEvent) -> str:
     if isinstance(event, StartElement):
-        attrs = "".join(f" {name}={quoteattr(value)}" for name, value in event.attributes)
-        return f"<{event.tag}{attrs}>"
+        return f"<{event.tag}{_attributes(event.attributes)}>"
     if isinstance(event, EndElement):
         return f"</{event.tag}>"
     if isinstance(event, Text):
         return escape(event.content)
     if isinstance(event, Comment):
         return f"<!--{event.content}-->"
-    return f"<?{event.target} {event.data}?>" if event.data else f"<?{event.target}?>"
+    return _pi_text(event.target, event.data)
+
+
+def _start_tag(tag: str, attrs: list[str]) -> str:
+    if not attrs:
+        return f"<{tag}>"
+    it = iter(attrs)
+    return f"<{tag}{_attributes(zip(it, it))}>"
+
+
+# serialize_event's output computed from expat callback arguments, for
+# printing straight from the parser (see new_parser): the start, end,
+# character data, comment and processing instruction handlers, in order.
+CALLBACK_TEXT = (_start_tag, lambda tag: f"</{tag}>", escape, lambda data: f"<!--{data}-->", _pi_text)
 
 
 def serialize_events(events: Iterable[SaxEvent]) -> str:
@@ -315,7 +352,7 @@ def subtree_text(node: Document | Node) -> str:
     """Serialization of one node and everything below it."""
     if isinstance(node, Document):
         return serialize(node)
-    return serialize_events(_node_events(node))
+    return serialize_events(_events_of([node]))
 
 
 def string_value(node: Document | Node) -> str:

@@ -1,30 +1,37 @@
 """Applying a projector to documents.
 
-Two pruners with one observable contract.  ``prune_stream`` handles
-top-down deterministic (streamable) grammars in a single pass over SAX
-events, holding nothing but a stack of (rule, keep?) frames, so memory
-follows document depth rather than document size.  ``prune_tree`` handles
-arbitrary regular tree grammars by validating first and then erasing every
-node whose witnessing rule was dropped.  On streamable grammars both
-produce byte-identical serializations.
+Two pruners with one observable contract.  The streaming pruner handles
+top-down deterministic (streamable) grammars in a single pass, holding
+nothing but a stack of kept frames and a depth counter, so memory follows
+document depth rather than document size.  It runs inside the expat
+callbacks (``prune_file``) or over SAX events (``prune_stream``); both
+drive the same handlers.  ``prune_tree`` handles arbitrary regular tree
+grammars by validating first and then erasing every node whose
+witnessing rule was dropped.  On streamable grammars both pruners produce
+byte-identical serializations of valid documents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 from .doc import (
+    CALLBACK_TEXT,
+    Comment,
     CommentNode,
     Document,
     Element,
     EndElement,
     Node,
     PINode,
+    ProcessingInstruction,
     SaxEvent,
     StartElement,
     Text,
     TextNode,
+    feed,
+    new_parser,
 )
 from .grammar import Grammar, Interpretation, Invalid, Rule, is_streamable, validate_tree
 from .inference import Projector
@@ -114,21 +121,27 @@ def _dispatch_names(g: Grammar, names: Iterable[str]) -> tuple[dict[str, Rule], 
     return exact, wild
 
 
-def prune_stream(
-    events: Iterable[SaxEvent],
-    p: Projector,
-    *,
-    policy: str = "strict",
-    stats: PruneStats | None = None,
-) -> Iterator[SaxEvent]:
-    """One-pass event filter; yields the events of the pruned document.
+class _Slots:
+    """The five expat handler slots, for driving the pruner from events."""
 
-    Requires a streamable grammar.  An element whose tag has no candidate
-    name is handled per `policy`: 'strict' raises UnresolvableTagError,
-    'drop' prunes that subtree.  Comments and processing instructions ride
-    along wherever the surrounding element is kept.  State is one frame
-    per open kept element plus a counter inside pruned regions, so memory
-    follows input depth, never input size.
+    __slots__ = ("StartElementHandler", "EndElementHandler", "CharacterDataHandler",
+                 "CommentHandler", "ProcessingInstructionHandler")
+
+
+# Kept items as events, one constructor per handler in CALLBACK_TEXT's order.
+_AS_EVENTS = (StartElement, EndElement, Text, Comment, ProcessingInstruction)
+
+
+def _install(
+    p: Projector, policy: str, stats: PruneStats | None, target, out: list, render: tuple
+) -> Callable[[], None]:
+    """Bind the pruning state machine to ``target``'s handler slots.
+
+    ``target`` is an expat parser or a ``_Slots``.  Kept items go to ``out``
+    through ``render``.  On entering a dropped subtree the handlers are
+    swapped for ones that only count, and comments and PIs go unhandled,
+    until the subtree closes.  Returns the function that adds the run's
+    counters to ``stats``.
     """
     if policy not in ("strict", "drop"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -139,58 +152,168 @@ def prune_stream(
     root_exact, root_wild = _build_dispatch(p)
     emit_doc_level = bool(p.kept)
     strict = policy == "strict"
-
+    render_start, render_end, render_text, render_comment, render_pi = render
+    append = out.append
     stack: list[_Entry] = []  # kept frames only
-    tags: list[str] = []  # input tag path: diagnostics and the depth stat
-    pruned_depth = 0
-    max_depth = 0
+    tags: list[str] = []  # their tags: the input path, for diagnostics
+    depth = resume = max_depth = 0  # resume: the depth a dropped subtree hangs from
+    elements_in = elements_out = text_in = text_out = 0
 
-    for event in events:
-        kind = type(event)
-        if kind is StartElement:
-            stats.elements_in += 1
-            tags.append(event.tag)
-            if len(tags) > max_depth:
-                max_depth = len(tags)
-            if pruned_depth:
-                pruned_depth += 1
-                continue
-            if stack:
-                top = stack[-1]
-                entry = top[2].get(event.tag, top[3])
-            else:
-                entry = root_exact.get(event.tag, root_wild)
-            if entry is None:
-                if strict:
-                    stats.max_depth = max(stats.max_depth, max_depth)
-                    raise UnresolvableTagError(event.tag, "/" + "/".join(tags))
-                pruned_depth = 1
-            elif entry[0]:
-                stats.elements_out += 1
-                stack.append(entry)
-                yield event
-            else:
-                pruned_depth = 1
-        elif kind is Text:
-            content = event.content
-            size = len(content) if content.isascii() else len(content.encode("utf-8"))
-            stats.text_bytes_in += size
-            if not pruned_depth and stack and stack[-1][1]:
-                stats.text_bytes_out += size
-                yield event
-        elif kind is EndElement:
-            tags.pop()
-            if pruned_depth:
-                pruned_depth -= 1
-            elif stack:
-                stack.pop()
-                yield event
-        else:  # comments and PIs
-            if pruned_depth:
-                continue
-            if stack or emit_doc_level:
-                yield event
-    stats.max_depth = max(stats.max_depth, max_depth)
+    def start(tag, attrs):
+        nonlocal depth, resume, max_depth, elements_in, elements_out
+        elements_in += 1
+        depth += 1
+        if depth > max_depth:
+            max_depth = depth
+        if stack:
+            top = stack[-1]
+            entry = top[2].get(tag, top[3])
+        else:
+            entry = root_exact.get(tag, root_wild)
+        if entry is not None and entry[0]:
+            elements_out += 1
+            stack.append(entry)
+            tags.append(tag)
+            append(render_start(tag, attrs))
+            return
+        if entry is None and strict:
+            raise UnresolvableTagError(tag, "/" + "/".join(tags + [tag]))
+        resume = depth - 1
+        target.StartElementHandler = skip_start
+        target.EndElementHandler = skip_end
+        target.CharacterDataHandler = skip_text
+        target.CommentHandler = target.ProcessingInstructionHandler = None
+
+    def end(tag):
+        nonlocal depth
+        depth -= 1
+        stack.pop()
+        tags.pop()
+        append(render_end(tag))
+
+    def text(data):
+        nonlocal text_in, text_out
+        size = len(data) if data.isascii() else len(data.encode("utf-8"))
+        text_in += size
+        if stack and stack[-1][1]:
+            text_out += size
+            append(render_text(data))
+
+    def comment(data):
+        if stack or emit_doc_level:
+            append(render_comment(data))
+
+    def instruction(pi_target, data):
+        if stack or emit_doc_level:
+            append(render_pi(pi_target, data))
+
+    def skip_start(tag, attrs):
+        nonlocal depth, max_depth, elements_in
+        elements_in += 1
+        depth += 1
+        if depth > max_depth:
+            max_depth = depth
+
+    def skip_end(tag):
+        nonlocal depth
+        depth -= 1
+        if depth == resume:
+            keep()
+
+    def skip_text(data):
+        nonlocal text_in
+        text_in += len(data) if data.isascii() else len(data.encode("utf-8"))
+
+    def keep():
+        target.StartElementHandler = start
+        target.EndElementHandler = end
+        target.CharacterDataHandler = text
+        target.CommentHandler = comment
+        target.ProcessingInstructionHandler = instruction
+
+    def finish():
+        stats.elements_in += elements_in
+        stats.elements_out += elements_out
+        stats.text_bytes_in += text_in
+        stats.text_bytes_out += text_out
+        stats.max_depth = max(stats.max_depth, max_depth)
+
+    keep()
+    return finish
+
+
+def prune_file(
+    src: str | bytes | IO[bytes],
+    p: Projector,
+    write: Callable[[str], object],
+    *,
+    policy: str = "strict",
+    stats: PruneStats | None = None,
+) -> None:
+    """Prune XML text or a binary file object in one pass inside the
+    parser's callbacks, passing the serialized output to ``write`` once
+    per parsed chunk.  No event objects are built.
+
+    Requires a streamable grammar.  An element whose tag has no candidate
+    name is handled per `policy`: 'strict' raises UnresolvableTagError,
+    'drop' prunes that subtree.  Neither policy validates: 'strict' checks
+    tags against the grammar, never content models, and nothing inside a
+    dropped subtree is checked, so a document that violates the DTD can
+    come out pruned where ``prune_tree`` raises InvalidDocumentError.
+    Comments and processing instructions ride along wherever the
+    surrounding element is kept.  State is one frame per open kept element
+    plus a counter inside pruned regions, so memory follows input depth,
+    never input size.
+    """
+    out: list[str] = []
+    parser = new_parser()
+    finish = _install(p, policy, stats, parser, out, CALLBACK_TEXT)
+    try:
+        for _ in feed(parser, src):
+            if out:
+                write("".join(out))
+                out.clear()
+    finally:
+        finish()
+
+
+def prune_stream(
+    events: Iterable[SaxEvent],
+    p: Projector,
+    *,
+    policy: str = "strict",
+    stats: PruneStats | None = None,
+) -> Iterator[SaxEvent]:
+    """One-pass event filter; yields the events of the pruned document.
+
+    Feeds each event to the handlers ``prune_file`` runs inside the
+    parser, so output, stats, policies and errors are the same.  Like
+    ``prune_file`` this is not validation: 'strict' checks tags, never
+    content models, and a document that violates the DTD can come out
+    pruned where ``prune_tree`` raises InvalidDocumentError.
+    """
+    out: list[SaxEvent] = []
+    slots = _Slots()
+    finish = _install(p, policy, stats, slots, out, _AS_EVENTS)
+    try:
+        for event in events:
+            kind = type(event)
+            if kind is StartElement:
+                slots.StartElementHandler(event.tag, event.attributes)
+            elif kind is Text:
+                slots.CharacterDataHandler(event.content)
+            elif kind is EndElement:
+                slots.EndElementHandler(event.tag)
+            elif kind is Comment:
+                if slots.CommentHandler is not None:
+                    slots.CommentHandler(event.content)
+            elif slots.ProcessingInstructionHandler is not None:
+                slots.ProcessingInstructionHandler(event.target, event.data)
+            if out:
+                yield from out
+                out.clear()
+    finally:
+        finish()
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from xmlprojector import (
 )
 from xmlprojector.doc import iter_events
 from xmlprojector.oracle import require_interpretation
-from xmlprojector.pruner import PruneStats, prune_stream
+from xmlprojector.pruner import PruneStats, prune_file, prune_stream
 from xmlprojector.xpath import Axis
 
 from conftest import DEEP_DTD, G0_DTD, MIXED_DTD, RECURSIVE_DTD, XMARK_DTD, write_deep_doc, write_xmark_doc
@@ -243,6 +243,36 @@ def test_criterion_4_one_pass_memory_bound(big_docs, deep_grammar):
     ok = ratio < 2.0 and all(d == 8 for d in depths.values())
     _report(
         "4 one-pass memory bound",
+        ok,
+        f"(peaks KiB {', '.join(f'{k}={v / 1024:.0f}' for k, v in peaks.items())}; "
+        f"ratio {ratio:.2f} over 100x size; depth {depths['100MB']})",
+    )
+
+
+def test_one_pass_memory_bound_fused_path(big_docs, deep_grammar):
+    """Criterion 4's bound on the path the CLI runs: pruning inside the
+    expat callbacks, output handed to a writer once per chunk."""
+    pi = infer_projector([approximate_to_ell(parse_query("/root/sec/meta"))], deep_grammar)
+    peaks = {}
+    depths = {}
+    for label, path in big_docs.items():
+        stats = PruneStats()
+        written = [0]
+
+        def write(text: str) -> None:
+            written[0] += len(text)
+
+        tracemalloc.start()
+        with open(path, "rb") as src:
+            prune_file(src, pi, write, stats=stats)
+        peaks[label] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        depths[label] = stats.max_depth
+        assert written[0] > 0
+    ratio = max(peaks.values()) / min(peaks.values())
+    ok = ratio < 2.0 and all(d == 8 for d in depths.values())
+    _report(
+        "4 one-pass memory bound, fused path",
         ok,
         f"(peaks KiB {', '.join(f'{k}={v / 1024:.0f}' for k, v in peaks.items())}; "
         f"ratio {ratio:.2f} over 100x size; depth {depths['100MB']})",

@@ -5,7 +5,10 @@ import pytest
 
 from xmlprojector.cli import main
 
-from conftest import D0_XML, G0_DTD
+from xmlprojector import parse_xml, serialize, tree_events
+from xmlprojector.doc import subtree_text
+
+from conftest import D0_XML, G0_DTD, RECURSIVE_DTD
 
 
 @pytest.fixture()
@@ -139,3 +142,38 @@ def test_usage_errors_exit_2(g0_dtd, tmp_path, capsys):
     assert run(["infer", "--dtd", g0_dtd, "--query", "/doc["]) == 2
     assert run(["infer", "--dtd", g0_dtd]) == 2
     assert run(["prune", "--projector", str(tmp_path / "missing.proj")]) == 2
+
+
+def _nested_sections(levels: int) -> str:
+    return "<doc>" + "<section><title>t</title>" * levels + "</section>" * levels + "</doc>"
+
+
+@pytest.fixture()
+def recursive_dtd(tmp_path):
+    path = tmp_path / "recursive.dtd"
+    path.write_text(RECURSIVE_DTD)
+    return str(path)
+
+
+def test_deep_nesting_serializes_and_streams(recursive_dtd, tmp_path, capsys):
+    levels = 10_000
+    xml = _nested_sections(levels)
+    doc = parse_xml(xml)
+    assert serialize(doc) == xml
+    assert sum(1 for _ in tree_events(doc)) == 5 * levels + 2
+    assert subtree_text(doc.root.children[0]) == xml[len("<doc>") : -len("</doc>")]
+    path = tmp_path / "deep.xml"
+    path.write_text(xml)
+    code = run(["prune", "--dtd", recursive_dtd, "--query", "//title", "-i", str(path), "--stats"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert f"max_depth={levels + 2}" in captured.err
+    assert captured.out == xml
+
+
+def test_validate_deep_nesting_reports_error_not_traceback(recursive_dtd, tmp_path, capsys):
+    path = tmp_path / "deep.xml"
+    path.write_text(_nested_sections(2_000))
+    assert run(["validate", "--dtd", recursive_dtd, "-i", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

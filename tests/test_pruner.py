@@ -1,3 +1,6 @@
+import random
+from xml.sax.saxutils import escape, quoteattr
+
 import pytest
 
 from xmlprojector import (
@@ -9,6 +12,7 @@ from xmlprojector import (
     generate_document,
     identity_projector,
     infer_projector,
+    parse_dtd,
     parse_query,
     parse_xml,
     serialize,
@@ -16,18 +20,19 @@ from xmlprojector import (
     tree_events,
     validate_tree,
 )
-from xmlprojector.doc import iter_events
+from xmlprojector.doc import EndElement, StartElement, Text, XmlSyntaxError, iter_events
 from xmlprojector.grammar import EPSILON, Alt, Atom, Grammar, Rule, Star
 from xmlprojector.pruner import (
     InvalidDocumentError,
     NotStreamableError,
     PruneStats,
     UnresolvableTagError,
+    prune_file,
     prune_stream,
     prune_tree,
 )
 
-from conftest import D0_XML
+from conftest import D0_XML, DEEP_DTD, G0_DTD, MIXED_DTD, RECURSIVE_DTD, XMARK_DTD
 
 
 def _ell(text):
@@ -240,3 +245,131 @@ def test_pruned_document_validates_against_erasure(g0):
     from xmlprojector import Invalid
 
     assert not isinstance(validate_tree(pruned, erased), Invalid)
+
+
+def test_strict_streaming_is_not_validation(recursive_grammar):
+    # Stray text under doc and a title after a para violate the DTD; the
+    # streaming pruners check tags only, the in-memory one validates.
+    xml = "<doc>stray text<section><para>p</para><title>late</title></section></doc>"
+    pi = infer_projector([_ell("//para")], recursive_grammar)
+    fused: list[str] = []
+    prune_file(xml, pi, fused.append)
+    expected = "<doc><section><para>p</para></section></doc>"
+    assert "".join(fused) == _stream(xml, pi) == expected
+    with pytest.raises(InvalidDocumentError):
+        prune_tree(parse_xml(xml), pi)
+
+
+# ---------------------------------------------------------------------------
+# The fused pruner (inside the expat callbacks) against the event pruner
+
+
+class _Trickle:
+    """A binary reader that hands out at most `step` bytes per read, so
+    text and dropped subtrees split across parser chunks."""
+
+    def __init__(self, data: bytes, step: int):
+        self.data, self.step, self.pos = data, step, 0
+
+    def read(self, n: int) -> bytes:
+        chunk = self.data[self.pos : self.pos + min(n, self.step)]
+        self.pos += len(chunk)
+        return chunk
+
+
+_ATTR_VALUES = ('say "hi"', "it's", "a<b & c>d", "tab\tline\nend", "ünï €", 'both \' and "')
+_TEXTS = ("", "é", "€ & <tag>", "日本語", "]]")
+
+
+def _decorated(doc, rng: random.Random, unknown: bool) -> bytes:
+    """Serialize with what generated documents lack: doc-level and inner
+    comments and PIs, CDATA, non-ASCII text, quoted attributes, element
+    content whitespace and, if asked, an element no grammar rule names."""
+    parts = ['<?xml version="1.0" encoding="utf-8"?>\n<!--head é--><?top a="1"?>']
+    starts = 0
+    for event in tree_events(doc):
+        if isinstance(event, StartElement):
+            attrs = event.attributes
+            if rng.random() < 0.3:
+                attrs += (("note", rng.choice(_ATTR_VALUES)),)
+            parts.append(f"<{event.tag}{''.join(f' {n}={quoteattr(v)}' for n, v in attrs)}>")
+            roll = rng.random()
+            if roll < 0.15:
+                parts.append("<!-- inner é -->")
+            elif roll < 0.25:
+                parts.append("<?pi some data?>")
+            elif roll < 0.3:
+                parts.append("<?bare?>")
+            elif roll < 0.4:
+                parts.append("\n  ")
+            starts += 1
+            if unknown and starts == 3:
+                parts.append('<zz k="v"><b>q</b><!--z--></zz>')
+        elif isinstance(event, Text):
+            content = event.content + rng.choice(_TEXTS)
+            if rng.random() < 0.3 and "]]>" not in content:
+                parts.append(f"<![CDATA[{content}]]>")
+            else:
+                parts.append(escape(content))
+        elif isinstance(event, EndElement):
+            parts.append(f"</{event.tag}>")
+    parts.append("<!--tail--><?end here?>\n")
+    return "".join(parts).encode("utf-8")
+
+
+def _outcome(run) -> tuple:
+    stats = PruneStats()
+    try:
+        text = run(stats)
+    except XmlSyntaxError as exc:
+        return ("syntax", exc.line, exc.column), None
+    except UnresolvableTagError as exc:
+        return ("unresolvable", exc.path), stats
+    return ("ok", text), stats
+
+
+_DIFF_CORPUS = {
+    "G0": (G0_DTD, ["/doc/a/b", "//c"], 6),
+    "xmark": (XMARK_DTD, ["//person/name", "//description//keyword", "/site/regions//item[incategory]/name"], 7),
+    "recursive": (RECURSIVE_DTD, ["//section/title", "//para"], 6),
+    "mixed": (MIXED_DTD, ["//para/em", "/article/title"], 6),
+    "deep": (DEEP_DTD, ["/root/sec/meta", "//word"], 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DIFF_CORPUS))
+def test_fused_matches_event_pruner(name):
+    dtd, queries, depth = _DIFF_CORPUS[name]
+    g = parse_dtd(dtd)
+    projectors = [identity_projector(g), empty_projector(g)]
+    projectors += [infer_projector([_ell(q)], g) for q in queries]
+    rng = random.Random(name)
+    inputs = []
+    for seed in range(6):
+        doc = generate_document(g, GenConfig(seed=seed, max_depth=depth, max_star_repeat=4))
+        data = _decorated(doc, rng, unknown=seed in (1, 4))
+        inputs.append(data)
+        if seed == 3:
+            inputs.append(data[: len(data) * 2 // 3])  # truncated mid-document
+            inputs.append(data.replace(b"</", b"</x", 1))  # mismatched end tag
+    seen = set()
+    for data in inputs:
+        for pi in projectors:
+            for policy in ("strict", "drop"):
+                for step in (1, 7, 65536):
+
+                    def fused(stats):
+                        out: list[str] = []
+                        prune_file(_Trickle(data, step), pi, out.append, policy=policy, stats=stats)
+                        return "".join(out)
+
+                    def events(stats):
+                        src = iter_events(_Trickle(data, step))
+                        return serialize_events(prune_stream(src, pi, policy=policy, stats=stats))
+
+                    got, want = _outcome(fused), _outcome(events)
+                    assert got == want, (name, step, policy, data[:200])
+                    seen.add(got[0][0])
+                    if got[1] is not None and got[1].elements_out < got[1].elements_in:
+                        seen.add("dropped")
+    assert seen == {"ok", "syntax", "unresolvable", "dropped"}
