@@ -57,8 +57,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError as exc:
-        # the in-memory paths (validate_tree, prune_tree) recurse per nesting level
-        print(f"error: document nested too deeply for the in-memory path ({exc})", file=sys.stderr)
+        # documents are walked with explicit stacks; parsing a query and
+        # generating a document (`gen`, `check`) still recurse per nesting level
+        print(f"error: input nested too deeply ({exc})", file=sys.stderr)
         return 2
 
 
@@ -221,7 +222,7 @@ def _cmd_prune(args) -> int:
         else:
             print("grammar is not streamable; pruning in memory", file=sys.stderr)
             doc = parse_xml(src)
-            out.write(serialize(prune_tree(doc, projector)))
+            out.write(serialize(prune_tree(doc, projector, stats=stats)))
         if args.stats:
             print(stats.line(), file=sys.stderr)
         return 0

@@ -15,11 +15,12 @@ projector files.
 
 ``Grammar`` also owns the rule index, built once at construction: the
 rules in sort order, the names each rule's content mentions, and for each
-name the element rules that mention it (each rule's child rules are cached
-on first use).  Inference, validation, the streamability check and the
-streaming pruner's dispatch all read these tables (``sorted_rules``,
-``child_names``, ``children``, ``parents``); none of them walks content
-regexes or scans the rule set per step.
+name the element rules that mention it (each rule's child rules, and the
+text rules among them, are cached on first use).  Inference, validation,
+the streamability check and the streaming pruner's dispatch all read these
+tables (``sorted_rules``, ``child_names``, ``children``, ``text_children``,
+``parents``); none of them walks content regexes or scans the rule set per
+step.
 """
 
 from __future__ import annotations
@@ -225,6 +226,7 @@ class Grammar:
         "_by_name",
         "_child_names",
         "_children",
+        "_text_children",
         "_parents",
         "_automata",
         "_start_reach",
@@ -258,6 +260,7 @@ class Grammar:
         if missing:
             raise GrammarError("names without rules: " + ", ".join(sorted(missing)))
         self._children: dict[Rule, tuple[Rule, ...]] = {}
+        self._text_children: dict[Rule, tuple[Rule, ...]] = {}
         self._automata: dict[Rule, ContentAutomaton] = {}
         self._start_reach: frozenset[Rule] | None = None
         self._streamable: bool | None = None
@@ -301,6 +304,15 @@ class Grammar:
         if found is None:
             found = tuple(r for name in self.child_names(rule) for r in self._by_name[name])
             self._children[rule] = found
+        return found
+
+    def text_children(self, rule: Rule) -> tuple[Rule, ...]:
+        """The text rules among ``children(rule)``: one per name in the
+        rule's content that can generate text."""
+        found = self._text_children.get(rule)
+        if found is None:
+            found = tuple(r for r in self.children(rule) if r.is_text)
+            self._text_children[rule] = found
         return found
 
     def parents(self, rule: Rule) -> tuple[Rule, ...]:
@@ -453,112 +465,100 @@ def validate_tree(doc: Document, g: Grammar) -> Interpretation | Invalid:
 
     Returns a rule assignment for every generated node, or Invalid naming
     the first node (pre-order) that cannot be explained.  Whitespace-only
-    text in element-only content is skippable and stays unassigned.
-    Ambiguity is resolved deterministically: lowest-sorting rule, leftmost
-    automaton choice, text consumed in preference to being skipped.
+    text is skippable and then stays unassigned.  Ambiguity is resolved
+    deterministically: lowest-sorting rule, then, over each element's
+    children from the last, the lowest automaton state and first name.
+    Whitespace is consumed only where that state allows it, so it can be
+    skipped even in mixed content.
+
+    No recursion, so nesting depth is unbounded: one loop goes up the
+    document (reversed pre-order) collecting the rules each element fits
+    and the first inexplicable node, and one goes down from the root with
+    a stack, picking each node's rule from its parent's forward trace.
     """
     root = doc.root
     if root is None:
         return Invalid("/", "document has no root element")
 
-    all_text_rules = tuple(r for r in g.sorted_rules() if r.is_text)
+    order = [n for n in doc.iter_nodes() if isinstance(n, (Element, TextNode))]  # pre-order
+    has_text = any(r.is_text for r in g.sorted_rules())
     by_tag: dict[str, tuple[Rule, ...]] = {}  # element rules matching a tag, in sort order
-    possible: dict[int, tuple[Rule, ...]] = {}
-    names_of: dict[tuple[Rule, ...], tuple[str, ...]] = {}  # names in a `possible` entry
+    possible: dict[int, tuple[Rule, ...]] = {}  # element id -> rules its subtree fits
+    names_of: dict[tuple[Rule, ...], tuple[str, ...]] = {}  # names in a tuple of rules
 
-    def compute(node: Node) -> tuple[Rule, ...]:
-        if isinstance(node, TextNode):
-            found = all_text_rules
-        else:
-            assert isinstance(node, Element)
-            children = _content_children(node)
-            for child in children:
-                compute(child)
-            candidates = by_tag.get(node.tag)
-            if candidates is None:
-                candidates = by_tag[node.tag] = tuple(
-                    r for r in g.sorted_rules() if not r.is_text and r.label.matches(node.tag)
-                )
-            found = tuple(rule for rule in candidates if _children_match(node, rule) is not None)
-        possible[node.nid] = found
+    def candidates(child: Node, rule: Rule) -> tuple[Rule, ...]:
+        found = possible[child.nid] if isinstance(child, Element) else g.text_children(rule)
         if found not in names_of:
             names_of[found] = tuple(dict.fromkeys(r.name for r in found))
         return found
 
-    def _children_match(elem: Element, rule: Rule) -> list[set[int]] | None:
-        # Forward reachable DFA state sets over the children, one per gap.
+    def forward(children: list[Node], rule: Rule) -> list[set[int]] | None:
+        # Reachable DFA state sets over the children, one per gap.
         auto = g.automaton(rule)
-        states: set[int] = {auto.start_state}
-        trace = [set(states)]
-        for child in _content_children(elem):
-            names = names_of[possible[child.nid]]
-            nxt: set[int] = set()
-            for q in states:
-                for name in names:
-                    t = auto.step(q, name)
-                    if t is not None:
-                        nxt.add(t)
+        step = auto.step
+        states = {auto.start_state}
+        trace = [states]
+        for child in children:
+            nxt = {step(q, name) for q in states for name in names_of[candidates(child, rule)]}
+            nxt.discard(None)
             if _is_ignorable(child):
                 nxt |= states
             if not nxt:
                 return None
             states = nxt
-            trace.append(set(states))
-        if not any(auto.is_accepting(q) for q in states):
-            return None
-        return trace
+            trace.append(states)
+        return trace if any(auto.is_accepting(q) for q in states) else None
 
-    compute(root)
+    first_bad: Node | None = None  # first node, in pre-order, that nothing explains
+    for node in reversed(order):
+        if isinstance(node, TextNode):
+            if not has_text and not _is_ignorable(node):
+                first_bad = node
+            continue
+        children = _content_children(node)
+        rules = by_tag.get(node.tag)
+        if rules is None:
+            rules = by_tag[node.tag] = tuple(
+                r for r in g.sorted_rules() if not r.is_text and r.label.matches(node.tag)
+            )
+        found = possible[node.nid] = tuple(r for r in rules if forward(children, r) is not None)
+        if not found and all(
+            (possible[c.nid] if isinstance(c, Element) else has_text) or _is_ignorable(c)
+            for c in children
+        ):
+            first_bad = node
 
-    # Locate the first locally inexplicable node if validation failed.
-    start_ok = any(r.name in g.start for r in possible[root.nid])
-    if not possible[root.nid] or not start_ok:
-        for node in doc.iter_nodes():
-            if isinstance(node, TextNode):
-                if not possible[node.nid] and not _is_ignorable(node):
-                    return Invalid(node_path(node), "text not generated by any text rule")
-            elif isinstance(node, Element):
-                if possible[node.nid]:
-                    continue
-                children = _content_children(node)
-                if all(possible[c.nid] or _is_ignorable(c) for c in children):
-                    return Invalid(node_path(node), "no rule matches this element")
+    start_rules = [r for r in possible[root.nid] if r.name in g.start]
+    if not start_rules:
+        if isinstance(first_bad, TextNode):
+            return Invalid(node_path(first_bad), "text not generated by any text rule")
+        if first_bad is not None:
+            return Invalid(node_path(first_bad), "no rule matches this element")
         return Invalid(node_path(root), "root has no start-name rule")
 
     interpretation: Interpretation = {}
-
-    def witness(node: Node, rule: Rule) -> None:
+    down: list[tuple[Node, Rule]] = [(root, start_rules[0])]
+    while down:
+        node, rule = down.pop()
         interpretation[node.nid] = rule
         if rule.is_text:
-            return
-        assert isinstance(node, Element)
+            continue
         auto = g.automaton(rule)
         children = _content_children(node)
-        trace = _children_match(node, rule)
+        trace = forward(children, rule)
         assert trace is not None
         state = min(q for q in trace[-1] if auto.is_accepting(q))
-        picks: list[tuple[Node, str] | None] = []
-        for i in range(len(children) - 1, -1, -1):
+        for i in range(len(children) - 1, -1, -1):  # last child first: pushed in stack order
             child = children[i]
-            names = names_of[possible[child.nid]]
-            moves = [(q, name) for q in trace[i] for name in names if auto.step(q, name) == state]
+            rules = candidates(child, rule)
+            moves = [(q, n) for q in trace[i] for n in names_of[rules] if auto.step(q, n) == state]
             if moves:
                 state, name = min(moves)  # lowest state, then first name
-                picks.append((child, name))
+                down.append((child, next(r for r in rules if r.name == name)))
             else:
                 assert _is_ignorable(child) and state in trace[i], (
                     "forward trace guarantees a backward path"
                 )
-                picks.append(None)
-        for pick in reversed(picks):
-            if pick is None:
-                continue
-            child, name = pick
-            chosen_rule = next(r for r in possible[child.nid] if r.name == name)
-            witness(child, chosen_rule)
-
-    root_rule = next(r for r in possible[root.nid] if r.name in g.start)
-    witness(root, root_rule)
     return interpretation
 
 
@@ -602,8 +602,7 @@ def _is_streamable(g: Grammar) -> bool:
         names = g.child_names(rule)
         if not resolvable(names):
             return False
-        text_capable = [n for n in names if g.text_rules(n)]
-        if len(text_capable) > 1:
+        if len(g.text_children(rule)) > 1:
             return False
     return True
 

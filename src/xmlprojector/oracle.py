@@ -205,12 +205,16 @@ def _doc_order(nodes: Iterable[_TreeNode | AttrNode]) -> list[_TreeNode | AttrNo
     return sorted(set(nodes), key=key)
 
 
-def _subtree_span(node: _TreeNode) -> int:
-    # pre-order ids are contiguous within a subtree
-    size = 1
-    for child in _children(node):
-        size += _subtree_span(child)
-    return size
+def _after_subtree(node: _TreeNode) -> int:
+    """The first node id past the node's subtree.
+
+    Pre-order ids, which comments and PIs take too, are contiguous within
+    a subtree, so that is one past the id of its last descendant.
+    """
+    last = node
+    while isinstance(last, (Document, Element)) and last.children:
+        last = last.children[-1]
+    return last.nid + 1
 
 
 def _full_axis(node: _TreeNode | AttrNode, axis: str, doc: Document) -> list:
@@ -242,7 +246,7 @@ def _full_axis(node: _TreeNode | AttrNode, axis: str, doc: Document) -> list:
     if axis in ("following", "preceding"):
         everything = [m for m in doc.iter_nodes() if isinstance(m, (Element, TextNode))]
         if axis == "following":
-            cutoff = node.nid + _subtree_span(node)
+            cutoff = _after_subtree(node)
             return [m for m in everything if m.nid >= cutoff]
         ancestors = set(id(a) for a in _ancestors(node))
         return list(

@@ -67,6 +67,14 @@ class PruneStats:
     text_bytes_out: int = 0
     max_depth: int = 0
 
+    def add(self, elements_in, elements_out, text_bytes_in, text_bytes_out, max_depth) -> None:
+        """Fold in one run's counts: sums, and the deeper of the two depths."""
+        self.elements_in += elements_in
+        self.elements_out += elements_out
+        self.text_bytes_in += text_bytes_in
+        self.text_bytes_out += text_bytes_out
+        self.max_depth = max(self.max_depth, max_depth)
+
     def line(self) -> str:
         return (
             f"elements_in={self.elements_in} elements_out={self.elements_out} "
@@ -93,11 +101,10 @@ def _build_dispatch(p: Projector) -> tuple[dict[str, _Entry], _Entry | None]:
     def entry_for(rule: Rule) -> _Entry:
         entry = entries.get(rule)
         if entry is None:
-            names = g.child_names(rule)
-            text_ok = any(t in p.kept for n in names for t in g.text_rules(n))
+            text_ok = any(t in p.kept for t in g.text_children(rule))
             entry = [rule in p.kept, text_ok, {}, None]
             entries[rule] = entry
-            exact, wild = _dispatch_names(g, names)
+            exact, wild = _dispatch_names(g, g.child_names(rule))
             for tag, child in exact.items():
                 entry[2][tag] = entry_for(child)
             if wild is not None:
@@ -232,11 +239,7 @@ def _install(
         target.ProcessingInstructionHandler = instruction
 
     def finish():
-        stats.elements_in += elements_in
-        stats.elements_out += elements_out
-        stats.text_bytes_in += text_in
-        stats.text_bytes_out += text_out
-        stats.max_depth = max(stats.max_depth, max_depth)
+        stats.add(elements_in, elements_out, text_in, text_out, max_depth)
 
     keep()
     return finish
@@ -320,9 +323,36 @@ def prune_stream(
 # In-memory pruner
 
 
-def prune_tree(doc: Document, p: Projector, interpretation: Interpretation | None = None) -> Document:
+def prune_tree(
+    doc: Document,
+    p: Projector,
+    interpretation: Interpretation | None = None,
+    *,
+    stats: PruneStats | None = None,
+) -> Document:
+    """Prune in memory; ``stats`` receives the counters ``prune_file``
+    reports for the same document."""
     pruned, _ = prune_tree_with_origin(doc, p, interpretation=interpretation)
+    if stats is not None:
+        elements_in, text_in, depth = _tree_counts(doc)
+        elements_out, text_out, _ = _tree_counts(pruned)
+        stats.add(elements_in, elements_out, text_in, text_out, depth)
     return pruned
+
+
+def _tree_counts(doc: Document) -> tuple[int, int, int]:
+    """Elements, UTF-8 text bytes and element nesting depth of a tree."""
+    elements = text_bytes = max_depth = 0
+    work = [(node, 1) for node in doc.children]
+    while work:
+        node, depth = work.pop()
+        if isinstance(node, Element):
+            elements += 1
+            max_depth = max(max_depth, depth)
+            work.extend((child, depth + 1) for child in node.children)
+        elif isinstance(node, TextNode):
+            text_bytes += len(node.content.encode("utf-8"))
+    return elements, text_bytes, max_depth
 
 
 def prune_tree_with_origin(
@@ -333,7 +363,8 @@ def prune_tree_with_origin(
     Kept nodes appear in the same relative order as in the input, so the
     mapping is injective and order-preserving.  A precomputed
     interpretation may be supplied to amortize validation across many
-    projectors of the same grammar.
+    projectors of the same grammar.  The copy runs over an explicit stack,
+    so nesting depth is unbounded.
     """
     if interpretation is None:
         result = validate_tree(doc, p.grammar)
@@ -342,36 +373,31 @@ def prune_tree_with_origin(
         interpretation = result
 
     old_of_clone: dict[int, int] = {}  # id(clone) -> old nid
-
-    def copy_node(old: Node, out: list[Node]) -> None:
-        if isinstance(old, (CommentNode, PINode)):
-            out.append(
-                CommentNode(old.content)
-                if isinstance(old, CommentNode)
-                else PINode(old.target, old.data)
-            )
-            return
-        rule = interpretation.get(old.nid)
-        if rule is None or rule not in p.kept:
-            return
-        if isinstance(old, TextNode):
-            clone: Node = TextNode(old.content)
+    pruned = Document()
+    # input nodes still to copy, each with the clone of its parent;
+    # the empty projector yields the empty document
+    work: list[tuple[Node, Element | Document]] = (
+        [(child, pruned) for child in reversed(doc.children)] if p.kept else []
+    )
+    while work:
+        old, parent = work.pop()
+        if isinstance(old, CommentNode):
+            clone: Node = CommentNode(old.content)
+        elif isinstance(old, PINode):
+            clone = PINode(old.target, old.data)
+        elif interpretation.get(old.nid) not in p.kept:
+            continue
+        elif isinstance(old, TextNode):
+            clone = TextNode(old.content)
+            old_of_clone[id(clone)] = old.nid
         else:
-            assert isinstance(old, Element)
             clone = Element(old.tag, old.attributes)
-            for child in old.children:
-                copy_node(child, clone.children)
-            for child in clone.children:
-                child.parent = clone
-        old_of_clone[id(clone)] = old.nid
-        out.append(clone)
+            old_of_clone[id(clone)] = old.nid
+            work.extend((child, clone) for child in reversed(old.children))
+        clone.parent = parent
+        parent.children.append(clone)
 
-    top: list[Node] = []
-    if p.kept:  # the empty projector yields the empty document
-        for child in doc.children:
-            copy_node(child, top)
-
-    pruned = Document(top)
+    pruned.renumber()
     origin = {0: 0}
     for node in pruned.iter_nodes():
         if id(node) in old_of_clone:

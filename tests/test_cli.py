@@ -171,9 +171,53 @@ def test_deep_nesting_serializes_and_streams(recursive_dtd, tmp_path, capsys):
     assert captured.out == xml
 
 
-def test_validate_deep_nesting_reports_error_not_traceback(recursive_dtd, tmp_path, capsys):
+# Two rules for `section` under S make the grammar not streamable.
+_NESTED_PROJECTOR = """\
+start: Doc
++ Doc -> doc [ S* ]
++ S -> section [ T (P | S | R)* ]
++ R -> section [ T ]
++ T -> title [ TT ]
++ TT -> String
+- P -> para [ TP ]
+- TP -> String
+"""
+
+
+def test_validate_and_prune_deep_nesting_in_memory(recursive_dtd, tmp_path, capsys):
+    levels = 10_000
+    xml = _nested_sections(levels)
     path = tmp_path / "deep.xml"
-    path.write_text(_nested_sections(2_000))
-    assert run(["validate", "--dtd", recursive_dtd, "-i", str(path)]) == 2
+    path.write_text(xml)
+    assert run(["validate", "--dtd", recursive_dtd, "-i", str(path)]) == 0
+    assert capsys.readouterr().out == f"valid ({3 * levels + 1} nodes typed)\n"
+    proj = tmp_path / "nested.proj"
+    proj.write_text(_NESTED_PROJECTOR)
+    assert run(["prune", "--projector", str(proj), "-i", str(path), "--stats"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == xml
+    assert "grammar is not streamable" in captured.err
+    assert f"elements_in={2 * levels + 1} elements_out={2 * levels + 1}" in captured.err
+    assert f"max_depth={levels + 2}" in captured.err
+
+
+def test_prune_stats_on_non_streamable_grammar(tmp_path, capsys):
+    proj = tmp_path / "fa.proj"
+    proj.write_text(
+        "start: F\n+ F -> f [ (A | B)* ]\n+ A -> a [ T ]\n+ T -> String\n"
+        "- B -> a [ C ]\n- C -> c [ ]\n"
+    )
+    code = run(["prune", "--projector", str(proj), "--stats"], stdin="<f><a>t</a><a><c/></a></f>")
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == "<f><a>t</a></f>"
+    assert captured.err.splitlines()[-1] == (
+        "elements_in=4 elements_out=2 text_bytes_in=1 text_bytes_out=1 max_depth=3"
+    )
+
+
+def test_deeply_nested_query_reports_error_not_traceback(g0_dtd, capsys):
+    query = "/doc" + "[a" * 1_500 + "]" * 1_500
+    assert run(["infer", "--dtd", g0_dtd, "--query", query]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: input nested too deeply") and "Traceback" not in err

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import os
 import random
+import tempfile
 
 import pytest
 
@@ -39,7 +41,7 @@ from xmlprojector import (
 )
 from xmlprojector.grammar import EPSILON, Alt, Opt, Plus, Seq, Star, names_in, rule_to_text
 
-from conftest import DEEP_DTD, G0_DTD, MIXED_DTD, RECURSIVE_DTD, XMARK_DTD
+from conftest import DEEP_DTD, G0_DTD, MIXED_DTD, RECURSIVE_DTD, XMARK_DTD, write_xmark_doc
 from test_acceptance import ANY_QUERIES, G0_QUERIES, MIXED_QUERIES, RECURSIVE_QUERIES, XMARK_QUERIES
 
 DEEP_QUERIES = [
@@ -227,6 +229,23 @@ T -> String
 """
 
 
+# No text rule at all, so stray text is reported as text, not as its parent.
+_TEXTLESS = """\
+start: R
+R -> r [ (R | E)* ]
+E -> e [ ]
+"""
+
+
+def _xmark_text_doc() -> str:
+    """A text-heavy XMark document: mixed-content descriptions dominate."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "xmark.xml")
+        write_xmark_doc(path, 12_000)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+
+
 @functools.cache
 def _validation_cases() -> dict[str, tuple[Grammar, list[str]]]:
     cases = {}
@@ -258,6 +277,40 @@ def _validation_cases() -> dict[str, tuple[Grammar, list[str]]]:
         g,
         [serialize(generate_document(g, GenConfig(seed=s, max_depth=6))) for s in range(3)],
     )
+    # where the first inexplicable node is: deep, a later sibling, below
+    # another bad node, beside stray text; then several bad nodes
+    cases["invalid"] = (
+        parse_dtd(RECURSIVE_DTD),
+        [
+            "<doc><section><title>t</title><section><title>u</title>"
+            "<section><para>p</para></section></section></section></doc>",
+            "<doc><section><title>a</title></section>"
+            "<section><title>b</title><para>p</para><title>late</title></section></doc>",
+            "<doc><section><para>p</para><section><para>q</para></section></section></doc>",
+            "<doc>stray text<section><para>p</para><title>late</title></section></doc>",
+            "<doc><section><title>t</title></section>stray</doc>",
+            "<doc><section><para/></section><section><para/></section></doc>",
+            "<doc><section><title>t</title><section><para/></section></section>"
+            "<section><para/></section></doc>",
+            "<doc><section><title>t</title><chapter/></section></doc>",
+        ],
+    )
+    cases["textless"] = (
+        parse_grammar_text(_TEXTLESS),
+        ["<r><e/>x<r/></r>", "<r><r><q/></r>text</r>", "<r> <r>\n</r><e/> </r>", "<e/>"],
+    )
+    # whitespace in element-only and mixed content; comments and PIs inside
+    cases["whitespace"] = (
+        parse_dtd(MIXED_DTD),
+        [
+            "<article>\n  <title>t</title>\n  <para> <em> x </em> <code/> </para>\n</article>",
+            "<article><title> </title><para>\n</para><para></para></article>",
+            "<article><!--c--><title>t<?pi x?></title><?pi?><para>a<!--m-->b<code/>"
+            "<em><!--e-->s<strong>z</strong></em></para><!--end--></article>",
+            "<article><title>t</title>loose <para/></article>",
+        ],
+    )
+    cases["xmark_text"] = (parse_dtd(XMARK_DTD), [_xmark_text_doc()])
     return cases
 
 
@@ -330,6 +383,10 @@ GOLDEN_VALIDATION = {
     "any": "d824ebaaca52b4d76fa322c4",
     "ambiguous": "ef79d54d0d2662d57539321a",
     "rtg1": "5b579fc0dc58696763255c6e",
+    "invalid": "8dbf267399386666fac7af50",
+    "textless": "9d76e91261fb981caf836138",
+    "whitespace": "12a09b4aa4fe47f6d9128359",
+    "xmark_text": "173fb2f5ca1a3f998bd7f738",
 }
 
 

@@ -209,6 +209,14 @@ def test_validate_mixed_content(mixed_grammar):
     assert not isinstance(interp, Invalid)
 
 
+def test_validate_deep_nesting_in_pre_order(recursive_grammar):
+    levels = 10_000
+    doc = parse_xml("<doc>" + "<section><title>t</title>" * levels + "</section>" * levels + "</doc>")
+    interp = validate_tree(doc, recursive_grammar)
+    assert len(interp) == 3 * levels + 1
+    assert list(interp) == sorted(interp)  # witness rules are assigned in pre-order
+
+
 def test_validate_ambiguous_grammar_any_witness():
     # two rules for the same tag; leftmost (lowest-sorting) witness wins
     g = Grammar(
@@ -309,6 +317,13 @@ def test_two_text_names_in_one_content_not_streamable():
         ),
     )
     assert not is_streamable(g)
+
+
+def test_text_children_are_the_text_rules_a_content_mentions(mixed_grammar):
+    rules = {r.name: r for r in mixed_grammar.rules if not r.is_text}
+    assert [r.name for r in mixed_grammar.text_children(rules["Para"])] == ["TPara"]
+    assert mixed_grammar.text_children(rules["Article"]) == ()
+    assert [r.name for r in mixed_grammar.text_children(rules["Em"])] == ["TEm"]
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,12 @@ def test_eval_full_sideways_axes():
     assert eval_full(parse_query("//z/following-sibling::a/c"), doc) == {7}
 
 
+def test_eval_full_following_skips_comment_ids():
+    # the comment inside <a> takes a node id, so the subtree spans past it
+    doc = parse_xml("<r><a><!--c--><b/></a><d/></r>")
+    assert eval_full(parse_query("//a/following::*"), doc) == eval_full(parse_query("//d"), doc)
+
+
 def test_eval_full_rejects_unknown_function(d0):
     with pytest.raises(OracleError):
         eval_full(parse_query("/doc/a[mystery(b)]"), d0)

@@ -217,6 +217,20 @@ def test_pruners_agree_on_generated_documents(g0, recursive_grammar, mixed_gramm
                 assert via_tree == via_stream
 
 
+def test_tree_stats_equal_stream_stats(g0, xmark_grammar, recursive_grammar, mixed_grammar):
+    queries = ["/doc/a/b", "//c", "//person/name", "//title", "//para/text()", "//em"]
+    for g in (g0, xmark_grammar, recursive_grammar, mixed_grammar):
+        projectors = [identity_projector(g), empty_projector(g)]
+        projectors += [infer_projector([_ell(text)], g) for text in queries]
+        for seed in range(6):
+            xml = serialize(generate_document(g, GenConfig(seed=seed, max_depth=8)))
+            for pi in projectors:
+                via_tree, via_file = PruneStats(), PruneStats()
+                prune_tree(parse_xml(xml), pi, stats=via_tree)
+                prune_file(xml, pi, lambda _: None, stats=via_file)
+                assert via_tree == via_file, (xml, pi)
+
+
 def test_stats_monotone_on_generated_documents(g0):
     pi = infer_projector([_ell("/doc/a/b")], g0)
     for seed in range(20):
