@@ -15,12 +15,13 @@ projector files.
 
 ``Grammar`` also owns the rule index, built once at construction: the
 rules in sort order, the names each rule's content mentions, and for each
-name the element rules that mention it (each rule's child rules, and the
-text rules among them, are cached on first use).  Inference, validation,
-the streamability check and the streaming pruner's dispatch all read these
+name the element rules that mention it.  Each rule's child rules, the text
+rules among them and its tag table (the element rule each child tag
+resolves to) are cached on first use.  Inference and validation read these
 tables (``sorted_rules``, ``child_names``, ``children``, ``text_children``,
-``parents``); none of them walks content regexes or scans the rule set per
-step.
+``parents``); the streamability check and the streaming pruner's dispatch
+both read the tag tables (``tags``).  None of them walks content regexes
+or scans the rule set per step.
 """
 
 from __future__ import annotations
@@ -68,9 +69,6 @@ class Label:
 
     def matches(self, tag: str) -> bool:
         return self.tag is None or self.tag == tag
-
-    def overlaps(self, other: "Label") -> bool:
-        return self.tag is None or other.tag is None or self.tag == other.tag
 
     def __str__(self):
         return "_" if self.tag is None else self.tag
@@ -210,6 +208,9 @@ class Rule:
         return f"Rule({rule_to_text(self)!r})"
 
 
+TagTable = tuple[dict[str, Rule], Rule | None]  # (rule per exact tag, wildcard rule)
+
+
 class Grammar:
     """Immutable start-name set plus rule set, with derived lookup tables.
 
@@ -227,6 +228,7 @@ class Grammar:
         "_child_names",
         "_children",
         "_text_children",
+        "_tags",
         "_parents",
         "_automata",
         "_start_reach",
@@ -261,6 +263,7 @@ class Grammar:
             raise GrammarError("names without rules: " + ", ".join(sorted(missing)))
         self._children: dict[Rule, tuple[Rule, ...]] = {}
         self._text_children: dict[Rule, tuple[Rule, ...]] = {}
+        self._tags: dict[Rule | None, TagTable | None] = {}
         self._automata: dict[Rule, ContentAutomaton] = {}
         self._start_reach: frozenset[Rule] | None = None
         self._streamable: bool | None = None
@@ -314,6 +317,37 @@ class Grammar:
             found = tuple(r for r in self.children(rule) if r.is_text)
             self._text_children[rule] = found
         return found
+
+    def tags(self, rule: Rule | None) -> TagTable | None:
+        """The element rule each child tag resolves to under ``rule`` (None:
+        the document node, whose children are the start names), as
+        ``(exact, wildcard)``: a rule per tag, and the rule a ``_`` label
+        gives every other tag.  None when a tag could resolve two ways: a
+        name with two element rules, a tag under two names, or a wildcard
+        beside another element rule.  Text rules take no part."""
+        if rule not in self._tags:
+            self._tags[rule] = self._resolve(self.start if rule is None else self.child_names(rule))
+        return self._tags[rule]
+
+    def _resolve(self, names: Iterable[str]) -> TagTable | None:
+        exact: dict[str, Rule] = {}
+        wild: Rule | None = None
+        count = 0  # element rules met
+        for name in names:
+            first = count
+            for rule in self._by_name[name]:
+                if rule.is_text:
+                    continue
+                count += 1
+                if rule.label.is_wildcard:
+                    wild = rule
+                else:
+                    exact[rule.label.tag] = rule
+            if count - first > 1:
+                return None  # one name, two element rules
+        if count != (1 if wild is not None else len(exact)):
+            return None  # a repeated tag, or a wildcard beside another rule
+        return exact, wild
 
     def parents(self, rule: Rule) -> tuple[Rule, ...]:
         """Element rules whose content mentions the rule's name, whether or
@@ -467,9 +501,11 @@ def validate_tree(doc: Document, g: Grammar) -> Interpretation | Invalid:
     the first node (pre-order) that cannot be explained.  Whitespace-only
     text is skippable and then stays unassigned.  Ambiguity is resolved
     deterministically: lowest-sorting rule, then, over each element's
-    children from the last, the lowest automaton state and first name.
-    Whitespace is consumed only where that state allows it, so it can be
-    skipped even in mixed content.
+    children from the last, the lowest automaton state and first name;
+    but where the previous sibling is whitespace-only text, states that
+    consume it through one of the parent's text names come first.  So
+    whitespace stays unassigned only where no text name can take it, as
+    in element-only content, where the streaming pruner drops it too.
 
     No recursion, so nesting depth is unbounded: one loop goes up the
     document (reversed pre-order) collecting the rules each element fits
@@ -491,6 +527,13 @@ def validate_tree(doc: Document, g: Grammar) -> Interpretation | Invalid:
         if found not in names_of:
             names_of[found] = tuple(dict.fromkeys(r.name for r in found))
         return found
+
+    def consumed(children: list[Node], i: int, trace: list[set[int]], rule: Rule) -> set[int]:
+        # States after whitespace children[i - 1] that consumed it through
+        # a text name; where a choice remains, the witness prefers them.
+        step = g.automaton(rule).step
+        names = names_of[candidates(children[i - 1], rule)]
+        return {step(q, n) for q in trace[i - 1] for n in names}
 
     def forward(children: list[Node], rule: Rule) -> list[set[int]] | None:
         # Reachable DFA state sets over the children, one per gap.
@@ -547,12 +590,19 @@ def validate_tree(doc: Document, g: Grammar) -> Interpretation | Invalid:
         children = _content_children(node)
         trace = forward(children, rule)
         assert trace is not None
-        state = min(q for q in trace[-1] if auto.is_accepting(q))
+        ends = [q for q in trace[-1] if auto.is_accepting(q)]
+        if len(ends) > 1 and _is_ignorable(children[-1]):
+            took = consumed(children, len(children), trace, rule)
+            ends = [q for q in ends if q in took] or ends
+        state = min(ends)
         for i in range(len(children) - 1, -1, -1):  # last child first: pushed in stack order
             child = children[i]
             rules = candidates(child, rule)
             moves = [(q, n) for q in trace[i] for n in names_of[rules] if auto.step(q, n) == state]
             if moves:
+                if len(moves) > 1 and i and _is_ignorable(children[i - 1]):
+                    took = consumed(children, i, trace, rule)
+                    moves = [m for m in moves if m[0] in took] or moves
                 state, name = min(moves)  # lowest state, then first name
                 down.append((child, next(r for r in rules if r.name == name)))
             else:
@@ -569,42 +619,20 @@ def validate_tree(doc: Document, g: Grammar) -> Interpretation | Invalid:
 def is_streamable(g: Grammar) -> bool:
     """True iff name assignment is top-down deterministic.
 
-    Every tag seen while reading must resolve to at most one candidate name
-    (with exactly one element rule), both under each element rule's content
+    Every tag seen while reading must resolve to at most one element rule
+    (``Grammar.tags`` is not None), both under each element rule's content
     and at the root against the start names, and a rule's content may
-    mention at most one text-capable name.  DTD imports always satisfy
-    this; hand-built regular grammars may not.  The verdict is cached on
-    the grammar.
+    mention at most one text-capable name.  Every rule is checked, whether
+    or not the start names reach it.  DTD imports always satisfy this;
+    hand-built regular grammars may not.  The verdict is cached on the
+    grammar.
     """
     if g._streamable is None:
-        g._streamable = _is_streamable(g)
+        g._streamable = g.tags(None) is not None and all(
+            rule.is_text or (g.tags(rule) is not None and len(g.text_children(rule)) <= 1)
+            for rule in g.sorted_rules()
+        )
     return g._streamable
-
-
-def _is_streamable(g: Grammar) -> bool:
-    def resolvable(names: Iterable[str]) -> bool:
-        rules_per_name = [(n, g.element_rules(n)) for n in sorted(set(names))]
-        with_elements = [(n, rs) for n, rs in rules_per_name if rs]
-        if any(len(rs) > 1 for _, rs in with_elements):
-            return False
-        labels = [rs[0].label for _, rs in with_elements]
-        for i, a in enumerate(labels):
-            for b in labels[i + 1 :]:
-                if a.overlaps(b):
-                    return False
-        return True
-
-    if not resolvable(g.start):
-        return False
-    for rule in g.rules:
-        if rule.is_text:
-            continue
-        names = g.child_names(rule)
-        if not resolvable(names):
-            return False
-        if len(g.text_children(rule)) > 1:
-            return False
-    return True
 
 
 def _closure(step, seeds: Iterable) -> set:

@@ -31,10 +31,11 @@ from .grammar import (
     Rule,
     Seq,
     Star,
+    is_streamable,
     validate_tree,
 )
 from .inference import Projector, infer_projector
-from .pruner import InvalidDocumentError, prune_tree_with_origin
+from .pruner import InvalidDocumentError, UnresolvableTagError, prune_file, prune_tree_with_origin
 from .xpath import (
     Axis,
     BinaryOp,
@@ -715,6 +716,18 @@ class SoundnessReport:
         return out
 
 
+def _stream_mismatch(source: str, expected: str, pi: Projector) -> str | None:
+    """Why ``prune_file`` does not turn ``source`` into ``expected``, or None."""
+    out: list[str] = []
+    try:
+        prune_file(source, pi, out.append)
+    except UnresolvableTagError as exc:
+        return f"prune_file failed: {exc}"
+    if "".join(out) != expected:
+        return "prune_file output differs from prune_tree output"
+    return None
+
+
 def check_soundness(
     g: Grammar,
     queries: Sequence[str | FullQuery],
@@ -726,6 +739,10 @@ def check_soundness(
 ) -> SoundnessReport:
     """Generate n documents and verify that pruning preserves every query.
 
+    Queries are answered on ``prune_tree``'s output.  On streamable
+    grammars each document is also pruned by ``prune_file``, the path the
+    CLI runs, whose output must equal the serialized ``prune_tree`` output
+    byte for byte; a mismatch is a failure with query ``(prune_file)``.
     The projector defaults to the one inferred for the whole batch; pass
     one explicitly for fault-injection runs.
     """
@@ -734,13 +751,21 @@ def check_soundness(
     ells = [approximate_to_ell(q) for q in parsed]
     pi = projector if projector is not None else infer_projector(ells, g)
 
+    streamable = is_streamable(pi.grammar)
     report = SoundnessReport(n=n, passed=True)
     for i in range(n):
         doc = generate_document(g, replace(cfg, seed=cfg.seed + i))
         interp = require_interpretation(doc, g)
         pruned, origin = prune_tree_with_origin(doc, pi, interpretation=interp)
-        report.bytes_in += len(serialize(doc).encode("utf-8"))
-        report.bytes_out += len(serialize(pruned).encode("utf-8"))
+        source, in_memory = serialize(doc), serialize(pruned)
+        report.bytes_in += len(source.encode("utf-8"))
+        report.bytes_out += len(in_memory.encode("utf-8"))
+        detail = _stream_mismatch(source, in_memory, pi) if streamable else None
+        if detail is not None:
+            report.passed = False
+            report.failures.append(SoundnessFailure(cfg.seed + i, "(prune_file)", source, detail))
+            if stop_on_first_failure:
+                return report
         for text, query in zip(texts, parsed):
             expected = eval_full(query, doc)
             got = eval_full(query, pruned)
@@ -754,7 +779,7 @@ def check_soundness(
                     SoundnessFailure(
                         seed=cfg.seed + i,
                         query=text,
-                        document=serialize(doc),
+                        document=source,
                         detail=f"expected {sorted(map(str, expected))}",
                     )
                 )

@@ -33,7 +33,7 @@ from .doc import (
     feed,
     new_parser,
 )
-from .grammar import Grammar, Interpretation, Invalid, Rule, is_streamable, validate_tree
+from .grammar import Interpretation, Invalid, Rule, is_streamable, validate_tree
 from .inference import Projector
 
 
@@ -87,45 +87,27 @@ class PruneStats:
 # Streaming pruner
 
 
-# Dispatch entry per resolvable child rule: [kept, text under it emitted,
-# exact tag table, wildcard fallback].  Mutable lists so recursive grammars
-# can reference an entry while it is still being filled in; lookups are two
-# dict hits per element on the hot path.
+# Dispatch entry per element rule: [kept, text under it emitted, exact tag
+# table, wildcard fallback].  Every entry is created first and linked to
+# its children's entries afterwards, from the grammar's tag tables, so
+# recursive grammars need no recursion; lookups are two dict hits per
+# element on the hot path.
 _Entry = list
 
 
 def _build_dispatch(p: Projector) -> tuple[dict[str, _Entry], _Entry | None]:
     g = p.grammar
-    entries: dict[Rule, _Entry] = {}
-
-    def entry_for(rule: Rule) -> _Entry:
-        entry = entries.get(rule)
-        if entry is None:
-            text_ok = any(t in p.kept for t in g.text_children(rule))
-            entry = [rule in p.kept, text_ok, {}, None]
-            entries[rule] = entry
-            exact, wild = _dispatch_names(g, g.child_names(rule))
-            for tag, child in exact.items():
-                entry[2][tag] = entry_for(child)
-            if wild is not None:
-                entry[3] = entry_for(wild)
-        return entry
-
-    exact, wild = _dispatch_names(g, g.start)
-    root_exact = {tag: entry_for(rule) for tag, rule in exact.items()}
-    return root_exact, (entry_for(wild) if wild is not None else None)
-
-
-def _dispatch_names(g: Grammar, names: Iterable[str]) -> tuple[dict[str, Rule], Rule | None]:
-    exact: dict[str, Rule] = {}
-    wild: Rule | None = None
-    for name in names:
-        for rule in g.element_rules(name):
-            if rule.label.is_wildcard:
-                wild = rule
-            else:
-                exact[rule.label.tag] = rule
-    return exact, wild
+    entries: dict[Rule, _Entry] = {
+        rule: [rule in p.kept, any(t in p.kept for t in g.text_children(rule)), {}, None]
+        for rule in g.sorted_rules()
+        if not rule.is_text
+    }
+    for rule, entry in entries.items():
+        exact, wild = g.tags(rule)
+        entry[2].update((tag, entries[child]) for tag, child in exact.items())
+        entry[3] = entries.get(wild)
+    exact, wild = g.tags(None)
+    return {tag: entries[rule] for tag, rule in exact.items()}, entries.get(wild)
 
 
 class _Slots:

@@ -171,6 +171,21 @@ def test_deep_nesting_serializes_and_streams(recursive_dtd, tmp_path, capsys):
     assert captured.out == xml
 
 
+def test_prune_with_deep_chain_dtd(tmp_path, capsys):
+    # element types referencing each other 1 000 deep; the document is tiny
+    levels = 1_000
+    dtd = tmp_path / "chain.dtd"
+    dtd.write_text(
+        "".join(f"<!ELEMENT e{i} (e{i + 1}?)>\n" for i in range(levels))
+        + f"<!ELEMENT e{levels} EMPTY>\n"
+    )
+    xml = "<e0><e1><e2></e2></e1></e0>"
+    assert run(["prune", "--dtd", str(dtd), "--query", "/e0"], stdin=xml) == 0
+    captured = capsys.readouterr()
+    assert captured.out == xml
+    assert captured.err == ""
+
+
 # Two rules for `section` under S make the grammar not streamable.
 _NESTED_PROJECTOR = """\
 start: Doc

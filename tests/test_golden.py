@@ -5,9 +5,11 @@ projector texts (one per query, then the union) and the inferred result
 types; the validation cases digest the interpretation, or the Invalid
 verdict, of a few documents per grammar.  The digests were recorded from
 the rule-scanning implementation of inference and validation, so any
-rewrite of those layers must reproduce them byte for byte.  After a
-deliberate change of output, print the new table with
-``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+rewrite of those layers must reproduce them byte for byte.  The
+streamability verdict of every grammar here was recorded from the
+pairwise label-overlap check.  After a deliberate change of output, print
+the new tables with ``PYTHONPATH=src python tests/test_golden.py`` and
+review the diff.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from xmlprojector import (
     generate_document,
     infer_projector,
     infer_types,
+    is_streamable,
     parse_dtd,
     parse_grammar_text,
     parse_query,
@@ -314,6 +317,14 @@ def _validation_cases() -> dict[str, tuple[Grammar, list[str]]]:
     return cases
 
 
+def _streamability_cases() -> dict[str, Grammar]:
+    """Every grammar above; ``any`` is ``any_grammar()``."""
+    cases = {name: g for name, (g, _) in _inference_cases().items()}
+    cases["ambiguous"] = parse_grammar_text(_AMBIGUOUS)
+    cases["textless"] = parse_grammar_text(_TEXTLESS)
+    return cases
+
+
 def _inference_record(g: Grammar, queries: list[str]) -> str:
     ells = [approximate_to_ell(parse_query(q)) for q in queries]
     parts = []
@@ -385,8 +396,24 @@ GOLDEN_VALIDATION = {
     "rtg1": "5b579fc0dc58696763255c6e",
     "invalid": "8dbf267399386666fac7af50",
     "textless": "9d76e91261fb981caf836138",
-    "whitespace": "12a09b4aa4fe47f6d9128359",
+    "whitespace": "feae20a5b96bbb5c4f9cf6de",
     "xmark_text": "173fb2f5ca1a3f998bd7f738",
+}
+
+GOLDEN_STREAMABLE = {
+    "G0": True,
+    "any": True,
+    "xmark": True,
+    "recursive": True,
+    "mixed": True,
+    "deep": True,
+    **{f"dtd{seed}": True for seed in range(20)},
+    "rtg0": True,
+    "rtg1": False,
+    "rtg2": False,
+    "rtg3": False,
+    "ambiguous": False,
+    "textless": True,
 }
 
 
@@ -402,6 +429,11 @@ def test_interpretations_match_golden(case):
     assert _digest(_validation_record(g, docs)) == GOLDEN_VALIDATION[case]
 
 
+@pytest.mark.parametrize("case", sorted(GOLDEN_STREAMABLE))
+def test_streamability_matches_golden(case):
+    assert is_streamable(_streamability_cases()[case]) == GOLDEN_STREAMABLE[case]
+
+
 if __name__ == "__main__":
     print("GOLDEN_INFERENCE = {")
     for name, (g, queries) in _inference_cases().items():
@@ -409,4 +441,7 @@ if __name__ == "__main__":
     print("}\n\nGOLDEN_VALIDATION = {")
     for name, (g, docs) in _validation_cases().items():
         print(f'    "{name}": "{_digest(_validation_record(g, docs))}",')
+    print("}\n\nGOLDEN_STREAMABLE = {")
+    for name, g in _streamability_cases().items():
+        print(f'    "{name}": {is_streamable(g)},')
     print("}")

@@ -269,6 +269,9 @@ def test_g0_is_streamable(g0):
 
 def test_any_grammar_is_streamable():
     assert is_streamable(any_grammar())
+    # its name X has a text rule beside a wildcard element rule; each alone
+    assert is_streamable(parse_grammar_text("start: F\nF -> f [ A* ]\nA -> String\nA -> a [ ]\n"))
+    assert is_streamable(parse_grammar_text("start: F\nF -> f [ W* ]\nW -> _ [ ]\n"))
 
 
 def test_tag_ambiguity_is_not_streamable():
@@ -281,6 +284,11 @@ def test_tag_ambiguity_is_not_streamable():
         ),
     )
     assert not is_streamable(g)
+    # at the root, between start names
+    assert not is_streamable(parse_grammar_text("start: A B\nA -> a [ ]\nB -> a [ ]\n"))
+    # inside a rule the start names never reach: every rule is checked
+    unreachable = "start: F\nF -> f [ ]\nU -> u [ A | B ]\nA -> a [ ]\nB -> a [ ]\n"
+    assert not is_streamable(parse_grammar_text(unreachable))
 
 
 def test_two_rules_per_name_is_not_streamable():
@@ -293,6 +301,8 @@ def test_two_rules_per_name_is_not_streamable():
         ),
     )
     assert not is_streamable(g)
+    # even when the two rules' tags differ
+    assert not is_streamable(parse_grammar_text("start: F\nF -> f [ A* ]\nA -> a [ ]\nA -> b [ ]\n"))
 
 
 def test_wildcard_overlap_is_not_streamable():
@@ -305,6 +315,18 @@ def test_wildcard_overlap_is_not_streamable():
         ),
     )
     assert not is_streamable(g)
+    assert not is_streamable(parse_grammar_text("start: F W\nF -> f [ ]\nW -> _ [ ]\n"))
+    assert not is_streamable(parse_grammar_text("start: F\nF -> f [ V W ]\nV -> _ [ ]\nW -> _ [ ]\n"))
+
+
+def test_tag_tables(g0):
+    doc, a = (next(r for r in g0.rules if r.name == n and not r.is_text) for n in ("Doc", "A"))
+    assert g0.tags(None) == ({"doc": doc}, None)
+    assert g0.tags(doc) == ({"a": a}, None)
+    assert sorted(g0.tags(a)[0]) == ["b", "c"]
+    x = next(r for r in any_grammar().rules if not r.is_text)
+    assert any_grammar().tags(x) == ({}, x)
+    assert parse_grammar_text("start: A B\nA -> a [ ]\nB -> a [ ]\n").tags(None) is None
 
 
 def test_two_text_names_in_one_content_not_streamable():

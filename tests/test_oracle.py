@@ -19,6 +19,7 @@ from xmlprojector import (
     serialize,
     validate_tree,
 )
+from xmlprojector import oracle
 from xmlprojector.oracle import OracleError
 from xmlprojector.pruner import prune_tree_with_origin
 
@@ -202,6 +203,17 @@ def test_soundness_catches_missing_text_rule(g0):
         g0, ["/doc/a/b"], 60, GenConfig(seed=0, max_depth=8), projector=Projector(g0, full.kept - {tb})
     )
     assert not report.passed
+
+
+def test_soundness_compares_stream_output(g0, monkeypatch):
+    # prune_file is what the CLI runs: its output must equal prune_tree's
+    assert check_soundness(g0, ["/doc/a/b"], 5, GenConfig(seed=0, max_depth=8)).passed
+    monkeypatch.setattr(oracle, "prune_file", lambda src, pi, write: write("<doc></doc>"))
+    report = check_soundness(g0, ["/doc/a/b"], 5, GenConfig(seed=0, max_depth=8))
+    assert not report.passed
+    assert {f.query for f in report.failures} == {"(prune_file)"}
+    assert report.failures[0].detail == "prune_file output differs from prune_tree output"
+    assert "query=(prune_file) " in report.lines()[0]
 
 
 def test_identity_pruning_is_noop_for_eval(g0):

@@ -22,6 +22,7 @@ from xmlprojector import (
 )
 from xmlprojector.doc import EndElement, StartElement, Text, XmlSyntaxError, iter_events
 from xmlprojector.grammar import EPSILON, Alt, Atom, Grammar, Rule, Star
+from xmlprojector.oracle import eval_full, results_match
 from xmlprojector.pruner import (
     InvalidDocumentError,
     NotStreamableError,
@@ -30,6 +31,7 @@ from xmlprojector.pruner import (
     prune_file,
     prune_stream,
     prune_tree,
+    prune_tree_with_origin,
 )
 
 from conftest import D0_XML, DEEP_DTD, G0_DTD, MIXED_DTD, RECURSIVE_DTD, XMARK_DTD
@@ -217,18 +219,60 @@ def test_pruners_agree_on_generated_documents(g0, recursive_grammar, mixed_gramm
                 assert via_tree == via_stream
 
 
+# Whitespace-only text in mixed and in element-only content, beside
+# comments and PIs: valid under MIXED_DTD.
+_WHITESPACE_DOCS = [
+    "<article><title>t</title><para> <em>x</em> y</para></article>",
+    "<article>\n  <title>t</title>\n  <para> <em> x </em> <code/> </para>\n</article>",
+    "<article><title> </title><para>\n</para><para></para></article>",
+    "<article><title>t</title><para>a <!--c--> <em> </em>\t<?pi x?> </para></article>",
+]
+
+
 def test_tree_stats_equal_stream_stats(g0, xmark_grammar, recursive_grammar, mixed_grammar):
     queries = ["/doc/a/b", "//c", "//person/name", "//title", "//para/text()", "//em"]
     for g in (g0, xmark_grammar, recursive_grammar, mixed_grammar):
         projectors = [identity_projector(g), empty_projector(g)]
         projectors += [infer_projector([_ell(text)], g) for text in queries]
-        for seed in range(6):
-            xml = serialize(generate_document(g, GenConfig(seed=seed, max_depth=8)))
+        docs = [serialize(generate_document(g, GenConfig(seed=s, max_depth=8))) for s in range(6)]
+        if g is mixed_grammar:
+            docs += _WHITESPACE_DOCS
+        for xml in docs:
             for pi in projectors:
                 via_tree, via_file = PruneStats(), PruneStats()
                 prune_tree(parse_xml(xml), pi, stats=via_tree)
                 prune_file(xml, pi, lambda _: None, stats=via_file)
                 assert via_tree == via_file, (xml, pi)
+
+
+def test_whitespace_text_answer_survives_both_pruners(mixed_grammar):
+    # `//para/text()` selects the leading " "; both pruners must keep it
+    query = parse_query("//para/text()")
+    pi = infer_projector([approximate_to_ell(query)], mixed_grammar)
+    for xml in _WHITESPACE_DOCS:
+        doc = parse_xml(xml)
+        pruned, origin = prune_tree_with_origin(doc, pi)
+        expected = eval_full(query, doc)
+        assert results_match(expected, eval_full(query, pruned), doc, pruned, origin), xml
+        streamed: list[str] = []
+        prune_file(xml, pi, streamed.append)
+        assert "".join(streamed) == serialize(pruned), xml
+    doc = parse_xml(_WHITESPACE_DOCS[0])
+    assert eval_full(query, doc) == {5, 8}
+    assert serialize(prune_tree(doc, pi)) == "<article><para>  y</para></article>"
+
+
+def test_deep_chain_grammar_streams():
+    # element types referencing each other 1 000 deep: building the
+    # dispatch follows no reference path
+    levels = 1_000
+    dtd = "".join(f"<!ELEMENT e{i} (e{i + 1}?)>" for i in range(levels)) + f"<!ELEMENT e{levels} EMPTY>"
+    pi = identity_projector(parse_dtd(dtd))
+    xml = "<e0><e1><e2></e2></e1></e0>"
+    out: list[str] = []
+    prune_file(xml, pi, out.append)
+    assert "".join(out) == xml
+    assert _stream(xml, pi) == xml
 
 
 def test_stats_monotone_on_generated_documents(g0):
