@@ -57,8 +57,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError as exc:
-        # documents are walked with explicit stacks; parsing a query and
-        # generating a document (`gen`, `check`) still recurse per nesting level
+        # documents are walked with explicit stacks and a content-model group
+        # is one node, so three things still recurse per nesting level: query
+        # nesting, document generation (`gen`, `check`) and content-model
+        # parentheses
         print(f"error: input nested too deeply ({exc})", file=sys.stderr)
         return 2
 

@@ -158,8 +158,7 @@ def parse_dtd(text: str | bytes, root: str | None = None) -> Grammar:
         elif mtype == _xm.XML_CTYPE_MIXED:
             text_name = fresh("T" + name_of[tag])
             rules.append(Rule.text(text_name))
-            parts = [Atom(text_name)] + [convert(c) for c in children]
-            content = Star(alt(*parts)) if len(parts) > 1 else Star(Atom(text_name))
+            content = Star(alt(Atom(text_name), *(convert(c) for c in children)))
         else:
             content = convert(seen[tag])
         rules.append(Rule.element(name_of[tag], tag, content))

@@ -98,14 +98,18 @@ class Atom(ContentRegex):
 
 @dataclass(frozen=True)
 class Seq(ContentRegex):
-    left: ContentRegex
-    right: ContentRegex
+    """Concatenation of two or more parts; build it with ``seq``, which keeps
+    the last part from being a ``Seq`` so that equal sequences are equal."""
+
+    parts: tuple[ContentRegex, ...]
 
 
 @dataclass(frozen=True)
 class Alt(ContentRegex):
-    left: ContentRegex
-    right: ContentRegex
+    """Union of two or more parts; build it with ``alt``, which keeps the
+    last part from being an ``Alt`` so that equal unions are equal."""
+
+    parts: tuple[ContentRegex, ...]
 
 
 @dataclass(frozen=True)
@@ -128,29 +132,31 @@ EPSILON = Epsilon()
 
 
 def seq(*parts: ContentRegex) -> ContentRegex:
-    """Right-folded sequence; () gives Epsilon."""
-    if not parts:
-        return EPSILON
-    out = parts[-1]
-    for part in reversed(parts[:-1]):
-        out = Seq(part, out)
-    return out
+    """Sequence of the parts: () gives Epsilon, one part itself.  A trailing
+    ``Seq`` part is spliced in, so ``a (b c)`` and ``a b c`` are one value,
+    while a ``Seq`` anywhere else stays a group: ``(a b) c``."""
+    return _group(Seq, parts, EPSILON)
 
 
 def alt(*parts: ContentRegex) -> ContentRegex:
-    if not parts:
-        return EMPTY
-    out = parts[-1]
-    for part in reversed(parts[:-1]):
-        out = Alt(part, out)
-    return out
+    """Union of the parts: () gives Empty, one part itself.  A trailing
+    ``Alt`` part is spliced in as ``seq`` splices a trailing ``Seq``."""
+    return _group(Alt, parts, EMPTY)
+
+
+def _group(kind: type, parts: tuple[ContentRegex, ...], identity: ContentRegex) -> ContentRegex:
+    if len(parts) < 2:
+        return parts[0] if parts else identity
+    if isinstance(parts[-1], kind):
+        parts = parts[:-1] + parts[-1].parts
+    return kind(parts)
 
 
 def names_in(regex: ContentRegex) -> frozenset[str]:
     if isinstance(regex, Atom):
         return frozenset((regex.name,))
     if isinstance(regex, (Seq, Alt)):
-        return names_in(regex.left) | names_in(regex.right)
+        return frozenset().union(*map(names_in, regex.parts))
     if isinstance(regex, (Star, Plus, Opt)):
         return names_in(regex.inner)
     return frozenset()
@@ -282,12 +288,6 @@ class Grammar:
     def rules_of(self, name: str) -> tuple[Rule, ...]:
         return self._by_name.get(name, ())
 
-    def element_rules(self, name: str) -> tuple[Rule, ...]:
-        return tuple(r for r in self.rules_of(name) if not r.is_text)
-
-    def text_rules(self, name: str) -> tuple[Rule, ...]:
-        return tuple(r for r in self.rules_of(name) if r.is_text)
-
     def start_rules(self) -> tuple[Rule, ...]:
         out: list[Rule] = []
         for name in sorted(self.start):
@@ -380,13 +380,12 @@ def any_grammar() -> Grammar:
 class ContentAutomaton:
     """DFA over rule names accepting exactly one content model's language."""
 
-    __slots__ = ("start_state", "_accepting", "_table", "alphabet")
+    __slots__ = ("start_state", "_accepting", "_table")
 
     def __init__(self, start_state: int, accepting: frozenset[int], table: dict[tuple[int, str], int]):
         self.start_state = start_state
         self._accepting = accepting
         self._table = table
-        self.alphabet = frozenset(sym for _, sym in table)
 
     def step(self, state: int, name: str) -> int | None:
         return self._table.get((state, name))
@@ -418,15 +417,18 @@ def compile_content_model(regex: ContentRegex) -> ContentAutomaton:
             follow.setdefault(len(positions) - 1, set())
             return False, p, p
         if isinstance(r, Seq):
-            ln, lf, ll = walk(r.left)
-            rn, rf, rl = walk(r.right)
-            for p in ll:
-                follow[p].update(rf)
-            return ln and rn, lf | (rf if ln else frozenset()), rl | (ll if rn else frozenset())
+            # `last`: the positions that can end the parts walked so far
+            nullable, first, last = True, frozenset(), frozenset()
+            for part in r.parts:
+                n, f, l = walk(part)
+                for p in last:
+                    follow[p].update(f)
+                first = first | f if nullable else first
+                nullable, last = nullable and n, l | last if n else l
+            return nullable, first, last
         if isinstance(r, Alt):
-            ln, lf, ll = walk(r.left)
-            rn, rf, rl = walk(r.right)
-            return ln or rn, lf | rf, ll | rl
+            ns, fs, ls = zip(*map(walk, r.parts))
+            return any(ns), frozenset().union(*fs), frozenset().union(*ls)
         if isinstance(r, (Star, Plus)):
             n, f, l = walk(r.inner)
             for p in l:
@@ -518,6 +520,10 @@ def validate_tree(doc: Document, g: Grammar) -> Interpretation | Invalid:
 
     order = [n for n in doc.iter_nodes() if isinstance(n, (Element, TextNode))]  # pre-order
     has_text = any(r.is_text for r in g.sorted_rules())
+    exact: dict[str | None, list[Rule]] = {}  # element rules per label tag, in sort order
+    for r in g.sorted_rules():
+        if not r.is_text:
+            exact.setdefault(r.label.tag, []).append(r)
     by_tag: dict[str, tuple[Rule, ...]] = {}  # element rules matching a tag, in sort order
     possible: dict[int, tuple[Rule, ...]] = {}  # element id -> rules its subtree fits
     names_of: dict[tuple[Rule, ...], tuple[str, ...]] = {}  # names in a tuple of rules
@@ -561,9 +567,8 @@ def validate_tree(doc: Document, g: Grammar) -> Interpretation | Invalid:
         children = _content_children(node)
         rules = by_tag.get(node.tag)
         if rules is None:
-            rules = by_tag[node.tag] = tuple(
-                r for r in g.sorted_rules() if not r.is_text and r.label.matches(node.tag)
-            )
+            tagged = exact.get(node.tag, []) + exact.get(None, [])
+            rules = by_tag[node.tag] = tuple(sorted(tagged, key=Rule.sort_key))
         found = possible[node.nid] = tuple(r for r in rules if forward(children, r) is not None)
         if not found and all(
             (possible[c.nid] if isinstance(c, Element) else has_text) or _is_ignorable(c)
@@ -684,10 +689,10 @@ def regex_to_text(regex: ContentRegex, _prec: int = 0) -> str:
     if isinstance(regex, Atom):
         return regex.name
     if isinstance(regex, Alt):
-        text = f"{regex_to_text(regex.left, 1)} | {regex_to_text(regex.right, 0)}"
+        text = " | ".join(regex_to_text(part, 1) for part in regex.parts)
         return f"({text})" if _prec > 0 else text
     if isinstance(regex, Seq):
-        text = f"{regex_to_text(regex.left, 2)} {regex_to_text(regex.right, 1)}"
+        text = " ".join(regex_to_text(part, 2) for part in regex.parts)
         return f"({text})" if _prec > 1 else text
     suffix = {Star: "*", Plus: "+", Opt: "?"}[type(regex)]
     return f"{regex_to_text(regex.inner, 2)}{suffix}"
@@ -706,20 +711,14 @@ def parse_regex_text(text: str) -> ContentRegex:
         while peek() == "|":
             pos += 1
             parts.append(parse_seq())
-        out = parts[-1]
-        for part in reversed(parts[:-1]):
-            out = Alt(part, out)
-        return out
+        return alt(*parts)
 
     def parse_seq() -> ContentRegex:
         nonlocal pos
         parts = [parse_postfix()]
         while peek() not in (None, "|", ")"):
             parts.append(parse_postfix())
-        out = parts[-1]
-        for part in reversed(parts[:-1]):
-            out = Seq(part, out)
-        return out
+        return seq(*parts)
 
     def parse_postfix() -> ContentRegex:
         nonlocal pos

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from itertools import accumulate, product
 from typing import Iterable, Iterator, Sequence
 
 from .doc import Document, Element, TextNode, serialize, string_value, subtree_text
@@ -518,10 +519,16 @@ def generate_document(g: Grammar, cfg: GenConfig = GenConfig()) -> Document:
         if isinstance(regex, Atom):
             return [regex.name]
         if isinstance(regex, Seq):
-            return gen_word(regex.left, budget) + gen_word(regex.right, budget)
+            return [name for part in regex.parts for name in gen_word(part, budget)]
         if isinstance(regex, Alt):
-            sides = [s for s in (regex.left, regex.right) if _mm(s, cost) <= budget]
-            return gen_word(rng.choice(sides), budget)
+            # one two-way choice per part: this part, or (None) one of the parts after it
+            mms = [_mm(part, cost) for part in regex.parts]
+            rest = list(accumulate(reversed(mms), min))[::-1]  # rest[i] = min(mms[i:])
+            for part, mm, later in zip(regex.parts, mms, rest[1:]):
+                sides = [side for side, m in ((part, mm), (None, later)) if m <= budget]
+                if rng.choice(sides) is not None:
+                    return gen_word(part, budget)
+            return gen_word(regex.parts[-1], budget)
         if isinstance(regex, Opt):
             if _mm(regex.inner, cost) <= budget and rng.random() < 0.5:
                 return gen_word(regex.inner, budget)
@@ -559,9 +566,9 @@ def _mm(regex: ContentRegex, cost: dict[str, float]) -> float:
     if isinstance(regex, Atom):
         return cost[regex.name]
     if isinstance(regex, Seq):
-        return max(_mm(regex.left, cost), _mm(regex.right, cost))
+        return max(_mm(part, cost) for part in regex.parts)
     if isinstance(regex, Alt):
-        return min(_mm(regex.left, cost), _mm(regex.right, cost))
+        return min(_mm(part, cost) for part in regex.parts)
     if isinstance(regex, (Star, Opt)):
         return 0.0
     return _mm(regex.inner, cost)
@@ -590,7 +597,7 @@ def enumerate_documents(
                     combos = [trees(n, depth - 1) for n in word]
                     if any(not c for c in combos):
                         continue
-                    out.extend(("e", tag, children) for children in _product(combos))
+                    out.extend(("e", tag, children) for children in product(*combos))
         memo[key] = out
         return out
 
@@ -602,11 +609,13 @@ def enumerate_documents(
         if isinstance(regex, Atom):
             return [(regex.name,)] if cost[regex.name] <= depth else []
         if isinstance(regex, Seq):
-            return [
-                a + b for a in words(regex.left, depth) for b in words(regex.right, depth)
-            ]
+            found: list[tuple[str, ...]] = [()]
+            for part in regex.parts:
+                tails = words(part, depth)
+                found = [a + b for a in found for b in tails]
+            return found
         if isinstance(regex, Alt):
-            return list(dict.fromkeys(words(regex.left, depth) + words(regex.right, depth)))
+            return list(dict.fromkeys(w for part in regex.parts for w in words(part, depth)))
         if isinstance(regex, Opt):
             return list(dict.fromkeys([()] + words(regex.inner, depth)))
         base = words(regex.inner, depth)
@@ -617,14 +626,6 @@ def enumerate_documents(
             layer = [w + b for w in layer for b in base]
             out.extend(layer)
         return list(dict.fromkeys(out))
-
-    def _product(lists: list[list[tuple]]) -> Iterator[tuple]:
-        if not lists:
-            yield ()
-            return
-        for head in lists[0]:
-            for rest in _product(lists[1:]):
-                yield (head,) + rest
 
     def build(template: tuple) -> Element | TextNode:
         if template[0] == "t":

@@ -236,3 +236,39 @@ def test_deeply_nested_query_reports_error_not_traceback(g0_dtd, capsys):
     assert run(["infer", "--dtd", g0_dtd, "--query", query]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: input nested too deeply") and "Traceback" not in err
+
+
+def test_wide_content_models(tmp_path, capsys):
+    # one content-model group is one node, however many items it holds
+    n = 5_000
+    dtd = tmp_path / "wide.dtd"
+    dtd.write_text(
+        f"<!ELEMENT r ({','.join(f'e{i}' for i in range(n))})>\n"
+        + "".join(f"<!ELEMENT e{i} EMPTY>\n" for i in range(n))
+    )
+    doc = tmp_path / "wide.xml"
+    doc.write_text("<r>" + "".join(f"<e{i}></e{i}>" for i in range(n)) + "</r>")
+    query = ["--dtd", str(dtd), "--query", f"/r/e{n - 1}"]
+    assert run(["infer", *query]) == 0
+    assert f"+ E{n - 1} -> e{n - 1} [ ]" in capsys.readouterr().out
+    assert run(["prune", *query, "-i", str(doc), "--stats"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"<r><e{n - 1}></e{n - 1}></r>"
+    assert f"elements_in={n + 1} elements_out=2" in captured.err
+    assert run(["validate", "--dtd", str(dtd), "-i", str(doc)]) == 0
+    assert capsys.readouterr().out == f"valid ({n + 1} nodes typed)\n"
+    assert run(["check", *query, "--n", "3", "--dump-dir", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "PASS n=3" and "Traceback" not in captured.err
+
+    # ANY over 2 000 declared elements: a 2 001-part union
+    n = 2_000
+    dtd.write_text("<!ELEMENT r ANY>\n" + "".join(f"<!ELEMENT e{i} EMPTY>\n" for i in range(n)))
+    query = ["--dtd", str(dtd), "--query", f"//e{n - 1}"]
+    assert run(["infer", *query]) == 0
+    assert f"+ E{n - 1} -> e{n - 1} [ ]" in capsys.readouterr().out
+    xml = f"<r>t<e0></e0><r><e{n - 1}></e{n - 1}></r></r>"
+    assert run(["prune", *query], stdin=xml) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"<r><r><e{n - 1}></e{n - 1}></r></r>"
+    assert "Traceback" not in captured.err

@@ -1,7 +1,7 @@
 import pytest
 
 from xmlprojector import DtdError, Invalid, is_streamable, parse_dtd, parse_xml, validate_tree
-from xmlprojector.grammar import EPSILON, Alt, Atom, Grammar, Opt, Rule, Seq, Star
+from xmlprojector.grammar import EPSILON, Atom, Grammar, Opt, Rule, Star, alt, rule_to_text, seq
 
 from conftest import D0_XML, G0_DTD, MIXED_DTD, RECURSIVE_DTD, XMARK_DTD
 
@@ -12,7 +12,7 @@ def test_g0_import_exact():
         start=("Doc",),
         rules=(
             Rule.element("Doc", "doc", Star(Atom("A"))),
-            Rule.element("A", "a", Seq(Atom("B"), Opt(Atom("C")))),
+            Rule.element("A", "a", seq(Atom("B"), Opt(Atom("C")))),
             Rule.element("B", "b", Star(Atom("TB"))),
             Rule.text("TB"),
             Rule.element("C", "c", Star(Atom("TC"))),
@@ -49,24 +49,26 @@ def test_syntax_error_carries_position():
 
 def test_any_content_covers_all_declared_names():
     g = parse_dtd("<!ELEMENT a ANY>\n<!ELEMENT b EMPTY>")
-    (rule,) = g.element_rules("A")
+    (rule,) = [r for r in g.rules_of("A") if not r.is_text]
     doc = parse_xml("<a>text<b></b><a><b/></a></a>")
     assert not isinstance(validate_tree(doc, g), Invalid)
 
 
 def test_mixed_content_gets_fresh_text_name():
     g = parse_dtd("<!ELEMENT p (#PCDATA | b)*>\n<!ELEMENT b (#PCDATA)>")
-    (p_rule,) = g.element_rules("P")
-    assert p_rule.content == Star(Alt(Atom("TP"), Atom("B")))
-    assert g.text_rules("TP")
-    assert g.text_rules("TB")
+    (p_rule,) = [r for r in g.rules_of("P") if not r.is_text]
+    assert p_rule.content == Star(alt(Atom("TP"), Atom("B")))
+    assert [r for r in g.rules_of("TP") if r.is_text]
+    assert [r for r in g.rules_of("TB") if r.is_text]
     doc = parse_xml("<p>one<b>two</b>three</p>")
     assert not isinstance(validate_tree(doc, g), Invalid)
 
 
 def test_per_element_text_names_are_distinct():
     g = parse_dtd(G0_DTD)
-    assert g.text_rules("TB") != g.text_rules("TC")
+    assert [r for r in g.rules_of("TB") if r.is_text] != [
+        r for r in g.rules_of("TC") if r.is_text
+    ]
 
 
 def test_root_override():
@@ -103,7 +105,7 @@ def test_text_declaration_stripped():
 
 def test_nested_groups():
     g = parse_dtd("<!ELEMENT g ((a | b)+, c?)>\n<!ELEMENT a EMPTY>\n<!ELEMENT b EMPTY>\n<!ELEMENT c EMPTY>")
-    (rule,) = g.element_rules("G")
+    (rule,) = [r for r in g.rules_of("G") if not r.is_text]
     for text, ok in [
         ("<g><a/></g>", True),
         ("<g><b/><a/><c/></g>", True),
@@ -117,3 +119,18 @@ def test_nested_groups():
 def test_dtd_imports_are_streamable(dtd):
     # DTDs are local: one rule per tag, so streaming always applies
     assert is_streamable(parse_dtd(dtd))
+
+
+def test_groups_keep_their_parentheses():
+    decls = "".join(f"<!ELEMENT {t} EMPTY>\n" for t in "abc")
+
+    def content(model):
+        g = parse_dtd(f"<!ELEMENT r {model}>\n" + decls)
+        (rule,) = [r for r in g.rules_of("R") if not r.is_text]
+        return rule_to_text(rule)
+
+    assert content("(a,(b,c))") == content("(a,b,c)") == "R -> r [ A B C ]"
+    assert content("((a,b),c)") == "R -> r [ (A B) C ]"
+    assert content("(a|(b|c))") == "R -> r [ A | B | C ]"
+    assert content("((a|b)|c)") == "R -> r [ (A | B) | C ]"
+

@@ -42,7 +42,7 @@ from xmlprojector import (
     serialize,
     validate_tree,
 )
-from xmlprojector.grammar import EPSILON, Alt, Opt, Plus, Seq, Star, names_in, rule_to_text
+from xmlprojector.grammar import EPSILON, Opt, Plus, Star, alt, names_in, rule_to_text, seq
 
 from conftest import DEEP_DTD, G0_DTD, MIXED_DTD, RECURSIVE_DTD, XMARK_DTD, write_xmark_doc
 from test_acceptance import ANY_QUERIES, G0_QUERIES, MIXED_QUERIES, RECURSIVE_QUERIES, XMARK_QUERIES
@@ -161,7 +161,7 @@ def _synthetic_grammar(seed: int) -> tuple[Grammar, dict[str, list[str]]]:
     def regex(i: int, depth: int):
         roll = rng.random()
         if depth < 2 and roll < 0.3:
-            return rng.choice([Seq, Alt])(regex(i, depth + 1), regex(i, depth + 1))
+            return rng.choice([seq, alt])(regex(i, depth + 1), regex(i, depth + 1))
         if i + 1 < len(names) and roll < 0.75:
             return rng.choice([lambda r: r, Opt, Star, Plus])(Atom(rng.choice(names[i + 1 :])))
         return rng.choice([Opt, Star])(Atom(rng.choice(names)))
@@ -186,7 +186,8 @@ def _synthetic_grammar(seed: int) -> tuple[Grammar, dict[str, list[str]]]:
         below = {
             r.label.tag or t
             for n in sorted(names_in(rule.content))
-            for r in g.element_rules(n)
+            for r in g.rules_of(n)
+            if not r.is_text
             for t in pool
             if r.label.matches(t)
         }

@@ -28,7 +28,15 @@ from xmlprojector import (
     reachable_rules,
     validate_tree,
 )
-from xmlprojector.grammar import EPSILON, names_in, regex_to_text, parse_regex_text, rule_to_text
+from xmlprojector.grammar import (
+    EPSILON,
+    alt,
+    names_in,
+    parse_regex_text,
+    regex_to_text,
+    rule_to_text,
+    seq,
+)
 
 # ---------------------------------------------------------------------------
 # Independent language-membership oracle: Brzozowski derivatives.  Nothing
@@ -41,9 +49,9 @@ def _nullable(r) -> bool:
     if isinstance(r, (Empty, Atom)):
         return False
     if isinstance(r, Seq):
-        return _nullable(r.left) and _nullable(r.right)
+        return all(_nullable(part) for part in r.parts)
     if isinstance(r, Alt):
-        return _nullable(r.left) or _nullable(r.right)
+        return any(_nullable(part) for part in r.parts)
     return _nullable(r.inner)  # Plus
 
 
@@ -53,16 +61,17 @@ def _derive(r, sym):
     if isinstance(r, Atom):
         return Epsilon() if r.name == sym else Empty()
     if isinstance(r, Seq):
-        left = Seq(_derive(r.left, sym), r.right)
-        if _nullable(r.left):
-            return Alt(left, _derive(r.right, sym))
+        head, rest = r.parts[0], seq(*r.parts[1:])
+        left = seq(_derive(head, sym), rest)
+        if _nullable(head):
+            return alt(left, _derive(rest, sym))
         return left
     if isinstance(r, Alt):
-        return Alt(_derive(r.left, sym), _derive(r.right, sym))
+        return alt(*(_derive(part, sym) for part in r.parts))
     if isinstance(r, Star):
-        return Seq(_derive(r.inner, sym), r)
+        return seq(_derive(r.inner, sym), r)
     if isinstance(r, Plus):
-        return Seq(_derive(r.inner, sym), Star(r.inner))
+        return seq(_derive(r.inner, sym), Star(r.inner))
     return _derive(r.inner, sym)  # Opt
 
 
@@ -87,7 +96,7 @@ def _all_words(alphabet, max_len):
 
 
 def test_automaton_b_then_optional_c():
-    regex = Seq(Atom("B"), Opt(Atom("C")))
+    regex = seq(Atom("B"), Opt(Atom("C")))
     auto = compile_content_model(regex)
     expected_accepts = {w for w in _all_words(("B", "C"), 3) if lang_accepts(regex, w)}
     assert expected_accepts == {("B",), ("B", "C")}
@@ -117,8 +126,8 @@ def test_automaton_empty_language():
 _regex_strategy = st.recursive(
     st.sampled_from([Atom("A"), Atom("B"), Atom("C"), Epsilon(), Empty()]),
     lambda inner: st.one_of(
-        st.tuples(inner, inner).map(lambda t: Seq(*t)),
-        st.tuples(inner, inner).map(lambda t: Alt(*t)),
+        st.lists(inner, min_size=2, max_size=4).map(lambda parts: seq(*parts)),
+        st.lists(inner, min_size=2, max_size=4).map(lambda parts: alt(*parts)),
         inner.map(Star),
         inner.map(Plus),
         inner.map(Opt),
@@ -222,7 +231,7 @@ def test_validate_ambiguous_grammar_any_witness():
     g = Grammar(
         start=("F",),
         rules=(
-            Rule.element("F", "f", Alt(Atom("A"), Atom("B"))),
+            Rule.element("F", "f", alt(Atom("A"), Atom("B"))),
             Rule.element("A", "a", EPSILON),
             Rule.element("B", "a", EPSILON),
         ),
@@ -278,7 +287,7 @@ def test_tag_ambiguity_is_not_streamable():
     g = Grammar(
         start=("F",),
         rules=(
-            Rule.element("F", "f", Alt(Atom("A"), Atom("B"))),
+            Rule.element("F", "f", alt(Atom("A"), Atom("B"))),
             Rule.element("A", "a", EPSILON),
             Rule.element("B", "a", EPSILON),
         ),
@@ -309,7 +318,7 @@ def test_wildcard_overlap_is_not_streamable():
     g = Grammar(
         start=("F",),
         rules=(
-            Rule.element("F", "f", Seq(Atom("A"), Atom("W"))),
+            Rule.element("F", "f", seq(Atom("A"), Atom("W"))),
             Rule.element("A", "a", EPSILON),
             Rule.element("W", "_", EPSILON),
         ),
@@ -333,7 +342,7 @@ def test_two_text_names_in_one_content_not_streamable():
     g = Grammar(
         start=("F",),
         rules=(
-            Rule.element("F", "f", Seq(Atom("T1"), Atom("T2"))),
+            Rule.element("F", "f", seq(Atom("T1"), Atom("T2"))),
             Rule.text("T1"),
             Rule.text("T2"),
         ),
@@ -407,8 +416,37 @@ def test_regex_text_round_trip(regex):
     assert parse_regex_text(regex_to_text(regex)) == regex
 
 
+def test_groups_splice_only_a_trailing_group_of_their_kind():
+    a, b, c = Atom("a"), Atom("b"), Atom("c")
+    assert seq(a, seq(b, c)) == seq(a, b, c) == Seq((a, b, c))
+    assert seq(seq(a, b), c) == Seq((Seq((a, b)), c))
+    assert alt(a, alt(b, c)) == Alt((a, b, c))
+    assert (seq(a), seq(), alt()) == (a, EPSILON, Empty())
+    for text, printed in [
+        ("(a,(b,c))", "a b c"),
+        ("(a,b,c)", "a b c"),
+        ("((a,b),c)", "(a b) c"),
+        ("(a|(b|c))", "a | b | c"),
+        ("((a|b)|c)", "(a | b) | c"),
+    ]:
+        regex = parse_regex_text(text.replace(",", " "))
+        assert regex_to_text(regex) == printed
+        assert parse_regex_text(printed) == regex
+    assert parse_regex_text("a (b c)") == parse_regex_text("a b c")
+
+
+def test_wide_groups_are_flat():
+    names = [f"E{i}" for i in range(5_000)]
+    regex = seq(*map(Atom, names))
+    assert len(regex.parts) == len(names)
+    rule = Rule.element("R", "r", regex)  # hashes the content
+    assert rule == Rule.element("R", "r", seq(*map(Atom, names)))
+    assert compile_content_model(regex).accepts(names)
+    assert regex_to_text(alt(*map(Atom, names))) == " | ".join(names)
+
+
 def test_rule_pickle_recomputes_cached_hash():
-    rule = Rule.element("A", "a", Seq(Star(Atom("B")), Atom("C")))
+    rule = Rule.element("A", "a", seq(Star(Atom("B")), Atom("C")))
     data = pickle.dumps(rule)
     assert b"_hash" not in data  # a hash from another process would be stale
     assert pickle.loads(data) == rule and hash(pickle.loads(data)) == hash(rule)
@@ -422,4 +460,4 @@ def test_grammar_requires_declared_names():
 
 
 def test_names_in():
-    assert names_in(Seq(Atom("A"), Star(Alt(Atom("B"), Atom("C"))))) == {"A", "B", "C"}
+    assert names_in(seq(Atom("A"), Star(alt(Atom("B"), Atom("C"))))) == {"A", "B", "C"}

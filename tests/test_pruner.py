@@ -21,7 +21,7 @@ from xmlprojector import (
     validate_tree,
 )
 from xmlprojector.doc import EndElement, StartElement, Text, XmlSyntaxError, iter_events
-from xmlprojector.grammar import EPSILON, Alt, Atom, Grammar, Rule, Star
+from xmlprojector.grammar import EPSILON, Atom, Grammar, Rule, Star, alt
 from xmlprojector.oracle import eval_full, results_match
 from xmlprojector.pruner import (
     InvalidDocumentError,
@@ -144,7 +144,7 @@ def test_stream_requires_streamable_grammar():
     g = Grammar(
         start=("F",),
         rules=(
-            Rule.element("F", "f", Alt(Atom("A"), Atom("B"))),
+            Rule.element("F", "f", alt(Atom("A"), Atom("B"))),
             Rule.element("A", "a", EPSILON),
             Rule.element("B", "a", EPSILON),
         ),
@@ -182,7 +182,7 @@ def test_tree_prune_handles_non_streamable_grammars():
     g = Grammar(
         start=("F",),
         rules=(
-            Rule.element("F", "f", Star(Alt(Atom("A"), Atom("B")))),
+            Rule.element("F", "f", Star(alt(Atom("A"), Atom("B")))),
             Rule.element("A", "a", Star(Atom("TA"))),
             Rule.text("TA"),
             Rule.element("B", "a", Star(Atom("C"))),
