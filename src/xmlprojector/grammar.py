@@ -8,10 +8,11 @@ documents.
 
 This module owns everything that depends only on the grammar itself:
 content-model automata (Glushkov construction, determinized), document
-validation producing a rule-per-node witness, the top-down-determinism
-check that decides whether one-pass streaming is possible, rule
-reachability, and the line-oriented text format used by grammar and
-projector files.
+validation producing a rule-per-node witness (one top-down pass on
+streamable grammars, the general two-pass algorithm otherwise), the
+top-down-determinism check that decides whether one-pass streaming is
+possible, rule reachability, and the line-oriented text format used by
+grammar and projector files.
 
 ``Grammar`` also owns the rule index, built once at construction: the
 rules in sort order, the names each rule's content mentions, and for each
@@ -239,6 +240,7 @@ class Grammar:
         "_automata",
         "_start_reach",
         "_streamable",
+        "_text_neutral",
     )
 
     def __init__(
@@ -273,6 +275,7 @@ class Grammar:
         self._automata: dict[Rule, ContentAutomaton] = {}
         self._start_reach: frozenset[Rule] | None = None
         self._streamable: bool | None = None
+        self._text_neutral: dict[Rule, bool] = {}
 
     def __eq__(self, other):
         return (
@@ -364,6 +367,19 @@ class Grammar:
             self._automata[rule] = auto
         return auto
 
+    def text_neutral(self, rule: Rule) -> bool:
+        """True iff an element rule's text is never a choice: it has no text
+        child, or one text name whose step the automaton ``absorbs``, so
+        whitespace consumed as that name leaves every continuation open
+        that skipping it would.  DTD rules always are: their text name
+        occurs only as ``(#PCDATA | ...)*``.  Cached per rule."""
+        found = self._text_neutral.get(rule)
+        if found is None:
+            text = self.text_children(rule)
+            found = len(text) <= 1 and (not text or self.automaton(rule).absorbs(text[0].name))
+            self._text_neutral[rule] = found
+        return found
+
 
 def any_grammar() -> Grammar:
     """The single-name grammar accepting every well-formed document."""
@@ -380,15 +396,15 @@ def any_grammar() -> Grammar:
 class ContentAutomaton:
     """DFA over rule names accepting exactly one content model's language."""
 
-    __slots__ = ("start_state", "_accepting", "_table")
+    __slots__ = ("start_state", "_accepting", "_rows")
 
-    def __init__(self, start_state: int, accepting: frozenset[int], table: dict[tuple[int, str], int]):
+    def __init__(self, start_state: int, accepting: frozenset[int], rows: list[dict[str, int]]):
         self.start_state = start_state
         self._accepting = accepting
-        self._table = table
+        self._rows = rows  # state -> {name: next state}
 
     def step(self, state: int, name: str) -> int | None:
-        return self._table.get((state, name))
+        return self._rows[state].get(name)
 
     def is_accepting(self, state: int) -> bool:
         return state in self._accepting
@@ -400,6 +416,17 @@ class ContentAutomaton:
             if state is None:
                 return False
         return self.is_accepting(state)
+
+    def absorbs(self, name: str) -> bool:
+        """True iff every state steps on ``name`` to a state with the same
+        moves (``name`` included), accepting wherever the first accepts.
+        Linear in the transition table."""
+        rows, accepting = self._rows, self._accepting
+        for q, row in enumerate(rows):
+            nxt = row.get(name)
+            if nxt is None or rows[nxt] != row or (q in accepting and nxt not in accepting):
+                return False
+        return True
 
 
 def compile_content_model(regex: ContentRegex) -> ContentAutomaton:
@@ -446,7 +473,7 @@ def compile_content_model(regex: ContentRegex) -> ContentAutomaton:
     # near-linear; hand-built grammars may genuinely need it.
     start_set = frozenset((-1,))
     state_ids: dict[frozenset[int], int] = {start_set: 0}
-    table: dict[tuple[int, str], int] = {}
+    rows: list[dict[str, int]] = [{}]
     accepting: set[int] = set()
     if nullable:
         accepting.add(0)
@@ -463,11 +490,12 @@ def compile_content_model(regex: ContentRegex) -> ContentAutomaton:
             tid = state_ids.get(target)
             if tid is None:
                 tid = state_ids[target] = len(state_ids)
+                rows.append({})
                 work.append(target)
                 if target & last:
                     accepting.add(tid)
-            table[(cid, name)] = tid
-    return ContentAutomaton(0, frozenset(accepting), table)
+            rows[cid][name] = tid
+    return ContentAutomaton(0, frozenset(accepting), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -501,13 +529,84 @@ def validate_tree(doc: Document, g: Grammar) -> Interpretation | Invalid:
 
     Returns a rule assignment for every generated node, or Invalid naming
     the first node (pre-order) that cannot be explained.  Whitespace-only
-    text is skippable and then stays unassigned.  Ambiguity is resolved
-    deterministically: lowest-sorting rule, then, over each element's
-    children from the last, the lowest automaton state and first name;
-    but where the previous sibling is whitespace-only text, states that
-    consume it through one of the parent's text names come first.  So
-    whitespace stays unassigned only where no text name can take it, as
-    in element-only content, where the streaming pruner drops it too.
+    text is skippable and then stays unassigned.
+
+    On a streamable grammar every child tag resolves to one rule under its
+    parent (``Grammar.tags``), so one pass down the tree decides the
+    document, holding one automaton state per element; text steps the
+    parent's single text name.  Whitespace is consumed as that name when
+    the automaton can step it, which is exact on text-neutral rules
+    (``Grammar.text_neutral``): the state it leads to has the same moves
+    and accepts wherever the skipping state does, so consuming never
+    closes a path that skipping keeps open, and the general algorithm's
+    witness makes the same choice.  A rule that is not text-neutral, or any
+    rejection, sends the document to the general algorithm, which alone
+    writes the Invalid diagnostics.
+    """
+    if doc.root is not None and is_streamable(g):
+        found = _validate_local(doc, g)
+        if found is not None:
+            return found
+    return _validate_general(doc, g)
+
+
+def _validate_local(doc: Document, g: Grammar) -> Interpretation | None:
+    """The top-down pass of ``validate_tree`` on a streamable grammar, over
+    an explicit stack and in pre-order; None where the document is
+    rejected or reaches a rule that is not text-neutral."""
+    exact, wild = g.tags(None)
+    rule = exact.get(doc.root.tag, wild)
+    if rule is None:
+        return None
+    plans: dict[Rule, tuple] = {}  # per element rule: what its children step
+    interpretation: Interpretation = {}
+    down: list[tuple[Node, Rule]] = [(doc.root, rule)]
+    while down:
+        node, rule = down.pop()
+        interpretation[node.nid] = rule
+        if rule.is_text:
+            continue
+        plan = plans.get(rule)
+        if plan is None:
+            if not g.text_neutral(rule):
+                return None
+            auto, text = g.automaton(rule), g.text_children(rule)
+            text_rule = text[0] if text else None
+            text_name = text_rule.name if text else None
+            steps = (auto._rows, auto.start_state, auto._accepting, text_rule, text_name)
+            plan = plans[rule] = steps + g.tags(rule)
+        rows, state, accepting, text_rule, text_name, exact, wild = plan
+        children: list[tuple[Node, Rule]] = []
+        for child in node.children:
+            if isinstance(child, Element):
+                child_rule = exact.get(child.tag, wild)
+                state = rows[state].get(child_rule.name) if child_rule is not None else None
+                if state is None:
+                    return None
+                children.append((child, child_rule))
+            elif isinstance(child, TextNode):
+                after = rows[state].get(text_name)
+                if after is not None:
+                    state = after
+                    children.append((child, text_rule))
+                elif child.content.strip():
+                    return None
+        if state not in accepting:
+            return None
+        down.extend(reversed(children))
+    return interpretation
+
+
+def _validate_general(doc: Document, g: Grammar) -> Interpretation | Invalid:
+    """``validate_tree`` on any grammar, the regular-tree-grammar way.
+
+    Ambiguity is resolved deterministically: lowest-sorting rule, then,
+    over each element's children from the last, the lowest automaton
+    state and first name; but where the previous sibling is
+    whitespace-only text, states that consume it through one of the
+    parent's text names come first.  So whitespace stays unassigned only
+    where no text name can take it, as in element-only content, where the
+    streaming pruner drops it too.
 
     No recursion, so nesting depth is unbounded: one loop goes up the
     document (reversed pre-order) collecting the rules each element fits

@@ -32,8 +32,8 @@ from .grammar import (
     Rule,
     Seq,
     Star,
+    _validate_general,
     is_streamable,
-    validate_tree,
 )
 from .inference import Projector, infer_projector
 from .pruner import InvalidDocumentError, UnresolvableTagError, prune_file, prune_tree_with_origin
@@ -649,7 +649,10 @@ def enumerate_documents(
 
 
 def require_interpretation(doc: Document, g: Grammar) -> Interpretation:
-    result = validate_tree(doc, g)
+    """The general validator's witness, or InvalidDocumentError.  Not
+    ``validate_tree``: its fast path reads the same tag tables as the
+    streaming dispatch that ``check_soundness`` compares against."""
+    result = _validate_general(doc, g)
     if isinstance(result, Invalid):
         raise InvalidDocumentError(result)
     return result

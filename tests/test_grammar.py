@@ -1,5 +1,6 @@
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from xmlprojector import (
     Atom,
     Empty,
     Epsilon,
+    GenConfig,
     Grammar,
     GrammarError,
     Invalid,
@@ -21,15 +23,19 @@ from xmlprojector import (
     Star,
     any_grammar,
     compile_content_model,
+    generate_document,
     grammar_to_text,
     is_streamable,
     parse_grammar_text,
     parse_xml,
     reachable_rules,
+    serialize,
     validate_tree,
 )
+from xmlprojector.doc import Document, Element, TextNode, subtree_text
 from xmlprojector.grammar import (
     EPSILON,
+    _validate_general,
     alt,
     names_in,
     parse_regex_text,
@@ -37,6 +43,8 @@ from xmlprojector.grammar import (
     rule_to_text,
     seq,
 )
+
+from conftest import write_xmark_doc
 
 # ---------------------------------------------------------------------------
 # Independent language-membership oracle: Brzozowski derivatives.  Nothing
@@ -355,6 +363,144 @@ def test_text_children_are_the_text_rules_a_content_mentions(mixed_grammar):
     assert [r.name for r in mixed_grammar.text_children(rules["Para"])] == ["TPara"]
     assert mixed_grammar.text_children(rules["Article"]) == ()
     assert [r.name for r in mixed_grammar.text_children(rules["Em"])] == ["TEm"]
+
+
+# ---------------------------------------------------------------------------
+# Top-down validation on streamable grammars: validate_tree's fast path
+# must return exactly what the general algorithm returns.
+
+# Streamable, and text is a choice at some position: F's rule is not
+# text-neutral.  In the last, whitespace consumed as T leads to a state
+# that moves differently on a second T, which adjacent text nodes reach.
+_TEXT_CHOICES = {
+    "A-then-T": "start: F\nF -> f [ A T ]\nA -> a [ ]\nT -> String\n",
+    "T-or-A": "start: F\nF -> f [ T | A ]\nA -> a [ ]\nT -> String\n",
+    "TA-or-AT": "start: F\nF -> f [ T A | A T? ]\nA -> a [ T* ]\nT -> String\n",
+    "T-run-or-A": "start: F\nF -> f [ (T T* | A)* ]\nA -> a [ ]\nT -> String\n",
+}
+
+
+def _differential_cases() -> dict[str, tuple[Grammar, list[str]]]:
+    """Every streamable grammar of the golden validation cases (XMark among
+    them), with their documents, and the text-choice grammars above."""
+    from test_golden import _validation_cases
+
+    cases = {name: case for name, case in _validation_cases().items() if is_streamable(case[0])}
+    for name, text in _TEXT_CHOICES.items():
+        cases[name] = (parse_grammar_text(text), [])
+    return cases
+
+
+def _indented(xml: str) -> str:
+    """The document with newline-and-indent whitespace before every element
+    and before each end tag that closes element children."""
+    doc = parse_xml(xml)
+    work = [(doc.root, 1)]
+    while work:
+        elem, depth = work.pop()
+        kids: list = []
+        for child in elem.children:
+            if isinstance(child, Element):
+                kids.append(TextNode("\n" + "  " * depth))
+                work.append((child, depth + 1))
+            kids.append(child)
+        if len(kids) > len(elem.children):
+            kids.append(TextNode("\n" + "  " * (depth - 1)))
+        elem.children = kids
+    return serialize(doc)
+
+
+def _mutant(xml: str, rng: random.Random, tags: list[str]) -> Document:
+    """The document with one child deleted, duplicated or swapped with its
+    next sibling, one stray text node inserted (beside text, too, which
+    leaves two adjacent text nodes), or one tag renamed."""
+    doc = parse_xml(xml)
+    elem = rng.choice([n for n in doc.iter_nodes() if isinstance(n, Element)])
+    kids = elem.children
+    kind = rng.choice(("delete", "duplicate", "swap", "text", "rename"))
+    i = rng.randrange(len(kids)) if kids else 0
+    if kind == "rename":
+        elem.tag = rng.choice(tags)
+    elif kind == "text" or not kids:
+        kids.insert(rng.randrange(len(kids) + 1), TextNode(rng.choice((" ", "\n  ", "z"))))
+    elif kind == "delete":
+        del kids[i]
+    elif kind == "duplicate":
+        kids.insert(i, parse_xml(f"<w>{subtree_text(kids[i])}</w>").root.children[0])
+    elif i + 1 < len(kids):
+        kids[i], kids[i + 1] = kids[i + 1], kids[i]
+    for child in kids:
+        child.parent = elem
+    return doc.renumber()
+
+
+@pytest.mark.parametrize("case", sorted(_differential_cases()))
+def test_top_down_validation_matches_general(case):
+    g, docs = _differential_cases()[case]
+    rng = random.Random(case)
+    tags = sorted({r.label.tag for r in g.rules if not r.is_text and r.label.tag} | {"zz"})
+    generated = [generate_document(g, GenConfig(seed=s, max_depth=6)) for s in range(4)]
+    docs = docs + [serialize(doc) for doc in generated]
+    sources = docs + [_indented(xml) for xml in docs]
+    variants = [parse_xml(xml) for xml in sources]
+    variants += [_mutant(xml, rng, tags) for xml in sources for _ in range(12)]
+    for doc in variants:
+        assert validate_tree(doc, g) == _validate_general(doc, g), serialize(doc)
+
+
+def test_text_choice_falls_back_to_the_general_path():
+    # Whitespace before `a` can only be skipped under `A T`, and taking it
+    # as T under `T | A` leaves no move for `a`.  Neither rule is
+    # text-neutral, so both documents take the general path, which leaves
+    # the whitespace unassigned.
+    g = parse_grammar_text(_TEXT_CHOICES["A-then-T"])
+    f = _rule(g, "F")
+    assert not g.text_neutral(f)
+    doc = parse_xml("<f> <a/>x</f>")  # 1 f, 2 " ", 3 a, 4 "x"
+    expected = {1: f, 3: _rule(g, "A"), 4: _rule(g, "T")}
+    assert validate_tree(doc, g) == _validate_general(doc, g) == expected
+    g = parse_grammar_text(_TEXT_CHOICES["T-or-A"])
+    f = _rule(g, "F")
+    assert not g.text_neutral(f)
+    doc = parse_xml("<f> <a/></f>")  # the whitespace stays unassigned
+    assert validate_tree(doc, g) == _validate_general(doc, g) == {1: f, 3: _rule(g, "A")}
+
+
+def test_text_neutral_rules(xmark_grammar, mixed_grammar):
+    # DTD rules, where text occurs only as (#PCDATA | ...)*, and rules
+    # without text always are
+    for g in (xmark_grammar, mixed_grammar, any_grammar()):
+        assert all(g.text_neutral(r) for r in g.rules if not r.is_text)
+    # T-run-or-A: each state steps T, but the state after one T moves
+    # differently on a second
+    g = parse_grammar_text(_TEXT_CHOICES["T-run-or-A"])
+    assert not g.text_neutral(_rule(g, "F")) and g.text_neutral(_rule(g, "A"))
+    g = parse_grammar_text("start: F\nF -> f [ (T | A)* B? ]\nA -> a [ ]\nB -> b [ ]\nT -> String")
+    assert not g.text_neutral(_rule(g, "F"))  # no T after B
+
+
+def test_top_down_validation_peak_memory(tmp_path, xmark_grammar):
+    docs = []
+    for size in (20_000, 2_000_000):
+        write_xmark_doc(tmp_path / "xmark.xml", size)
+        docs.append(parse_xml((tmp_path / "xmark.xml").read_text(encoding="utf-8")))
+    small, doc = docs
+    validate_tree(small, xmark_grammar)  # fill the grammar's caches first
+    _validate_general(small, xmark_grammar)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for validate in (_validate_general, validate_tree):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = validate(doc, xmark_grammar)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            assert not isinstance(result, Invalid)
+            del result
+    finally:
+        tracemalloc.stop()
+    general, top_down = peaks
+    assert top_down <= general, peaks
 
 
 # ---------------------------------------------------------------------------
