@@ -30,7 +30,6 @@ from .doc import (
     Text,
     TextNode,
     XmlSyntaxError,
-    build_tree,
     iter_events,
     parse_xml,
     serialize,

@@ -7,12 +7,14 @@ printer, so a tree and the event stream it came from always produce
 byte-identical output.
 
 Node identifiers are pre-order positions: the document node is 0 and every
-node below it gets the next id in document order.  Ids are assigned once,
-when the tree is built, and are stable thereafter.
+node below it gets the next id in document order.  ``parse_xml`` and the
+pruned copy number nodes as they create them; ``Document.__init__``
+numbers a tree of nodes linked beforehand (generated or hand-built).
 """
 
 from __future__ import annotations
 
+import itertools
 import xml.parsers.expat
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
@@ -185,11 +187,11 @@ def new_parser() -> xml.parsers.expat.XMLParserType:
     return parser
 
 
-def feed(
-    parser: xml.parsers.expat.XMLParserType,
-    source: str | bytes | IO[bytes],
-    chunk_size: int = 1 << 16,
-) -> Iterator[None]:
+# Bytes read from a file object per parser chunk.
+_CHUNK_SIZE = 1 << 16
+
+
+def feed(parser: xml.parsers.expat.XMLParserType, source: str | bytes | IO[bytes]) -> Iterator[None]:
     """Parse XML text or a binary file object, pausing after each chunk.
 
     The parser's handlers run during each pause's chunk; expat's errors
@@ -201,7 +203,7 @@ def feed(
             yield
             return
         while True:
-            chunk = source.read(chunk_size)
+            chunk = source.read(_CHUNK_SIZE)
             parser.Parse(chunk, not chunk)
             yield
             if not chunk:
@@ -212,7 +214,7 @@ def feed(
         ) from None
 
 
-def iter_events(source: str | bytes | IO[bytes], chunk_size: int = 1 << 16) -> Iterator[SaxEvent]:
+def iter_events(source: str | bytes | IO[bytes]) -> Iterator[SaxEvent]:
     """Stream SAX events from XML text or a binary file object.
 
     Memory is bounded by the parser buffer plus one chunk of pending
@@ -232,49 +234,50 @@ def iter_events(source: str | bytes | IO[bytes], chunk_size: int = 1 << 16) -> I
     parser.ProcessingInstructionHandler = lambda target, data: pending.append(
         ProcessingInstruction(target, data)
     )
-    for _ in feed(parser, source, chunk_size):
+    for _ in feed(parser, source):
         yield from pending
         pending.clear()
 
 
-def build_tree(events: Iterable[SaxEvent]) -> Document:
-    """Assemble a Document from an event sequence (adjacent text merged)."""
-    top: list[Node] = []
-    stack: list[Element] = []
+def parse_xml(source: str | bytes | IO[bytes]) -> Document:
+    """Build the tree of XML text or a binary file object in the parser's
+    callbacks; each node takes the next pre-order id as it is created.
+
+    Text split across callbacks (at chunk or CDATA edges) merges into one
+    node with the id of its first part.  Top-level comments and PIs are
+    children of the document node; expat reports no text there.
+    """
+    doc = Document()
+    open_nodes: list[Element | Document] = [doc]  # the document and the open elements
+    ids = itertools.count(1)
 
     def attach(node: Node) -> None:
-        if stack:
-            node.parent = stack[-1]
-            stack[-1].children.append(node)
+        node.parent = open_nodes[-1]
+        node.nid = next(ids)
+        node.parent.children.append(node)
+
+    def start(tag, attr_list):
+        pairs = iter(attr_list)
+        elem = Element(tag, tuple(zip(pairs, pairs)))
+        attach(elem)
+        open_nodes.append(elem)
+
+    def text(data):
+        siblings = open_nodes[-1].children
+        if siblings and type(siblings[-1]) is TextNode:
+            siblings[-1].content += data
         else:
-            top.append(node)
+            attach(TextNode(data))
 
-    for event in events:
-        if isinstance(event, StartElement):
-            elem = Element(event.tag, event.attributes)
-            attach(elem)
-            stack.append(elem)
-        elif isinstance(event, EndElement):
-            if not stack or stack[-1].tag != event.tag:
-                raise XmlSyntaxError(f"mismatched end tag {event.tag!r}")
-            stack.pop()
-        elif isinstance(event, Text):
-            if stack and stack[-1].children and isinstance(stack[-1].children[-1], TextNode):
-                stack[-1].children[-1].content += event.content
-            elif stack:
-                attach(TextNode(event.content))
-            # text outside the root element is not representable; drop it
-        elif isinstance(event, Comment):
-            attach(CommentNode(event.content))
-        else:
-            attach(PINode(event.target, event.data))
-    if stack:
-        raise XmlSyntaxError(f"unclosed element {stack[-1].tag!r}")
-    return Document(top)
-
-
-def parse_xml(source: str | bytes | IO[bytes]) -> Document:
-    return build_tree(iter_events(source))
+    parser = new_parser()
+    parser.StartElementHandler = start
+    parser.EndElementHandler = lambda tag: open_nodes.pop()
+    parser.CharacterDataHandler = text
+    parser.CommentHandler = lambda data: attach(CommentNode(data))
+    parser.ProcessingInstructionHandler = lambda target, data: attach(PINode(target, data))
+    for _ in feed(parser, source):
+        pass
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +285,7 @@ def parse_xml(source: str | bytes | IO[bytes]) -> Document:
 
 
 def tree_events(doc: Document) -> Iterator[SaxEvent]:
-    """Event view of a tree; inverse of build_tree up to text merging."""
+    """Event view of a tree in document order, one Text per text node."""
     return _events_of(doc.children)
 
 

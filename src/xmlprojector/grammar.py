@@ -881,11 +881,16 @@ def parse_rule_text(text: str, line: int | None = None) -> Rule:
         raise GrammarFormatError(str(exc), line) from None
 
 
-def grammar_to_text(g: Grammar) -> str:
+def _header_lines(g: Grammar) -> list[str]:
     lines = ["start: " + " ".join(sorted(g.start))]
     for tag in sorted(g.attributes):
         if g.attributes[tag]:
             lines.append(f"attlist: {tag} " + " ".join(g.attributes[tag]))
+    return lines
+
+
+def grammar_to_text(g: Grammar) -> str:
+    lines = _header_lines(g)
     lines.extend(rule_to_text(r) for r in g.sorted_rules())
     return "\n".join(lines) + "\n"
 

@@ -30,6 +30,7 @@ from .grammar import (
     GrammarFormatError,
     Rule,
     _closure,
+    _header_lines,
     _parse_grammar_lines,
     parse_rule_text,
     reachable_rules,
@@ -285,10 +286,7 @@ def infer_projector(qs: Iterable[QueryEll], g: Grammar) -> Projector:
 
 def projector_to_text(p: Projector) -> str:
     g = p.grammar
-    lines = ["start: " + " ".join(sorted(g.start))]
-    for tag in sorted(g.attributes):
-        if g.attributes[tag]:
-            lines.append(f"attlist: {tag} " + " ".join(g.attributes[tag]))
+    lines = _header_lines(g)
     for rule in g.sorted_rules():
         mark = "+" if rule in p.kept else "-"
         lines.append(f"{mark} {rule_to_text(rule)}")

@@ -445,9 +445,6 @@ class GenConfig:
     seed: int = 0
     max_star_repeat: int = 3
     max_depth: int = 12
-    text_alphabet: tuple[str, ...] = ("x", "y", "some text")
-    wildcard_tags: tuple[str, ...] = ("a", "b", "c")
-    attribute_probability: float = 0.5  # chance per declared attribute
 
     def __post_init__(self):
         if self.max_star_repeat < 0:
@@ -457,6 +454,9 @@ class GenConfig:
 
 
 _INF = float("inf")
+_TEXT_ALPHABET = ("x", "y", "some text")  # text and attribute values
+_WILDCARD_TAGS = ("a", "b", "c")
+_ATTRIBUTE_PROBABILITY = 0.5  # chance per declared attribute
 
 
 def _min_depths(g: Grammar) -> dict[str, float]:
@@ -499,12 +499,12 @@ def generate_document(g: Grammar, cfg: GenConfig = GenConfig()) -> Document:
         ]
         rule = rng.choice(sorted(affordable, key=Rule.sort_key))
         if rule.is_text:
-            return TextNode(rng.choice(cfg.text_alphabet))
-        tag = rule.label.tag or rng.choice(cfg.wildcard_tags)
+            return TextNode(rng.choice(_TEXT_ALPHABET))
+        tag = rule.label.tag or rng.choice(_WILDCARD_TAGS)
         attrs = tuple(
-            (name, rng.choice(cfg.text_alphabet))
+            (name, rng.choice(_TEXT_ALPHABET))
             for name in g.attributes.get(tag, ())
-            if rng.random() < cfg.attribute_probability
+            if rng.random() < _ATTRIBUTE_PROBABILITY
         )
         elem = Element(tag, attrs)
         for child_name in gen_word(rule.content, budget - 1):

@@ -354,10 +354,12 @@ def prune_tree_with_origin(
             raise InvalidDocumentError(result)
         interpretation = result
 
-    old_of_clone: dict[int, int] = {}  # id(clone) -> old nid
     pruned = Document()
-    # input nodes still to copy, each with the clone of its parent;
-    # the empty projector yields the empty document
+    origin = {0: 0}  # new nid -> old nid, for elements and text
+    nid = 0
+    # input nodes still to copy, each with the clone of its parent; they
+    # pop in pre-order, so each clone takes the next id as it is made.
+    # The empty projector yields the empty document.
     work: list[tuple[Node, Element | Document]] = (
         [(child, pruned) for child in reversed(doc.children)] if p.kept else []
     )
@@ -371,17 +373,13 @@ def prune_tree_with_origin(
             continue
         elif isinstance(old, TextNode):
             clone = TextNode(old.content)
-            old_of_clone[id(clone)] = old.nid
+            origin[nid + 1] = old.nid
         else:
             clone = Element(old.tag, old.attributes)
-            old_of_clone[id(clone)] = old.nid
+            origin[nid + 1] = old.nid
             work.extend((child, clone) for child in reversed(old.children))
+        nid += 1
+        clone.nid = nid
         clone.parent = parent
         parent.children.append(clone)
-
-    pruned.renumber()
-    origin = {0: 0}
-    for node in pruned.iter_nodes():
-        if id(node) in old_of_clone:
-            origin[node.nid] = old_of_clone[id(node)]
     return pruned, origin

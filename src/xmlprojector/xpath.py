@@ -38,10 +38,6 @@ class Axis(enum.Enum):
     ANCESTOR = "ancestor"
     ANCESTOR_OR_SELF = "ancestor-or-self"
 
-    @property
-    def is_upward(self) -> bool:
-        return self in (Axis.PARENT, Axis.ANCESTOR, Axis.ANCESTOR_OR_SELF)
-
 
 ELL_AXES = {axis.value: axis for axis in Axis}
 
@@ -53,8 +49,6 @@ FULL_AXES = set(ELL_AXES) | {
     "attribute",
     "namespace",
 }
-
-REVERSE_AXES = {"parent", "ancestor", "ancestor-or-self", "preceding", "preceding-sibling"}
 
 
 class NodeTest:

@@ -144,6 +144,20 @@ def test_usage_errors_exit_2(g0_dtd, tmp_path, capsys):
     assert run(["prune", "--projector", str(tmp_path / "missing.proj")]) == 2
 
 
+def test_malformed_xml_exits_2(g0_dtd, tmp_path, capsys):
+    # the in-memory paths: validate, and prune with a non-streamable projector
+    proj = tmp_path / "fa.proj"
+    proj.write_text("start: F\n+ F -> f [ (A | B)* ]\n+ A -> a [ ]\n- B -> a [ C ]\n- C -> c [ ]\n")
+    for xml, where in [("<doc>\n<a>x</a>", "line 2, column 9"), ("<doc>\n  <a></b></doc>", "line 2, column 8")]:
+        path = tmp_path / "bad.xml"
+        path.write_text(xml)
+        assert run(["validate", "--dtd", g0_dtd, "-i", str(path)]) == 2
+        assert where in capsys.readouterr().err
+        assert run(["prune", "--projector", str(proj), "-i", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "grammar is not streamable" in err and where in err
+
+
 def _nested_sections(levels: int) -> str:
     return "<doc>" + "<section><title>t</title>" * levels + "</section>" * levels + "</doc>"
 

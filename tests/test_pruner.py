@@ -20,7 +20,18 @@ from xmlprojector import (
     tree_events,
     validate_tree,
 )
-from xmlprojector.doc import EndElement, StartElement, Text, XmlSyntaxError, iter_events
+from xmlprojector.doc import (
+    CommentNode,
+    Element,
+    EndElement,
+    PINode,
+    StartElement,
+    Text,
+    TextNode,
+    XmlSyntaxError,
+    iter_events,
+    subtree_text,
+)
 from xmlprojector.grammar import EPSILON, Atom, Grammar, Rule, Star, alt
 from xmlprojector.oracle import eval_full, results_match
 from xmlprojector.pruner import (
@@ -431,3 +442,94 @@ def test_fused_matches_event_pruner(name):
                     if got[1] is not None and got[1].elements_out < got[1].elements_in:
                         seen.add("dropped")
     assert seen == {"ok", "syntax", "unresolvable", "dropped"}
+
+
+# ---------------------------------------------------------------------------
+# Building trees: parse_xml and the pruned copy number nodes as they make them
+
+
+_HAND_DOCS = (
+    '<?xml version="1.0"?>\n<!--lead--><?top x="1"?>\n'
+    '<doc id="d" note=\'a &amp; "b"\'><!--in--><a k="1">x<![CDATA[<y>]]>z &amp; é'
+    '<?pi data?>tail</a><b/><a>日本<!--c-->語</a></doc>\n<!--trail--><?end?>\n',
+    "<r>" + "é" * 9000 + "<![CDATA[" + "c" * 9000 + "]]></r>",  # text over expat's buffer
+)
+
+
+def _forms(data: bytes):
+    """One input as text, as bytes, and trickled 1 to 7 bytes per read."""
+    yield data.decode("utf-8")
+    yield data
+    for step in range(1, 8):
+        yield _Trickle(data, step)
+
+
+def _assert_preorder_ids(doc) -> list:
+    nodes = list(doc.iter_nodes())
+    assert [n.nid for n in nodes] == list(range(len(nodes)))
+    doc.renumber()
+    assert [n.nid for n in nodes] == list(range(len(nodes)))
+    return nodes
+
+
+def _building_inputs(name: str) -> list[bytes]:
+    if name == "hand":
+        return [text.encode("utf-8") for text in _HAND_DOCS]
+    dtd, _, depth = _DIFF_CORPUS[name]
+    g, rng = parse_dtd(dtd), random.Random(name)
+    return [
+        _decorated(generate_document(g, GenConfig(seed=seed, max_depth=depth)), rng, unknown=False)
+        for seed in range(3)
+    ]
+
+
+@pytest.mark.parametrize("name", ["hand", "G0", "xmark", "mixed"])
+def test_parse_xml_numbers_nodes_as_it_builds(name):
+    for data in _building_inputs(name):
+        want = serialize_events(iter_events(data))
+        for src in _forms(data):
+            doc = parse_xml(src)
+            nodes = _assert_preorder_ids(doc)
+            assert serialize(doc) == want, (name, src)
+            assert not any(isinstance(child, TextNode) for child in doc.children)
+            for node in nodes[1:]:
+                if isinstance(node, Element):
+                    kinds = [type(child) for child in node.children]
+                    assert (TextNode, TextNode) not in zip(kinds, kinds[1:]), (name, src)
+
+
+@pytest.mark.parametrize(
+    "data, where",
+    [
+        (b"<doc>\n<a>x</a>", (2, 9)),  # truncated: the root never closes
+        (b"<doc>\n<a>x</a", (2, 5)),  # truncated inside a tag
+        (b"<doc>\n  <a></b></doc>", (2, 8)),  # mismatched end tag
+    ],
+)
+def test_parse_xml_rejects_malformed_input(data, where):
+    for src in _forms(data):
+        with pytest.raises(XmlSyntaxError) as exc:
+            parse_xml(src)
+        assert (exc.value.line, exc.value.column) == where
+
+
+@pytest.mark.parametrize("name", ["G0", "xmark", "mixed"])
+def test_pruned_copy_numbers_clones_as_it_copies(name):
+    dtd, queries, _ = _DIFF_CORPUS[name]
+    g = parse_dtd(dtd)
+    projectors = [identity_projector(g)] + [infer_projector([_ell(q)], g) for q in queries]
+    for data in _building_inputs(name):
+        doc = parse_xml(data)
+        old = {node.nid: node for node in doc.iter_nodes()}
+        for pi in projectors:
+            pruned, origin = prune_tree_with_origin(doc, pi)
+            for node in _assert_preorder_ids(pruned)[1:]:
+                if isinstance(node, (CommentNode, PINode)):
+                    assert node.nid not in origin
+                    continue
+                source = old[origin[node.nid]]
+                assert origin[node.parent.nid] == source.parent.nid
+                if isinstance(node, TextNode):
+                    assert subtree_text(node) == subtree_text(source), (name, node)
+                else:  # children, and whitespace between them, may be pruned away
+                    assert (node.tag, node.attributes) == (source.tag, source.attributes)
