@@ -2,9 +2,12 @@
 
 One document representation, two views: an in-memory tree of element/text
 nodes (plus pass-through comment/PI nodes) and a flat sequence of
-start/text/end events.  Both views serialize through the same event
-printer, so a tree and the event stream it came from always produce
-byte-identical output.
+start/text/end events.  Events print through ``serialize_event``; trees
+print straight from their nodes (``serialize``, ``subtree_text``),
+building no events.  Both printers format through the same helpers
+(``_attributes``, ``escape``, ``_pi_text``), and
+``test_parse_xml_numbers_nodes_as_it_builds`` keeps them byte-identical:
+a tree, its events and the event stream it was parsed from print alike.
 
 Node identifiers are pre-order positions: the document node is 0 and every
 node below it gets the next id in document order.  ``parse_xml`` and the
@@ -14,7 +17,6 @@ numbers a tree of nodes linked beforehand (generated or hand-built).
 
 from __future__ import annotations
 
-import itertools
 import xml.parsers.expat
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
@@ -248,30 +250,48 @@ def parse_xml(source: str | bytes | IO[bytes]) -> Document:
     children of the document node; expat reports no text there.
     """
     doc = Document()
-    open_nodes: list[Element | Document] = [doc]  # the document and the open elements
-    ids = itertools.count(1)
-
-    def attach(node: Node) -> None:
-        node.parent = open_nodes[-1]
-        node.nid = next(ids)
-        node.parent.children.append(node)
+    parent: Element | Document = doc  # the innermost open element, or the document
+    nid = 0
 
     def start(tag, attr_list):
-        pairs = iter(attr_list)
-        elem = Element(tag, tuple(zip(pairs, pairs)))
-        attach(elem)
-        open_nodes.append(elem)
+        nonlocal parent, nid
+        if attr_list:
+            pairs = iter(attr_list)
+            elem = Element(tag, tuple(zip(pairs, pairs)))
+        else:
+            elem = Element(tag)
+        nid += 1
+        elem.nid = nid
+        elem.parent = parent
+        parent.children.append(elem)
+        parent = elem
+
+    def end(tag):
+        nonlocal parent
+        parent = parent.parent
 
     def text(data):
-        siblings = open_nodes[-1].children
+        nonlocal nid
+        siblings = parent.children
         if siblings and type(siblings[-1]) is TextNode:
             siblings[-1].content += data
         else:
-            attach(TextNode(data))
+            node = TextNode(data)
+            nid += 1
+            node.nid = nid
+            node.parent = parent
+            siblings.append(node)
+
+    def attach(node: CommentNode | PINode) -> None:
+        nonlocal nid
+        nid += 1
+        node.nid = nid
+        node.parent = parent
+        parent.children.append(node)
 
     parser = new_parser()
     parser.StartElementHandler = start
-    parser.EndElementHandler = lambda tag: open_nodes.pop()
+    parser.EndElementHandler = end
     parser.CharacterDataHandler = text
     parser.CommentHandler = lambda data: attach(CommentNode(data))
     parser.ProcessingInstructionHandler = lambda target, data: attach(PINode(target, data))
@@ -348,14 +368,44 @@ def serialize_events(events: Iterable[SaxEvent]) -> str:
 
 def serialize(doc: Document) -> str:
     """Canonical text of a document: no XML declaration, no DOCTYPE."""
-    return serialize_events(tree_events(doc))
+    return _text_of(doc.children)
 
 
 def subtree_text(node: Document | Node) -> str:
     """Serialization of one node and everything below it."""
     if isinstance(node, Document):
         return serialize(node)
-    return serialize_events(_events_of([node]))
+    return _text_of([node])
+
+
+def _text_of(nodes: list[Node]) -> str:
+    """``serialize_events(_events_of(nodes))``, printed straight from the
+    tree.  An explicit stack, not recursion, so nesting depth is
+    unbounded; it holds nodes still to print and the end tags of open
+    elements."""
+    out: list[str] = []
+    append = out.append
+    stack: list[Node | str] = list(reversed(nodes))
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is TextNode:
+            append(escape(node.content))
+        elif kind is Element:
+            tag = node.tag
+            append(f"<{tag}{_attributes(node.attributes)}>" if node.attributes else f"<{tag}>")
+            if node.children:
+                stack.append(f"</{tag}>")
+                stack.extend(reversed(node.children))
+            else:
+                append(f"</{tag}>")
+        elif kind is str:
+            append(node)
+        elif kind is CommentNode:
+            append(f"<!--{node.content}-->")
+        else:
+            append(_pi_text(node.target, node.data))
+    return "".join(out)
 
 
 def string_value(node: Document | Node) -> str:

@@ -21,8 +21,10 @@ rules among them and its tag table (the element rule each child tag
 resolves to) are cached on first use.  Inference and validation read these
 tables (``sorted_rules``, ``child_names``, ``children``, ``text_children``,
 ``parents``); the streamability check and the streaming pruner's dispatch
-both read the tag tables (``tags``).  None of them walks content regexes
-or scans the rule set per step.
+both read the tag tables (``tags``).  The top-down validator and the
+in-memory pruner's one-pass copy read each rule's step plan (``plan``:
+its automaton rows, text name and tag table), compiled once per rule.
+None of them walks content regexes or scans the rule set per step.
 """
 
 from __future__ import annotations
@@ -216,6 +218,10 @@ class Rule:
 
 
 TagTable = tuple[dict[str, Rule], Rule | None]  # (rule per exact tag, wildcard rule)
+# What a text-neutral element rule's children step, for one-pass walks:
+# (DFA rows, start state, accepting states, text rule, text name, exact
+# tags, wildcard rule); see ``Grammar.plan``.
+StepPlan = tuple
 
 
 class Grammar:
@@ -241,6 +247,7 @@ class Grammar:
         "_start_reach",
         "_streamable",
         "_text_neutral",
+        "_plans",
     )
 
     def __init__(
@@ -276,6 +283,7 @@ class Grammar:
         self._start_reach: frozenset[Rule] | None = None
         self._streamable: bool | None = None
         self._text_neutral: dict[Rule, bool] = {}
+        self._plans: dict[Rule, StepPlan | None] = {}
 
     def __eq__(self, other):
         return (
@@ -379,6 +387,26 @@ class Grammar:
             found = len(text) <= 1 and (not text or self.automaton(rule).absorbs(text[0].name))
             self._text_neutral[rule] = found
         return found
+
+    def plan(self, rule: Rule) -> StepPlan | None:
+        """What the children of a node the element rule generates step, for
+        the top-down walks on streamable grammars: the automaton's rows
+        (``state -> {name: next state}``), start state and accepting
+        states, the one text rule and its name (None if there is none),
+        and the rule's tag table.  None when the rule is not text-neutral,
+        where one pass cannot decide whitespace.  Cached per rule."""
+        try:
+            return self._plans[rule]
+        except KeyError:
+            pass
+        plan = None
+        if self.text_neutral(rule):
+            auto, text = self.automaton(rule), self.text_children(rule)
+            text_rule = text[0] if text else None
+            plan = (auto._rows, auto.start_state, auto._accepting, text_rule,
+                    text_rule.name if text else None) + self.tags(rule)
+        self._plans[rule] = plan
+        return plan
 
 
 def any_grammar() -> Grammar:
@@ -558,7 +586,6 @@ def _validate_local(doc: Document, g: Grammar) -> Interpretation | None:
     rule = exact.get(doc.root.tag, wild)
     if rule is None:
         return None
-    plans: dict[Rule, tuple] = {}  # per element rule: what its children step
     interpretation: Interpretation = {}
     down: list[tuple[Node, Rule]] = [(doc.root, rule)]
     while down:
@@ -566,15 +593,9 @@ def _validate_local(doc: Document, g: Grammar) -> Interpretation | None:
         interpretation[node.nid] = rule
         if rule.is_text:
             continue
-        plan = plans.get(rule)
+        plan = g.plan(rule)
         if plan is None:
-            if not g.text_neutral(rule):
-                return None
-            auto, text = g.automaton(rule), g.text_children(rule)
-            text_rule = text[0] if text else None
-            text_name = text_rule.name if text else None
-            steps = (auto._rows, auto.start_state, auto._accepting, text_rule, text_name)
-            plan = plans[rule] = steps + g.tags(rule)
+            return None
         rows, state, accepting, text_rule, text_name, exact, wild = plan
         children: list[tuple[Node, Rule]] = []
         for child in node.children:

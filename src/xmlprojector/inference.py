@@ -362,8 +362,9 @@ def minimality_check(
         needed = False
         for doc, interp, expected in baselines:
             pruned, origin = pruner.prune_tree_with_origin(doc, candidate, interpretation=interp)
+            pair = oracle.PrunedPair(doc, pruned, origin)
             if any(
-                not oracle.results_match(q_expected, oracle.eval_ell(q, pruned), doc, pruned, origin)
+                not pair.results_match(q_expected, oracle.eval_ell(q, pruned))
                 for q, q_expected in zip(qs, expected)
             ):
                 needed = True

@@ -658,6 +658,45 @@ def require_interpretation(doc: Document, g: Grammar) -> Interpretation:
     return result
 
 
+class PrunedPair:
+    """A document and its pruned copy, with the id maps that comparing
+    query results across them reads, built once for every query."""
+
+    __slots__ = ("origin", "old_to_new", "original_nodes", "pruned_nodes")
+
+    def __init__(self, original: Document, pruned: Document, origin: dict[int, int]):
+        self.origin = origin
+        self.old_to_new = {old: new for new, old in origin.items()}
+        self.original_nodes = {n.nid: n for n in original.iter_nodes()}
+        self.pruned_nodes = {n.nid: n for n in pruned.iter_nodes()}
+
+    def results_match(self, expected: Iterable[ResultId], got: Iterable[ResultId]) -> bool:
+        """Compare query results across pruning.
+
+        `got` ids live in the pruned document and are mapped back through
+        `origin`.  Result identity must agree, and element/text results
+        must additionally keep their whole subtree byte-for-byte."""
+        origin = self.origin
+        mapped: set[ResultId] = set()
+        for rid in got:
+            if isinstance(rid, tuple):
+                mapped.add((rid[0], origin[rid[1]], rid[2]))
+            else:
+                mapped.add(origin[rid])
+        expected_set = set(expected)
+        if mapped != expected_set:
+            return False
+        for rid in expected_set:
+            if isinstance(rid, tuple):
+                continue  # attribute results have no subtree
+            new_id = self.old_to_new.get(rid)
+            if new_id is None:
+                return False
+            if subtree_text(self.original_nodes[rid]) != subtree_text(self.pruned_nodes[new_id]):
+                return False
+        return True
+
+
 def results_match(
     expected: Iterable[ResultId],
     got: Iterable[ResultId],
@@ -665,33 +704,9 @@ def results_match(
     pruned: Document,
     origin: dict[int, int],
 ) -> bool:
-    """Compare query results across pruning.
-
-    `got` ids live in the pruned document and are mapped back through
-    `origin`.  Result identity must agree, and element/text results must
-    additionally keep their whole subtree byte-for-byte."""
-    mapped: set[ResultId] = set()
-    for rid in got:
-        if isinstance(rid, tuple):
-            mapped.add((rid[0], origin[rid[1]], rid[2]))
-        else:
-            mapped.add(origin[rid])
-    expected_set = set(expected)
-    if mapped != expected_set:
-        return False
-
-    old_to_new = {old: new for new, old in origin.items()}
-    original_nodes = {n.nid: n for n in original.iter_nodes()}
-    pruned_nodes = {n.nid: n for n in pruned.iter_nodes()}
-    for rid in expected_set:
-        if isinstance(rid, tuple):
-            continue  # attribute results have no subtree
-        new_id = old_to_new.get(rid)
-        if new_id is None:
-            return False
-        if subtree_text(original_nodes[rid]) != subtree_text(pruned_nodes[new_id]):
-            return False
-    return True
+    """``PrunedPair.results_match`` for one query; to compare several
+    queries across one pair, build the ``PrunedPair`` once."""
+    return PrunedPair(original, pruned, origin).results_match(expected, got)
 
 
 @dataclass
@@ -732,6 +747,26 @@ def _stream_mismatch(source: str, expected: str, pi: Projector) -> str | None:
     return None
 
 
+def _tree_mismatch(
+    doc: Document, pi: Projector, witness: Document, witness_text: str, origin: dict[int, int]
+) -> str | None:
+    """Why ``prune_tree_with_origin`` given no interpretation, the path
+    ``prune_tree`` users run, does not give ``witness``, the copy by
+    witness (serialized as ``witness_text``, mapped back by ``origin``),
+    or None."""
+    try:
+        pruned, got_origin = prune_tree_with_origin(doc, pi)
+    except InvalidDocumentError as exc:
+        return f"prune_tree failed: {exc}"
+    if serialize(pruned) != witness_text:
+        return "prune_tree output differs from the copy by witness"
+    if [n.nid for n in pruned.iter_nodes()] != [n.nid for n in witness.iter_nodes()]:
+        return "prune_tree node ids differ from the copy by witness"
+    if got_origin != origin:
+        return "prune_tree origin differs from the copy by witness"
+    return None
+
+
 def check_soundness(
     g: Grammar,
     queries: Sequence[str | FullQuery],
@@ -743,10 +778,14 @@ def check_soundness(
 ) -> SoundnessReport:
     """Generate n documents and verify that pruning preserves every query.
 
-    Queries are answered on ``prune_tree``'s output.  On streamable
-    grammars each document is also pruned by ``prune_file``, the path the
-    CLI runs, whose output must equal the serialized ``prune_tree`` output
-    byte for byte; a mismatch is a failure with query ``(prune_file)``.
+    Queries are answered on ``prune_tree``'s output, copied by the
+    general validator's witness.  On streamable grammars each document is
+    also pruned by ``prune_file``, the path the CLI runs, whose output
+    must equal the serialized ``prune_tree`` output byte for byte, and by
+    ``prune_tree_with_origin`` without a witness, the one-pass path
+    ``prune_tree`` takes, whose copy must equal the witness copy in
+    serialization, node ids and ``origin``; a mismatch is a failure with
+    query ``(prune_file)`` or ``(prune_tree)``.
     The projector defaults to the one inferred for the whole batch; pass
     one explicitly for fault-injection runs.
     """
@@ -764,17 +803,23 @@ def check_soundness(
         source, in_memory = serialize(doc), serialize(pruned)
         report.bytes_in += len(source.encode("utf-8"))
         report.bytes_out += len(in_memory.encode("utf-8"))
-        detail = _stream_mismatch(source, in_memory, pi) if streamable else None
-        if detail is not None:
-            report.passed = False
-            report.failures.append(SoundnessFailure(cfg.seed + i, "(prune_file)", source, detail))
-            if stop_on_first_failure:
-                return report
+        mismatches = (
+            (("(prune_file)", _stream_mismatch(source, in_memory, pi)),
+             ("(prune_tree)", _tree_mismatch(doc, pi, pruned, in_memory, origin)))
+            if streamable else ()
+        )
+        for pruner_name, detail in mismatches:
+            if detail is not None:
+                report.passed = False
+                report.failures.append(SoundnessFailure(cfg.seed + i, pruner_name, source, detail))
+                if stop_on_first_failure:
+                    return report
+        pair = PrunedPair(doc, pruned, origin)
         for text, query in zip(texts, parsed):
             expected = eval_full(query, doc)
             got = eval_full(query, pruned)
             try:
-                ok = results_match(expected, got, doc, pruned, origin)
+                ok = pair.results_match(expected, got)
             except KeyError:
                 ok = False  # result node survived with no origin: impossible mapping
             if not ok:

@@ -6,7 +6,10 @@ nothing but a stack of kept frames and a depth counter, so memory follows
 document depth rather than document size.  It runs inside the expat
 callbacks (``prune_file``) or over SAX events (``prune_stream``); both
 drive the same handlers.  ``prune_tree`` handles arbitrary regular tree
-grammars by validating first and then erasing every node whose
+grammars.  On streamable grammars it validates and copies in one
+top-down pass, reading each rule's step plan (``Grammar.plan``) and
+building no witness; elsewhere, and wherever that pass gives up, it
+validates first (``validate_tree``) and then erases every node whose
 witnessing rule was dropped.  On streamable grammars both pruners produce
 byte-identical serializations of valid documents.
 """
@@ -343,12 +346,23 @@ def prune_tree_with_origin(
     """Prune via a validation witness; also map new node ids to old ones.
 
     Kept nodes appear in the same relative order as in the input, so the
-    mapping is injective and order-preserving.  A precomputed
-    interpretation may be supplied to amortize validation across many
-    projectors of the same grammar.  The copy runs over an explicit stack,
-    so nesting depth is unbounded.
+    mapping is injective and order-preserving.  Without an
+    interpretation, a streamable grammar is validated and copied in one
+    top-down pass that builds no witness; a grammar that is not
+    streamable, an empty document, a rule that is not text-neutral or a
+    rejection takes the other path: ``validate_tree``, whose general
+    algorithm writes the InvalidDocumentError diagnostics, then the copy
+    by witness.  A precomputed interpretation may be supplied to amortize
+    validation across many projectors of the same grammar; it is copied
+    by witness.  Both copies run over an explicit stack, so nesting depth
+    is unbounded, and give each clone the next pre-order id as they make
+    it.
     """
     if interpretation is None:
+        if doc.root is not None and is_streamable(p.grammar):
+            copied = _prune_local(doc, p)
+            if copied is not None:
+                return copied
         result = validate_tree(doc, p.grammar)
         if isinstance(result, Invalid):
             raise InvalidDocumentError(result)
@@ -382,4 +396,104 @@ def prune_tree_with_origin(
         clone.nid = nid
         clone.parent = parent
         parent.children.append(clone)
+    return pruned, origin
+
+
+def _prune_local(doc: Document, p: Projector) -> tuple[Document, dict[int, int]] | None:
+    """``prune_tree_with_origin`` on a streamable grammar and a document
+    with a root: the top-down pass of ``validate_tree`` (each child's rule
+    from its parent's tag table, one automaton step per child, an
+    accepting state after the last), copying kept nodes as it goes.  None
+    where that pass gives up: a rejection, or a rule that is not
+    text-neutral."""
+    g, kept = p.grammar, p.kept
+    # Per element rule met: [name, kept, text under it kept, the rule's
+    # step plan, {child tag: child entry}].  Built on first use, so the
+    # rules are hashed once per call, not once per node.
+    entries: dict[Rule, list] = {}
+
+    def entry(rule: Rule | None) -> list | None:
+        if rule is None:
+            return None
+        found = entries.get(rule)
+        if found is None:
+            plan = g.plan(rule)
+            if plan is None:
+                return None
+            text_rule = plan[3]
+            found = entries[rule] = [rule.name, rule in kept, text_rule in kept, plan, {}]
+        return found
+
+    root = doc.root
+    exact, wild = g.tags(None)
+    top = entry(exact.get(root.tag, wild))
+    if top is None:
+        return None
+    pruned = Document()
+    origin = {0: 0}  # new nid -> old nid, for elements and text
+    nid = 0
+    # Nodes still to visit, each with its entry and its parent's clone
+    # (None below a dropped element, which is validated but not copied).
+    # A node with no entry is text, a comment or a PI to copy.  They pop
+    # in pre-order, so each clone takes the next id as it is made.
+    work: list[tuple[Node, list | None, Element | Document | None]] = []
+    for child in reversed(doc.children):
+        if child is root:
+            work.append((root, top, pruned))
+        elif kept and isinstance(child, (CommentNode, PINode)):
+            work.append((child, None, pruned))
+    while work:
+        node, found, parent = work.pop()
+        if found is None:
+            nid += 1
+            kind = type(node)
+            if kind is TextNode:
+                clone: Node = TextNode(node.content)
+                origin[nid] = node.nid
+            elif kind is CommentNode:
+                clone = CommentNode(node.content)
+            else:
+                clone = PINode(node.target, node.data)
+            clone.nid = nid
+            clone.parent = parent
+            parent.children.append(clone)
+            continue
+        clone = None
+        if parent is not None and found[1]:
+            nid += 1
+            clone = Element(node.tag, node.attributes)
+            clone.nid = nid
+            clone.parent = parent
+            parent.children.append(clone)
+            origin[nid] = node.nid
+        copy_text = clone is not None and found[2]
+        rows, state, accepting, _, text_name, exact, wild = found[3]
+        by_tag = found[4]
+        children: list[tuple[Node, list | None, Element | None]] = []
+        for child in node.children:
+            kind = type(child)
+            if kind is Element:
+                child_entry = by_tag.get(child.tag)
+                if child_entry is None:
+                    child_entry = entry(exact.get(child.tag, wild))
+                    if child_entry is None:
+                        return None
+                    by_tag[child.tag] = child_entry
+                state = rows[state].get(child_entry[0])
+                if state is None:
+                    return None
+                children.append((child, child_entry, clone))
+            elif kind is TextNode:
+                after = rows[state].get(text_name)
+                if after is not None:
+                    state = after
+                    if copy_text:
+                        children.append((child, None, clone))
+                elif child.content.strip():
+                    return None
+            elif clone is not None:
+                children.append((child, None, clone))
+        if state not in accepting:
+            return None
+        work.extend(reversed(children))
     return pruned, origin

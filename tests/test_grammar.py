@@ -434,8 +434,9 @@ def _mutant(xml: str, rng: random.Random, tags: list[str]) -> Document:
     return doc.renumber()
 
 
-@pytest.mark.parametrize("case", sorted(_differential_cases()))
-def test_top_down_validation_matches_general(case):
+def _differential_inputs(case: str) -> tuple[Grammar, list[Document]]:
+    """A differential case's grammar with its documents and generated
+    ones, each as is and indented, and twelve seeded mutants of each."""
     g, docs = _differential_cases()[case]
     rng = random.Random(case)
     tags = sorted({r.label.tag for r in g.rules if not r.is_text and r.label.tag} | {"zz"})
@@ -444,6 +445,12 @@ def test_top_down_validation_matches_general(case):
     sources = docs + [_indented(xml) for xml in docs]
     variants = [parse_xml(xml) for xml in sources]
     variants += [_mutant(xml, rng, tags) for xml in sources for _ in range(12)]
+    return g, variants
+
+
+@pytest.mark.parametrize("case", sorted(_differential_cases()))
+def test_top_down_validation_matches_general(case):
+    g, variants = _differential_inputs(case)
     for doc in variants:
         assert validate_tree(doc, g) == _validate_general(doc, g), serialize(doc)
 

@@ -19,7 +19,7 @@ from xmlprojector import (
     serialize,
     validate_tree,
 )
-from xmlprojector import oracle
+from xmlprojector import oracle, pruner
 from xmlprojector.oracle import OracleError
 from xmlprojector.pruner import prune_tree_with_origin
 
@@ -214,6 +214,43 @@ def test_soundness_compares_stream_output(g0, monkeypatch):
     assert {f.query for f in report.failures} == {"(prune_file)"}
     assert report.failures[0].detail == "prune_file output differs from prune_tree output"
     assert "query=(prune_file) " in report.lines()[0]
+
+
+def _rename_root(copied):
+    doc, origin = copied
+    doc.root.tag = "z"
+    return doc, origin
+
+
+def _shift_ids(copied):
+    doc, origin = copied
+    doc.root.nid += 1
+    return doc, origin
+
+
+def _shift_origin(copied):
+    doc, origin = copied
+    origin[1] += 1
+    return doc, origin
+
+
+@pytest.mark.parametrize(
+    "fault, detail",
+    [
+        (_rename_root, "prune_tree output differs from the copy by witness"),
+        (_shift_ids, "prune_tree node ids differ from the copy by witness"),
+        (_shift_origin, "prune_tree origin differs from the copy by witness"),
+    ],
+)
+def test_soundness_compares_one_pass_copy(g0, monkeypatch, fault, detail):
+    # prune_tree's one-pass copy must equal the copy by witness
+    one_pass = pruner._prune_local
+    monkeypatch.setattr(pruner, "_prune_local", lambda doc, pi: fault(one_pass(doc, pi)))
+    report = check_soundness(g0, ["/doc/a/b"], 5, GenConfig(seed=0, max_depth=8))
+    assert not report.passed
+    assert {f.query for f in report.failures} == {"(prune_tree)"}
+    assert {f.detail for f in report.failures} == {detail}
+    assert "query=(prune_tree) " in report.lines()[0]
 
 
 def test_identity_pruning_is_noop_for_eval(g0):

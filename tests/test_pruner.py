@@ -5,6 +5,7 @@ import pytest
 
 from xmlprojector import (
     GenConfig,
+    Invalid,
     Projector,
     any_grammar,
     approximate_to_ell,
@@ -22,6 +23,7 @@ from xmlprojector import (
 )
 from xmlprojector.doc import (
     CommentNode,
+    Document,
     Element,
     EndElement,
     PINode,
@@ -29,10 +31,11 @@ from xmlprojector.doc import (
     Text,
     TextNode,
     XmlSyntaxError,
+    _events_of,
     iter_events,
     subtree_text,
 )
-from xmlprojector.grammar import EPSILON, Atom, Grammar, Rule, Star, alt
+from xmlprojector.grammar import EPSILON, Atom, Grammar, Rule, Star, _validate_general, alt
 from xmlprojector.oracle import eval_full, results_match
 from xmlprojector.pruner import (
     InvalidDocumentError,
@@ -46,6 +49,7 @@ from xmlprojector.pruner import (
 )
 
 from conftest import D0_XML, DEEP_DTD, G0_DTD, MIXED_DTD, RECURSIVE_DTD, XMARK_DTD
+from test_grammar import _differential_cases, _differential_inputs
 
 
 def _ell(text):
@@ -311,8 +315,6 @@ def test_pruned_document_validates_against_erasure(g0):
             Rule.text("TB"),
         ),
     )
-    from xmlprojector import Invalid
-
     assert not isinstance(validate_tree(pruned, erased), Invalid)
 
 
@@ -453,6 +455,12 @@ _HAND_DOCS = (
     '<doc id="d" note=\'a &amp; "b"\'><!--in--><a k="1">x<![CDATA[<y>]]>z &amp; é'
     '<?pi data?>tail</a><b/><a>日本<!--c-->語</a></doc>\n<!--trail--><?end?>\n',
     "<r>" + "é" * 9000 + "<![CDATA[" + "c" * 9000 + "]]></r>",  # text over expat's buffer
+    # attribute values with quotes, markup, newline and tab; text with
+    # `]]>` and markup characters; empty elements; PIs with and without data
+    '<!--a--><?p?><?q d?><r a=\'"&lt;&amp;&#10;&#9; \' b="\'&quot;"><e/><f></f>'
+    "x]]&gt;&amp;&lt;&gt;<![CDATA[ <&>]]> ünï € 😀<?s?><?t data more?><g/>"
+    "</r><!--z--><?end?>",
+    "<c>" * 10_000 + "x" + "</c>" * 10_000,  # deeper than Python's recursion limit
 )
 
 
@@ -491,11 +499,17 @@ def test_parse_xml_numbers_nodes_as_it_builds(name):
             doc = parse_xml(src)
             nodes = _assert_preorder_ids(doc)
             assert serialize(doc) == want, (name, src)
+            assert serialize(doc) == serialize_events(tree_events(doc))
             assert not any(isinstance(child, TextNode) for child in doc.children)
             for node in nodes[1:]:
                 if isinstance(node, Element):
                     kinds = [type(child) for child in node.children]
                     assert (TextNode, TextNode) not in zip(kinds, kinds[1:]), (name, src)
+        # the tree printer against the event printer, node by node; in the
+        # 10 000-level chain only every 1000th node, as subtree sizes sum
+        # to 50 million events there
+        for node in nodes[1:] if len(nodes) < 10_000 else nodes[1::1000]:
+            assert subtree_text(node) == serialize_events(_events_of([node])), (name, node)
 
 
 @pytest.mark.parametrize(
@@ -533,3 +547,51 @@ def test_pruned_copy_numbers_clones_as_it_copies(name):
                     assert subtree_text(node) == subtree_text(source), (name, node)
                 else:  # children, and whitespace between them, may be pruned away
                     assert (node.tag, node.attributes) == (source.tag, source.attributes)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass copy: validating and copying together on streamable grammars
+
+
+def _commented(doc, rng: random.Random):
+    """A copy of the document with a comment and a PI in random elements
+    and a comment before the root."""
+    doc = parse_xml(serialize(doc))
+    elements = [n for n in doc.iter_nodes() if isinstance(n, Element)]
+    for node in (CommentNode("c"), PINode("p", "d")):
+        parent = rng.choice(elements)
+        parent.children.insert(rng.randrange(len(parent.children) + 1), node)
+        node.parent = parent
+    doc.children.insert(0, CommentNode("lead"))
+    doc.children[0].parent = doc
+    return doc.renumber()
+
+
+@pytest.mark.parametrize("case", sorted(_differential_cases()))
+def test_one_pass_copy_matches_witness_copy(case):
+    g, variants = _differential_inputs(case)
+    rng = random.Random(case)
+    variants += [_commented(doc, rng) for doc in variants if doc.root is not None]
+    variants.append(Document())
+    tags = sorted(r.label.tag for r in g.rules if not r.is_text and r.label.tag) or ["zz"]
+    rules = g.sorted_rules()
+    query = _ell(f"//{tags[len(tags) // 2]}")
+    projectors = [identity_projector(g), empty_projector(g), infer_projector([query], g)]
+    projectors += [Projector(g, frozenset(r for r in rules if rng.random() < 0.6)) for _ in range(2)]
+    outcomes = set()
+    for doc in variants:
+        witness = _validate_general(doc, g)
+        for pi in projectors:
+            if isinstance(witness, Invalid):
+                with pytest.raises(InvalidDocumentError) as exc:
+                    prune_tree_with_origin(doc, pi)
+                assert (exc.value.path, exc.value.reason) == (witness.path, witness.reason)
+                outcomes.add("invalid")
+                continue
+            got, got_origin = prune_tree_with_origin(doc, pi)
+            want, want_origin = prune_tree_with_origin(doc, pi, witness)
+            assert serialize(got) == serialize(want), (case, serialize(doc))
+            assert [n.nid for n in got.iter_nodes()] == [n.nid for n in want.iter_nodes()]
+            assert got_origin == want_origin
+            outcomes.add("copied")
+    assert outcomes == {"invalid", "copied"}
