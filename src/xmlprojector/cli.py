@@ -215,7 +215,7 @@ def _cmd_infer(args) -> int:
 
 def _cmd_prune(args) -> int:
     projector = _load_projector(args)
-    stats = PruneStats()
+    stats = PruneStats() if args.stats else None
     src = _open_in(args.input)
     out = _open_out(args.output)
     try:
@@ -225,7 +225,7 @@ def _cmd_prune(args) -> int:
             print("grammar is not streamable; pruning in memory", file=sys.stderr)
             doc = parse_xml(src)
             out.write(serialize(prune_tree(doc, projector, stats=stats)))
-        if args.stats:
+        if stats is not None:
             print(stats.line(), file=sys.stderr)
         return 0
     finally:

@@ -24,18 +24,24 @@ tables (``sorted_rules``, ``child_names``, ``children``, ``text_children``,
 both read the tag tables (``tags``).  The top-down validator and the
 in-memory pruner's one-pass copy read each rule's step plan (``plan``:
 its automaton rows, text name and tag table), compiled once per rule.
-None of them walks content regexes or scans the rule set per step.
+Inference reads rule masks (ints, bit i for the i-th sorted rule): each
+rule's reachability down and up (``below``, ``above``) as one mask each,
+computed once per rule, and the node-test masks (``tag_mask``,
+``element_mask``, ``text_mask``).  None of them walks content regexes or
+scans the rule set per step.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable
 
 from .doc import Document, Element, Node, TextNode, node_path
 
 _NAME_RE = re.compile(r"[A-Za-z_:][\w.\-:]*\Z")
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 class GrammarError(ValueError):
@@ -244,7 +250,13 @@ class Grammar:
         "_tags",
         "_parents",
         "_automata",
-        "_start_reach",
+        "_index",
+        "_down",
+        "_up",
+        "_below",
+        "_above",
+        "_tag_masks",
+        "_kind_masks",
         "_streamable",
         "_text_neutral",
         "_plans",
@@ -280,7 +292,14 @@ class Grammar:
         self._text_children: dict[Rule, tuple[Rule, ...]] = {}
         self._tags: dict[Rule | None, TagTable | None] = {}
         self._automata: dict[Rule, ContentAutomaton] = {}
-        self._start_reach: frozenset[Rule] | None = None
+        # reachability masks, filled on first use by ``_index_masks``
+        self._index: dict[Rule | None, int] | None = None
+        self._down: list[int] = []
+        self._up: list[int] = []
+        self._below: list[int | None] = []
+        self._above: list[int | None] = []
+        self._tag_masks: dict[str, int] = {}
+        self._kind_masks: tuple[int, int, int] = (0, 0, 0)  # wildcard, element, text
         self._streamable: bool | None = None
         self._text_neutral: dict[Rule, bool] = {}
         self._plans: dict[Rule, StepPlan | None] = {}
@@ -407,6 +426,114 @@ class Grammar:
                     text_rule.name if text else None) + self.tags(rule)
         self._plans[rule] = plan
         return plan
+
+    # Rule masks: bit i of a mask stands for the i-th rule of sorted_rules().
+    # Reachability is cached per rule as one mask each way, so inference
+    # runs no fixpoint per step and intersects node tests with one AND.
+
+    def _index_masks(self) -> dict[Rule | None, int]:
+        """Fill the rule index, the one-step masks and the node-test masks,
+        once, and return the index.  Position ``len(sorted_rules())`` stands
+        for the document node (None), whose one child step reaches the
+        start rules."""
+        rules = self._sorted
+        n = len(rules)
+        index: dict[Rule | None, int] = {rule: i for i, rule in enumerate(rules)}
+        index[None] = n
+        of_name: dict[str, int] = {}
+        tags: dict[str, int] = {}
+        wild = text = 0
+        for i, rule in enumerate(rules):
+            bit = 1 << i
+            of_name[rule.name] = of_name.get(rule.name, 0) | bit
+            if rule.is_text:
+                text |= bit
+            elif rule.label.is_wildcard:
+                wild |= bit
+            else:
+                tags[rule.label.tag] = tags.get(rule.label.tag, 0) | bit
+        parents_of_name: dict[str, int] = {}
+        for name, parents in self._parents.items():
+            mask = 0
+            for rule in parents:
+                mask |= 1 << index[rule]
+            parents_of_name[name] = mask
+        down = [0] * (n + 1)
+        for i, rule in enumerate(rules):
+            for name in self.child_names(rule):
+                down[i] |= of_name[name]
+        for name in self.start:
+            down[n] |= of_name[name]
+        self._down = down
+        self._up = [parents_of_name.get(rule.name, 0) for rule in rules] + [0]
+        self._below, self._above = [None] * (n + 1), [None] * (n + 1)
+        self._tag_masks = {tag: mask | wild for tag, mask in tags.items()}
+        self._kind_masks = (wild, ((1 << n) - 1) ^ text, text)
+        self._index = index
+        return index
+
+    def rules_in(self, mask: int) -> list[Rule]:
+        """The rules a mask holds, in sort order."""
+        if mask.bit_count() > 8:
+            # the binary digits, lowest first, as 0/1 bytes select the rules
+            return list(compress(self._sorted, f"{mask:b}"[::-1].encode().translate(_BIT_BYTES)))
+        rules, out = self._sorted, []
+        while mask:
+            low = mask & -mask
+            out.append(rules[low.bit_length() - 1])
+            mask ^= low
+        return out
+
+    def bit(self, rule: Rule) -> int:
+        """The mask holding just the rule."""
+        return 1 << (self._index or self._index_masks())[rule]
+
+    def child_mask(self, rule: Rule | None) -> int:
+        """``children(rule)`` as a mask; for None (the document node), the
+        start rules."""
+        return self._down[(self._index or self._index_masks())[rule]]
+
+    def parent_mask(self, rule: Rule) -> int:
+        """``parents(rule)`` as a mask."""
+        return self._up[(self._index or self._index_masks())[rule]]
+
+    def below(self, rule: Rule | None) -> int:
+        """The rules one or more child steps below the rule (None: the
+        document node), whether the start names reach them or not, as a
+        mask.  Cached per rule."""
+        i = (self._index or self._index_masks())[rule]
+        found = self._below[i]
+        if found is None:
+            found = self._below[i] = _mask_closure(self._down, self._below, self._down[i])
+        return found
+
+    def above(self, rule: Rule) -> int:
+        """The rules one or more parent steps above the rule, whether the
+        start names reach them or not, as a mask.  Cached per rule."""
+        i = (self._index or self._index_masks())[rule]
+        found = self._above[i]
+        if found is None:
+            found = self._above[i] = _mask_closure(self._up, self._above, self._up[i])
+        return found
+
+    def tag_mask(self, tag: str) -> int:
+        """The element rules whose label matches the tag: the rules
+        labelled with it and every wildcard rule."""
+        if self._index is None:
+            self._index_masks()
+        return self._tag_masks.get(tag, self._kind_masks[0])
+
+    def element_mask(self) -> int:
+        """Every element rule, the wildcard rules among them."""
+        if self._index is None:
+            self._index_masks()
+        return self._kind_masks[1]
+
+    def text_mask(self) -> int:
+        """Every text rule."""
+        if self._index is None:
+            self._index_masks()
+        return self._kind_masks[2]
 
 
 def any_grammar() -> Grammar:
@@ -760,29 +887,34 @@ def is_streamable(g: Grammar) -> bool:
     return g._streamable
 
 
-def _closure(step, seeds: Iterable) -> set:
-    """Least fixpoint: everything one or more `step`s away from the seeds."""
-    seen = set()
-    work = list(seeds)
-    while work:
-        for nxt in step(work.pop()):
-            if nxt not in seen:
-                seen.add(nxt)
-                work.append(nxt)
+def _mask_closure(steps: list[int], done: list[int | None], seeds: int) -> int:
+    """Least fixpoint over masks: the seeds and everything one or more
+    ``steps`` from them, where ``steps[i]`` is bit i's one-step mask.  A
+    bit whose closure ``done`` already holds is not expanded again."""
+    seen = frontier = seeds
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            i = low.bit_length() - 1
+            closed = done[i]
+            if closed is None:
+                nxt |= steps[i]
+            else:
+                seen |= closed
+            frontier ^= low
+        frontier = nxt & ~seen
+        seen |= frontier
     return seen
 
 
 def reachable_rules(g: Grammar, from_rules: Iterable[Rule]) -> frozenset[Rule]:
     """Seed rules plus rules of names mentioned in the content of any
     reachable element rule."""
-    seeds = frozenset(from_rules)
-    return seeds | _closure(g.children, seeds)
-
-
-def start_reachable(g: Grammar) -> frozenset[Rule]:
-    if g._start_reach is None:
-        g._start_reach = reachable_rules(g, g.start_rules())
-    return g._start_reach
+    mask = 0
+    for rule in from_rules:
+        mask |= g.bit(rule) | g.below(rule)
+    return frozenset(g.rules_in(mask))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ survive pruning whole.
 
 The fold works on contexts that may also contain the document node,
 represented as ``None`` alongside rules; the document node is the parent
-of the root and the origin of every absolute path.
+of the root and the origin of every absolute path.  Contexts and kept sets
+are int masks over the grammar's sorted rules plus one bit for the
+document node, and each axis reads the grammar's cached per-rule masks,
+so the fold decodes rules only for its result.
 
 After the forward fold, contexts are narrowed backwards: a context rule
 counts only if some chain of steps from it reaches the final results.
@@ -23,19 +26,16 @@ query may observe sibling positions, so every candidate is retained.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .grammar import (
     Grammar,
     GrammarFormatError,
     Rule,
-    _closure,
     _header_lines,
     _parse_grammar_lines,
     parse_rule_text,
-    reachable_rules,
     rule_to_text,
-    start_reachable,
 )
 from .xpath import (
     SELF_STEP,
@@ -82,64 +82,69 @@ def empty_projector(g: Grammar) -> Projector:
 
 
 # ---------------------------------------------------------------------------
-# Single steps over rule sets
+# Single steps over rule masks
+#
+# A set of keys is an int mask: bit i stands for the i-th rule of
+# ``g.sorted_rules()``, and the bit above them, ``doc``, for the document
+# node.  Every axis is a cached per-rule mask of the grammar, and every node
+# test one AND.
 
 
-def _child_of(g: Grammar, key: _Key) -> tuple[_Key, ...]:
-    if key is None:
-        return g.start_rules()
-    return g.children(key)
+def _doc_bit(g: Grammar) -> int:
+    return 1 << len(g.sorted_rules())
 
 
-def _parent_of(g: Grammar, key: _Key) -> set[_Key]:
-    if key is None:
-        return set()
-    live = start_reachable(g)
-    out: set[_Key] = {r for r in g.parents(key) if r in live}
-    if key.name in g.start:
-        out.add(None)
-    return out
+def _keys(g: Grammar, mask: int, doc: int) -> Iterator[tuple[int, _Key]]:
+    """(bit, key) for each key a mask holds."""
+    rules = g.sorted_rules()
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        yield bit, (None if bit == doc else rules[bit.bit_length() - 1])
 
 
-def _apply_axis(g: Grammar, ctx: frozenset[_Key], axis: Axis) -> set[_Key]:
+def _axis_mask(g: Grammar, key: _Key, bit: int, axis: Axis, doc: int) -> int:
+    """The keys one `axis` step from `key`, whose bit is `bit`.
+
+    Upward steps see only the rules the start names reach: a rule nothing
+    derives is never anybody's parent.  The document node is the parent of
+    the start rules.
+    """
     if axis is Axis.SELF:
-        return set(ctx)
+        return bit
     if axis is Axis.CHILD:
-        out: set[_Key] = set()
-        for key in ctx:
-            out.update(_child_of(g, key))
-        return out
+        return g.child_mask(key)
     if axis is Axis.DESCENDANT:
-        return _closure(lambda k: _child_of(g, k), ctx)
+        return g.below(key)
     if axis is Axis.DESCENDANT_OR_SELF:
-        return set(ctx) | _closure(lambda k: _child_of(g, k), ctx)
+        return bit | g.below(key)
+    if key is None:
+        return bit if axis is Axis.ANCESTOR_OR_SELF else 0
+    live, starts = g.below(None), g.child_mask(None)  # the start rules reach `live`
     if axis is Axis.PARENT:
-        out = set()
-        for key in ctx:
-            out |= _parent_of(g, key)
-        return out
+        up = g.parent_mask(key) & live
+        return up | doc if bit & starts else up
+    up = g.above(key) & live
+    if (bit | up) & starts:
+        up |= doc
     if axis is Axis.ANCESTOR:
-        return _closure(lambda k: _parent_of(g, k), ctx)
+        return up
     if axis is Axis.ANCESTOR_OR_SELF:
-        return set(ctx) | _closure(lambda k: _parent_of(g, k), ctx)
+        return bit | up
     raise ValueError(f"unknown axis {axis!r}")
 
 
-def _filter_test(keys: Iterable[_Key], test: NodeTest) -> frozenset[_Key]:
-    out: set[_Key] = set()
-    for key in keys:
-        if key is None:
-            if isinstance(test, NodeAny):
-                out.add(key)
-        elif key.is_text:
-            if isinstance(test, (TextTest, NodeAny)):
-                out.add(key)
-        else:
-            if isinstance(test, (Wildcard, NodeAny)):
-                out.add(key)
-            elif isinstance(test, TagTest) and key.label.matches(test.tag):
-                out.add(key)
-    return frozenset(out)
+def _test_mask(g: Grammar, test: NodeTest, doc: int) -> int:
+    """The keys a node test admits; only ``node()`` admits the document."""
+    if isinstance(test, TagTest):
+        return g.tag_mask(test.tag)
+    if isinstance(test, Wildcard):
+        return g.element_mask()
+    if isinstance(test, TextTest):
+        return g.text_mask()
+    if isinstance(test, NodeAny):
+        return doc | (doc - 1)
+    raise ValueError(f"unknown node test {test!r}")
 
 
 def step_transition(
@@ -150,8 +155,11 @@ def step_transition(
     Upward steps are implicitly intersected with the rules reachable from
     the start names; a rule nothing can derive is never anybody's parent.
     """
-    keys = _filter_test(_apply_axis(g, frozenset(ctx), axis), test)
-    return frozenset(k for k in keys if k is not None)
+    doc = _doc_bit(g)
+    found = 0
+    for rule in ctx:
+        found |= _axis_mask(g, rule, g.bit(rule), axis, doc)
+    return frozenset(g.rules_in(found & _test_mask(g, test, doc) & (doc - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -172,25 +180,22 @@ def _has_always_true_part(pred: Predicate | None) -> bool:
     return _has_always_true_part(pred.left) or _has_always_true_part(pred.right)
 
 
-def _rules_between(g: Grammar, uppers: set[_Key], lowers: set[_Key]) -> frozenset[Rule]:
+def _rules_between(g: Grammar, uppers: int, lowers: int, doc: int) -> int:
     """Rules lying on some downward chain from `uppers` to `lowers`; the
     document node routes through the start rules."""
-    tops: set[Rule] = set()
-    for key in uppers:
-        if key is None:
-            tops.update(g.start_rules())
-        else:
-            tops.add(key)
-    bottoms = {k for k in lowers if k is not None}
-    if not tops or not bottoms:
-        return frozenset()
-    co_reachable = bottoms | _closure(g.parents, bottoms)
-    return reachable_rules(g, tops) & co_reachable
+    bottoms = lowers & (doc - 1)
+    if not uppers or not bottoms:
+        return 0
+    reach = uppers & (doc - 1)
+    for _, key in _keys(g, uppers, doc):
+        reach |= g.below(key)
+    co_reachable = bottoms
+    for rule in g.rules_in(bottoms):
+        co_reachable |= g.above(rule)
+    return reach & co_reachable
 
 
-def _fold_path(
-    g: Grammar, steps: Sequence[StepEll], ctx0: frozenset[_Key]
-) -> tuple[frozenset[_Key], frozenset[Rule]]:
+def _fold_path(g: Grammar, steps: Sequence[StepEll], ctx0: int, doc: int) -> tuple[int, int]:
     """Fold steps over a context; returns (final context, rules to keep).
 
     The kept set covers the refined navigation skeleton, closure chains and
@@ -200,83 +205,84 @@ def _fold_path(
     records = []
     ctx = ctx0
     for step in steps:
-        edges: dict[_Key, frozenset[_Key]] = {}
-        pred_evidence: dict[_Key, frozenset[Rule]] = {}
-        post: set[_Key] = set()
-        for key in ctx:
-            targets = _filter_test(_apply_axis(g, frozenset((key,)), step.axis), step.test)
-            edges[key] = targets
+        test = _test_mask(g, step.test, doc)
+        edges: list[tuple[int, int]] = []  # (context key, its targets)
+        pred_evidence: dict[int, int] = {}
+        post = 0
+        for bit, key in _keys(g, ctx, doc):
+            targets = _axis_mask(g, key, bit, step.axis, doc) & test
+            edges.append((bit, targets))
             post |= targets
         if step.pred is not None:
-            surviving: set[_Key] = set()
-            for key in post:
-                ok, evidence = _pred_sat(g, key, step.pred)
+            surviving = 0
+            for bit, _ in _keys(g, post, doc):
+                ok, evidence = _pred_sat(g, bit, step.pred, doc)
                 if ok:
-                    surviving.add(key)
-                    pred_evidence[key] = evidence
+                    surviving |= bit
+                    pred_evidence[bit] = evidence
             post = surviving
-            edges = {k: v & post for k, v in edges.items()}
-        records.append((step, ctx, frozenset(post), edges, pred_evidence))
-        ctx = frozenset(post)
+        records.append((step, edges, post, pred_evidence))
+        ctx = post
         if not ctx:
-            return ctx, frozenset()
+            return 0, 0
 
-    kept: set[Rule] = set()
-    needed: set[_Key] = set(ctx)
-    for step, pre, post, edges, pred_evidence in reversed(records):
-        needed_post = set(post) if _has_always_true_part(step.pred) else needed & post
-        kept.update(k for k in needed_post if k is not None)
-        for key in needed_post:
-            kept |= pred_evidence.get(key, frozenset())
-        needed_pre = {k for k in pre if edges[k] & needed_post}
+    kept = 0
+    needed = ctx
+    for step, edges, post, pred_evidence in reversed(records):
+        needed_post = post if _has_always_true_part(step.pred) else needed & post
+        kept |= needed_post
+        for bit, evidence in pred_evidence.items():
+            if bit & needed_post:
+                kept |= evidence
+        needed_pre = 0
+        for bit, targets in edges:
+            if targets & needed_post:
+                needed_pre |= bit
         if step.axis in _CLOSURE_DOWN:
-            kept |= _rules_between(g, needed_pre, needed_post)
+            kept |= _rules_between(g, needed_pre, needed_post, doc)
         elif step.axis in _CLOSURE_UP:
-            kept |= _rules_between(g, needed_post, needed_pre)
+            kept |= _rules_between(g, needed_post, needed_pre, doc)
         needed = needed_pre
-    kept.update(k for k in needed if k is not None)
-    return ctx, frozenset(kept)
+    return ctx, (kept | needed) & (doc - 1)
 
 
-def _pred_sat(g: Grammar, key: _Key, pred: Predicate) -> tuple[bool, frozenset[Rule]]:
+def _pred_sat(g: Grammar, bit: int, pred: Predicate, doc: int) -> tuple[bool, int]:
     if isinstance(pred, PathExists):
-        final, kept = _fold_path(g, pred.path, frozenset((key,)))
+        final, kept = _fold_path(g, pred.path, bit, doc)
         return bool(final), kept
-    lok, lev = _pred_sat(g, key, pred.left)
-    rok, rev = _pred_sat(g, key, pred.right)
+    lok, lev = _pred_sat(g, bit, pred.left, doc)
+    rok, rev = _pred_sat(g, bit, pred.right, doc)
     if isinstance(pred, PredAnd):
-        return (lok and rok), (lev | rev if lok and rok else frozenset())
-    return (lok or rok), ((lev if lok else frozenset()) | (rev if rok else frozenset()))
-
-
-_DOC_CTX: frozenset[_Key] = frozenset((None,))
+        return (lok and rok), (lev | rev if lok and rok else 0)
+    return (lok or rok), ((lev if lok else 0) | (rev if rok else 0))
 
 
 def infer_types(q: QueryEll, g: Grammar) -> frozenset[Rule]:
     """Rules that can generate a node selected by the query; empty means
     the query is statically unsatisfiable under this grammar."""
-    out: set[Rule] = set()
+    doc = _doc_bit(g)
+    out = 0
     for branch in q.branches:
-        final, _ = _fold_path(g, branch, _DOC_CTX)
-        out.update(k for k in final if k is not None)
-    return frozenset(out)
+        final, _ = _fold_path(g, branch, doc, doc)
+        out |= final
+    return frozenset(g.rules_in(out & (doc - 1)))
 
 
 def infer_projector(qs: Iterable[QueryEll], g: Grammar) -> Projector:
     """Union over queries of navigation skeleton, predicate evidence, and
     the reachable closure of the result rules."""
-    kept: set[Rule] = set()
+    doc = _doc_bit(g)
+    kept = 0
     for q in qs:
         for branch in q.branches:
-            final, contribution = _fold_path(g, branch, _DOC_CTX)
-            if not final:
-                continue
+            final, contribution = _fold_path(g, branch, doc, doc)
             kept |= contribution
-            kept |= reachable_rules(g, (k for k in final if k is not None))
-            if None in final:
+            for bit, rule in _keys(g, final & (doc - 1), doc):
+                kept |= bit | g.below(rule)
+            if final & doc:
                 # the document node itself is selected: keep everything
-                kept |= reachable_rules(g, g.start_rules())
-    return Projector(g, frozenset(kept))
+                kept |= g.below(None)
+    return Projector(g, frozenset(g.rules_in(kept)))
 
 
 # ---------------------------------------------------------------------------

@@ -132,15 +132,14 @@ def _install(
     ``target`` is an expat parser or a ``_Slots``.  Kept items go to ``out``
     through ``render``.  On entering a dropped subtree the handlers are
     swapped for ones that only count, and comments and PIs go unhandled,
-    until the subtree closes.  Returns the function that adds the run's
-    counters to ``stats``.
+    until the subtree closes; text there is counted only when ``stats`` is
+    given, and goes unhandled otherwise.  Returns the function that adds
+    the run's counters to ``stats``.
     """
     if policy not in ("strict", "drop"):
         raise ValueError(f"unknown policy {policy!r}")
     if not is_streamable(p.grammar):
         raise NotStreamableError("grammar is not top-down deterministic; use prune_tree")
-    if stats is None:
-        stats = PruneStats()
     root_exact, root_wild = _build_dispatch(p)
     emit_doc_level = bool(p.kept)
     strict = policy == "strict"
@@ -173,7 +172,7 @@ def _install(
         resume = depth - 1
         target.StartElementHandler = skip_start
         target.EndElementHandler = skip_end
-        target.CharacterDataHandler = skip_text
+        target.CharacterDataHandler = dropped_text
         target.CommentHandler = target.ProcessingInstructionHandler = None
 
     def end(tag):
@@ -216,6 +215,8 @@ def _install(
         nonlocal text_in
         text_in += len(data) if data.isascii() else len(data.encode("utf-8"))
 
+    dropped_text = None if stats is None else skip_text
+
     def keep():
         target.StartElementHandler = start
         target.EndElementHandler = end
@@ -224,7 +225,8 @@ def _install(
         target.ProcessingInstructionHandler = instruction
 
     def finish():
-        stats.add(elements_in, elements_out, text_in, text_out, max_depth)
+        if stats is not None:
+            stats.add(elements_in, elements_out, text_in, text_out, max_depth)
 
     keep()
     return finish
@@ -289,7 +291,8 @@ def prune_stream(
             if kind is StartElement:
                 slots.StartElementHandler(event.tag, event.attributes)
             elif kind is Text:
-                slots.CharacterDataHandler(event.content)
+                if slots.CharacterDataHandler is not None:
+                    slots.CharacterDataHandler(event.content)
             elif kind is EndElement:
                 slots.EndElementHandler(event.tag)
             elif kind is Comment:

@@ -80,6 +80,26 @@ def test_prune_stats_line(g0_dtd, d0_xml, capsys):
     assert "elements_in=4" in err and "max_depth=3" in err
 
 
+def test_prune_without_stats_is_silent(tmp_path, capsys):
+    dtd = tmp_path / "r.dtd"
+    dtd.write_text(RECURSIVE_DTD)
+    doc = tmp_path / "d.xml"
+    doc.write_text(
+        "<doc><section><title>kept</title><para>dropped text</para>"
+        "<section><title>t2</title><para>more</para></section></section></doc>"
+    )
+    argv = ["prune", "--dtd", str(dtd), "--query", "//title", "-i", str(doc)]
+    assert run(argv + ["--stats"]) == 0
+    with_stats = capsys.readouterr()
+    assert "text_bytes_in=22 text_bytes_out=6" in with_stats.err
+    assert run(argv) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert plain.out == with_stats.out == (
+        "<doc><section><title>kept</title><section><title>t2</title></section></section></doc>"
+    )
+
+
 def test_prune_query_batch_file(g0_dtd, d0_xml, tmp_path, capsys):
     batch = tmp_path / "batch.txt"
     batch.write_text("# comment line\n/doc/a/b\n\n//c\n")

@@ -17,8 +17,10 @@ from xmlprojector import (
     reachable_rules,
     step_transition,
 )
-from xmlprojector.grammar import Rule
-from xmlprojector.xpath import WILDCARD, Axis, NodeAny, TagTest, TextTest
+from xmlprojector.grammar import Atom, Grammar, Opt, Rule, Star
+from xmlprojector.xpath import WILDCARD, Axis, NodeAny, TagTest, TextTest, Wildcard
+
+from test_golden import _inference_cases
 
 
 def _rules(g):
@@ -107,6 +109,126 @@ def test_step_monotone(g0, xmark_grammar):
                 s = step_transition(small, axis, NodeAny(), g)
                 b = step_transition(big, axis, NodeAny(), g)
                 assert s <= b
+
+
+# ---------------------------------------------------------------------------
+# step_transition and reachable_rules against a brute-force reference: one
+# fixpoint over sets per call, with the document node as None
+
+
+def _ref_closure(step, seeds):
+    seen = set()
+    work = list(seeds)
+    while work:
+        for nxt in step(work.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                work.append(nxt)
+    return seen
+
+
+def _ref_reachable(g, seeds):
+    seeds = frozenset(seeds)
+    return seeds | _ref_closure(g.children, seeds)
+
+
+def _ref_axis(g, key, axis):
+    live = _ref_reachable(g, g.start_rules())
+
+    def child_of(k):
+        return g.start_rules() if k is None else g.children(k)
+
+    def parent_of(k):
+        if k is None:
+            return set()
+        out = {r for r in g.parents(k) if r in live}
+        if k.name in g.start:
+            out.add(None)
+        return out
+
+    return {
+        Axis.SELF: {key},
+        Axis.CHILD: set(child_of(key)),
+        Axis.DESCENDANT: _ref_closure(child_of, [key]),
+        Axis.DESCENDANT_OR_SELF: {key} | _ref_closure(child_of, [key]),
+        Axis.PARENT: parent_of(key),
+        Axis.ANCESTOR: _ref_closure(parent_of, [key]),
+        Axis.ANCESTOR_OR_SELF: {key} | _ref_closure(parent_of, [key]),
+    }[axis]
+
+
+def _ref_test(keys, test):
+    out = set()
+    for key in keys:
+        if key is None:
+            ok = isinstance(test, NodeAny)
+        elif key.is_text:
+            ok = isinstance(test, (TextTest, NodeAny))
+        else:
+            ok = isinstance(test, (Wildcard, NodeAny)) or (
+                isinstance(test, TagTest) and key.label.matches(test.tag)
+            )
+        if ok:
+            out.add(key)
+    return {k for k in out if k is not None}
+
+
+def _differential_grammars():
+    grammars = {name: g for name, (g, _) in _inference_cases().items()}
+    g0 = grammars["G0"]
+    # non-live parents: an orphan mentions A, but nothing derives the orphan
+    grammars["orphan"] = Grammar(
+        start=("Doc",),
+        rules=tuple(g0.rules) + (Rule.element("Orphan", "orphan", Star(Atom("A"))),),
+    )
+    # a start name that recurs below itself, under a wildcard, next to a
+    # second rule of the same name
+    grammars["recurring-start"] = Grammar(
+        start=("S",),
+        rules=(
+            Rule.element("S", "s", Star(Atom("A"))),
+            Rule.text("S"),
+            Rule.element("A", "_", Opt(Atom("S"))),
+            Rule.element("B", "b", Atom("S")),
+        ),
+    )
+    return grammars
+
+
+def test_step_transition_matches_reference():
+    for name, g in _differential_grammars().items():
+        rules = g.sorted_rules()
+        tags = sorted({r.label.tag for r in rules if not r.is_text and r.label.tag})
+        tests = [TagTest(t) for t in tags + ["not-a-tag"]] + [WILDCARD, TextTest(), NodeAny()]
+        for rule in rules:
+            for axis in Axis:
+                reached = _ref_axis(g, rule, axis)
+                for test in tests:
+                    found = step_transition([rule], axis, test, g)
+                    assert found == _ref_test(reached, test), (name, rule, axis, test)
+
+
+def test_reachable_rules_matches_reference():
+    rng = random.Random(5)
+    for name, g in _differential_grammars().items():
+        rules = g.sorted_rules()
+        seeds = [[r] for r in rules] + [list(g.start_rules()), []]
+        seeds += [rng.sample(rules, min(len(rules), 3)) for _ in range(5)]
+        for seed in seeds:
+            assert reachable_rules(g, seed) == _ref_reachable(g, seed), (name, seed)
+
+
+def test_ancestor_steps_reach_the_document_node(g0):
+    # only the document node has a `doc` child, so the last step finds Doc
+    # only if the ancestor step reached the document node
+    for text in ("//b/ancestor::node()/doc", "/doc/ancestor::node()/doc", "/doc/../doc"):
+        assert _names(infer_types(_ell(text), g0)) == ["Doc"], text
+    assert infer_types(_ell("//b/ancestor::*/doc"), g0) == frozenset()
+    assert infer_types(_ell("/doc/a/../../doc"), g0) == infer_types(_ell("/doc"), g0)
+    g = _differential_grammars()["recurring-start"]
+    (a,) = g.rules_of("A")
+    s = next(r for r in g.rules_of("S") if not r.is_text)
+    assert step_transition([a], Axis.ANCESTOR, NodeAny(), g) == {s, a}
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,16 @@ from xmlprojector.pruner import (
     prune_tree_with_origin,
 )
 
-from conftest import D0_XML, DEEP_DTD, G0_DTD, MIXED_DTD, RECURSIVE_DTD, XMARK_DTD
+from conftest import (
+    D0_XML,
+    DEEP_DTD,
+    G0_DTD,
+    MIXED_DTD,
+    RECURSIVE_DTD,
+    XMARK_DTD,
+    write_deep_doc,
+    write_xmark_doc,
+)
 from test_grammar import _differential_cases, _differential_inputs
 
 
@@ -258,6 +267,46 @@ def test_tree_stats_equal_stream_stats(g0, xmark_grammar, recursive_grammar, mix
                 prune_tree(parse_xml(xml), pi, stats=via_tree)
                 prune_file(xml, pi, lambda _: None, stats=via_file)
                 assert via_tree == via_file, (xml, pi)
+
+
+def _dropped_text_cases(tmp_path, xmark_grammar, deep_grammar, mixed_grammar):
+    """(projector, document) pairs where dropped subtrees hold text."""
+    write_xmark_doc(tmp_path / "x.xml", 20_000)
+    xmark = (tmp_path / "x.xml").read_bytes()
+    write_deep_doc(tmp_path / "d.xml", 20_000)
+    deep = (tmp_path / "d.xml").read_bytes()
+    mixed = [xml.encode() for xml in _WHITESPACE_DOCS]
+    mixed += [
+        serialize(generate_document(mixed_grammar, GenConfig(seed=s, max_depth=6))).encode()
+        for s in range(4)
+    ]
+    for g, docs, queries in (
+        (xmark_grammar, [xmark], ["//person/name", "/site/regions//item/name"]),
+        (deep_grammar, [deep], ["//sec/meta", "//par[line/word]/line"]),
+        (mixed_grammar, mixed, ["//title", "//em", "//para/code"]),
+    ):
+        for text in queries:
+            pi = infer_projector([_ell(text)], g)
+            for data in docs:
+                yield pi, data
+
+
+def test_stream_without_stats_gives_identical_output(
+    tmp_path, xmark_grammar, deep_grammar, mixed_grammar
+):
+    dropped_text = 0
+    for pi, data in _dropped_text_cases(tmp_path, xmark_grammar, deep_grammar, mixed_grammar):
+        for step in (len(data), 7):
+            counted: list[str] = []
+            stats = PruneStats()
+            prune_file(_Trickle(data, step), pi, counted.append, stats=stats)
+            plain: list[str] = []
+            prune_file(_Trickle(data, step), pi, plain.append)
+            assert "".join(plain) == "".join(counted), (pi.kept, data[:60])
+        dropped_text += stats.text_bytes_in - stats.text_bytes_out
+        events = list(iter_events(data.decode("utf-8")))
+        assert serialize_events(prune_stream(events, pi)) == "".join(counted)
+    assert dropped_text > 0
 
 
 def test_whitespace_text_answer_survives_both_pruners(mixed_grammar):
