@@ -24,24 +24,24 @@ tables (``sorted_rules``, ``child_names``, ``children``, ``text_children``,
 both read the tag tables (``tags``).  The top-down validator and the
 in-memory pruner's one-pass copy read each rule's step plan (``plan``:
 its automaton rows, text name and tag table), compiled once per rule.
-Inference reads rule masks (ints, bit i for the i-th sorted rule): each
-rule's reachability down and up (``below``, ``above``) as one mask each,
-computed once per rule, and the node-test masks (``tag_mask``,
-``element_mask``, ``text_mask``).  None of them walks content regexes or
-scans the rule set per step.
+Inference reads key masks (ints, bit i for the i-th sorted rule, one bit
+more for the document node): one-step and reachability masks down and up
+(``child_mask``, ``parent_mask``, ``below``, ``above``), with each key's
+closure computed once, and the node-test masks (``tag_mask``,
+``element_mask``, ``text_mask``); ``mask_bits`` and ``rules_in`` take
+masks apart.  None of them walks content regexes or scans the rule set
+per step.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import compress
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .doc import Document, Element, Node, TextNode, node_path
 
 _NAME_RE = re.compile(r"[A-Za-z_:][\w.\-:]*\Z")
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 class GrammarError(ValueError):
@@ -427,15 +427,15 @@ class Grammar:
         self._plans[rule] = plan
         return plan
 
-    # Rule masks: bit i of a mask stands for the i-th rule of sorted_rules().
-    # Reachability is cached per rule as one mask each way, so inference
-    # runs no fixpoint per step and intersects node tests with one AND.
+    # Key masks: bit i of a mask stands for the i-th rule of sorted_rules()
+    # and bit len(sorted_rules()), ``bit(None)``, for the document node.
+    # Reachability is cached per key as one mask each way, so inference runs
+    # no fixpoint per step and intersects node tests with one AND.
 
     def _index_masks(self) -> dict[Rule | None, int]:
-        """Fill the rule index, the one-step masks and the node-test masks,
-        once, and return the index.  Position ``len(sorted_rules())`` stands
-        for the document node (None), whose one child step reaches the
-        start rules."""
+        """Fill the key index, the one-step masks and the node-test masks,
+        once, and return the index.  The document node's one child step
+        reaches the start rules; it has no parent."""
         rules = self._sorted
         n = len(rules)
         index: dict[Rule | None, int] = {rule: i for i, rule in enumerate(rules)}
@@ -472,45 +472,49 @@ class Grammar:
         self._index = index
         return index
 
+    def bit(self, key: Rule | None) -> int:
+        """The mask holding just the key (None: the document node)."""
+        return 1 << (self._index or self._index_masks())[key]
+
     def rules_in(self, mask: int) -> list[Rule]:
-        """The rules a mask holds, in sort order."""
-        if mask.bit_count() > 8:
-            # the binary digits, lowest first, as 0/1 bytes select the rules
-            return list(compress(self._sorted, f"{mask:b}"[::-1].encode().translate(_BIT_BYTES)))
-        rules, out = self._sorted, []
-        while mask:
-            low = mask & -mask
-            out.append(rules[low.bit_length() - 1])
-            mask ^= low
-        return out
+        """The rules a mask holds, in sort order; the document node's bit
+        is left out."""
+        rules = self._sorted
+        return [rules[bit.bit_length() - 1] for bit in mask_bits(mask & ~self.bit(None))]
 
-    def bit(self, rule: Rule) -> int:
-        """The mask holding just the rule."""
-        return 1 << (self._index or self._index_masks())[rule]
+    # The four steps below take one key, as its one-bit mask.
 
-    def child_mask(self, rule: Rule | None) -> int:
-        """``children(rule)`` as a mask; for None (the document node), the
-        start rules."""
-        return self._down[(self._index or self._index_masks())[rule]]
+    def child_mask(self, bit: int) -> int:
+        """The keys one child step below the key."""
+        if self._index is None:
+            self._index_masks()
+        return self._down[bit.bit_length() - 1]
 
-    def parent_mask(self, rule: Rule) -> int:
-        """``parents(rule)`` as a mask."""
-        return self._up[(self._index or self._index_masks())[rule]]
+    def parent_mask(self, bit: int) -> int:
+        """The rules one parent step above the key, whether the start names
+        reach them or not."""
+        if self._index is None:
+            self._index_masks()
+        return self._up[bit.bit_length() - 1]
 
-    def below(self, rule: Rule | None) -> int:
-        """The rules one or more child steps below the rule (None: the
-        document node), whether the start names reach them or not, as a
-        mask.  Cached per rule."""
-        i = (self._index or self._index_masks())[rule]
+    def below(self, bit: int) -> int:
+        """The keys one or more child steps below the key, whether the
+        start names reach them or not; ``below(bit(None))`` is every rule
+        they reach.  Cached per key."""
+        if self._index is None:
+            self._index_masks()
+        i = bit.bit_length() - 1
         found = self._below[i]
         if found is None:
             found = self._below[i] = _mask_closure(self._down, self._below, self._down[i])
         return found
 
-    def above(self, rule: Rule) -> int:
-        """The rules one or more parent steps above the rule, whether the
-        start names reach them or not, as a mask.  Cached per rule."""
-        i = (self._index or self._index_masks())[rule]
+    def above(self, bit: int) -> int:
+        """The rules one or more parent steps above the key, whether the
+        start names reach them or not.  Cached per key."""
+        if self._index is None:
+            self._index_masks()
+        i = bit.bit_length() - 1
         found = self._above[i]
         if found is None:
             found = self._above[i] = _mask_closure(self._up, self._above, self._up[i])
@@ -887,22 +891,28 @@ def is_streamable(g: Grammar) -> bool:
     return g._streamable
 
 
+def mask_bits(mask: int) -> Iterator[int]:
+    """The one-bit masks a mask is made of, lowest first."""
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        yield bit
+
+
 def _mask_closure(steps: list[int], done: list[int | None], seeds: int) -> int:
     """Least fixpoint over masks: the seeds and everything one or more
-    ``steps`` from them, where ``steps[i]`` is bit i's one-step mask.  A
-    bit whose closure ``done`` already holds is not expanded again."""
+    ``steps`` from them.  A bit whose closure ``done`` already holds is
+    not expanded again."""
     seen = frontier = seeds
     while frontier:
         nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            i = low.bit_length() - 1
+        for bit in mask_bits(frontier):
+            i = bit.bit_length() - 1
             closed = done[i]
             if closed is None:
                 nxt |= steps[i]
             else:
                 seen |= closed
-            frontier ^= low
         frontier = nxt & ~seen
         seen |= frontier
     return seen
@@ -913,7 +923,8 @@ def reachable_rules(g: Grammar, from_rules: Iterable[Rule]) -> frozenset[Rule]:
     reachable element rule."""
     mask = 0
     for rule in from_rules:
-        mask |= g.bit(rule) | g.below(rule)
+        bit = g.bit(rule)
+        mask |= bit | g.below(bit)
     return frozenset(g.rules_in(mask))
 
 

@@ -13,8 +13,8 @@ The fold works on contexts that may also contain the document node,
 represented as ``None`` alongside rules; the document node is the parent
 of the root and the origin of every absolute path.  Contexts and kept sets
 are int masks over the grammar's sorted rules plus one bit for the
-document node, and each axis reads the grammar's cached per-rule masks,
-so the fold decodes rules only for its result.
+document node, and each axis reads the grammar's cached masks, so the
+fold decodes rules only for its result.
 
 After the forward fold, contexts are narrowed backwards: a context rule
 counts only if some chain of steps from it reaches the final results.
@@ -26,7 +26,7 @@ query may observe sibling positions, so every candidate is retained.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .grammar import (
     Grammar,
@@ -34,6 +34,7 @@ from .grammar import (
     Rule,
     _header_lines,
     _parse_grammar_lines,
+    mask_bits,
     parse_rule_text,
     rule_to_text,
 )
@@ -82,29 +83,15 @@ def empty_projector(g: Grammar) -> Projector:
 
 
 # ---------------------------------------------------------------------------
-# Single steps over rule masks
+# Single steps over key masks
 #
-# A set of keys is an int mask: bit i stands for the i-th rule of
-# ``g.sorted_rules()``, and the bit above them, ``doc``, for the document
-# node.  Every axis is a cached per-rule mask of the grammar, and every node
-# test one AND.
+# A set of keys is an int mask in the grammar's layout: one bit per rule,
+# and ``g.bit(None)``, ``doc`` below, for the document node.  Every axis is
+# a cached mask of the grammar, and every node test one AND.
 
 
-def _doc_bit(g: Grammar) -> int:
-    return 1 << len(g.sorted_rules())
-
-
-def _keys(g: Grammar, mask: int, doc: int) -> Iterator[tuple[int, _Key]]:
-    """(bit, key) for each key a mask holds."""
-    rules = g.sorted_rules()
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        yield bit, (None if bit == doc else rules[bit.bit_length() - 1])
-
-
-def _axis_mask(g: Grammar, key: _Key, bit: int, axis: Axis, doc: int) -> int:
-    """The keys one `axis` step from `key`, whose bit is `bit`.
+def _axis_mask(g: Grammar, bit: int, axis: Axis, doc: int) -> int:
+    """The keys one `axis` step from the key whose bit is `bit`.
 
     Upward steps see only the rules the start names reach: a rule nothing
     derives is never anybody's parent.  The document node is the parent of
@@ -113,18 +100,18 @@ def _axis_mask(g: Grammar, key: _Key, bit: int, axis: Axis, doc: int) -> int:
     if axis is Axis.SELF:
         return bit
     if axis is Axis.CHILD:
-        return g.child_mask(key)
+        return g.child_mask(bit)
     if axis is Axis.DESCENDANT:
-        return g.below(key)
+        return g.below(bit)
     if axis is Axis.DESCENDANT_OR_SELF:
-        return bit | g.below(key)
-    if key is None:
+        return bit | g.below(bit)
+    if bit == doc:
         return bit if axis is Axis.ANCESTOR_OR_SELF else 0
-    live, starts = g.below(None), g.child_mask(None)  # the start rules reach `live`
+    live, starts = g.below(doc), g.child_mask(doc)  # the start rules reach `live`
     if axis is Axis.PARENT:
-        up = g.parent_mask(key) & live
+        up = g.parent_mask(bit) & live
         return up | doc if bit & starts else up
-    up = g.above(key) & live
+    up = g.above(bit) & live
     if (bit | up) & starts:
         up |= doc
     if axis is Axis.ANCESTOR:
@@ -134,7 +121,7 @@ def _axis_mask(g: Grammar, key: _Key, bit: int, axis: Axis, doc: int) -> int:
     raise ValueError(f"unknown axis {axis!r}")
 
 
-def _test_mask(g: Grammar, test: NodeTest, doc: int) -> int:
+def _test_mask(g: Grammar, test: NodeTest) -> int:
     """The keys a node test admits; only ``node()`` admits the document."""
     if isinstance(test, TagTest):
         return g.tag_mask(test.tag)
@@ -143,7 +130,7 @@ def _test_mask(g: Grammar, test: NodeTest, doc: int) -> int:
     if isinstance(test, TextTest):
         return g.text_mask()
     if isinstance(test, NodeAny):
-        return doc | (doc - 1)
+        return -1  # every bit set
     raise ValueError(f"unknown node test {test!r}")
 
 
@@ -155,11 +142,11 @@ def step_transition(
     Upward steps are implicitly intersected with the rules reachable from
     the start names; a rule nothing can derive is never anybody's parent.
     """
-    doc = _doc_bit(g)
+    doc = g.bit(None)
     found = 0
     for rule in ctx:
-        found |= _axis_mask(g, rule, g.bit(rule), axis, doc)
-    return frozenset(g.rules_in(found & _test_mask(g, test, doc) & (doc - 1)))
+        found |= _axis_mask(g, g.bit(rule), axis, doc)
+    return frozenset(g.rules_in(found & _test_mask(g, test)))
 
 
 # ---------------------------------------------------------------------------
@@ -180,23 +167,19 @@ def _has_always_true_part(pred: Predicate | None) -> bool:
     return _has_always_true_part(pred.left) or _has_always_true_part(pred.right)
 
 
-def _rules_between(g: Grammar, uppers: int, lowers: int, doc: int) -> int:
-    """Rules lying on some downward chain from `uppers` to `lowers`; the
+def _rules_between(g: Grammar, uppers: int, lowers: int) -> int:
+    """Keys lying on some downward chain from `uppers` to `lowers`; the
     document node routes through the start rules."""
-    bottoms = lowers & (doc - 1)
-    if not uppers or not bottoms:
-        return 0
-    reach = uppers & (doc - 1)
-    for _, key in _keys(g, uppers, doc):
-        reach |= g.below(key)
-    co_reachable = bottoms
-    for rule in g.rules_in(bottoms):
-        co_reachable |= g.above(rule)
+    reach, co_reachable = uppers, lowers
+    for bit in mask_bits(uppers):
+        reach |= g.below(bit)
+    for bit in mask_bits(lowers):
+        co_reachable |= g.above(bit)
     return reach & co_reachable
 
 
 def _fold_path(g: Grammar, steps: Sequence[StepEll], ctx0: int, doc: int) -> tuple[int, int]:
-    """Fold steps over a context; returns (final context, rules to keep).
+    """Fold steps over a context; returns (final context, keys to keep).
 
     The kept set covers the refined navigation skeleton, closure chains and
     predicate evidence.  It is empty whenever the final context is empty:
@@ -205,17 +188,17 @@ def _fold_path(g: Grammar, steps: Sequence[StepEll], ctx0: int, doc: int) -> tup
     records = []
     ctx = ctx0
     for step in steps:
-        test = _test_mask(g, step.test, doc)
+        test = _test_mask(g, step.test)
         edges: list[tuple[int, int]] = []  # (context key, its targets)
         pred_evidence: dict[int, int] = {}
         post = 0
-        for bit, key in _keys(g, ctx, doc):
-            targets = _axis_mask(g, key, bit, step.axis, doc) & test
+        for bit in mask_bits(ctx):
+            targets = _axis_mask(g, bit, step.axis, doc) & test
             edges.append((bit, targets))
             post |= targets
         if step.pred is not None:
             surviving = 0
-            for bit, _ in _keys(g, post, doc):
+            for bit in mask_bits(post):
                 ok, evidence = _pred_sat(g, bit, step.pred, doc)
                 if ok:
                     surviving |= bit
@@ -239,11 +222,11 @@ def _fold_path(g: Grammar, steps: Sequence[StepEll], ctx0: int, doc: int) -> tup
             if targets & needed_post:
                 needed_pre |= bit
         if step.axis in _CLOSURE_DOWN:
-            kept |= _rules_between(g, needed_pre, needed_post, doc)
+            kept |= _rules_between(g, needed_pre, needed_post)
         elif step.axis in _CLOSURE_UP:
-            kept |= _rules_between(g, needed_post, needed_pre, doc)
+            kept |= _rules_between(g, needed_post, needed_pre)
         needed = needed_pre
-    return ctx, (kept | needed) & (doc - 1)
+    return ctx, kept | needed
 
 
 def _pred_sat(g: Grammar, bit: int, pred: Predicate, doc: int) -> tuple[bool, int]:
@@ -260,28 +243,27 @@ def _pred_sat(g: Grammar, bit: int, pred: Predicate, doc: int) -> tuple[bool, in
 def infer_types(q: QueryEll, g: Grammar) -> frozenset[Rule]:
     """Rules that can generate a node selected by the query; empty means
     the query is statically unsatisfiable under this grammar."""
-    doc = _doc_bit(g)
+    doc = g.bit(None)
     out = 0
     for branch in q.branches:
         final, _ = _fold_path(g, branch, doc, doc)
         out |= final
-    return frozenset(g.rules_in(out & (doc - 1)))
+    return frozenset(g.rules_in(out))
 
 
 def infer_projector(qs: Iterable[QueryEll], g: Grammar) -> Projector:
     """Union over queries of navigation skeleton, predicate evidence, and
     the reachable closure of the result rules."""
-    doc = _doc_bit(g)
+    doc = g.bit(None)
     kept = 0
     for q in qs:
         for branch in q.branches:
             final, contribution = _fold_path(g, branch, doc, doc)
-            kept |= contribution
-            for bit, rule in _keys(g, final & (doc - 1), doc):
-                kept |= bit | g.below(rule)
-            if final & doc:
-                # the document node itself is selected: keep everything
-                kept |= g.below(None)
+            kept |= contribution | final
+            for bit in mask_bits(final):
+                # below(doc), every rule the start names reach, when the
+                # document node itself is selected
+                kept |= g.below(bit)
     return Projector(g, frozenset(g.rules_in(kept)))
 
 
