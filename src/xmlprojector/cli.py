@@ -144,13 +144,17 @@ def _read_text(path: str) -> str:
 
 
 def _query_texts(args) -> list[str]:
-    """`--query` values, then the lines of the `--queries` batch file."""
+    """`--query` values, then the lines of the `--queries` batch file; a
+    usage error if there are none.  Every subcommand that takes queries
+    loads them here."""
     texts = list(args.query)
     if args.queries:
         for line in _read_text(args.queries).splitlines():
             line = line.strip()
             if line and not line.startswith("#"):
                 texts.append(line)
+    if not texts:
+        raise QuerySyntaxError("no queries given (use --query or --queries)")
     return texts
 
 
@@ -166,10 +170,7 @@ def _load_projector(args) -> Projector:
     if not args.dtd:
         raise GrammarFormatError("need either --projector or --dtd with queries")
     grammar = parse_dtd(_read_text(args.dtd), root=args.root)
-    queries = _load_queries(args)
-    if not queries:
-        raise QuerySyntaxError("no queries given (use --query or --queries)")
-    return infer_projector(queries, grammar)
+    return infer_projector(_load_queries(args), grammar)
 
 
 def _open_in(path: str) -> IO[bytes]:
@@ -193,24 +194,24 @@ def _close(fh, path: str) -> None:
 
 def _cmd_infer(args) -> int:
     grammar = parse_dtd(_read_text(args.dtd), root=args.root)
+    if args.emit_grammar:
+        text = grammar_to_text(grammar)
+    else:
+        projector = infer_projector(_load_queries(args), grammar)
+        text = projector_to_text(projector)
+    # opened only now, so that a usage error leaves an existing file as it was
     out = _open_out(args.output)
     try:
-        if args.emit_grammar:
-            out.write(grammar_to_text(grammar))
-            return 0
-        queries = _load_queries(args)
-        if not queries:
-            raise QuerySyntaxError("no queries given (use --query/--queries or --emit-grammar)")
-        projector = infer_projector(queries, grammar)
-        out.write(projector_to_text(projector))
+        out.write(text)
+    finally:
+        _close(out, args.output)
+    if not args.emit_grammar:
         print(
             f"kept {len(projector.kept)} of {len(grammar.rules)} rules "
             f"({len(projector.dropped)} dropped)",
             file=sys.stderr,
         )
-        return 0
-    finally:
-        _close(out, args.output)
+    return 0
 
 
 def _cmd_prune(args) -> int:
@@ -263,11 +264,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check(args) -> int:
     grammar = parse_dtd(_read_text(args.dtd), root=args.root)
-    texts = _query_texts(args)
-    if not texts:
-        raise QuerySyntaxError("no queries given (use --query or --queries)")
     cfg = GenConfig(seed=args.seed, max_depth=args.max_depth)
-    report = check_soundness(grammar, texts, args.n, cfg)
+    report = check_soundness(grammar, _query_texts(args), args.n, cfg)
     doc_paths: dict[int, str] = {}
     for i, failure in enumerate(report.failures):
         path = os.path.join(args.dump_dir, f"counterexample_{failure.seed}.xml")

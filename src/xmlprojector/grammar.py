@@ -20,10 +20,15 @@ name the element rules that mention it.  Each rule's child rules, the text
 rules among them and its tag table (the element rule each child tag
 resolves to) are cached on first use.  Inference and validation read these
 tables (``sorted_rules``, ``child_names``, ``children``, ``text_children``,
-``parents``); the streamability check and the streaming pruner's dispatch
-both read the tag tables (``tags``).  The top-down validator and the
-in-memory pruner's one-pass copy read each rule's step plan (``plan``:
-its automaton rows, text name and tag table), compiled once per rule.
+``parents``); only the streamability check and the walk table read the tag
+tables (``tags``).  The walk table (``WalkTable``) is the one compiled
+form the top-down walks on streamable grammars share: the streaming
+pruner's handlers, the in-memory pruner's one-pass copy and the top-down
+validator.  It is built per call for one kept set, with one entry per
+element rule and one for the document node, each made, and each exact
+child tag linked, the first time a walk meets it; an entry's step plan
+(``plan``: its automaton rows and text name, compiled once per rule on
+the grammar) is filled only in the validating walks' tables.
 Inference reads key masks (ints, bit i for the i-th sorted rule, one bit
 more for the document node): one-step and reachability masks down and up
 (``child_mask``, ``parent_mask``, ``below``, ``above``), with each key's
@@ -225,8 +230,9 @@ class Rule:
 
 TagTable = tuple[dict[str, Rule], Rule | None]  # (rule per exact tag, wildcard rule)
 # What a text-neutral element rule's children step, for one-pass walks:
-# (DFA rows, start state, accepting states, text rule, text name, exact
-# tags, wildcard rule); see ``Grammar.plan``.
+# (DFA rows, start state, accepting states, text rule, text name); see
+# ``Grammar.plan``.  Which rule each child tag resolves to is the walk
+# table's business, not the plan's.
 StepPlan = tuple
 
 
@@ -355,9 +361,14 @@ class Grammar:
         gives every other tag.  None when a tag could resolve two ways: a
         name with two element rules, a tag under two names, or a wildcard
         beside another element rule.  Text rules take no part."""
-        if rule not in self._tags:
-            self._tags[rule] = self._resolve(self.start if rule is None else self.child_names(rule))
-        return self._tags[rule]
+        try:
+            return self._tags[rule]
+        except KeyError:
+            pass
+        found = self._tags[rule] = self._resolve(
+            self.start if rule is None else self.child_names(rule)
+        )
+        return found
 
     def _resolve(self, names: Iterable[str]) -> TagTable | None:
         exact: dict[str, Rule] = {}
@@ -409,11 +420,11 @@ class Grammar:
 
     def plan(self, rule: Rule) -> StepPlan | None:
         """What the children of a node the element rule generates step, for
-        the top-down walks on streamable grammars: the automaton's rows
+        the validating walks of ``WalkTable``: the automaton's rows
         (``state -> {name: next state}``), start state and accepting
-        states, the one text rule and its name (None if there is none),
-        and the rule's tag table.  None when the rule is not text-neutral,
-        where one pass cannot decide whitespace.  Cached per rule."""
+        states, and the one text rule and its name (None if there is
+        none).  None when the rule is not text-neutral, where one pass
+        cannot decide whitespace.  Cached per rule."""
         try:
             return self._plans[rule]
         except KeyError:
@@ -423,7 +434,7 @@ class Grammar:
             auto, text = self.automaton(rule), self.text_children(rule)
             text_rule = text[0] if text else None
             plan = (auto._rows, auto.start_state, auto._accepting, text_rule,
-                    text_rule.name if text else None) + self.tags(rule)
+                    text_rule.name if text else None)
         self._plans[rule] = plan
         return plan
 
@@ -658,6 +669,83 @@ def compile_content_model(regex: ContentRegex) -> ContentAutomaton:
 
 
 # ---------------------------------------------------------------------------
+# The walk table: top-down walks over a streamable grammar
+
+
+class WalkEntry:
+    """One element rule's row of a ``WalkTable``, or the document node's
+    (rule and name None).  ``kept``: the rule is in the kept set, or for
+    the document node, the kept set is not empty.  ``text_kept``: the
+    rule's text child is kept.  ``by_tag``: the entries of the child tags
+    met so far, exact tags only.  ``plan``: the rule's step plan in a
+    validating table, None in any other."""
+
+    __slots__ = ("name", "kept", "text_kept", "by_tag", "rule", "plan")
+
+    def __init__(self, name: str | None, rule: Rule | None, kept: bool, text_kept: bool):
+        self.name = name
+        self.kept = kept
+        self.text_kept = text_kept
+        self.by_tag: dict[str, WalkEntry] = {}
+        self.rule = rule
+        self.plan: StepPlan | None = None
+
+
+class WalkTable:
+    """The entries the top-down walks over a streamable grammar read, for
+    one kept set: the streaming pruner's handlers, the in-memory pruner's
+    one-pass copy and ``validate_tree``'s top-down pass.  ``root`` is the
+    document node's entry.
+
+    A walk looks a child up as ``entry.by_tag.get(tag) or
+    table.child(entry, tag)``: a linked tag is one dict hit, and the first
+    meeting makes the child's entry and links the tag.  A wildcard child
+    is never linked per tag, so the table holds at most one entry per
+    element rule and one link per exact tag in the grammar, however many
+    distinct tags a document has.  Nothing is built for rules a document
+    never reaches.  A ``validating`` table, for the walks that step
+    content automata, fills each entry's step plan as it makes the entry
+    (``Grammar.plan``, compiled once per rule); any other compiles no
+    automaton.
+    """
+
+    __slots__ = ("grammar", "kept", "validating", "root", "_entries")
+
+    def __init__(self, g: Grammar, kept: frozenset[Rule] = frozenset(), validating: bool = False):
+        self.grammar = g
+        self.kept = kept
+        self.validating = validating
+        self.root = WalkEntry(None, None, bool(kept), False)
+        # by rule name: on a streamable grammar a name has one element rule
+        self._entries: dict[str, WalkEntry] = {}
+
+    def child(self, parent: WalkEntry, tag: str) -> WalkEntry | None:
+        """The entry of the element rule a child tagged ``tag`` resolves
+        to under ``parent``, linking an exact tag into ``parent.by_tag``.
+        None if the tag resolves to no rule or, in a validating table, to
+        a rule with no step plan, which is not text-neutral: a validating
+        walk gives up on either."""
+        g = self.grammar
+        exact, wild = g.tags(parent.rule)
+        rule = exact.get(tag, wild)
+        if rule is None:
+            return None
+        name = rule.name
+        entry = self._entries.get(name)
+        if entry is None:
+            kept = self.kept
+            text_kept = not kept.isdisjoint(g.text_children(rule))
+            entry = self._entries[name] = WalkEntry(name, rule, rule in kept, text_kept)
+            if self.validating:
+                entry.plan = g.plan(rule)
+        if entry.plan is None and self.validating:
+            return None
+        if wild is None:
+            parent.by_tag[tag] = entry
+        return entry
+
+
+# ---------------------------------------------------------------------------
 # Validation
 
 
@@ -691,16 +779,16 @@ def validate_tree(doc: Document, g: Grammar) -> Interpretation | Invalid:
     text is skippable and then stays unassigned.
 
     On a streamable grammar every child tag resolves to one rule under its
-    parent (``Grammar.tags``), so one pass down the tree decides the
-    document, holding one automaton state per element; text steps the
-    parent's single text name.  Whitespace is consumed as that name when
-    the automaton can step it, which is exact on text-neutral rules
-    (``Grammar.text_neutral``): the state it leads to has the same moves
-    and accepts wherever the skipping state does, so consuming never
-    closes a path that skipping keeps open, and the general algorithm's
-    witness makes the same choice.  A rule that is not text-neutral, or any
-    rejection, sends the document to the general algorithm, which alone
-    writes the Invalid diagnostics.
+    parent (``Grammar.tags``, read through a ``WalkTable``), so one pass
+    down the tree decides the document, holding one automaton state per
+    element; text steps the parent's single text name.  Whitespace is
+    consumed as that name when the automaton can step it, which is exact
+    on text-neutral rules (``Grammar.text_neutral``): the state it leads
+    to has the same moves and accepts wherever the skipping state does, so
+    consuming never closes a path that skipping keeps open, and the
+    general algorithm's witness makes the same choice.  A rule that is not
+    text-neutral, or any rejection, sends the document to the general
+    algorithm, which alone writes the Invalid diagnostics.
     """
     if doc.root is not None and is_streamable(g):
         found = _validate_local(doc, g)
@@ -711,36 +799,37 @@ def validate_tree(doc: Document, g: Grammar) -> Interpretation | Invalid:
 
 def _validate_local(doc: Document, g: Grammar) -> Interpretation | None:
     """The top-down pass of ``validate_tree`` on a streamable grammar, over
-    an explicit stack and in pre-order; None where the document is
-    rejected or reaches a rule that is not text-neutral."""
-    exact, wild = g.tags(None)
-    rule = exact.get(doc.root.tag, wild)
-    if rule is None:
+    the walk table, an explicit stack and in pre-order; None where the
+    document is rejected or reaches a rule that is not text-neutral."""
+    table = WalkTable(g, validating=True)
+    entry = table.child(table.root, doc.root.tag)
+    if entry is None:
         return None
     interpretation: Interpretation = {}
-    down: list[tuple[Node, Rule]] = [(doc.root, rule)]
+    # nodes still to visit, with their rule and, for elements, their entry
+    down: list[tuple[Node, Rule, WalkEntry | None]] = [(doc.root, entry.rule, entry)]
     while down:
-        node, rule = down.pop()
+        node, rule, entry = down.pop()
         interpretation[node.nid] = rule
-        if rule.is_text:
+        if entry is None:
             continue
-        plan = g.plan(rule)
-        if plan is None:
-            return None
-        rows, state, accepting, text_rule, text_name, exact, wild = plan
-        children: list[tuple[Node, Rule]] = []
+        rows, state, accepting, text_rule, text_name = entry.plan
+        by_tag = entry.by_tag
+        children: list[tuple[Node, Rule, WalkEntry | None]] = []
         for child in node.children:
             if isinstance(child, Element):
-                child_rule = exact.get(child.tag, wild)
-                state = rows[state].get(child_rule.name) if child_rule is not None else None
+                child_entry = by_tag.get(child.tag) or table.child(entry, child.tag)
+                if child_entry is None:
+                    return None
+                state = rows[state].get(child_entry.name)
                 if state is None:
                     return None
-                children.append((child, child_rule))
+                children.append((child, child_entry.rule, child_entry))
             elif isinstance(child, TextNode):
                 after = rows[state].get(text_name)
                 if after is not None:
                     state = after
-                    children.append((child, text_rule))
+                    children.append((child, text_rule, None))
                 elif child.content.strip():
                     return None
         if state not in accepting:

@@ -650,8 +650,10 @@ def enumerate_documents(
 
 def require_interpretation(doc: Document, g: Grammar) -> Interpretation:
     """The general validator's witness, or InvalidDocumentError.  Not
-    ``validate_tree``: its fast path reads the same tag tables as the
-    streaming dispatch that ``check_soundness`` compares against."""
+    ``validate_tree``: its top-down pass reads the same walk table
+    (``WalkTable``) as the streaming handlers and the one-pass copy that
+    ``check_soundness`` compares against, so a fault in the table would
+    pass unseen."""
     result = _validate_general(doc, g)
     if isinstance(result, Invalid):
         raise InvalidDocumentError(result)

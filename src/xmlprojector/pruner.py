@@ -7,10 +7,12 @@ document depth rather than document size.  It runs inside the expat
 callbacks (``prune_file``) or over SAX events (``prune_stream``); both
 drive the same handlers.  ``prune_tree`` handles arbitrary regular tree
 grammars.  On streamable grammars it validates and copies in one
-top-down pass, reading each rule's step plan (``Grammar.plan``) and
-building no witness; elsewhere, and wherever that pass gives up, it
-validates first (``validate_tree``) and then erases every node whose
-witnessing rule was dropped.  On streamable grammars both pruners produce
+top-down pass building no witness; elsewhere, and wherever that pass
+gives up, it validates with the general algorithm and then erases every
+node whose witnessing rule was dropped.  The handlers and the one-pass
+copy, like ``validate_tree``'s top-down pass, read one ``WalkTable``
+built per call, whose entries and tag links are made as the document
+first meets them.  On streamable grammars both pruners produce
 byte-identical serializations of valid documents.
 """
 
@@ -36,7 +38,14 @@ from .doc import (
     feed,
     new_parser,
 )
-from .grammar import Interpretation, Invalid, Rule, is_streamable, validate_tree
+from .grammar import (
+    Interpretation,
+    Invalid,
+    WalkEntry,
+    WalkTable,
+    _validate_general,
+    is_streamable,
+)
 from .inference import Projector
 
 
@@ -90,29 +99,6 @@ class PruneStats:
 # Streaming pruner
 
 
-# Dispatch entry per element rule: [kept, text under it emitted, exact tag
-# table, wildcard fallback].  Every entry is created first and linked to
-# its children's entries afterwards, from the grammar's tag tables, so
-# recursive grammars need no recursion; lookups are two dict hits per
-# element on the hot path.
-_Entry = list
-
-
-def _build_dispatch(p: Projector) -> tuple[dict[str, _Entry], _Entry | None]:
-    g = p.grammar
-    entries: dict[Rule, _Entry] = {
-        rule: [rule in p.kept, any(t in p.kept for t in g.text_children(rule)), {}, None]
-        for rule in g.sorted_rules()
-        if not rule.is_text
-    }
-    for rule, entry in entries.items():
-        exact, wild = g.tags(rule)
-        entry[2].update((tag, entries[child]) for tag, child in exact.items())
-        entry[3] = entries.get(wild)
-    exact, wild = g.tags(None)
-    return {tag: entries[rule] for tag, rule in exact.items()}, entries.get(wild)
-
-
 class _Slots:
     """The five expat handler slots, for driving the pruner from events."""
 
@@ -130,23 +116,29 @@ def _install(
     """Bind the pruning state machine to ``target``'s handler slots.
 
     ``target`` is an expat parser or a ``_Slots``.  Kept items go to ``out``
-    through ``render``.  On entering a dropped subtree the handlers are
-    swapped for ones that only count, and comments and PIs go unhandled,
-    until the subtree closes; text there is counted only when ``stats`` is
-    given, and goes unhandled otherwise.  Returns the function that adds
-    the run's counters to ``stats``.
+    through ``render``.  Each start tag is resolved through the walk table
+    from the innermost kept frame, whose entry says whether the element,
+    and text under it, is kept; the table is not a validating one, so no
+    automaton is compiled.  On entering a dropped subtree the handlers
+    are swapped for ones that only count, and comments and PIs go
+    unhandled, until the subtree closes; text there is counted only when
+    ``stats`` is given, and goes unhandled otherwise.  Returns the function
+    that adds the run's counters to ``stats``.
     """
     if policy not in ("strict", "drop"):
         raise ValueError(f"unknown policy {policy!r}")
     if not is_streamable(p.grammar):
         raise NotStreamableError("grammar is not top-down deterministic; use prune_tree")
-    root_exact, root_wild = _build_dispatch(p)
-    emit_doc_level = bool(p.kept)
+    table = WalkTable(p.grammar, p.kept)
+    child = table.child
     strict = policy == "strict"
     render_start, render_end, render_text, render_comment, render_pi = render
     append = out.append
-    stack: list[_Entry] = []  # kept frames only
-    tags: list[str] = []  # their tags: the input path, for diagnostics
+    # The document node's entry, then the kept frames only.  The document
+    # node's entry is kept unless the projector is empty, and its text is
+    # not: what comments, PIs and text outside the root need.
+    stack: list[WalkEntry] = [table.root]
+    tags: list[str] = []  # the kept frames' tags: the input path, for diagnostics
     depth = resume = max_depth = 0  # resume: the depth a dropped subtree hangs from
     elements_in = elements_out = text_in = text_out = 0
 
@@ -156,12 +148,9 @@ def _install(
         depth += 1
         if depth > max_depth:
             max_depth = depth
-        if stack:
-            top = stack[-1]
-            entry = top[2].get(tag, top[3])
-        else:
-            entry = root_exact.get(tag, root_wild)
-        if entry is not None and entry[0]:
+        top = stack[-1]
+        entry = top.by_tag.get(tag) or child(top, tag)
+        if entry is not None and entry.kept:
             elements_out += 1
             stack.append(entry)
             tags.append(tag)
@@ -186,16 +175,16 @@ def _install(
         nonlocal text_in, text_out
         size = len(data) if data.isascii() else len(data.encode("utf-8"))
         text_in += size
-        if stack and stack[-1][1]:
+        if stack[-1].text_kept:
             text_out += size
             append(render_text(data))
 
     def comment(data):
-        if stack or emit_doc_level:
+        if stack[-1].kept:
             append(render_comment(data))
 
     def instruction(pi_target, data):
-        if stack or emit_doc_level:
+        if stack[-1].kept:
             append(render_pi(pi_target, data))
 
     def skip_start(tag, attrs):
@@ -353,20 +342,22 @@ def prune_tree_with_origin(
     interpretation, a streamable grammar is validated and copied in one
     top-down pass that builds no witness; a grammar that is not
     streamable, an empty document, a rule that is not text-neutral or a
-    rejection takes the other path: ``validate_tree``, whose general
-    algorithm writes the InvalidDocumentError diagnostics, then the copy
-    by witness.  A precomputed interpretation may be supplied to amortize
-    validation across many projectors of the same grammar; it is copied
-    by witness.  Both copies run over an explicit stack, so nesting depth
-    is unbounded, and give each clone the next pre-order id as they make
-    it.
+    rejection takes the other path: the general validation algorithm,
+    which writes the InvalidDocumentError diagnostics, then the copy by
+    witness.  ``validate_tree``'s own top-down pass reads the same walk
+    table as the one-pass copy, so it would give up on exactly these
+    documents and is not run again.  A precomputed interpretation may be
+    supplied to amortize validation across many projectors of the same
+    grammar; it is copied by witness.  Both copies run over an explicit
+    stack, so nesting depth is unbounded, and give each clone the next
+    pre-order id as they make it.
     """
     if interpretation is None:
         if doc.root is not None and is_streamable(p.grammar):
             copied = _prune_local(doc, p)
             if copied is not None:
                 return copied
-        result = validate_tree(doc, p.grammar)
+        result = _validate_general(doc, p.grammar)
         if isinstance(result, Invalid):
             raise InvalidDocumentError(result)
         interpretation = result
@@ -404,32 +395,14 @@ def prune_tree_with_origin(
 
 def _prune_local(doc: Document, p: Projector) -> tuple[Document, dict[int, int]] | None:
     """``prune_tree_with_origin`` on a streamable grammar and a document
-    with a root: the top-down pass of ``validate_tree`` (each child's rule
-    from its parent's tag table, one automaton step per child, an
-    accepting state after the last), copying kept nodes as it goes.  None
-    where that pass gives up: a rejection, or a rule that is not
-    text-neutral."""
-    g, kept = p.grammar, p.kept
-    # Per element rule met: [name, kept, text under it kept, the rule's
-    # step plan, {child tag: child entry}].  Built on first use, so the
-    # rules are hashed once per call, not once per node.
-    entries: dict[Rule, list] = {}
-
-    def entry(rule: Rule | None) -> list | None:
-        if rule is None:
-            return None
-        found = entries.get(rule)
-        if found is None:
-            plan = g.plan(rule)
-            if plan is None:
-                return None
-            text_rule = plan[3]
-            found = entries[rule] = [rule.name, rule in kept, text_rule in kept, plan, {}]
-        return found
-
+    with a root: the top-down pass of ``validate_tree`` over the same walk
+    table (each child's entry from its parent's, one automaton step per
+    child, an accepting state after the last), copying kept nodes as it
+    goes.  None where that pass gives up: a rejection, or a rule that is
+    not text-neutral."""
+    table = WalkTable(p.grammar, p.kept, validating=True)
     root = doc.root
-    exact, wild = g.tags(None)
-    top = entry(exact.get(root.tag, wild))
+    top = table.child(table.root, root.tag)
     if top is None:
         return None
     pruned = Document()
@@ -439,15 +412,15 @@ def _prune_local(doc: Document, p: Projector) -> tuple[Document, dict[int, int]]
     # (None below a dropped element, which is validated but not copied).
     # A node with no entry is text, a comment or a PI to copy.  They pop
     # in pre-order, so each clone takes the next id as it is made.
-    work: list[tuple[Node, list | None, Element | Document | None]] = []
+    work: list[tuple[Node, WalkEntry | None, Element | Document | None]] = []
     for child in reversed(doc.children):
         if child is root:
             work.append((root, top, pruned))
-        elif kept and isinstance(child, (CommentNode, PINode)):
+        elif table.root.kept and isinstance(child, (CommentNode, PINode)):
             work.append((child, None, pruned))
     while work:
-        node, found, parent = work.pop()
-        if found is None:
+        node, entry, parent = work.pop()
+        if entry is None:
             nid += 1
             kind = type(node)
             if kind is TextNode:
@@ -462,27 +435,24 @@ def _prune_local(doc: Document, p: Projector) -> tuple[Document, dict[int, int]]
             parent.children.append(clone)
             continue
         clone = None
-        if parent is not None and found[1]:
+        if parent is not None and entry.kept:
             nid += 1
             clone = Element(node.tag, node.attributes)
             clone.nid = nid
             clone.parent = parent
             parent.children.append(clone)
             origin[nid] = node.nid
-        copy_text = clone is not None and found[2]
-        rows, state, accepting, _, text_name, exact, wild = found[3]
-        by_tag = found[4]
-        children: list[tuple[Node, list | None, Element | None]] = []
+        copy_text = clone is not None and entry.text_kept
+        rows, state, accepting, _, text_name = entry.plan
+        by_tag = entry.by_tag
+        children: list[tuple[Node, WalkEntry | None, Element | None]] = []
         for child in node.children:
             kind = type(child)
             if kind is Element:
-                child_entry = by_tag.get(child.tag)
+                child_entry = by_tag.get(child.tag) or table.child(entry, child.tag)
                 if child_entry is None:
-                    child_entry = entry(exact.get(child.tag, wild))
-                    if child_entry is None:
-                        return None
-                    by_tag[child.tag] = child_entry
-                state = rows[state].get(child_entry[0])
+                    return None
+                state = rows[state].get(child_entry.name)
                 if state is None:
                     return None
                 children.append((child, child_entry, clone))

@@ -164,6 +164,28 @@ def test_usage_errors_exit_2(g0_dtd, tmp_path, capsys):
     assert run(["prune", "--projector", str(tmp_path / "missing.proj")]) == 2
 
 
+def test_no_queries_is_one_usage_error(g0_dtd, d0_xml, tmp_path, capsys):
+    # every subcommand that takes queries loads them on one path, an empty
+    # batch file included; a failed `infer` leaves its output file alone
+    empty = tmp_path / "empty.queries"
+    empty.write_text("# nothing here\n\n")
+    proj = tmp_path / "p.proj"
+    proj.write_text("kept\n")
+    for argv in (
+        ["infer", "--dtd", g0_dtd],
+        ["infer", "--dtd", g0_dtd, "-o", str(proj)],
+        ["prune", "--dtd", g0_dtd, "-i", d0_xml],
+        ["check", "--dtd", g0_dtd, "--n", "1", "--dump-dir", str(tmp_path)],
+        ["check", "--dtd", g0_dtd, "--queries", str(empty), "--dump-dir", str(tmp_path)],
+    ):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no queries given (use --query or --queries)\n", argv
+    assert run(["infer", "--dtd", g0_dtd, "--query", "/doc[", "-o", str(proj)]) == 2
+    assert proj.read_text() == "kept\n"
+
+
 def test_malformed_xml_exits_2(g0_dtd, tmp_path, capsys):
     # the in-memory paths: validate, and prune with a non-streamable projector
     proj = tmp_path / "fa.proj"

@@ -3,6 +3,7 @@ from xml.sax.saxutils import escape, quoteattr
 
 import pytest
 
+from xmlprojector import pruner
 from xmlprojector import (
     GenConfig,
     Invalid,
@@ -13,6 +14,7 @@ from xmlprojector import (
     generate_document,
     identity_projector,
     infer_projector,
+    is_streamable,
     parse_dtd,
     parse_query,
     parse_xml,
@@ -35,13 +37,24 @@ from xmlprojector.doc import (
     iter_events,
     subtree_text,
 )
-from xmlprojector.grammar import EPSILON, Atom, Grammar, Rule, Star, _validate_general, alt
+from xmlprojector.grammar import (
+    EPSILON,
+    Atom,
+    Grammar,
+    Rule,
+    Star,
+    WalkTable,
+    _validate_general,
+    _validate_local,
+    alt,
+)
 from xmlprojector.oracle import eval_full, results_match
 from xmlprojector.pruner import (
     InvalidDocumentError,
     NotStreamableError,
     PruneStats,
     UnresolvableTagError,
+    _prune_local,
     prune_file,
     prune_stream,
     prune_tree,
@@ -58,6 +71,8 @@ from conftest import (
     write_deep_doc,
     write_xmark_doc,
 )
+from test_acceptance import XMARK_QUERIES
+from test_golden import _validation_cases
 from test_grammar import _differential_cases, _differential_inputs
 
 
@@ -180,6 +195,46 @@ def test_stream_requires_streamable_grammar():
 def test_stream_rejects_unknown_policy(g0):
     with pytest.raises(ValueError):
         list(prune_stream(iter_events(D0_XML), identity_projector(g0), policy="maybe"))
+
+
+def test_stream_compiles_nothing_it_does_not_use(tmp_path):
+    # A grammar of its own: other tests fill the session grammar's caches.
+    # The handlers resolve tags through the walk table and never ask for a
+    # step plan, so no content automaton is compiled.
+    g = parse_dtd(XMARK_DTD)
+    pi = infer_projector([_ell(q) for q in XMARK_QUERIES[:8]], g)
+    path = tmp_path / "xmark.xml"
+    write_xmark_doc(path, 40_000)
+    out: list[str] = []
+    with open(path, "rb") as fh:
+        prune_file(fh, pi, out.append)
+    assert "<person" in "".join(out)
+    assert g._automata == {} and g._plans == {}
+
+
+def test_wildcard_children_are_never_linked_per_tag(monkeypatch):
+    # any_grammar's one element rule takes every tag through its wildcard:
+    # 1 000 distinct tags leave its walk table at one entry and no links
+    g = any_grammar()
+    pi = identity_projector(g)
+    xml = "<r>" + "".join(f"<t{i}>x{i}<t{999 - i}/></t{i}>" for i in range(1000)) + "<!--c--></r>"
+    tables: list[WalkTable] = []
+
+    def table(*args, **kwargs):
+        tables.append(WalkTable(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(pruner, "WalkTable", table)
+    streamed: list[str] = []
+    prune_file(xml, pi, streamed.append)
+    expected = "<r>" + "".join(f"<t{i}>x{i}<t{999 - i}></t{999 - i}></t{i}>" for i in range(1000))
+    expected += "<!--c--></r>"
+    assert "".join(streamed) == _stream(xml, pi) == serialize(prune_tree(parse_xml(xml), pi))
+    assert "".join(streamed) == expected
+    assert len(tables) == 3  # prune_file, prune_stream, prune_tree's one-pass copy
+    for t in tables:
+        assert [e.rule for e in t._entries.values()] == [g.sorted_rules()[1]]
+        assert t.root.by_tag == {} and all(e.by_tag == {} for e in t._entries.values())
 
 
 # ---------------------------------------------------------------------------
@@ -644,3 +699,24 @@ def test_one_pass_copy_matches_witness_copy(case):
             assert got_origin == want_origin
             outcomes.add("copied")
     assert outcomes == {"invalid", "copied"}
+
+
+def test_one_pass_copy_gives_up_where_top_down_validation_does():
+    # Both passes read one walk table, so under the identity projector the
+    # copy gives up on exactly the documents validate_tree's top-down pass
+    # does; prune_tree_with_origin then goes straight to the general
+    # algorithm.
+    inputs = [(g, [parse_xml(xml) for xml in docs]) for g, docs in _validation_cases().values()]
+    inputs += [_differential_inputs(case) for case in sorted(_differential_cases())]
+    gave_up = set()
+    for g, docs in inputs:
+        if not is_streamable(g):
+            continue
+        pi = identity_projector(g)
+        for doc in docs:
+            if doc.root is None:
+                continue
+            local = _validate_local(doc, g) is None
+            assert (_prune_local(doc, pi) is None) == local, serialize(doc)
+            gave_up.add(local)
+    assert gave_up == {True, False}
