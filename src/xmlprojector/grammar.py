@@ -15,27 +15,28 @@ possible, rule reachability, and the line-oriented text format used by
 grammar and projector files.
 
 ``Grammar`` also owns the rule index, built once at construction: the
-rules in sort order, the names each rule's content mentions, and for each
-name the element rules that mention it.  Each rule's child rules, the text
-rules among them and its tag table (the element rule each child tag
-resolves to) are cached on first use.  Inference and validation read these
-tables (``sorted_rules``, ``child_names``, ``children``, ``text_children``,
-``parents``); only the streamability check and the walk table read the tag
-tables (``tags``).  The walk table (``WalkTable``) is the one compiled
-form the top-down walks on streamable grammars share: the streaming
-pruner's handlers, the in-memory pruner's one-pass copy and the top-down
-validator.  It is built per call for one kept set, with one entry per
-element rule and one for the document node, each made, and each exact
-child tag linked, the first time a walk meets it; an entry's step plan
-(``plan``: its automaton rows and text name, compiled once per rule on
-the grammar) is filled only in the validating walks' tables.
-Inference reads key masks (ints, bit i for the i-th sorted rule, one bit
-more for the document node): one-step and reachability masks down and up
-(``child_mask``, ``parent_mask``, ``below``, ``above``), with each key's
-closure computed once, and the node-test masks (``tag_mask``,
-``element_mask``, ``text_mask``); ``mask_bits`` and ``rules_in`` take
-masks apart.  None of them walks content regexes or scans the rule set
-per step.
+rules in sort order, each name's rules and the names each rule's content
+mentions (``sorted_rules``, ``rules_of``, ``child_names``); each rule's
+child rules and the text rules among them (``children``,
+``text_children``) are cached on first use.  Every other question about
+the grammar's structure is answered on key masks (ints, bit i for the
+i-th sorted rule, one bit more for the document node): one-step and
+reachability masks down and up (``child_mask``, ``parent_mask``,
+``below``, ``above``), with each key's closure computed once, and the
+node-test masks (``tag_mask``, ``element_mask``, ``text_mask``);
+``mask_bits`` and ``rules_in`` take masks apart.  Inference reads them,
+and so do the streamability check and the walk table, which resolve a
+child tag under a rule as one AND of its child mask and the tag's mask.
+None of them walks content regexes or scans the rule set per step.
+
+The walk table (``WalkTable``) is the one compiled form the top-down
+walks on streamable grammars share: the streaming pruner's handlers, the
+in-memory pruner's one-pass copy and the top-down validator.  It is built
+per call for one kept set, with one entry per element rule and one for
+the document node, each made, and each exact child tag linked, the first
+time a walk meets it; an entry's step plan (``plan``: its automaton rows
+and text name, compiled once per rule on the grammar) is filled only in
+the validating walks' tables.
 """
 
 from __future__ import annotations
@@ -228,7 +229,6 @@ class Rule:
         return f"Rule({rule_to_text(self)!r})"
 
 
-TagTable = tuple[dict[str, Rule], Rule | None]  # (rule per exact tag, wildcard rule)
 # What a text-neutral element rule's children step, for one-pass walks:
 # (DFA rows, start state, accepting states, text rule, text name); see
 # ``Grammar.plan``.  Which rule each child tag resolves to is the walk
@@ -253,8 +253,6 @@ class Grammar:
         "_child_names",
         "_children",
         "_text_children",
-        "_tags",
-        "_parents",
         "_automata",
         "_index",
         "_down",
@@ -281,22 +279,17 @@ class Grammar:
             raise GrammarError("grammar needs at least one start name")
         self._sorted: tuple[Rule, ...] = tuple(sorted(self.rules, key=Rule.sort_key))
         by_name: dict[str, list[Rule]] = {}
-        parents: dict[str, list[Rule]] = {}
         self._child_names: dict[Rule, tuple[str, ...]] = {}
         for rule in self._sorted:
             by_name.setdefault(rule.name, []).append(rule)
             if not rule.is_text:
-                names = self._child_names[rule] = tuple(names_in(rule.content))
-                for name in names:
-                    parents.setdefault(name, []).append(rule)
+                self._child_names[rule] = tuple(names_in(rule.content))
         self._by_name: dict[str, tuple[Rule, ...]] = {n: tuple(rs) for n, rs in by_name.items()}
-        self._parents: dict[str, tuple[Rule, ...]] = {n: tuple(rs) for n, rs in parents.items()}
-        missing = (self.start | self._parents.keys()) - self._by_name.keys()
+        missing = self.start.union(*self._child_names.values()) - self._by_name.keys()
         if missing:
             raise GrammarError("names without rules: " + ", ".join(sorted(missing)))
         self._children: dict[Rule, tuple[Rule, ...]] = {}
         self._text_children: dict[Rule, tuple[Rule, ...]] = {}
-        self._tags: dict[Rule | None, TagTable | None] = {}
         self._automata: dict[Rule, ContentAutomaton] = {}
         # reachability masks, filled on first use by ``_index_masks``
         self._index: dict[Rule | None, int] | None = None
@@ -353,47 +346,6 @@ class Grammar:
             found = tuple(r for r in self.children(rule) if r.is_text)
             self._text_children[rule] = found
         return found
-
-    def tags(self, rule: Rule | None) -> TagTable | None:
-        """The element rule each child tag resolves to under ``rule`` (None:
-        the document node, whose children are the start names), as
-        ``(exact, wildcard)``: a rule per tag, and the rule a ``_`` label
-        gives every other tag.  None when a tag could resolve two ways: a
-        name with two element rules, a tag under two names, or a wildcard
-        beside another element rule.  Text rules take no part."""
-        try:
-            return self._tags[rule]
-        except KeyError:
-            pass
-        found = self._tags[rule] = self._resolve(
-            self.start if rule is None else self.child_names(rule)
-        )
-        return found
-
-    def _resolve(self, names: Iterable[str]) -> TagTable | None:
-        exact: dict[str, Rule] = {}
-        wild: Rule | None = None
-        count = 0  # element rules met
-        for name in names:
-            first = count
-            for rule in self._by_name[name]:
-                if rule.is_text:
-                    continue
-                count += 1
-                if rule.label.is_wildcard:
-                    wild = rule
-                else:
-                    exact[rule.label.tag] = rule
-            if count - first > 1:
-                return None  # one name, two element rules
-        if count != (1 if wild is not None else len(exact)):
-            return None  # a repeated tag, or a wildcard beside another rule
-        return exact, wild
-
-    def parents(self, rule: Rule) -> tuple[Rule, ...]:
-        """Element rules whose content mentions the rule's name, whether or
-        not the start names reach them."""
-        return self._parents.get(rule.name, ())
 
     def automaton(self, rule: Rule) -> "ContentAutomaton":
         """Cached content-model automaton for an element rule."""
@@ -463,20 +415,19 @@ class Grammar:
                 wild |= bit
             else:
                 tags[rule.label.tag] = tags.get(rule.label.tag, 0) | bit
-        parents_of_name: dict[str, int] = {}
-        for name, parents in self._parents.items():
-            mask = 0
-            for rule in parents:
-                mask |= 1 << index[rule]
-            parents_of_name[name] = mask
         down = [0] * (n + 1)
         for i, rule in enumerate(rules):
             for name in self.child_names(rule):
                 down[i] |= of_name[name]
         for name in self.start:
             down[n] |= of_name[name]
-        self._down = down
-        self._up = [parents_of_name.get(rule.name, 0) for rule in rules] + [0]
+        # the transpose of the rules' rows: the document node is nobody's child
+        up = [0] * (n + 1)
+        for i in range(n):
+            bit = 1 << i
+            for child in mask_bits(down[i]):
+                up[child.bit_length() - 1] |= bit
+        self._down, self._up = down, up
         self._below, self._above = [None] * (n + 1), [None] * (n + 1)
         self._tag_masks = {tag: mask | wild for tag, mask in tags.items()}
         self._kind_masks = (wild, ((1 << n) - 1) ^ text, text)
@@ -674,16 +625,17 @@ def compile_content_model(regex: ContentRegex) -> ContentAutomaton:
 
 class WalkEntry:
     """One element rule's row of a ``WalkTable``, or the document node's
-    (rule and name None).  ``kept``: the rule is in the kept set, or for
-    the document node, the kept set is not empty.  ``text_kept``: the
-    rule's text child is kept.  ``by_tag``: the entries of the child tags
-    met so far, exact tags only.  ``plan``: the rule's step plan in a
-    validating table, None in any other."""
+    (rule and name None).  ``bit``: the key's one-bit mask.  ``kept``: the
+    rule is in the kept set, or for the document node, the kept set is not
+    empty.  ``text_kept``: the rule's text child is kept.  ``by_tag``: the
+    entries of the child tags met so far, exact tags only.  ``plan``: the
+    rule's step plan in a validating table, None in any other."""
 
-    __slots__ = ("name", "kept", "text_kept", "by_tag", "rule", "plan")
+    __slots__ = ("name", "bit", "kept", "text_kept", "by_tag", "rule", "plan")
 
-    def __init__(self, name: str | None, rule: Rule | None, kept: bool, text_kept: bool):
+    def __init__(self, name: str | None, rule: Rule | None, bit: int, kept: bool, text_kept: bool):
         self.name = name
+        self.bit = bit
         self.kept = kept
         self.text_kept = text_kept
         self.by_tag: dict[str, WalkEntry] = {}
@@ -695,18 +647,19 @@ class WalkTable:
     """The entries the top-down walks over a streamable grammar read, for
     one kept set: the streaming pruner's handlers, the in-memory pruner's
     one-pass copy and ``validate_tree``'s top-down pass.  ``root`` is the
-    document node's entry.
+    document node's entry.  Only streamable grammars (``is_streamable``)
+    may be walked: there a child tag resolves to at most one rule.
 
     A walk looks a child up as ``entry.by_tag.get(tag) or
     table.child(entry, tag)``: a linked tag is one dict hit, and the first
-    meeting makes the child's entry and links the tag.  A wildcard child
-    is never linked per tag, so the table holds at most one entry per
-    element rule and one link per exact tag in the grammar, however many
-    distinct tags a document has.  Nothing is built for rules a document
-    never reaches.  A ``validating`` table, for the walks that step
-    content automata, fills each entry's step plan as it makes the entry
-    (``Grammar.plan``, compiled once per rule); any other compiles no
-    automaton.
+    meeting resolves the tag on the key masks, makes the child's entry
+    and links the tag.  A wildcard child is never linked per tag, so the
+    table holds at most one entry per element rule and one link per exact
+    tag in the grammar, however many distinct tags a document has.
+    Nothing is built for rules a document never reaches.  A
+    ``validating`` table, for the walks that step content automata, fills
+    each entry's step plan as it makes the entry (``Grammar.plan``,
+    compiled once per rule); any other compiles no automaton.
     """
 
     __slots__ = ("grammar", "kept", "validating", "root", "_entries")
@@ -715,9 +668,8 @@ class WalkTable:
         self.grammar = g
         self.kept = kept
         self.validating = validating
-        self.root = WalkEntry(None, None, bool(kept), False)
-        # by rule name: on a streamable grammar a name has one element rule
-        self._entries: dict[str, WalkEntry] = {}
+        self.root = WalkEntry(None, None, g.bit(None), bool(kept), False)
+        self._entries: dict[int, WalkEntry] = {}  # by the rule's bit
 
     def child(self, parent: WalkEntry, tag: str) -> WalkEntry | None:
         """The entry of the element rule a child tagged ``tag`` resolves
@@ -726,21 +678,27 @@ class WalkTable:
         a rule with no step plan, which is not text-neutral: a validating
         walk gives up on either."""
         g = self.grammar
-        exact, wild = g.tags(parent.rule)
-        rule = exact.get(tag, wild)
-        if rule is None:
+        # child_mask(parent.bit) & tag_mask(tag), with the masks read in
+        # place (the constructor filled them): this runs once per tag a
+        # parent meets, and once per wildcard child.
+        rows, wild = g._down, g._kind_masks[0]
+        found = rows[parent.bit.bit_length() - 1] & g._tag_masks.get(tag, wild)
+        if not found:
             return None
-        name = rule.name
-        entry = self._entries.get(name)
+        entry = self._entries.get(found)
         if entry is None:
-            kept = self.kept
-            text_kept = not kept.isdisjoint(g.text_children(rule))
-            entry = self._entries[name] = WalkEntry(name, rule, rule in kept, text_kept)
+            i = found.bit_length() - 1  # the one bit
+            rules, kept = g._sorted, self.kept
+            rule = rules[i]
+            text = rows[i] & g._kind_masks[2]  # at most one text rule
+            text_kept = bool(text) and rules[text.bit_length() - 1] in kept
+            entry = WalkEntry(rule.name, rule, found, rule in kept, text_kept)
+            self._entries[found] = entry
             if self.validating:
                 entry.plan = g.plan(rule)
         if entry.plan is None and self.validating:
             return None
-        if wild is None:
+        if not found & wild:
             parent.by_tag[tag] = entry
         return entry
 
@@ -778,10 +736,10 @@ def validate_tree(doc: Document, g: Grammar) -> Interpretation | Invalid:
     the first node (pre-order) that cannot be explained.  Whitespace-only
     text is skippable and then stays unassigned.
 
-    On a streamable grammar every child tag resolves to one rule under its
-    parent (``Grammar.tags``, read through a ``WalkTable``), so one pass
-    down the tree decides the document, holding one automaton state per
-    element; text steps the parent's single text name.  Whitespace is
+    On a streamable grammar every child tag resolves to at most one rule
+    under its parent (on the key masks, through a ``WalkTable``), so one
+    pass down the tree decides the document, holding one automaton state
+    per element; text steps the parent's single text name.  Whitespace is
     consumed as that name when the automaton can step it, which is exact
     on text-neutral rules (``Grammar.text_neutral``): the state it leads
     to has the same moves and accepts wherever the skipping state does, so
@@ -964,20 +922,38 @@ def _validate_general(doc: Document, g: Grammar) -> Interpretation | Invalid:
 def is_streamable(g: Grammar) -> bool:
     """True iff name assignment is top-down deterministic.
 
-    Every tag seen while reading must resolve to at most one element rule
-    (``Grammar.tags`` is not None), both under each element rule's content
-    and at the root against the start names, and a rule's content may
-    mention at most one text-capable name.  Every rule is checked, whether
-    or not the start names reach it.  DTD imports always satisfy this;
-    hand-built regular grammars may not.  The verdict is cached on the
-    grammar.
+    Every tag seen while reading must resolve to at most one element rule,
+    both under each element rule's content and at the root against the
+    start names, and a rule's content may mention at most one
+    text-capable name.  Checked on the key masks: for the document node
+    and each element rule, the element rules one child step below it hold
+    a wildcard rule only alone, and otherwise no two of them share a tag
+    or a name; for each element rule, the text rules below it number at
+    most one.  Every rule is checked, whether or not the start names reach
+    it.  DTD imports always satisfy this; hand-built regular grammars may
+    not.  The verdict is cached on the grammar.
     """
     if g._streamable is None:
-        g._streamable = g.tags(None) is not None and all(
-            rule.is_text or (g.tags(rule) is not None and len(g.text_children(rule)) <= 1)
-            for rule in g.sorted_rules()
+        elements, text = g.element_mask(), g.text_mask()
+
+        def one_way(below: int) -> bool:  # a text rule's child mask is empty
+            texts = below & text
+            return texts & (texts - 1) == 0 and _resolves_one_way(g, below & elements)
+
+        g._streamable = _resolves_one_way(g, g.child_mask(g.bit(None)) & elements) and all(
+            one_way(g.child_mask(1 << i)) for i in range(len(g.sorted_rules()))
         )
     return g._streamable
+
+
+def _resolves_one_way(g: Grammar, mask: int) -> bool:
+    """True iff no tag matches two of the element rules in the mask: a
+    wildcard rule stands alone, and no two rules share a tag or a name."""
+    if mask & (mask - 1) == 0:
+        return True
+    rules = g.rules_in(mask)
+    tags = {rule.label.tag for rule in rules}  # a wildcard's tag is None
+    return None not in tags and len(tags) == len({rule.name for rule in rules}) == len(rules)
 
 
 def mask_bits(mask: int) -> Iterator[int]:

@@ -448,9 +448,9 @@ class GenConfig:
 
     def __post_init__(self):
         if self.max_star_repeat < 0:
-            raise ValueError("max_star_repeat must be >= 0")
+            raise OracleError("max_star_repeat must be >= 0")
         if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+            raise OracleError("max_depth must be >= 1")
 
 
 _INF = float("inf")
@@ -789,8 +789,11 @@ def check_soundness(
     serialization, node ids and ``origin``; a mismatch is a failure with
     query ``(prune_file)`` or ``(prune_tree)``.
     The projector defaults to the one inferred for the whole batch; pass
-    one explicitly for fault-injection runs.
+    one explicitly for fault-injection runs.  Raises OracleError unless
+    n >= 1.
     """
+    if n < 1:
+        raise OracleError("n must be >= 1")
     parsed: list[FullQuery] = [q if isinstance(q, FullQuery) else parse_query(q) for q in queries]
     texts = [q if isinstance(q, str) else "<ast>" for q in queries]
     ells = [approximate_to_ell(q) for q in parsed]

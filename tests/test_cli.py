@@ -186,6 +186,24 @@ def test_no_queries_is_one_usage_error(g0_dtd, d0_xml, tmp_path, capsys):
     assert proj.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--max-depth", "0"],
+        ["gen", "--max-star-repeat", "-2"],
+        ["check", "--query", "/doc", "--max-depth", "0"],
+        ["check", "--query", "/doc", "--n", "-1"],
+    ],
+)
+def test_bad_numbers_are_usage_errors(argv, g0_dtd, capsys):
+    code = run(argv + ["--dtd", g0_dtd])
+    captured = capsys.readouterr()
+    assert code == 2, argv
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: "), captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_malformed_xml_exits_2(g0_dtd, tmp_path, capsys):
     # the in-memory paths: validate, and prune with a non-streamable projector
     proj = tmp_path / "fa.proj"

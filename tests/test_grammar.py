@@ -35,6 +35,7 @@ from xmlprojector import (
 from xmlprojector.doc import Document, Element, TextNode, subtree_text
 from xmlprojector.grammar import (
     EPSILON,
+    WalkTable,
     _validate_general,
     alt,
     names_in,
@@ -337,13 +338,77 @@ def test_wildcard_overlap_is_not_streamable():
 
 
 def test_tag_tables(g0):
-    doc, a = (next(r for r in g0.rules if r.name == n and not r.is_text) for n in ("Doc", "A"))
-    assert g0.tags(None) == ({"doc": doc}, None)
-    assert g0.tags(doc) == ({"a": a}, None)
-    assert sorted(g0.tags(a)[0]) == ["b", "c"]
-    x = next(r for r in any_grammar().rules if not r.is_text)
-    assert any_grammar().tags(x) == ({}, x)
-    assert parse_grammar_text("start: A B\nA -> a [ ]\nB -> a [ ]\n").tags(None) is None
+    # each child tag resolves, on the key masks, to the element rule its
+    # parent's content allows, and an exact tag is linked on first meeting
+    doc, a, b, c = (
+        next(r for r in g0.rules if r.name == n and not r.is_text) for n in ("Doc", "A", "B", "C")
+    )
+    table = WalkTable(g0)
+    top = table.child(table.root, "doc")
+    assert top.rule == doc and table.root.by_tag == {"doc": top}
+    assert table.child(table.root, "a") is None
+    under_doc = table.child(top, "a")
+    assert under_doc.rule == a and top.by_tag == {"a": under_doc}
+    assert [table.child(under_doc, t).rule for t in ("b", "c")] == [b, c]
+    assert sorted(under_doc.by_tag) == ["b", "c"]
+    assert table.child(under_doc, "a") is None and table.child(under_doc, "d") is None
+    # a wildcard rule takes every tag and is never linked per tag
+    g = any_grammar()
+    x = next(r for r in g.rules if not r.is_text)
+    table = WalkTable(g)
+    top = table.child(table.root, "anything")
+    assert top.rule == x and table.child(top, "other") is top
+    assert table.root.by_tag == {} and top.by_tag == {}
+    # a tag under two start names resolves two ways: no table may be walked
+    assert not is_streamable(parse_grammar_text("start: A B\nA -> a [ ]\nB -> a [ ]\n"))
+
+
+def _ref_streamable(g: Grammar) -> bool:
+    """Streamability by names: under the start names and each element
+    rule's content, a name has at most one element rule, a wildcard rule
+    stands alone, no two element rules share a tag, and an element rule's
+    content mentions at most one name with a text rule."""
+
+    def one_way(names) -> bool:
+        rules = [r for name in names for r in g.rules_of(name) if not r.is_text]
+        if len({r.name for r in rules}) < len(rules):
+            return False
+        if any(r.label.is_wildcard for r in rules):
+            return len(rules) == 1
+        return len({r.label.tag for r in rules}) == len(rules)
+
+    def text_names(rule) -> int:
+        return sum(any(r.is_text for r in g.rules_of(name)) for name in g.child_names(rule))
+
+    return one_way(g.start) and all(
+        r.is_text or (one_way(g.child_names(r)) and text_names(r) <= 1) for r in g.sorted_rules()
+    )
+
+
+def _random_small_grammar(rng: random.Random) -> Grammar:
+    names = [f"N{i}" for i in range(rng.randint(1, 4))]
+
+    def content():
+        atoms = [Atom(rng.choice(names)) for _ in range(rng.randint(0, 3))]
+        return rng.choice((seq, alt))(*atoms) if rng.random() < 0.7 else Star(alt(*atoms))
+
+    rules = []
+    for name in names:
+        for _ in range(rng.randint(1, 2)):
+            label = rng.choice(("a", "b", "_", None))
+            rules.append(Rule.text(name) if label is None else Rule.element(name, label, content()))
+    return Grammar(rng.sample(names, rng.randint(1, min(2, len(names)))), rules)
+
+
+def test_streamability_matches_name_based_reference():
+    rng = random.Random(12)
+    verdicts = set()
+    for _ in range(4000):
+        g = _random_small_grammar(rng)
+        verdict = is_streamable(g)
+        assert verdict == _ref_streamable(g), grammar_to_text(g)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_two_text_names_in_one_content_not_streamable():

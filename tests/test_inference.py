@@ -141,7 +141,7 @@ def _ref_axis(g, key, axis):
     def parent_of(k):
         if k is None:
             return set()
-        out = {r for r in g.parents(k) if r in live}
+        out = {r for r in g.sorted_rules() if k.name in g.child_names(r) and r in live}
         if k.name in g.start:
             out.add(None)
         return out

@@ -16,8 +16,10 @@ from xmlprojector import (
     infer_projector,
     is_streamable,
     parse_dtd,
+    parse_projector_text,
     parse_query,
     parse_xml,
+    projector_to_text,
     serialize,
     serialize_events,
     tree_events,
@@ -210,6 +212,16 @@ def test_stream_compiles_nothing_it_does_not_use(tmp_path):
         prune_file(fh, pi, out.append)
     assert "<person" in "".join(out)
     assert g._automata == {} and g._plans == {}
+    # A projector loaded from its text, as the CLI loads it, has no closure
+    # that inference cached: the stream reads one-step masks only.
+    loaded = parse_projector_text(projector_to_text(pi))
+    again: list[str] = []
+    with open(path, "rb") as fh:
+        prune_file(fh, loaded, again.append)
+    assert again == out
+    h = loaded.grammar
+    assert h._automata == {} and h._plans == {}
+    assert h._below and all(m is None for m in h._below) and all(m is None for m in h._above)
 
 
 def test_wildcard_children_are_never_linked_per_tag(monkeypatch):
