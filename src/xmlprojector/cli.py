@@ -173,6 +173,13 @@ def _load_projector(args) -> Projector:
     return infer_projector(_load_queries(args), grammar)
 
 
+def _at_least(value: int, flag: str, low: int) -> int:
+    """A numeric flag's value, or a usage error that names the flag."""
+    if value < low:
+        raise OracleError(f"{flag} must be >= {low}")
+    return value
+
+
 def _open_in(path: str) -> IO[bytes]:
     return sys.stdin.buffer if path == "-" else open(path, "rb")
 
@@ -251,7 +258,11 @@ def _cmd_validate(args) -> int:
 
 def _cmd_gen(args) -> int:
     grammar = parse_dtd(_read_text(args.dtd), root=args.root)
-    cfg = GenConfig(seed=args.seed, max_depth=args.max_depth, max_star_repeat=args.max_star_repeat)
+    cfg = GenConfig(
+        seed=args.seed,
+        max_depth=_at_least(args.max_depth, "--max-depth", 1),
+        max_star_repeat=_at_least(args.max_star_repeat, "--max-star-repeat", 0),
+    )
     doc = generate_document(grammar, cfg)
     out = _open_out(args.output)
     try:
@@ -264,8 +275,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check(args) -> int:
     grammar = parse_dtd(_read_text(args.dtd), root=args.root)
-    cfg = GenConfig(seed=args.seed, max_depth=args.max_depth)
-    report = check_soundness(grammar, _query_texts(args), args.n, cfg)
+    cfg = GenConfig(seed=args.seed, max_depth=_at_least(args.max_depth, "--max-depth", 1))
+    report = check_soundness(grammar, _query_texts(args), _at_least(args.n, "--n", 1), cfg)
     doc_paths: dict[int, str] = {}
     for i, failure in enumerate(report.failures):
         path = os.path.join(args.dump_dir, f"counterexample_{failure.seed}.xml")

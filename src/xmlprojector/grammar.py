@@ -16,27 +16,28 @@ grammar and projector files.
 
 ``Grammar`` also owns the rule index, built once at construction: the
 rules in sort order, each name's rules and the names each rule's content
-mentions (``sorted_rules``, ``rules_of``, ``child_names``); each rule's
-child rules and the text rules among them (``children``,
-``text_children``) are cached on first use.  Every other question about
-the grammar's structure is answered on key masks (ints, bit i for the
-i-th sorted rule, one bit more for the document node): one-step and
-reachability masks down and up (``child_mask``, ``parent_mask``,
-``below``, ``above``), with each key's closure computed once, and the
-node-test masks (``tag_mask``, ``element_mask``, ``text_mask``);
-``mask_bits`` and ``rules_in`` take masks apart.  Inference reads them,
-and so do the streamability check and the walk table, which resolve a
-child tag under a rule as one AND of its child mask and the tag's mask.
-None of them walks content regexes or scans the rule set per step.
+mentions (``sorted_rules``, ``rules_of``, ``child_names``).  Every other
+question about the grammar's structure is answered on key masks (ints,
+bit i for the i-th sorted rule, one bit more for the document node):
+one-step and reachability masks down and up (``child_mask``,
+``parent_mask``, ``below``, ``above``), with each key's closure computed
+once, and the node-test masks (``tag_mask``, ``element_mask``,
+``text_mask``); ``mask_bits`` and ``rules_in`` take masks apart.
+Inference reads them, and so do validation, the streamability check and
+the walk table, which resolve a child tag under a rule as one AND of its
+child mask and the tag's mask.  None of them walks content regexes or
+scans the rule set per step.
 
 The walk table (``WalkTable``) is the one compiled form the top-down
-walks on streamable grammars share: the streaming pruner's handlers, the
-in-memory pruner's one-pass copy and the top-down validator.  It is built
-per call for one kept set, with one entry per element rule and one for
-the document node, each made, and each exact child tag linked, the first
-time a walk meets it; an entry's step plan (``plan``: its automaton rows
-and text name, compiled once per rule on the grammar) is filled only in
-the validating walks' tables.
+walks on streamable grammars share.  It is built per call for one kept
+set, with one entry per element rule and one for the document node, each
+made, and each exact child tag linked, the first time a walk meets it;
+an entry's step plan (``plan``: its automaton rows and text name,
+compiled once per rule on the grammar) is filled only in a validating
+table.  Two walks read it: the streaming pruner's handlers, and
+``walk_tree``, the one validating top-down walk, which copies the nodes
+a projector keeps for the in-memory pruner and, with nothing kept,
+types each node for ``validate_tree``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .doc import Document, Element, Node, TextNode, node_path
+from .doc import CommentNode, Document, Element, Node, PINode, TextNode, node_path
 
 _NAME_RE = re.compile(r"[A-Za-z_:][\w.\-:]*\Z")
 
@@ -251,7 +252,6 @@ class Grammar:
         "_sorted",
         "_by_name",
         "_child_names",
-        "_children",
         "_text_children",
         "_automata",
         "_index",
@@ -288,7 +288,6 @@ class Grammar:
         missing = self.start.union(*self._child_names.values()) - self._by_name.keys()
         if missing:
             raise GrammarError("names without rules: " + ", ".join(sorted(missing)))
-        self._children: dict[Rule, tuple[Rule, ...]] = {}
         self._text_children: dict[Rule, tuple[Rule, ...]] = {}
         self._automata: dict[Rule, ContentAutomaton] = {}
         # reachability masks, filled on first use by ``_index_masks``
@@ -330,20 +329,13 @@ class Grammar:
         """Names the rule's content mentions; none for text rules."""
         return self._child_names.get(rule, ())
 
-    def children(self, rule: Rule) -> tuple[Rule, ...]:
-        """Rules that can generate a child of a node the rule generates."""
-        found = self._children.get(rule)
-        if found is None:
-            found = tuple(r for name in self.child_names(rule) for r in self._by_name[name])
-            self._children[rule] = found
-        return found
-
     def text_children(self, rule: Rule) -> tuple[Rule, ...]:
-        """The text rules among ``children(rule)``: one per name in the
-        rule's content that can generate text."""
+        """The text rules one child step below the rule, in sort order:
+        one per name in its content that can generate text.  Cached per
+        rule."""
         found = self._text_children.get(rule)
         if found is None:
-            found = tuple(r for r in self.children(rule) if r.is_text)
+            found = tuple(self.rules_in(self.child_mask(self.bit(rule)) & self.text_mask()))
             self._text_children[rule] = found
         return found
 
@@ -645,10 +637,10 @@ class WalkEntry:
 
 class WalkTable:
     """The entries the top-down walks over a streamable grammar read, for
-    one kept set: the streaming pruner's handlers, the in-memory pruner's
-    one-pass copy and ``validate_tree``'s top-down pass.  ``root`` is the
-    document node's entry.  Only streamable grammars (``is_streamable``)
-    may be walked: there a child tag resolves to at most one rule.
+    one kept set: the streaming pruner's handlers and ``walk_tree``.
+    ``root`` is the document node's entry.  Only streamable grammars
+    (``is_streamable``) may be walked: there a child tag resolves to at
+    most one rule.
 
     A walk looks a child up as ``entry.by_tag.get(tag) or
     table.child(entry, tag)``: a linked tag is one dict hit, and the first
@@ -657,8 +649,8 @@ class WalkTable:
     table holds at most one entry per element rule and one link per exact
     tag in the grammar, however many distinct tags a document has.
     Nothing is built for rules a document never reaches.  A
-    ``validating`` table, for the walks that step content automata, fills
-    each entry's step plan as it makes the entry (``Grammar.plan``,
+    ``validating`` table, for ``walk_tree``, which steps content automata,
+    fills each entry's step plan as it makes the entry (``Grammar.plan``,
     compiled once per rule); any other compiles no automaton.
     """
 
@@ -703,6 +695,105 @@ class WalkTable:
         return entry
 
 
+def walk_tree(
+    doc: Document, table: WalkTable, typed: Interpretation | None = None
+) -> tuple[Document, dict[int, int]] | None:
+    """The one validating top-down walk, over a validating ``WalkTable``
+    on a streamable grammar: each child's entry from its parent's, one
+    automaton step per child, an accepting state after the last; text
+    steps the parent's single text name, whitespace the automaton cannot
+    step is skipped and other text rejects.  Runs over an explicit stack,
+    so nesting depth is unbounded.
+
+    Copies the nodes the table keeps as it reaches them (kept elements,
+    the text of rules whose text is kept, comments and PIs under kept
+    elements) and returns the copy with its origin map (new node id ->
+    old, for elements and text); each clone takes the next pre-order id.
+    With ``typed``, which needs a table that keeps nothing, it also
+    records in ``typed``, in pre-order, the rule of each element and of
+    each text node the automaton steps.  None where the walk gives up: a
+    document without a root, a rejection, or a rule that is not
+    text-neutral."""
+    root = doc.root
+    top = table.child(table.root, root.tag) if root is not None else None
+    if top is None:
+        return None
+    pruned = Document()
+    origin = {0: 0}
+    nid = 0
+    # Nodes still to visit, each with its entry and its parent's clone
+    # (None below a dropped element, which is validated but not copied).
+    # A node with no entry is text, a comment or a PI to copy, or, when
+    # typing, where nothing is copied, text with its rule in place of the
+    # clone.  They pop in pre-order, so each clone takes the next id, and
+    # each typed node its place in ``typed``, as it is reached.
+    work: list[tuple[Node, WalkEntry | None, Element | Document | Rule | None]] = []
+    for child in reversed(doc.children):
+        if child is root:
+            work.append((root, top, pruned))
+        elif table.root.kept and isinstance(child, (CommentNode, PINode)):
+            work.append((child, None, pruned))
+    while work:
+        node, entry, parent = work.pop()
+        if entry is None:
+            if typed is not None:
+                typed[node.nid] = parent
+                continue
+            nid += 1
+            kind = type(node)
+            if kind is TextNode:
+                clone: Node = TextNode(node.content)
+                origin[nid] = node.nid
+            elif kind is CommentNode:
+                clone = CommentNode(node.content)
+            else:
+                clone = PINode(node.target, node.data)
+            clone.nid = nid
+            clone.parent = parent
+            parent.children.append(clone)
+            continue
+        if typed is not None:
+            typed[node.nid] = entry.rule
+        clone = None
+        if parent is not None and entry.kept:
+            nid += 1
+            clone = Element(node.tag, node.attributes)
+            clone.nid = nid
+            clone.parent = parent
+            parent.children.append(clone)
+            origin[nid] = node.nid
+        copy_text = clone is not None and entry.text_kept
+        rows, state, accepting, text_rule, text_name = entry.plan
+        by_tag = entry.by_tag
+        children: list[tuple[Node, WalkEntry | None, Element | Rule | None]] = []
+        for child in node.children:
+            kind = type(child)
+            if kind is Element:
+                child_entry = by_tag.get(child.tag) or table.child(entry, child.tag)
+                if child_entry is None:
+                    return None
+                state = rows[state].get(child_entry.name)
+                if state is None:
+                    return None
+                children.append((child, child_entry, clone))
+            elif kind is TextNode:
+                after = rows[state].get(text_name)
+                if after is not None:
+                    state = after
+                    if copy_text:
+                        children.append((child, None, clone))
+                    elif typed is not None:
+                        children.append((child, None, text_rule))
+                elif child.content.strip():
+                    return None
+            elif clone is not None:
+                children.append((child, None, clone))
+        if state not in accepting:
+            return None
+        work.extend(reversed(children))
+    return pruned, origin
+
+
 # ---------------------------------------------------------------------------
 # Validation
 
@@ -737,63 +828,23 @@ def validate_tree(doc: Document, g: Grammar) -> Interpretation | Invalid:
     text is skippable and then stays unassigned.
 
     On a streamable grammar every child tag resolves to at most one rule
-    under its parent (on the key masks, through a ``WalkTable``), so one
-    pass down the tree decides the document, holding one automaton state
-    per element; text steps the parent's single text name.  Whitespace is
-    consumed as that name when the automaton can step it, which is exact
-    on text-neutral rules (``Grammar.text_neutral``): the state it leads
-    to has the same moves and accepts wherever the skipping state does, so
-    consuming never closes a path that skipping keeps open, and the
-    general algorithm's witness makes the same choice.  A rule that is not
-    text-neutral, or any rejection, sends the document to the general
-    algorithm, which alone writes the Invalid diagnostics.
+    under its parent (on the key masks, through a ``WalkTable``), so
+    ``walk_tree`` decides the document in one pass down the tree, holding
+    one automaton state per element, and types each node as it goes,
+    copying nothing.  Whitespace is consumed as the parent's text name
+    when the automaton can step it, which is exact on text-neutral rules
+    (``Grammar.text_neutral``): the state it leads to has the same moves
+    and accepts wherever the skipping state does, so consuming never
+    closes a path that skipping keeps open, and the general algorithm's
+    witness makes the same choice.  Where the walk gives up, on a rule
+    that is not text-neutral or on any rejection, the general algorithm
+    decides, and it alone writes the Invalid diagnostics.
     """
-    if doc.root is not None and is_streamable(g):
-        found = _validate_local(doc, g)
-        if found is not None:
-            return found
+    if is_streamable(g):
+        typed: Interpretation = {}
+        if walk_tree(doc, WalkTable(g, validating=True), typed) is not None:
+            return typed
     return _validate_general(doc, g)
-
-
-def _validate_local(doc: Document, g: Grammar) -> Interpretation | None:
-    """The top-down pass of ``validate_tree`` on a streamable grammar, over
-    the walk table, an explicit stack and in pre-order; None where the
-    document is rejected or reaches a rule that is not text-neutral."""
-    table = WalkTable(g, validating=True)
-    entry = table.child(table.root, doc.root.tag)
-    if entry is None:
-        return None
-    interpretation: Interpretation = {}
-    # nodes still to visit, with their rule and, for elements, their entry
-    down: list[tuple[Node, Rule, WalkEntry | None]] = [(doc.root, entry.rule, entry)]
-    while down:
-        node, rule, entry = down.pop()
-        interpretation[node.nid] = rule
-        if entry is None:
-            continue
-        rows, state, accepting, text_rule, text_name = entry.plan
-        by_tag = entry.by_tag
-        children: list[tuple[Node, Rule, WalkEntry | None]] = []
-        for child in node.children:
-            if isinstance(child, Element):
-                child_entry = by_tag.get(child.tag) or table.child(entry, child.tag)
-                if child_entry is None:
-                    return None
-                state = rows[state].get(child_entry.name)
-                if state is None:
-                    return None
-                children.append((child, child_entry.rule, child_entry))
-            elif isinstance(child, TextNode):
-                after = rows[state].get(text_name)
-                if after is not None:
-                    state = after
-                    children.append((child, text_rule, None))
-                elif child.content.strip():
-                    return None
-        if state not in accepting:
-            return None
-        down.extend(reversed(children))
-    return interpretation
 
 
 def _validate_general(doc: Document, g: Grammar) -> Interpretation | Invalid:
@@ -817,12 +868,7 @@ def _validate_general(doc: Document, g: Grammar) -> Interpretation | Invalid:
         return Invalid("/", "document has no root element")
 
     order = [n for n in doc.iter_nodes() if isinstance(n, (Element, TextNode))]  # pre-order
-    has_text = any(r.is_text for r in g.sorted_rules())
-    exact: dict[str | None, list[Rule]] = {}  # element rules per label tag, in sort order
-    for r in g.sorted_rules():
-        if not r.is_text:
-            exact.setdefault(r.label.tag, []).append(r)
-    by_tag: dict[str, tuple[Rule, ...]] = {}  # element rules matching a tag, in sort order
+    has_text = bool(g.text_mask())
     possible: dict[int, tuple[Rule, ...]] = {}  # element id -> rules its subtree fits
     names_of: dict[tuple[Rule, ...], tuple[str, ...]] = {}  # names in a tuple of rules
 
@@ -863,10 +909,7 @@ def _validate_general(doc: Document, g: Grammar) -> Interpretation | Invalid:
                 first_bad = node
             continue
         children = _content_children(node)
-        rules = by_tag.get(node.tag)
-        if rules is None:
-            tagged = exact.get(node.tag, []) + exact.get(None, [])
-            rules = by_tag[node.tag] = tuple(sorted(tagged, key=Rule.sort_key))
+        rules = g.rules_in(g.tag_mask(node.tag))  # in sort order
         found = possible[node.nid] = tuple(r for r in rules if forward(children, r) is not None)
         if not found and all(
             (possible[c.nid] if isinstance(c, Element) else has_text) or _is_ignorable(c)

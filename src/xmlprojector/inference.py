@@ -318,9 +318,6 @@ class MinimalityReport:
     witness: Rule | None
     docs_tested: int
 
-    def is_minimal(self) -> bool:
-        return self.status == "minimal"
-
 
 def minimality_check(
     p: Projector, qs: Sequence[QueryEll], budget: int, max_star_repeat: int = 2

@@ -491,28 +491,6 @@ def generate_document(g: Grammar, cfg: GenConfig = GenConfig()) -> Document:
             f"{cfg.max_depth}; blocking names: {', '.join(blocked)}"
         )
 
-    def gen_name(name: str, budget: float, element_only: bool = False) -> Element | TextNode:
-        affordable = [
-            r
-            for r in g.rules_of(name)
-            if _rule_depth(r, cost) <= budget and not (element_only and r.is_text)
-        ]
-        rule = rng.choice(sorted(affordable, key=Rule.sort_key))
-        if rule.is_text:
-            return TextNode(rng.choice(_TEXT_ALPHABET))
-        tag = rule.label.tag or rng.choice(_WILDCARD_TAGS)
-        attrs = tuple(
-            (name, rng.choice(_TEXT_ALPHABET))
-            for name in g.attributes.get(tag, ())
-            if rng.random() < _ATTRIBUTE_PROBABILITY
-        )
-        elem = Element(tag, attrs)
-        for child_name in gen_word(rule.content, budget - 1):
-            child = gen_name(child_name, budget - 1)
-            child.parent = elem
-            elem.children.append(child)
-        return elem
-
     def gen_word(regex: ContentRegex, budget: float) -> list[str]:
         if isinstance(regex, Epsilon):
             return []
@@ -554,8 +532,37 @@ def generate_document(g: Grammar, cfg: GenConfig = GenConfig()) -> Document:
         raise OracleError(
             f"no start name has an element derivation within depth {cfg.max_depth}"
         )
-    start = rng.choice(rooted)
-    return Document([gen_name(start, float(cfg.max_depth), element_only=True)])
+    doc = Document()
+    # Names still to generate, each with its depth budget and the node to
+    # append it to.  They pop in document order, so the draws come in the
+    # order of a depth-first generator: a node's rule, then its text or
+    # tag, attributes and word, then each child's subtree in turn.
+    work: list[tuple[str, float, Element | Document]] = [
+        (rng.choice(rooted), float(cfg.max_depth), doc)
+    ]
+    while work:
+        name, budget, parent = work.pop()
+        affordable = [
+            r
+            for r in g.rules_of(name)
+            if _rule_depth(r, cost) <= budget and not (parent is doc and r.is_text)
+        ]
+        rule = rng.choice(sorted(affordable, key=Rule.sort_key))
+        if rule.is_text:
+            node: Element | TextNode = TextNode(rng.choice(_TEXT_ALPHABET))
+        else:
+            tag = rule.label.tag or rng.choice(_WILDCARD_TAGS)
+            attrs = tuple(
+                (attr, rng.choice(_TEXT_ALPHABET))
+                for attr in g.attributes.get(tag, ())
+                if rng.random() < _ATTRIBUTE_PROBABILITY
+            )
+            node = Element(tag, attrs)
+            word = gen_word(rule.content, budget - 1)
+            work.extend((child, budget - 1, node) for child in reversed(word))
+        node.parent = parent
+        parent.children.append(node)
+    return doc.renumber()
 
 
 def _mm(regex: ContentRegex, cost: dict[str, float]) -> float:
@@ -627,21 +634,25 @@ def enumerate_documents(
             out.extend(layer)
         return list(dict.fromkeys(out))
 
-    def build(template: tuple) -> Element | TextNode:
-        if template[0] == "t":
-            return TextNode(template[1])
-        elem = Element(template[1])
-        for child_t in template[2]:
-            child = build(child_t)
-            child.parent = elem
-            elem.children.append(child)
-        return elem
+    def build(template: tuple) -> Document:
+        doc = Document()
+        work: list[tuple[tuple, Element | Document]] = [(template, doc)]
+        while work:  # templates pop in document order
+            template, parent = work.pop()
+            if template[0] == "t":
+                node: Element | TextNode = TextNode(template[1])
+            else:
+                node = Element(template[1])
+                work.extend((child, node) for child in reversed(template[2]))
+            node.parent = parent
+            parent.children.append(node)
+        return doc.renumber()
 
     for name in sorted(g.start):
         for template in trees(name, max_depth):
             if template[0] == "t":
                 continue  # documents need an element root
-            yield Document([build(template)])
+            yield build(template)
 
 
 # ---------------------------------------------------------------------------
@@ -650,10 +661,10 @@ def enumerate_documents(
 
 def require_interpretation(doc: Document, g: Grammar) -> Interpretation:
     """The general validator's witness, or InvalidDocumentError.  Not
-    ``validate_tree``: its top-down pass reads the same walk table
-    (``WalkTable``) as the streaming handlers and the one-pass copy that
-    ``check_soundness`` compares against, so a fault in the table would
-    pass unseen."""
+    ``validate_tree``: its top-down pass is the one-pass copy's walk
+    (``walk_tree``) over the walk table the streaming handlers read too,
+    and ``check_soundness`` compares both pruners against this witness,
+    so a fault in the walk or the table would pass unseen."""
     result = _validate_general(doc, g)
     if isinstance(result, Invalid):
         raise InvalidDocumentError(result)

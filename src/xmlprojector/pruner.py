@@ -7,13 +7,13 @@ document depth rather than document size.  It runs inside the expat
 callbacks (``prune_file``) or over SAX events (``prune_stream``); both
 drive the same handlers.  ``prune_tree`` handles arbitrary regular tree
 grammars.  On streamable grammars it validates and copies in one
-top-down pass building no witness; elsewhere, and wherever that pass
-gives up, it validates with the general algorithm and then erases every
-node whose witnessing rule was dropped.  The handlers and the one-pass
-copy, like ``validate_tree``'s top-down pass, read one ``WalkTable``
-built per call, whose entries and tag links are made as the document
-first meets them.  On streamable grammars both pruners produce
-byte-identical serializations of valid documents.
+top-down pass building no witness (``grammar.walk_tree``, the walk that
+also types nodes for ``validate_tree``); elsewhere, and wherever that
+pass gives up, it validates with the general algorithm and then erases
+every node whose witnessing rule was dropped.  The handlers and the
+walk read one ``WalkTable`` built per call, whose entries and tag links
+are made as the document first meets them.  On streamable grammars both
+pruners produce byte-identical serializations of valid documents.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .grammar import (
     WalkTable,
     _validate_general,
     is_streamable,
+    walk_tree,
 )
 from .inference import Projector
 
@@ -340,21 +341,21 @@ def prune_tree_with_origin(
     Kept nodes appear in the same relative order as in the input, so the
     mapping is injective and order-preserving.  Without an
     interpretation, a streamable grammar is validated and copied in one
-    top-down pass that builds no witness; a grammar that is not
-    streamable, an empty document, a rule that is not text-neutral or a
-    rejection takes the other path: the general validation algorithm,
-    which writes the InvalidDocumentError diagnostics, then the copy by
-    witness.  ``validate_tree``'s own top-down pass reads the same walk
-    table as the one-pass copy, so it would give up on exactly these
-    documents and is not run again.  A precomputed interpretation may be
-    supplied to amortize validation across many projectors of the same
-    grammar; it is copied by witness.  Both copies run over an explicit
-    stack, so nesting depth is unbounded, and give each clone the next
-    pre-order id as they make it.
+    top-down pass that builds no witness (``walk_tree`` over the
+    projector's kept set); a grammar that is not streamable, an empty
+    document, a rule that is not text-neutral or a rejection takes the
+    other path: the general validation algorithm, which writes the
+    InvalidDocumentError diagnostics, then the copy by witness.
+    ``validate_tree``'s top-down pass is the same walk, so it would give
+    up on exactly these documents and is not run again.  A precomputed
+    interpretation may be supplied to amortize validation across many
+    projectors of the same grammar; it is copied by witness.  Both copies
+    run over an explicit stack, so nesting depth is unbounded, and give
+    each clone the next pre-order id as they make it.
     """
     if interpretation is None:
-        if doc.root is not None and is_streamable(p.grammar):
-            copied = _prune_local(doc, p)
+        if is_streamable(p.grammar):
+            copied = walk_tree(doc, WalkTable(p.grammar, p.kept, validating=True))
             if copied is not None:
                 return copied
         result = _validate_general(doc, p.grammar)
@@ -390,83 +391,4 @@ def prune_tree_with_origin(
         clone.nid = nid
         clone.parent = parent
         parent.children.append(clone)
-    return pruned, origin
-
-
-def _prune_local(doc: Document, p: Projector) -> tuple[Document, dict[int, int]] | None:
-    """``prune_tree_with_origin`` on a streamable grammar and a document
-    with a root: the top-down pass of ``validate_tree`` over the same walk
-    table (each child's entry from its parent's, one automaton step per
-    child, an accepting state after the last), copying kept nodes as it
-    goes.  None where that pass gives up: a rejection, or a rule that is
-    not text-neutral."""
-    table = WalkTable(p.grammar, p.kept, validating=True)
-    root = doc.root
-    top = table.child(table.root, root.tag)
-    if top is None:
-        return None
-    pruned = Document()
-    origin = {0: 0}  # new nid -> old nid, for elements and text
-    nid = 0
-    # Nodes still to visit, each with its entry and its parent's clone
-    # (None below a dropped element, which is validated but not copied).
-    # A node with no entry is text, a comment or a PI to copy.  They pop
-    # in pre-order, so each clone takes the next id as it is made.
-    work: list[tuple[Node, WalkEntry | None, Element | Document | None]] = []
-    for child in reversed(doc.children):
-        if child is root:
-            work.append((root, top, pruned))
-        elif table.root.kept and isinstance(child, (CommentNode, PINode)):
-            work.append((child, None, pruned))
-    while work:
-        node, entry, parent = work.pop()
-        if entry is None:
-            nid += 1
-            kind = type(node)
-            if kind is TextNode:
-                clone: Node = TextNode(node.content)
-                origin[nid] = node.nid
-            elif kind is CommentNode:
-                clone = CommentNode(node.content)
-            else:
-                clone = PINode(node.target, node.data)
-            clone.nid = nid
-            clone.parent = parent
-            parent.children.append(clone)
-            continue
-        clone = None
-        if parent is not None and entry.kept:
-            nid += 1
-            clone = Element(node.tag, node.attributes)
-            clone.nid = nid
-            clone.parent = parent
-            parent.children.append(clone)
-            origin[nid] = node.nid
-        copy_text = clone is not None and entry.text_kept
-        rows, state, accepting, _, text_name = entry.plan
-        by_tag = entry.by_tag
-        children: list[tuple[Node, WalkEntry | None, Element | None]] = []
-        for child in node.children:
-            kind = type(child)
-            if kind is Element:
-                child_entry = by_tag.get(child.tag) or table.child(entry, child.tag)
-                if child_entry is None:
-                    return None
-                state = rows[state].get(child_entry.name)
-                if state is None:
-                    return None
-                children.append((child, child_entry, clone))
-            elif kind is TextNode:
-                after = rows[state].get(text_name)
-                if after is not None:
-                    state = after
-                    if copy_text:
-                        children.append((child, None, clone))
-                elif child.content.strip():
-                    return None
-            elif clone is not None:
-                children.append((child, None, clone))
-        if state not in accepting:
-            return None
-        work.extend(reversed(children))
     return pruned, origin

@@ -196,11 +196,13 @@ def test_no_queries_is_one_usage_error(g0_dtd, d0_xml, tmp_path, capsys):
     ],
 )
 def test_bad_numbers_are_usage_errors(argv, g0_dtd, capsys):
+    flag = argv[-2]  # each case ends with the bad flag and its value
     code = run(argv + ["--dtd", g0_dtd])
     captured = capsys.readouterr()
     assert code == 2, argv
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: "), captured.err
+    assert f"error: {flag} must be >= " in captured.err, captured.err
     assert "Traceback" not in captured.err
 
 
@@ -258,6 +260,23 @@ def test_prune_with_deep_chain_dtd(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == xml
     assert captured.err == ""
+
+
+def test_gen_with_deep_chain_dtd(tmp_path, capsys):
+    # each element's one child is the next, 2 000 deep: generation walks an
+    # explicit stack, so only the depth budget bounds the document
+    levels = 2_000
+    dtd = tmp_path / "chain.dtd"
+    dtd.write_text(
+        "".join(f"<!ELEMENT c{i} (c{i + 1})>\n" for i in range(levels))
+        + f"<!ELEMENT c{levels} (#PCDATA)>\n"
+    )
+    assert run(["gen", "--dtd", str(dtd), "--max-depth", "5000"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    tags = "".join(f"<c{i}>" for i in range(levels + 1))
+    assert captured.out.startswith(tags)
+    assert captured.out.endswith("</c0>\n")
 
 
 # Two rules for `section` under S make the grammar not streamable.

@@ -7,9 +7,11 @@ verdict, of a few documents per grammar.  The digests were recorded from
 the rule-scanning implementation of inference and validation, so any
 rewrite of those layers must reproduce them byte for byte.  The
 streamability verdict of every grammar here was recorded from the
-pairwise label-overlap check.  After a deliberate change of output, print
-the new tables with ``PYTHONPATH=src python tests/test_golden.py`` and
-review the diff.
+pairwise label-overlap check.  The generated-document digests were
+recorded from the recursive document generator, so a generator that
+draws its random numbers in another order shows here.  After a
+deliberate change of output, print the new tables with
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
 from __future__ import annotations
@@ -326,6 +328,17 @@ def _streamability_cases() -> dict[str, Grammar]:
     return cases
 
 
+def _generation_cases() -> dict[str, Grammar]:
+    """The acceptance suites' grammars, and DEEP_DTD's."""
+    names = ("G0", "any", "xmark", "recursive", "mixed", "deep")
+    return {name: _inference_cases()[name][0] for name in names}
+
+
+def _generation_record(g: Grammar) -> str:
+    docs = (serialize(generate_document(g, GenConfig(seed=s))) for s in range(10))
+    return "".join(f"## {s}\n{xml}\n" for s, xml in enumerate(docs))
+
+
 def _inference_record(g: Grammar, queries: list[str]) -> str:
     ells = [approximate_to_ell(parse_query(q)) for q in queries]
     parts = []
@@ -418,6 +431,16 @@ GOLDEN_STREAMABLE = {
 }
 
 
+GOLDEN_GENERATION = {
+    "G0": "454a8f5abcfa30950c727f40",
+    "any": "aeb270536d394e33738966b0",
+    "xmark": "8bef979ffa75434af2b87fc3",
+    "recursive": "c6e35025e7fce29bc63eeb25",
+    "mixed": "a11a6ddb9a844aa54f3cd683",
+    "deep": "ea0484c71a9cab65245f6ec0",
+}
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN_INFERENCE))
 def test_inferred_projectors_match_golden(case):
     g, queries = _inference_cases()[case]
@@ -435,6 +458,11 @@ def test_streamability_matches_golden(case):
     assert is_streamable(_streamability_cases()[case]) == GOLDEN_STREAMABLE[case]
 
 
+@pytest.mark.parametrize("case", sorted(GOLDEN_GENERATION))
+def test_generated_documents_match_golden(case):
+    assert _digest(_generation_record(_generation_cases()[case])) == GOLDEN_GENERATION[case]
+
+
 if __name__ == "__main__":
     print("GOLDEN_INFERENCE = {")
     for name, (g, queries) in _inference_cases().items():
@@ -442,6 +470,9 @@ if __name__ == "__main__":
     print("}\n\nGOLDEN_VALIDATION = {")
     for name, (g, docs) in _validation_cases().items():
         print(f'    "{name}": "{_digest(_validation_record(g, docs))}",')
+    print("}\n\nGOLDEN_GENERATION = {")
+    for name, g in _generation_cases().items():
+        print(f'    "{name}": "{_digest(_generation_record(g))}",')
     print("}\n\nGOLDEN_STREAMABLE = {")
     for name, g in _streamability_cases().items():
         print(f'    "{name}": {is_streamable(g)},')

@@ -127,16 +127,20 @@ def _ref_closure(step, seeds):
     return seen
 
 
+def _ref_children(g, rule):
+    return [r for name in g.child_names(rule) for r in g.rules_of(name)]
+
+
 def _ref_reachable(g, seeds):
     seeds = frozenset(seeds)
-    return seeds | _ref_closure(g.children, seeds)
+    return seeds | _ref_closure(lambda k: _ref_children(g, k), seeds)
 
 
 def _ref_axis(g, key, axis):
     live = _ref_reachable(g, g.start_rules())
 
     def child_of(k):
-        return g.start_rules() if k is None else g.children(k)
+        return g.start_rules() if k is None else _ref_children(g, k)
 
     def parent_of(k):
         if k is None:

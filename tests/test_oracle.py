@@ -244,8 +244,8 @@ def _shift_origin(copied):
 )
 def test_soundness_compares_one_pass_copy(g0, monkeypatch, fault, detail):
     # prune_tree's one-pass copy must equal the copy by witness
-    one_pass = pruner._prune_local
-    monkeypatch.setattr(pruner, "_prune_local", lambda doc, pi: fault(one_pass(doc, pi)))
+    one_pass = pruner.walk_tree
+    monkeypatch.setattr(pruner, "walk_tree", lambda doc, table: fault(one_pass(doc, table)))
     report = check_soundness(g0, ["/doc/a/b"], 5, GenConfig(seed=0, max_depth=8))
     assert not report.passed
     assert {f.query for f in report.failures} == {"(prune_tree)"}

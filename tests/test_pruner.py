@@ -3,7 +3,7 @@ from xml.sax.saxutils import escape, quoteattr
 
 import pytest
 
-from xmlprojector import pruner
+from xmlprojector import grammar, pruner
 from xmlprojector import (
     GenConfig,
     Invalid,
@@ -47,7 +47,6 @@ from xmlprojector.grammar import (
     Star,
     WalkTable,
     _validate_general,
-    _validate_local,
     alt,
 )
 from xmlprojector.oracle import eval_full, results_match
@@ -56,7 +55,6 @@ from xmlprojector.pruner import (
     NotStreamableError,
     PruneStats,
     UnresolvableTagError,
-    _prune_local,
     prune_file,
     prune_stream,
     prune_tree,
@@ -713,11 +711,20 @@ def test_one_pass_copy_matches_witness_copy(case):
     assert outcomes == {"invalid", "copied"}
 
 
-def test_one_pass_copy_gives_up_where_top_down_validation_does():
-    # Both passes read one walk table, so under the identity projector the
-    # copy gives up on exactly the documents validate_tree's top-down pass
-    # does; prune_tree_with_origin then goes straight to the general
-    # algorithm.
+def test_one_pass_copy_gives_up_where_top_down_validation_does(monkeypatch):
+    # validate_tree's top-down pass and the one-pass copy are one walk, so
+    # under the identity projector the copy gives up on exactly the
+    # documents validate_tree does: each then calls the general algorithm
+    # once, and neither calls it where the walk decides.
+    calls = []
+    general = grammar._validate_general
+
+    def counted(doc, g):
+        calls.append(doc)
+        return general(doc, g)
+
+    monkeypatch.setattr(grammar, "_validate_general", counted)
+    monkeypatch.setattr(pruner, "_validate_general", counted)
     inputs = [(g, [parse_xml(xml) for xml in docs]) for g, docs in _validation_cases().values()]
     inputs += [_differential_inputs(case) for case in sorted(_differential_cases())]
     gave_up = set()
@@ -726,9 +733,14 @@ def test_one_pass_copy_gives_up_where_top_down_validation_does():
             continue
         pi = identity_projector(g)
         for doc in docs:
-            if doc.root is None:
-                continue
-            local = _validate_local(doc, g) is None
-            assert (_prune_local(doc, pi) is None) == local, serialize(doc)
-            gave_up.add(local)
-    assert gave_up == {True, False}
+            calls.clear()
+            validate_tree(doc, g)
+            by_validation = len(calls)
+            calls.clear()
+            try:
+                prune_tree_with_origin(doc, pi)
+            except InvalidDocumentError:
+                pass
+            assert len(calls) == by_validation, serialize(doc)
+            gave_up.add(by_validation)
+    assert gave_up == {0, 1}
