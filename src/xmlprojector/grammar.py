@@ -44,6 +44,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .doc import CommentNode, Document, Element, Node, PINode, TextNode, node_path
@@ -169,13 +171,20 @@ def _group(kind: type, parts: tuple[ContentRegex, ...], identity: ContentRegex) 
 
 
 def names_in(regex: ContentRegex) -> frozenset[str]:
-    if isinstance(regex, Atom):
-        return frozenset((regex.name,))
-    if isinstance(regex, (Seq, Alt)):
-        return frozenset().union(*map(names_in, regex.parts))
-    if isinstance(regex, (Star, Plus, Opt)):
-        return names_in(regex.inner)
-    return frozenset()
+    """The names the regex mentions.  A loop over an explicit stack, so
+    parenthesis depth is unbounded."""
+    names: set[str] = set()
+    work = [regex]
+    while work:
+        r = work.pop()
+        kind = type(r)
+        if kind is Atom:
+            names.add(r.name)
+        elif kind is Seq or kind is Alt:
+            work.extend(r.parts)
+        elif kind is Star or kind is Plus or kind is Opt:
+            work.append(r.inner)
+    return frozenset(names)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +231,15 @@ class Rule:
         return self.label is None
 
     def sort_key(self):
+        return self._sort_prefix() + ("" if self.is_text else regex_to_text(self.content),)
+
+    def _sort_prefix(self):
+        """``sort_key`` without the regex text, which is costly to print:
+        rules tie on it only where one name has two element rules with
+        one label."""
         if self.is_text:
-            return (self.name, 0, "", "")
-        return (self.name, 1, str(self.label), regex_to_text(self.content))
+            return (self.name, 0, "")
+        return (self.name, 1, str(self.label))
 
     def __repr__(self):
         return f"Rule({rule_to_text(self)!r})"
@@ -235,6 +250,21 @@ class Rule:
 # ``Grammar.plan``.  Which rule each child tag resolves to is the walk
 # table's business, not the plan's.
 StepPlan = tuple
+
+
+def _in_sort_order(rules: Iterable[Rule]) -> tuple[Rule, ...]:
+    """``tuple(sorted(rules, key=Rule.sort_key))``, printing a regex only
+    to decide a tie on the key's prefix.  The key is the prefix and then
+    the regex text, so sorting on the prefix and then each run of equal
+    prefixes on the whole key gives the same order, ties on the whole key
+    included: both sorts are stable.  A DTD import has one element rule
+    per name, so it prints no regex."""
+    keyed = sorted([(rule._sort_prefix(), rule) for rule in rules], key=itemgetter(0))
+    out: list[Rule] = []
+    for _, tied in groupby(keyed, key=itemgetter(0)):
+        run = [rule for _, rule in tied]
+        out.extend(sorted(run, key=Rule.sort_key) if len(run) > 1 else run)
+    return tuple(out)
 
 
 class Grammar:
@@ -277,7 +307,7 @@ class Grammar:
         self.attributes: dict[str, tuple[str, ...]] = dict(attributes or {})
         if not self.start:
             raise GrammarError("grammar needs at least one start name")
-        self._sorted: tuple[Rule, ...] = tuple(sorted(self.rules, key=Rule.sort_key))
+        self._sorted: tuple[Rule, ...] = _in_sort_order(self.rules)
         by_name: dict[str, list[Rule]] = {}
         self._child_names: dict[Rule, tuple[str, ...]] = {}
         for rule in self._sorted:
@@ -314,6 +344,7 @@ class Grammar:
         return f"Grammar(start={sorted(self.start)}, rules={len(self.rules)})"
 
     def rules_of(self, name: str) -> tuple[Rule, ...]:
+        """The name's rules, in ``sorted_rules()`` order."""
         return self._by_name.get(name, ())
 
     def start_rules(self) -> tuple[Rule, ...]:
@@ -975,15 +1006,21 @@ def is_streamable(g: Grammar) -> bool:
     most one.  Every rule is checked, whether or not the start names reach
     it.  DTD imports always satisfy this; hand-built regular grammars may
     not.  The verdict is cached on the grammar.
+
+    A set of element rules that resolves one way does in every part, so
+    where all of them do, as in every DTD import, no child mask is taken
+    apart: only the text rules below each rule are counted.
     """
     if g._streamable is None:
         elements, text = g.element_mask(), g.text_mask()
+        every = _resolves_one_way(g, elements)
 
         def one_way(below: int) -> bool:  # a text rule's child mask is empty
             texts = below & text
-            return texts & (texts - 1) == 0 and _resolves_one_way(g, below & elements)
+            return texts & (texts - 1) == 0 and (every or _resolves_one_way(g, below & elements))
 
-        g._streamable = _resolves_one_way(g, g.child_mask(g.bit(None)) & elements) and all(
+        at_root = every or _resolves_one_way(g, g.child_mask(g.bit(None)) & elements)
+        g._streamable = at_root and all(
             one_way(g.child_mask(1 << i)) for i in range(len(g.sorted_rules()))
         )
     return g._streamable
@@ -1069,62 +1106,52 @@ def regex_to_text(regex: ContentRegex, _prec: int = 0) -> str:
     return f"{regex_to_text(regex.inner, 2)}{suffix}"
 
 
+# The tokens that are not names: a constant stands for its value, a
+# postfix operator for its node class, and `(`, `)` and `|` for themselves.
+_OPERATORS = {"#eps": EPSILON, "#empty": EMPTY, "*": Star, "+": Plus, "?": Opt,
+              "(": "(", ")": ")", "|": "|"}
+
+
 def parse_regex_text(text: str) -> ContentRegex:
+    """Parse ``regex_to_text``'s syntax; empty text means Epsilon.  One loop
+    over the tokens, so parenthesis depth is unbounded: each open group
+    holds its alternatives so far and the parts of its current sequence,
+    and ``seq``/``alt`` build each group as it closes.  Raises
+    ``GrammarFormatError`` at the first token that cannot continue the
+    regex."""
     tokens = _TOKEN_RE.findall(text)
-    pos = 0
-
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def parse_alt() -> ContentRegex:
-        nonlocal pos
-        parts = [parse_seq()]
-        while peek() == "|":
-            pos += 1
-            parts.append(parse_seq())
-        return alt(*parts)
-
-    def parse_seq() -> ContentRegex:
-        nonlocal pos
-        parts = [parse_postfix()]
-        while peek() not in (None, "|", ")"):
-            parts.append(parse_postfix())
-        return seq(*parts)
-
-    def parse_postfix() -> ContentRegex:
-        nonlocal pos
-        out = parse_atom()
-        while peek() in ("*", "+", "?"):
-            out = {"*": Star, "+": Plus, "?": Opt}[tokens[pos]](out)
-            pos += 1
-        return out
-
-    def parse_atom() -> ContentRegex:
-        nonlocal pos
-        tok = peek()
-        if tok is None:
-            raise GrammarFormatError("unexpected end of content regex")
-        pos += 1
-        if tok == "(":
-            inner = parse_alt()
-            if peek() != ")":
-                raise GrammarFormatError("missing ')' in content regex")
-            pos += 1
-            return inner
-        if tok == "#eps":
-            return EPSILON
-        if tok == "#empty":
-            return EMPTY
-        if tok in (")", "|", "*", "+", "?"):
-            raise GrammarFormatError(f"unexpected {tok!r} in content regex")
-        return Atom(tok)
-
     if not tokens:
         return EPSILON
-    out = parse_alt()
-    if pos != len(tokens):
-        raise GrammarFormatError(f"trailing tokens in content regex: {tokens[pos:]}")
-    return out
+    groups: list[tuple[list[ContentRegex], list[ContentRegex]]] = []  # enclosing, innermost last
+    alts: list[ContentRegex] = []  # the open group's finished alternatives
+    parts: list[ContentRegex] = []  # the open group's current sequence
+    for i, tok in enumerate(tokens):
+        op = _OPERATORS.get(tok)
+        if op is None:
+            parts.append(Atom(tok))
+        elif isinstance(op, ContentRegex):  # #eps, #empty
+            parts.append(op)
+        elif op == "(":
+            groups.append((alts, parts))
+            alts, parts = [], []
+        elif not parts:
+            raise GrammarFormatError(f"unexpected {tok!r} in content regex")
+        elif op == "|":
+            alts.append(seq(*parts))
+            parts = []
+        elif op == ")":
+            if not groups:
+                raise GrammarFormatError(f"trailing tokens in content regex: {tokens[i:]}")
+            group = alt(*alts, seq(*parts))
+            alts, parts = groups.pop()
+            parts.append(group)
+        else:
+            parts[-1] = op(parts[-1])
+    if not parts:
+        raise GrammarFormatError("unexpected end of content regex")
+    if groups:
+        raise GrammarFormatError("missing ')' in content regex")
+    return alt(*alts, seq(*parts))
 
 
 def rule_to_text(rule: Rule) -> str:
@@ -1135,14 +1162,18 @@ def rule_to_text(rule: Rule) -> str:
     return f"{rule.name} -> {rule.label} [ {regex_to_text(rule.content)} ]"
 
 
+_RULE_RE = re.compile(r"\s*(\S+)\s*->\s*(.*?)\s*\Z")
+_BODY_RE = re.compile(r"(\S+)\s*\[(.*)\]\s*\Z", re.S)
+
+
 def parse_rule_text(text: str, line: int | None = None) -> Rule:
-    m = re.match(r"\s*(\S+)\s*->\s*(.*?)\s*\Z", text)
+    m = _RULE_RE.match(text)
     if not m:
         raise GrammarFormatError(f"not a rule: {text!r}", line)
     name, body = m.group(1), m.group(2)
     if body == "String":
         return Rule.text(name)
-    bm = re.match(r"(\S+)\s*\[(.*)\]\s*\Z", body, re.S)
+    bm = _BODY_RE.match(body)
     if not bm:
         raise GrammarFormatError(f"rule body must be `String` or `label [ regex ]`: {text!r}", line)
     label, regex_text = bm.group(1), bm.group(2).strip()

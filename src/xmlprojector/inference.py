@@ -342,7 +342,9 @@ def minimality_check(
         baselines.append((doc, interp, [oracle.eval_ell(q, doc) for q in qs]))
 
     unused: Rule | None = None
-    for rule in sorted(p.kept, key=Rule.sort_key):
+    for rule in g.sorted_rules():
+        if rule not in p.kept:
+            continue
         candidate = Projector(g, p.kept - {rule})
         needed = False
         for doc, interp, expected in baselines:

@@ -460,16 +460,20 @@ _ATTRIBUTE_PROBABILITY = 0.5  # chance per declared attribute
 
 
 def _min_depths(g: Grammar) -> dict[str, float]:
-    """Depth of the shallowest tree each name can generate."""
-    cost: dict[str, float] = {name: _INF for name in {r.name for r in g.rules}}
-    changed = True
-    while changed:
-        changed = False
-        for rule in g.rules:
-            depth = _rule_depth(rule, cost)
-            if depth < cost[rule.name]:
-                cost[rule.name] = depth
-                changed = True
+    """Depth of the shallowest tree each name can generate.  A worklist of
+    rules to re-cost: every rule once, then the rules that mention a name
+    whose cost fell.  Costs only fall, through whole numbers of levels, so
+    the loop ends, and on a chain of names each cost falls once."""
+    rules = g.sorted_rules()
+    cost: dict[str, float] = {rule.name: _INF for rule in rules}
+    work = list(rules)
+    while work:
+        rule = work.pop()
+        depth = _rule_depth(rule, cost)
+        if depth < cost[rule.name]:
+            cost[rule.name] = depth
+            # the rules whose content mentions the rule's name
+            work.extend(g.rules_in(g.parent_mask(g.bit(rule))))
     return cost
 
 
@@ -547,7 +551,9 @@ def generate_document(g: Grammar, cfg: GenConfig = GenConfig()) -> Document:
             for r in g.rules_of(name)
             if _rule_depth(r, cost) <= budget and not (parent is doc and r.is_text)
         ]
-        rule = rng.choice(sorted(affordable, key=Rule.sort_key))
+        # rules_of lists a name's rules in sorted_rules() order, so the
+        # draw does not depend on set iteration order
+        rule = rng.choice(affordable)
         if rule.is_text:
             node: Element | TextNode = TextNode(rng.choice(_TEXT_ALPHABET))
         else:

@@ -5,7 +5,7 @@ import pytest
 
 from xmlprojector.cli import main
 
-from xmlprojector import parse_xml, serialize, tree_events
+from xmlprojector import parse_projector_text, parse_xml, projector_to_text, serialize, tree_events
 from xmlprojector.doc import subtree_text
 
 from conftest import D0_XML, G0_DTD, RECURSIVE_DTD
@@ -365,3 +365,40 @@ def test_wide_content_models(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == f"<r><r><e{n - 1}></e{n - 1}></r></r>"
     assert "Traceback" not in captured.err
+
+
+# The projector `infer --query //section/title` writes for RECURSIVE_DTD,
+# by hand: rules out of sort order, spaced freely, one group redundant.
+_HAND_WRITTEN_PROJECTOR = """\
+# written by hand
+start:   Doc
++ Title->title[TTitle*]
+-   TPara ->String
++ Section->section[ Title(Para|Section)* ]
++ TTitle->   String
+- Para  ->  para [ (TPara)* ]
++ Doc->doc[Section *]
+"""
+
+
+def test_hand_written_projector_prunes_as_the_inferred_one(recursive_dtd, tmp_path, capsys):
+    canonical, hand = tmp_path / "canonical.proj", tmp_path / "hand.proj"
+    assert run(["infer", "--dtd", recursive_dtd, "--query", "//section/title", "-o", str(canonical)]) == 0
+    hand.write_text(_HAND_WRITTEN_PROJECTOR)
+    doc = tmp_path / "doc.xml"
+    doc.write_text(
+        "<doc><section><title>a</title><para>p</para>"
+        "<section><title>b</title><para>q</para></section></section></doc>"
+    )
+    capsys.readouterr()
+    outputs = []
+    for proj in (canonical, hand):
+        assert run(["prune", "--projector", str(proj), "-i", str(doc), "--stats"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0].out == outputs[1].out
+    assert outputs[0].out == "<doc><section><title>a</title><section><title>b</title></section></section></doc>"
+    assert outputs[0].err == outputs[1].err and outputs[0].err.startswith("elements_in=")
+    first, second = (parse_projector_text(p.read_text()) for p in (canonical, hand))
+    assert first == second
+    assert first.grammar.sorted_rules() == second.grammar.sorted_rules()
+    assert projector_to_text(second) == canonical.read_text()

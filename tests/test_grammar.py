@@ -14,6 +14,7 @@ from xmlprojector import (
     GenConfig,
     Grammar,
     GrammarError,
+    GrammarFormatError,
     Invalid,
     Label,
     Opt,
@@ -26,6 +27,7 @@ from xmlprojector import (
     generate_document,
     grammar_to_text,
     is_streamable,
+    parse_dtd,
     parse_grammar_text,
     parse_xml,
     reachable_rules,
@@ -34,6 +36,8 @@ from xmlprojector import (
 )
 from xmlprojector.doc import Document, Element, TextNode, subtree_text
 from xmlprojector.grammar import (
+    _TOKEN_RE,
+    EMPTY,
     EPSILON,
     WalkTable,
     _validate_general,
@@ -45,7 +49,14 @@ from xmlprojector.grammar import (
     seq,
 )
 
-from conftest import write_xmark_doc
+from conftest import (
+    DEEP_DTD,
+    G0_DTD,
+    MIXED_DTD,
+    RECURSIVE_DTD,
+    XMARK_DTD,
+    write_xmark_doc,
+)
 
 # ---------------------------------------------------------------------------
 # Independent language-membership oracle: Brzozowski derivatives.  Nothing
@@ -682,3 +693,168 @@ def test_grammar_requires_declared_names():
 
 def test_names_in():
     assert names_in(seq(Atom("A"), Star(alt(Atom("B"), Atom("C"))))) == {"A", "B", "C"}
+
+
+# ---------------------------------------------------------------------------
+# The loop parser against the recursive-descent parser it replaced
+
+
+def _recursive_parse_regex_text(text: str):
+    """The recursive-descent parser ``parse_regex_text`` replaced: one call
+    level per parenthesis, kept here as the reference."""
+    tokens = _TOKEN_RE.findall(text)
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def parse_alt():
+        nonlocal pos
+        parts = [parse_seq()]
+        while peek() == "|":
+            pos += 1
+            parts.append(parse_seq())
+        return alt(*parts)
+
+    def parse_seq():
+        parts = [parse_postfix()]
+        while peek() not in (None, "|", ")"):
+            parts.append(parse_postfix())
+        return seq(*parts)
+
+    def parse_postfix():
+        nonlocal pos
+        out = parse_atom()
+        while peek() in ("*", "+", "?"):
+            out = {"*": Star, "+": Plus, "?": Opt}[tokens[pos]](out)
+            pos += 1
+        return out
+
+    def parse_atom():
+        nonlocal pos
+        tok = peek()
+        if tok is None:
+            raise GrammarFormatError("unexpected end of content regex")
+        pos += 1
+        if tok == "(":
+            inner = parse_alt()
+            if peek() != ")":
+                raise GrammarFormatError("missing ')' in content regex")
+            pos += 1
+            return inner
+        if tok == "#eps":
+            return EPSILON
+        if tok == "#empty":
+            return EMPTY
+        if tok in (")", "|", "*", "+", "?"):
+            raise GrammarFormatError(f"unexpected {tok!r} in content regex")
+        return Atom(tok)
+
+    if not tokens:
+        return EPSILON
+    out = parse_alt()
+    if pos != len(tokens):
+        raise GrammarFormatError(f"trailing tokens in content regex: {tokens[pos:]}")
+    return out
+
+
+def _parse_outcome(parse, text):
+    try:
+        return "value", parse(text)
+    except GrammarFormatError as exc:
+        return "error", str(exc)
+
+
+_REGEX_TOKENS = ["(", ")", "|", "*", "+", "?", "a", "b", "#eps", "#empty", " ", " "]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        *("a |", "(a", "a)", "*a", "()", "a ( | b)", "", "  ", "((a) | b", "a b) c"),
+        # groups that close on a trailing group of their own kind splice it
+        *("(a (b c))", "(a | (b | c))", "((a b) c)*", "(a (b | c))", "((a))+ | #eps #empty?"),
+    ],
+)
+def test_loop_parser_matches_recursive_parser_on_examples(text):
+    assert _parse_outcome(parse_regex_text, text) == _parse_outcome(
+        _recursive_parse_regex_text, text
+    )
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(st.sampled_from(_REGEX_TOKENS), max_size=14).map("".join))
+def test_loop_parser_matches_recursive_parser(text):
+    # equal values, or the same GrammarFormatError message; adjacent name
+    # tokens run together into longer names, as in a file
+    assert _parse_outcome(parse_regex_text, text) == _parse_outcome(
+        _recursive_parse_regex_text, text
+    )
+
+
+def test_deeply_nested_groups_parse_without_recursion():
+    depth = 3_000
+    names = [f"n{i}" for i in range(depth + 1)]
+    # ((…((n0 n1) n2)…) n3000): each group is a two-part sequence
+    text = "(" * depth + f"{names[0]} {names[1]})" + "".join(f" {n})" for n in names[2:])
+    regex = parse_regex_text(text)
+    # compared level by level: == on the value itself would recurse
+    for name in reversed(names[2:]):
+        assert isinstance(regex, Seq) and len(regex.parts) == 2
+        regex, last = regex.parts
+        assert last == Atom(name)
+    assert regex == Seq((Atom(names[0]), Atom(names[1])))
+    assert names_in(parse_regex_text(text)) == set(names)
+
+
+# ---------------------------------------------------------------------------
+# Rule order
+
+
+def _conftest_grammars():
+    dtds = (G0_DTD, XMARK_DTD, RECURSIVE_DTD, MIXED_DTD, DEEP_DTD)
+    return [parse_dtd(dtd) for dtd in dtds] + [any_grammar()]
+
+
+def _random_regex(rng: random.Random, names: list[str], depth: int = 0):
+    roll = rng.random()
+    if depth >= 3 or roll < 0.4:
+        return Atom(rng.choice(names)) if rng.random() < 0.9 else rng.choice([EPSILON, Empty()])
+    parts = [_random_regex(rng, names, depth + 1) for _ in range(rng.randint(1, 3))]
+    if roll < 0.6:
+        return seq(*parts)
+    if roll < 0.8:
+        return alt(*parts)
+    return rng.choice([Star, Plus, Opt])(parts[0])
+
+
+def test_sorted_rules_equal_a_sort_on_the_whole_key():
+    rng = random.Random(14)
+    for _ in range(200):
+        names = [f"N{i}" for i in range(rng.randint(1, 4))]
+        rules = []
+        for name in names:
+            rules += [Rule.text(name), Rule.element(name, "_", _random_regex(rng, names))]
+            for label in rng.sample(["a", "b", "c"], rng.randint(1, 3)):
+                # several rules per name and label: their regex text decides
+                rules += [
+                    Rule.element(name, label, _random_regex(rng, names))
+                    for _ in range(rng.randint(1, 4))
+                ]
+        g = Grammar([names[0]], rules)
+        assert g.sorted_rules() == tuple(sorted(g.rules, key=Rule.sort_key))
+    # two values that print alike tie on the whole key too, and both sorts
+    # keep them in the rule set's iteration order
+    a, b, c = Atom("A"), Atom("B"), Atom("C")
+    rules = [Rule.element("A", "a", Seq((a, Seq((b, c))))), Rule.element("A", "a", seq(a, b, c))]
+    rules += [Rule.text(n) for n in "BC"]
+    g = Grammar(["A"], rules)
+    assert g.sorted_rules() == tuple(sorted(g.rules, key=Rule.sort_key))
+    for g in _conftest_grammars():
+        assert g.sorted_rules() == tuple(sorted(g.rules, key=Rule.sort_key))
+
+
+def test_rules_of_follow_sorted_rules():
+    for g in _conftest_grammars():
+        for name in {rule.name for rule in g.rules}:
+            assert g.rules_of(name) == tuple(r for r in g.sorted_rules() if r.name == name)

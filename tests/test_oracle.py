@@ -1,3 +1,6 @@
+import functools
+import time
+
 import pytest
 
 from xmlprojector import (
@@ -22,6 +25,10 @@ from xmlprojector import (
 from xmlprojector import oracle, pruner
 from xmlprojector.oracle import OracleError
 from xmlprojector.pruner import prune_tree_with_origin
+
+from conftest import DEEP_DTD, G0_DTD, MIXED_DTD, RECURSIVE_DTD, XMARK_DTD
+from test_golden import _synthetic_dtd
+
 
 def _ell(text):
     return approximate_to_ell(parse_query(text))
@@ -273,3 +280,61 @@ def test_origin_mapping_is_order_preserving(g0):
         olds = [old for _, old in items]
         assert olds == sorted(olds)
         assert len(set(olds)) == len(olds)
+
+
+# ---------------------------------------------------------------------------
+# Minimum depths: the worklist against the whole-pass fixpoint it replaced
+
+
+def _fixpoint_min_depths(g):
+    """Relax every rule until a whole pass changes nothing: the reference
+    ``oracle._min_depths`` replaced, quadratic on a chain of names."""
+    cost = {name: float("inf") for name in {r.name for r in g.rules}}
+    changed = True
+    while changed:
+        changed = False
+        for rule in g.rules:
+            depth = oracle._rule_depth(rule, cost)
+            if depth < cost[rule.name]:
+                cost[rule.name] = depth
+                changed = True
+    return cost
+
+
+_CHAIN_LEVELS = 2_000
+
+
+def _chain_grammar():
+    return parse_dtd(
+        "".join(f"<!ELEMENT c{i} (c{i + 1})>\n" for i in range(_CHAIN_LEVELS))
+        + f"<!ELEMENT c{_CHAIN_LEVELS} (#PCDATA)>\n"
+    )
+
+
+@functools.cache
+def _chain_reference():
+    """The chain grammar, its reference depths and the seconds they took."""
+    g = _chain_grammar()
+    t0 = time.perf_counter()
+    cost = _fixpoint_min_depths(g)
+    return g, cost, time.perf_counter() - t0
+
+
+def test_min_depths_match_the_fixpoint():
+    grammars = [parse_dtd(dtd) for dtd in (G0_DTD, XMARK_DTD, RECURSIVE_DTD, MIXED_DTD, DEEP_DTD)]
+    grammars += [parse_dtd(_synthetic_dtd(seed)[0]) for seed in range(40)]
+    grammars += [any_grammar(), _chain_grammar()]
+    # names that cannot finish keep an infinite cost
+    grammars.append(parse_dtd("<!ELEMENT r (a | b)>\n<!ELEMENT a (a)>\n<!ELEMENT b EMPTY>\n"))
+    for g in grammars:
+        assert oracle._min_depths(g) == _fixpoint_min_depths(g)
+    g, cost, _ = _chain_reference()
+    assert oracle._min_depths(g) == cost
+    assert cost["C0"] == _CHAIN_LEVELS + 1  # the last level's content can be empty
+
+
+def test_min_depths_on_a_chain_are_not_quadratic():
+    g, _, reference_seconds = _chain_reference()
+    t0 = time.perf_counter()
+    oracle._min_depths(g)
+    assert time.perf_counter() - t0 < reference_seconds / 20
