@@ -20,9 +20,11 @@ mentions (``sorted_rules``, ``rules_of``, ``child_names``).  Every other
 question about the grammar's structure is answered on key masks (ints,
 bit i for the i-th sorted rule, one bit more for the document node):
 one-step and reachability masks down and up (``child_mask``,
-``parent_mask``, ``below``, ``above``), with each key's closure computed
-once, and the node-test masks (``tag_mask``, ``element_mask``,
-``text_mask``); ``mask_bits`` and ``rules_in`` take masks apart.
+``parent_mask``, ``below``, ``above``, each the union over a mask's keys),
+with each key's closure computed once and the parent rows built only when
+an upward step first asks, and the node-test masks (``tag_mask``,
+``element_mask``, ``text_mask``); ``mask_bits`` and ``rules_in`` take
+masks apart.
 Inference reads them, and so do validation, the streamability check and
 the walk table, which resolve a child tag under a rule as one AND of its
 child mask and the tag's mask.  None of them walks content regexes or
@@ -44,13 +46,18 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import compress, groupby
 from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .doc import CommentNode, Document, Element, Node, PINode, TextNode, node_path
 
 _NAME_RE = re.compile(r"[A-Za-z_:][\w.\-:]*\Z")
+# ``rules_in`` decodes a mask in C when more than one in _DENSE of the rules'
+# bits is set, where that beat the bit-by-bit loop on grammars of 30 to 600
+# rules; _DIGITS turns its binary digits into the selectors of ``compress``.
+_DENSE = 16
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class GrammarError(ValueError):
@@ -204,8 +211,10 @@ class Rule:
             raise GrammarError("rule must have both label and content, or neither")
         if not _NAME_RE.match(self.name):
             raise GrammarError(f"illegal rule name {self.name!r}")
-        # rules live in sets; re-hashing the content tree per lookup dominated inference
-        object.__setattr__(self, "_hash", hash((self.name, self.label, self.content)))
+        # rules live in sets.  Equal rules share a name and a label, so the
+        # hash need not read the content, whose tree may be deeper than the
+        # recursion limit; DTD imports give each name one rule.
+        object.__setattr__(self, "_hash", hash((self.name, self.label)))
 
     def __hash__(self):
         return self._hash
@@ -419,9 +428,9 @@ class Grammar:
     # no fixpoint per step and intersects node tests with one AND.
 
     def _index_masks(self) -> dict[Rule | None, int]:
-        """Fill the key index, the one-step masks and the node-test masks,
-        once, and return the index.  The document node's one child step
-        reaches the start rules; it has no parent."""
+        """Fill the key index, the child rows and the node-test masks, once,
+        and return the index.  The document node's one child step reaches
+        the start rules; it has no parent."""
         rules = self._sorted
         n = len(rules)
         index: dict[Rule | None, int] = {rule: i for i, rule in enumerate(rules)}
@@ -444,18 +453,27 @@ class Grammar:
                 down[i] |= of_name[name]
         for name in self.start:
             down[n] |= of_name[name]
-        # the transpose of the rules' rows: the document node is nobody's child
-        up = [0] * (n + 1)
-        for i in range(n):
-            bit = 1 << i
-            for child in mask_bits(down[i]):
-                up[child.bit_length() - 1] |= bit
-        self._down, self._up = down, up
+        self._down = down
         self._below, self._above = [None] * (n + 1), [None] * (n + 1)
         self._tag_masks = {tag: mask | wild for tag, mask in tags.items()}
         self._kind_masks = (wild, ((1 << n) - 1) ^ text, text)
         self._index = index
         return index
+
+    def _parent_rows(self) -> list[int]:
+        """The transpose of the child rows, built on first use: only the
+        parent and ancestor steps read it, so loading a projector and
+        pruning never build it.  The document node is nobody's child."""
+        if not self._up:
+            if self._index is None:
+                self._index_masks()
+            up = [0] * len(self._down)
+            for i, row in enumerate(self._down[:-1]):
+                bit = 1 << i
+                for child in mask_bits(row):
+                    up[child.bit_length() - 1] |= bit
+            self._up = up
+        return self._up
 
     def bit(self, key: Rule | None) -> int:
         """The mask holding just the key (None: the document node)."""
@@ -463,47 +481,51 @@ class Grammar:
 
     def rules_in(self, mask: int) -> list[Rule]:
         """The rules a mask holds, in sort order; the document node's bit
-        is left out."""
+        is left out.  A dense mask is decoded in C from its binary digits,
+        lowest first; a sparse one bit by bit."""
         rules = self._sorted
-        return [rules[bit.bit_length() - 1] for bit in mask_bits(mask & ~self.bit(None))]
+        mask &= (1 << len(rules)) - 1
+        if mask.bit_count() * _DENSE > len(rules):
+            return list(compress(rules, bin(mask)[:1:-1].encode().translate(_DIGITS)))
+        return [rules[bit.bit_length() - 1] for bit in mask_bits(mask)]
 
-    # The four steps below take one key, as its one-bit mask.
+    # The four steps below take any mask of keys and return the union of
+    # its keys' steps; the document node's bit is never in a result.
 
-    def child_mask(self, bit: int) -> int:
-        """The keys one child step below the key."""
+    def child_mask(self, mask: int) -> int:
+        """The keys one child step below some key in the mask."""
         if self._index is None:
             self._index_masks()
-        return self._down[bit.bit_length() - 1]
+        rows, out = self._down, 0
+        while mask:
+            low = mask & -mask
+            out |= rows[low.bit_length() - 1]
+            mask ^= low
+        return out
 
-    def parent_mask(self, bit: int) -> int:
-        """The rules one parent step above the key, whether the start names
-        reach them or not."""
+    def parent_mask(self, mask: int) -> int:
+        """The rules one parent step above some key in the mask, whether
+        the start names reach them or not."""
+        rows, out = self._up or self._parent_rows(), 0
+        while mask:
+            low = mask & -mask
+            out |= rows[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    def below(self, mask: int) -> int:
+        """The keys one or more child steps below some key in the mask,
+        whether the start names reach them or not; ``below(bit(None))`` is
+        every rule they reach.  Each key's closure is cached."""
         if self._index is None:
             self._index_masks()
-        return self._up[bit.bit_length() - 1]
+        return _closures_union(self._down, self._below, mask)
 
-    def below(self, bit: int) -> int:
-        """The keys one or more child steps below the key, whether the
-        start names reach them or not; ``below(bit(None))`` is every rule
-        they reach.  Cached per key."""
-        if self._index is None:
-            self._index_masks()
-        i = bit.bit_length() - 1
-        found = self._below[i]
-        if found is None:
-            found = self._below[i] = _mask_closure(self._down, self._below, self._down[i])
-        return found
-
-    def above(self, bit: int) -> int:
-        """The rules one or more parent steps above the key, whether the
-        start names reach them or not.  Cached per key."""
-        if self._index is None:
-            self._index_masks()
-        i = bit.bit_length() - 1
-        found = self._above[i]
-        if found is None:
-            found = self._above[i] = _mask_closure(self._up, self._above, self._up[i])
-        return found
+    def above(self, mask: int) -> int:
+        """The rules one or more parent steps above some key in the mask,
+        whether the start names reach them or not.  Each key's closure is
+        cached."""
+        return _closures_union(self._parent_rows(), self._above, mask)
 
     def tag_mask(self, tag: str) -> int:
         """The element rules whose label matches the tag: the rules
@@ -1063,14 +1085,28 @@ def _mask_closure(steps: list[int], done: list[int | None], seeds: int) -> int:
     return seen
 
 
+def _closures_union(rows: list[int], done: list[int | None], mask: int) -> int:
+    """The union of the closures (one or more ``rows`` steps) of the mask's
+    bits, each computed once into ``done``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        i = low.bit_length() - 1
+        closed = done[i]
+        if closed is None:
+            closed = done[i] = _mask_closure(rows, done, rows[i])
+        out |= closed
+        mask ^= low
+    return out
+
+
 def reachable_rules(g: Grammar, from_rules: Iterable[Rule]) -> frozenset[Rule]:
     """Seed rules plus rules of names mentioned in the content of any
     reachable element rule."""
     mask = 0
     for rule in from_rules:
-        bit = g.bit(rule)
-        mask |= bit | g.below(bit)
-    return frozenset(g.rules_in(mask))
+        mask |= g.bit(rule)
+    return frozenset(g.rules_in(mask | g.below(mask)))
 
 
 # ---------------------------------------------------------------------------

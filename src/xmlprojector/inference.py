@@ -13,14 +13,18 @@ The fold works on contexts that may also contain the document node,
 represented as ``None`` alongside rules; the document node is the parent
 of the root and the origin of every absolute path.  Contexts and kept sets
 are int masks over the grammar's sorted rules plus one bit for the
-document node, and each axis reads the grammar's cached masks, so the
+document node, and each axis reads the grammar's cached rows, so the
 fold decodes rules only for its result.
 
-After the forward fold, contexts are narrowed backwards: a context rule
-counts only if some chain of steps from it reaches the final results.
-Steps whose predicate carries an always-true component (the rewrite of a
-positional or otherwise opaque predicate) are exempt: there the original
-query may observe sibling positions, so every candidate is retained.
+Each step maps a whole mask: forward, its context's image (``_image``),
+filtered by the node test and then the predicate, one candidate at a
+time; backward, the preimage (``_preimage``) of the results still needed,
+within the step's context.  So after the forward fold, contexts are
+narrowed backwards: a context rule counts only if some chain of steps from
+it reaches the final results.  Steps whose predicate carries an
+always-true component (the rewrite of a positional or otherwise opaque
+predicate) are exempt: there the original query may observe sibling
+positions, so every candidate is retained.
 """
 
 from __future__ import annotations
@@ -54,9 +58,6 @@ from .xpath import (
     Wildcard,
 )
 
-_Key = Rule | None  # None stands for the document node
-
-
 @dataclass(frozen=True)
 class Projector:
     """A grammar together with the subset of its rules to keep."""
@@ -83,42 +84,85 @@ def empty_projector(g: Grammar) -> Projector:
 
 
 # ---------------------------------------------------------------------------
-# Single steps over key masks
+# Steps over key masks
 #
 # A set of keys is an int mask in the grammar's layout: one bit per rule,
-# and ``g.bit(None)``, ``doc`` below, for the document node.  Every axis is
-# a cached mask of the grammar, and every node test one AND.
+# and ``g.bit(None)``, ``doc`` below, for the document node.  A step maps a
+# whole mask at once, forward (``_image``) or backward (``_preimage``), as a
+# union of the grammar's cached rows, and every node test is one AND.
 
 
-def _axis_mask(g: Grammar, bit: int, axis: Axis, doc: int) -> int:
-    """The keys one `axis` step from the key whose bit is `bit`.
+def _parents(g: Grammar, keys: int, doc: int) -> int:
+    """The keys one parent step above some key: every rule whose content
+    mentions its name, and the document node above the start rules."""
+    return g.parent_mask(keys) | (doc if keys & g.child_mask(doc) else 0)
 
-    Upward steps see only the rules the start names reach: a rule nothing
-    derives is never anybody's parent.  The document node is the parent of
-    the start rules.
+
+def _ancestors(g: Grammar, keys: int, doc: int) -> int:
+    """The keys one or more parent steps above some key: the document node
+    is above every rule the start names reach."""
+    return g.above(keys) | (doc if keys & g.below(doc) else 0)
+
+
+def _image(g: Grammar, ctx: int, axis: Axis, doc: int) -> int:
+    """The keys one `axis` step from some key of the context.
+
+    Upward steps see only the document node and the rules the start names
+    reach: a rule nothing derives is never anybody's parent.
     """
     if axis is Axis.SELF:
-        return bit
+        return ctx
     if axis is Axis.CHILD:
-        return g.child_mask(bit)
+        return g.child_mask(ctx)
     if axis is Axis.DESCENDANT:
-        return g.below(bit)
+        return g.below(ctx)
     if axis is Axis.DESCENDANT_OR_SELF:
-        return bit | g.below(bit)
-    if bit == doc:
-        return bit if axis is Axis.ANCESTOR_OR_SELF else 0
-    live, starts = g.below(doc), g.child_mask(doc)  # the start rules reach `live`
+        return ctx | g.below(ctx)
+    live = g.below(doc) | doc
     if axis is Axis.PARENT:
-        up = g.parent_mask(bit) & live
-        return up | doc if bit & starts else up
-    up = g.above(bit) & live
-    if (bit | up) & starts:
-        up |= doc
+        return _parents(g, ctx, doc) & live
     if axis is Axis.ANCESTOR:
-        return up
+        return _ancestors(g, ctx, doc) & live
     if axis is Axis.ANCESTOR_OR_SELF:
-        return bit | up
+        return ctx | _ancestors(g, ctx, doc) & live
     raise ValueError(f"unknown axis {axis!r}")
+
+
+def _preimage(g: Grammar, needed: int, axis: Axis, doc: int) -> int:
+    """The keys from which one `axis` step reaches some key of `needed`:
+    ``_image`` inverted, so a key k is here iff ``_image(k)`` meets
+    `needed`.  The down axes read parent rows over the needed keys, the
+    up axes child rows over the live ones."""
+    if axis is Axis.SELF:
+        return needed
+    if axis is Axis.CHILD:
+        return _parents(g, needed, doc)
+    if axis is Axis.DESCENDANT:
+        return _ancestors(g, needed, doc)
+    if axis is Axis.DESCENDANT_OR_SELF:
+        return needed | _ancestors(g, needed, doc)
+    needed_live = needed & (g.below(doc) | doc)
+    if axis is Axis.PARENT:
+        return g.child_mask(needed_live)
+    if axis is Axis.ANCESTOR:
+        return g.below(needed_live)
+    if axis is Axis.ANCESTOR_OR_SELF:
+        return needed | g.below(needed_live)
+    raise ValueError(f"unknown axis {axis!r}")
+
+
+def _image_within(g: Grammar, ctx: int, axis: Axis, test: int, doc: int) -> int:
+    """``_image(ctx) & test``.  Where the test admits fewer keys than the
+    context holds, as a tag test under a `//` does, each admitted key is
+    kept iff its preimage meets the context, so the step reads the rows
+    of the few admitted keys instead of those of the whole context."""
+    if test < 0 or test.bit_count() >= ctx.bit_count():  # node() admits every key
+        return _image(g, ctx, axis, doc) & test
+    out = 0
+    for key in mask_bits(test):
+        if _preimage(g, key, axis, doc) & ctx:
+            out |= key
+    return out
 
 
 def _test_mask(g: Grammar, test: NodeTest) -> int:
@@ -142,11 +186,10 @@ def step_transition(
     Upward steps are implicitly intersected with the rules reachable from
     the start names; a rule nothing can derive is never anybody's parent.
     """
-    doc = g.bit(None)
-    found = 0
+    keys = 0
     for rule in ctx:
-        found |= _axis_mask(g, g.bit(rule), axis, doc)
-    return frozenset(g.rules_in(found & _test_mask(g, test)))
+        keys |= g.bit(rule)
+    return frozenset(g.rules_in(_image_within(g, keys, axis, _test_mask(g, test), g.bit(None))))
 
 
 # ---------------------------------------------------------------------------
@@ -170,32 +213,24 @@ def _has_always_true_part(pred: Predicate | None) -> bool:
 def _rules_between(g: Grammar, uppers: int, lowers: int) -> int:
     """Keys lying on some downward chain from `uppers` to `lowers`; the
     document node routes through the start rules."""
-    reach, co_reachable = uppers, lowers
-    for bit in mask_bits(uppers):
-        reach |= g.below(bit)
-    for bit in mask_bits(lowers):
-        co_reachable |= g.above(bit)
-    return reach & co_reachable
+    return (uppers | g.below(uppers)) & (lowers | g.above(lowers))
 
 
 def _fold_path(g: Grammar, steps: Sequence[StepEll], ctx0: int, doc: int) -> tuple[int, int]:
     """Fold steps over a context; returns (final context, keys to keep).
 
-    The kept set covers the refined navigation skeleton, closure chains and
+    Forward, each step maps its whole context to its image and filters it
+    by the node test and predicate; backward, each step's needed context
+    is the preimage of its needed results within its context.  The kept
+    set covers the refined navigation skeleton, closure chains and
     predicate evidence.  It is empty whenever the final context is empty:
     an unsatisfiable path contributes nothing.
     """
-    records = []
+    records = []  # (step, its context, its results, predicate evidence per result)
     ctx = ctx0
     for step in steps:
-        test = _test_mask(g, step.test)
-        edges: list[tuple[int, int]] = []  # (context key, its targets)
+        post = _image_within(g, ctx, step.axis, _test_mask(g, step.test), doc)
         pred_evidence: dict[int, int] = {}
-        post = 0
-        for bit in mask_bits(ctx):
-            targets = _axis_mask(g, bit, step.axis, doc) & test
-            edges.append((bit, targets))
-            post |= targets
         if step.pred is not None:
             surviving = 0
             for bit in mask_bits(post):
@@ -204,23 +239,21 @@ def _fold_path(g: Grammar, steps: Sequence[StepEll], ctx0: int, doc: int) -> tup
                     surviving |= bit
                     pred_evidence[bit] = evidence
             post = surviving
-        records.append((step, edges, post, pred_evidence))
+        records.append((step, ctx, post, pred_evidence))
         ctx = post
         if not ctx:
             return 0, 0
 
     kept = 0
     needed = ctx
-    for step, edges, post, pred_evidence in reversed(records):
+    for step, pre, post, pred_evidence in reversed(records):
         needed_post = post if _has_always_true_part(step.pred) else needed & post
         kept |= needed_post
         for bit, evidence in pred_evidence.items():
             if bit & needed_post:
                 kept |= evidence
-        needed_pre = 0
-        for bit, targets in edges:
-            if targets & needed_post:
-                needed_pre |= bit
+        # a one-key context is the source of every result, so of the needed ones
+        needed_pre = _preimage(g, needed_post, step.axis, doc) & pre if pre & (pre - 1) else pre
         if step.axis in _CLOSURE_DOWN:
             kept |= _rules_between(g, needed_pre, needed_post)
         elif step.axis in _CLOSURE_UP:
@@ -259,11 +292,9 @@ def infer_projector(qs: Iterable[QueryEll], g: Grammar) -> Projector:
     for q in qs:
         for branch in q.branches:
             final, contribution = _fold_path(g, branch, doc, doc)
-            kept |= contribution | final
-            for bit in mask_bits(final):
-                # below(doc), every rule the start names reach, when the
-                # document node itself is selected
-                kept |= g.below(bit)
+            # below(doc), every rule the start names reach, when the
+            # document node itself is selected
+            kept |= contribution | final | g.below(final)
     return Projector(g, frozenset(g.rules_in(kept)))
 
 

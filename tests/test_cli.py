@@ -331,6 +331,21 @@ def test_deeply_nested_query_reports_error_not_traceback(g0_dtd, capsys):
     assert err.startswith("error: input nested too deeply") and "Traceback" not in err
 
 
+def test_projector_with_deeply_nested_rule_prunes(tmp_path, capsys):
+    # ((…((n0 n1) n2)…) n3000) loads: parsing is a loop and a rule hashes
+    # its name and label, not its content tree
+    names = [f"n{i}" for i in range(3_001)]
+    group = "(" * 3_000 + f"{names[0]} {names[1]})" + "".join(f" {n})" for n in names[2:])
+    proj = tmp_path / "deep-rule.proj"
+    proj.write_text(
+        f"start: R\n+ R -> r [ {group} ]\n" + "".join(f"+ {n} -> {n} [ ]\n" for n in names)
+    )
+    xml = "<r>" + "".join(f"<{n}></{n}>" for n in names) + "</r>"
+    assert run(["prune", "--projector", str(proj)], stdin=xml) == 0
+    captured = capsys.readouterr()
+    assert captured.out == xml and captured.err == ""
+
+
 def test_wide_content_models(tmp_path, capsys):
     # one content-model group is one node, however many items it holds
     n = 5_000

@@ -5,7 +5,9 @@ projector texts (one per query, then the union) and the inferred result
 types; the validation cases digest the interpretation, or the Invalid
 verdict, of a few documents per grammar.  The digests were recorded from
 the rule-scanning implementation of inference and validation, so any
-rewrite of those layers must reproduce them byte for byte.  The
+rewrite of those layers must reproduce them byte for byte; the ``wide``
+case, whose `//` queries fold contexts of a hundred rules, was recorded
+from the fold that stepped one context rule at a time.  The
 streamability verdict of every grammar here was recorded from the
 pairwise label-overlap check.  The generated-document digests were
 recorded from the recursive document generator, so a generator that
@@ -151,6 +153,98 @@ def _walk_queries(rng: random.Random, children: dict[str, list[str]], count: int
 
 
 # ---------------------------------------------------------------------------
+# Seeded wide DTDs, shaped like the benchmark's wide schemas: the root is a
+# starred choice of four records, an element mentions only the next 40
+# names apart from optional back references (recursion), and about 12 % of
+# the elements hold text, 5 % are EMPTY and 10 % have mixed content.  Not
+# every element is reachable from the root.
+
+
+def _wide_dtd(seed: int, n: int) -> tuple[str, dict[str, list[str]]]:
+    rng = random.Random(seed)
+    names = [f"e{i}" for i in range(n)]
+    free = n - 5
+    kinds = ["text"] * (free * 12 // 100) + ["empty"] * (free * 5 // 100)
+    kinds += ["mixed"] * (free // 10)
+    kinds += ["seq"] * (free - len(kinds))
+    rng.shuffle(kinds)
+    children: dict[str, list[str]] = {}
+    decls: list[str] = []
+    for i, (name, kind) in enumerate(zip(names, ["seq"] * 5 + kinds)):
+        later = names[i + 1 : i + 41]
+        used: list[str] = []
+        if i == 0:
+            used = names[1:5]
+            body = "(" + " | ".join(used) + ")*"
+        elif len(later) < 2 or kind == "text":
+            body = "(#PCDATA)"
+        elif kind == "empty":
+            body = "EMPTY"
+        elif kind == "mixed":
+            used = rng.sample(later, rng.randint(1, min(3, len(later))))
+            body = "(#PCDATA | " + " | ".join(used) + ")*"
+        else:
+            used = rng.sample(later, rng.randint(2, min(4, len(later))))
+            parts = [c + rng.choice(("", "?", "*", "+")) for c in used]
+            if rng.random() < 0.25:
+                parts[:2] = [f"({used[0]} | {used[1]}){rng.choice(('', '?', '*'))}"]
+            if i > 5 and rng.random() < 0.15:
+                back = rng.choice(names[max(5, i - 30) : i])
+                used.append(back)
+                parts.append(back + rng.choice(("?", "*")))
+            body = "(" + ", ".join(parts) + ")"
+        children[name] = sorted(set(used))
+        decls.append(f"<!ELEMENT {name} {body}>")
+    return "\n".join(decls) + "\n", children
+
+
+def _wide_queries(rng: random.Random, children: dict[str, list[str]]) -> list[str]:
+    """One walk down from the root per query shape, the shapes of the
+    benchmark's wide queries: a `//` skip of the record level or not, a
+    child, `or` or positional predicate on the next-to-last step or none,
+    and an `ancestor::` or `parent::*` tail or none; then `//` queries from
+    anywhere, with predicates, upward tails and `text()` below them."""
+    root = next(iter(children))
+    out = []
+    shapes = [(d, p, t) for d in (False, True) for p in ("", "child", "or", "position")
+              for t in ("", "ancestor", "parent")]
+    for k, (descendant, predicate, tail) in enumerate(shapes):
+        for _ in range(50):  # walks until one is long enough
+            path = [root]
+            while len(path) < 5 + k % 3 and children[path[-1]]:
+                path.append(rng.choice(children[path[-1]]))
+            if len(path) == 5 + k % 3:
+                break
+        steps = [root, "/" + path[2]] + path[3:] if descendant else list(path)
+        kept = path[:1] + path[2:] if descendant else path
+        kids = children[kept[-2]]
+        if predicate == "child" and kids:
+            steps[-2] += f"[{rng.choice(kids)}]"
+        elif predicate == "or" and len(kids) >= 2:
+            steps[-2] += "[{} or {}]".format(*rng.sample(kids, 2))
+        elif predicate == "position":
+            steps[-2] += "[position()=1]"
+        query = "/" + "/".join(steps)
+        if tail == "ancestor":
+            query += f"/ancestor::{kept[-3]}"
+        elif tail == "parent":
+            query += "/parent::*"
+        out.append(query)
+    inner = [name for name, kids in children.items() if kids]
+    for _ in range(8):
+        a = rng.choice(inner)
+        b = rng.choice(children[a])
+        out += [
+            f"//{a}/{b}",
+            f"//{a}[{b}]//text()",
+            f"//{b}/parent::*",
+            f"//{b}/ancestor::*",
+            f"//{a}[{b} or {rng.choice(inner)}]/{b}/ancestor::{a}",
+        ]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Seeded hand-built grammars: several rules per name, wildcard labels and
 # tags shared across names, none of which a DTD import produces.
 
@@ -220,6 +314,8 @@ def _inference_cases() -> dict[str, tuple[Grammar, list[str]]]:
     for seed in range(4):
         g, children = _synthetic_grammar(100 + seed)
         cases[f"rtg{seed}"] = (g, _walk_queries(random.Random(seed), children, 6))
+    dtd, children = _wide_dtd(0, 120)
+    cases["wide"] = (parse_dtd(dtd), _wide_queries(random.Random(0), children))
     return cases
 
 
@@ -396,6 +492,7 @@ GOLDEN_INFERENCE = {
     "rtg1": "160f6de44f08363e638c0b47",
     "rtg2": "b8b5575caa7e946f2a5e4a43",
     "rtg3": "cd51b7b726b47dca113e49eb",
+    "wide": "04d0568677b5b0c2092daf08",
 }
 
 GOLDEN_VALIDATION = {
@@ -426,6 +523,7 @@ GOLDEN_STREAMABLE = {
     "rtg1": False,
     "rtg2": False,
     "rtg3": False,
+    "wide": True,
     "ambiguous": False,
     "textless": True,
 }

@@ -44,6 +44,7 @@ from xmlprojector.grammar import (
     alt,
     names_in,
     parse_regex_text,
+    parse_rule_text,
     regex_to_text,
     rule_to_text,
     seq,
@@ -805,6 +806,17 @@ def test_deeply_nested_groups_parse_without_recursion():
         assert last == Atom(name)
     assert regex == Seq((Atom(names[0]), Atom(names[1])))
     assert names_in(parse_regex_text(text)) == set(names)
+
+
+def test_deeply_nested_rule_parses():
+    # a rule hashes its name and label, not its content tree
+    depth = 3_000
+    names = [f"n{i}" for i in range(depth + 1)]
+    text = "(" * depth + f"{names[0]} {names[1]})" + "".join(f" {n})" for n in names[2:])
+    rule = parse_rule_text(f"R -> r [ {text} ]")
+    assert rule.name == "R" and str(rule.label) == "r"
+    assert hash(rule) == hash(Rule.element("R", "r", Atom("x")))
+    assert rule in {rule} and rule != Rule.element("R", "r", Atom("x"))
 
 
 # ---------------------------------------------------------------------------

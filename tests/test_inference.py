@@ -11,16 +11,36 @@ from xmlprojector import (
     infer_projector,
     infer_types,
     minimality_check,
+    parse_dtd,
     parse_projector_text,
     parse_query,
     projector_to_text,
     reachable_rules,
     step_transition,
 )
-from xmlprojector.grammar import Atom, Grammar, Opt, Rule, Star
-from xmlprojector.xpath import WILDCARD, Axis, NodeAny, TagTest, TextTest, Wildcard
+from xmlprojector.grammar import Atom, Grammar, Opt, Rule, Star, mask_bits
+from xmlprojector.inference import (
+    _fold_path,
+    _has_always_true_part,
+    _image,
+    _preimage,
+    _test_mask,
+)
+from xmlprojector.pruner import prune_file
+from xmlprojector.xpath import (
+    WILDCARD,
+    Axis,
+    NodeAny,
+    PathExists,
+    PredAnd,
+    TagTest,
+    TextTest,
+    Wildcard,
+)
 
-from test_golden import _inference_cases
+from conftest import XMARK_DTD, write_xmark_doc
+from test_acceptance import XMARK_QUERIES
+from test_golden import _inference_cases, _wide_dtd
 
 
 def _rules(g):
@@ -233,6 +253,185 @@ def test_ancestor_steps_reach_the_document_node(g0):
     (a,) = g.rules_of("A")
     s = next(r for r in g.rules_of("S") if not r.is_text)
     assert step_transition([a], Axis.ANCESTOR, NodeAny(), g) == {s, a}
+
+
+def test_parent_rows_are_built_only_for_upward_steps(tmp_path):
+    # loading a projector and streaming through it never takes a parent
+    # step, so the parent rows stay unbuilt; the first upward step builds
+    # them, and parent and ancestor steps match the reference
+    p = infer_projector([_ell(q) for q in XMARK_QUERIES], parse_dtd(XMARK_DTD))
+    loaded = parse_projector_text(projector_to_text(p))
+    path = tmp_path / "xmark.xml"
+    write_xmark_doc(path, 20_000)
+    out: list[str] = []
+    with open(path, "rb") as fh:
+        prune_file(fh, loaded, out.append)
+    g = loaded.grammar
+    assert "<person" in "".join(out) and g._up == []
+    for rule in g.sorted_rules():
+        for axis in (Axis.PARENT, Axis.ANCESTOR, Axis.ANCESTOR_OR_SELF):
+            found = step_transition([rule], axis, NodeAny(), g)
+            assert found == _ref_test(_ref_axis(g, rule, axis), NodeAny()), (rule, axis)
+    assert len(g._up) == len(g.sorted_rules()) + 1
+
+
+# ---------------------------------------------------------------------------
+# The whole-mask fold against the per-key fold it replaced: each context key
+# stepped on its own, one (key, targets) edge per key, and the backward pass
+# scanning every edge.  Both return (final context, kept keys) as masks, the
+# document node's bit included.
+
+
+def _ref_axis_mask(g, bit, axis, doc):
+    if axis is Axis.SELF:
+        return bit
+    if axis is Axis.CHILD:
+        return g.child_mask(bit)
+    if axis is Axis.DESCENDANT:
+        return g.below(bit)
+    if axis is Axis.DESCENDANT_OR_SELF:
+        return bit | g.below(bit)
+    if bit == doc:
+        return bit if axis is Axis.ANCESTOR_OR_SELF else 0
+    live, starts = g.below(doc), g.child_mask(doc)
+    if axis is Axis.PARENT:
+        up = g.parent_mask(bit) & live
+        return up | doc if bit & starts else up
+    up = g.above(bit) & live
+    if (bit | up) & starts:
+        up |= doc
+    if axis is Axis.ANCESTOR:
+        return up
+    return bit | up
+
+
+def _ref_rules_between(g, uppers, lowers):
+    reach, co_reachable = uppers, lowers
+    for bit in mask_bits(uppers):
+        reach |= g.below(bit)
+    for bit in mask_bits(lowers):
+        co_reachable |= g.above(bit)
+    return reach & co_reachable
+
+
+def _ref_fold_path(g, steps, ctx0, doc):
+    records = []
+    ctx = ctx0
+    for step in steps:
+        test = _test_mask(g, step.test)
+        edges = []
+        pred_evidence = {}
+        post = 0
+        for bit in mask_bits(ctx):
+            targets = _ref_axis_mask(g, bit, step.axis, doc) & test
+            edges.append((bit, targets))
+            post |= targets
+        if step.pred is not None:
+            surviving = 0
+            for bit in mask_bits(post):
+                ok, evidence = _ref_pred_sat(g, bit, step.pred, doc)
+                if ok:
+                    surviving |= bit
+                    pred_evidence[bit] = evidence
+            post = surviving
+        records.append((step, edges, post, pred_evidence))
+        ctx = post
+        if not ctx:
+            return 0, 0
+    kept = 0
+    needed = ctx
+    for step, edges, post, pred_evidence in reversed(records):
+        needed_post = post if _has_always_true_part(step.pred) else needed & post
+        kept |= needed_post
+        for bit, evidence in pred_evidence.items():
+            if bit & needed_post:
+                kept |= evidence
+        needed_pre = 0
+        for bit, targets in edges:
+            if targets & needed_post:
+                needed_pre |= bit
+        if step.axis in (Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF):
+            kept |= _ref_rules_between(g, needed_pre, needed_post)
+        elif step.axis in (Axis.ANCESTOR, Axis.ANCESTOR_OR_SELF):
+            kept |= _ref_rules_between(g, needed_post, needed_pre)
+        needed = needed_pre
+    return ctx, kept | needed
+
+
+def _ref_pred_sat(g, bit, pred, doc):
+    if isinstance(pred, PathExists):
+        final, kept = _ref_fold_path(g, pred.path, bit, doc)
+        return bool(final), kept
+    lok, lev = _ref_pred_sat(g, bit, pred.left, doc)
+    rok, rev = _ref_pred_sat(g, bit, pred.right, doc)
+    if isinstance(pred, PredAnd):
+        return (lok and rok), (lev | rev if lok and rok else 0)
+    return (lok or rok), ((lev if lok else 0) | (rev if rok else 0))
+
+
+_AXES = ("child", "descendant", "descendant-or-self", "parent", "ancestor", "ancestor-or-self",
+         "self")
+
+
+def _random_query(rng, tags):
+    """An absolute query over every axis, node test and predicate kind;
+    its contexts hold the document node after `/`, after `..` climbs back
+    up to it and under ancestor-or-self::node()."""
+
+    def step(depth):
+        roll = rng.random()
+        test = rng.choice(tags) if roll < 0.5 else rng.choice(("*", "text()", "node()"))
+        text = f"{rng.choice(_AXES)}::{test}" if rng.random() < 0.6 else rng.choice(tags + [".."])
+        if depth < 2 and rng.random() < 0.3:
+            kind = rng.choice(("path", "and", "or", "position"))
+            if kind == "position":
+                text += rng.choice(("[1]", "[last()]", "[position()=2]"))
+            elif kind == "path":
+                text += f"[{path(depth + 1)}]"
+            else:
+                text += f"[{path(depth + 1)} {kind} {path(depth + 1)}]"
+        return text
+
+    def path(depth):
+        return "/".join(step(depth) for _ in range(rng.randint(1, 3)))
+
+    prefix = rng.choice(("/", "//", f"/{rng.choice(tags)}/../", "//*/ancestor-or-self::node()/"))
+    return prefix + path(0)
+
+
+def _wide_grammars():
+    return {f"wide{seed}": parse_dtd(_wide_dtd(seed, n)[0]) for seed, n in ((1, 60), (2, 200))}
+
+
+def test_mask_fold_matches_per_key_fold():
+    rng = random.Random(11)
+    grammars = {**_differential_grammars(), **_wide_grammars()}
+    for name, g in grammars.items():
+        doc = g.bit(None)
+        every = (doc << 1) - 1
+        tags = sorted({r.label.tag for r in g.rules if not r.is_text and r.label.tag}) or ["x"]
+        for _ in range(60):
+            query = _random_query(rng, tags)
+            # from the document node, from a random mask of keys, and from
+            # one rule with or without the document node
+            one = g.bit(rng.choice(g.sorted_rules())) | rng.choice((doc, 0))
+            for ctx in (doc, rng.getrandbits(doc.bit_length()) & every, one):
+                for branch in _ell(query).branches:
+                    found = _fold_path(g, branch, ctx, doc)
+                    assert found == _ref_fold_path(g, branch, ctx, doc), (name, query, ctx)
+
+
+def test_preimage_inverts_image():
+    # k is in _preimage(n) iff _image(k) meets n, for every pair of keys
+    for name, g in _differential_grammars().items():
+        doc = g.bit(None)
+        keys = [g.bit(r) for r in g.sorted_rules()] + [doc]
+        for axis in Axis:
+            images = {k: _image(g, k, axis, doc) for k in keys}
+            for n in keys:
+                pre = _preimage(g, n, axis, doc)
+                for k in keys:
+                    assert bool(pre & k) == bool(images[k] & n), (name, axis, k, n)
 
 
 # ---------------------------------------------------------------------------
