@@ -57,10 +57,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError as exc:
-        # documents are walked with explicit stacks and a content-model group
-        # is one node, so three things still recurse per nesting level: query
-        # nesting, document generation (`gen`, `check`) and content-model
-        # parentheses
+        # documents are walked with explicit stacks, a content-model group
+        # is one node and parse_query bounds query nesting, so two things
+        # still recurse per nesting level: document generation (`gen`,
+        # `check`) and content-model parentheses
         print(f"error: input nested too deeply ({exc})", file=sys.stderr)
         return 2
 
@@ -213,11 +213,8 @@ def _cmd_infer(args) -> int:
     finally:
         _close(out, args.output)
     if not args.emit_grammar:
-        print(
-            f"kept {len(projector.kept)} of {len(grammar.rules)} rules "
-            f"({len(projector.dropped)} dropped)",
-            file=sys.stderr,
-        )
+        kept, total = projector.mask.bit_count(), len(grammar.rules)
+        print(f"kept {kept} of {total} rules ({total - kept} dropped)", file=sys.stderr)
     return 0
 
 

@@ -32,7 +32,7 @@ scans the rule set per step.
 
 The walk table (``WalkTable``) is the one compiled form the top-down
 walks on streamable grammars share.  It is built per call for one kept
-set, with one entry per element rule and one for the document node, each
+mask, with one entry per element rule and one for the document node, each
 made, and each exact child tag linked, the first time a walk meets it;
 an entry's step plan (``plan``: its automaton rows and text name,
 compiled once per rule on the grammar) is filled only in a validating
@@ -479,6 +479,14 @@ class Grammar:
         """The mask holding just the key (None: the document node)."""
         return 1 << (self._index or self._index_masks())[key]
 
+    def mask_of(self, rules: Iterable[Rule]) -> int:
+        """The mask holding the rules; KeyError for a rule outside the
+        grammar."""
+        index, mask = self._index or self._index_masks(), 0
+        for rule in rules:
+            mask |= 1 << index[rule]
+        return mask
+
     def rules_in(self, mask: int) -> list[Rule]:
         """The rules a mask holds, in sort order; the document node's bit
         is left out.  A dense mask is decoded in C from its binary digits,
@@ -671,10 +679,11 @@ def compile_content_model(regex: ContentRegex) -> ContentAutomaton:
 class WalkEntry:
     """One element rule's row of a ``WalkTable``, or the document node's
     (rule and name None).  ``bit``: the key's one-bit mask.  ``kept``: the
-    rule is in the kept set, or for the document node, the kept set is not
-    empty.  ``text_kept``: the rule's text child is kept.  ``by_tag``: the
-    entries of the child tags met so far, exact tags only.  ``plan``: the
-    rule's step plan in a validating table, None in any other."""
+    rule's bit is in the kept mask, or for the document node, the kept
+    mask is not empty.  ``text_kept``: the rule's text child's bit is.
+    ``by_tag``: the entries of the child tags met so far, exact tags only.
+    ``plan``: the rule's step plan in a validating table, None in any
+    other."""
 
     __slots__ = ("name", "bit", "kept", "text_kept", "by_tag", "rule", "plan")
 
@@ -690,7 +699,8 @@ class WalkEntry:
 
 class WalkTable:
     """The entries the top-down walks over a streamable grammar read, for
-    one kept set: the streaming pruner's handlers and ``walk_tree``.
+    one kept mask (a ``Projector.mask``, in the grammar's key layout): the
+    streaming pruner's handlers and ``walk_tree``.
     ``root`` is the document node's entry.  Only streamable grammars
     (``is_streamable``) may be walked: there a child tag resolves to at
     most one rule.
@@ -709,11 +719,11 @@ class WalkTable:
 
     __slots__ = ("grammar", "kept", "validating", "root", "_entries")
 
-    def __init__(self, g: Grammar, kept: frozenset[Rule] = frozenset(), validating: bool = False):
+    def __init__(self, g: Grammar, kept: int = 0, validating: bool = False):
         self.grammar = g
         self.kept = kept
         self.validating = validating
-        self.root = WalkEntry(None, None, g.bit(None), bool(kept), False)
+        self.root = WalkEntry(None, None, g.bit(None), kept != 0, False)
         self._entries: dict[int, WalkEntry] = {}  # by the rule's bit
 
     def child(self, parent: WalkEntry, tag: str) -> WalkEntry | None:
@@ -733,11 +743,9 @@ class WalkTable:
         entry = self._entries.get(found)
         if entry is None:
             i = found.bit_length() - 1  # the one bit
-            rules, kept = g._sorted, self.kept
-            rule = rules[i]
+            rule, kept = g._sorted[i], self.kept
             text = rows[i] & g._kind_masks[2]  # at most one text rule
-            text_kept = bool(text) and rules[text.bit_length() - 1] in kept
-            entry = WalkEntry(rule.name, rule, found, rule in kept, text_kept)
+            entry = WalkEntry(rule.name, rule, found, bool(found & kept), bool(text & kept))
             self._entries[found] = entry
             if self.validating:
                 entry.plan = g.plan(rule)
@@ -1103,9 +1111,7 @@ def _closures_union(rows: list[int], done: list[int | None], mask: int) -> int:
 def reachable_rules(g: Grammar, from_rules: Iterable[Rule]) -> frozenset[Rule]:
     """Seed rules plus rules of names mentioned in the content of any
     reachable element rule."""
-    mask = 0
-    for rule in from_rules:
-        mask |= g.bit(rule)
+    mask = g.mask_of(from_rules)
     return frozenset(g.rules_in(mask | g.below(mask)))
 
 

@@ -14,7 +14,15 @@ represented as ``None`` alongside rules; the document node is the parent
 of the root and the origin of every absolute path.  Contexts and kept sets
 are int masks over the grammar's sorted rules plus one bit for the
 document node, and each axis reads the grammar's cached rows, so the
-fold decodes rules only for its result.
+fold decodes no rule.
+
+A ``Projector`` stores its kept set as one such mask (``mask``) with the
+document node's bit cleared; ``infer_projector`` returns the fold's mask
+as is.  ``kept``, the frozenset of kept rules, is decoded on first read
+and cached; concurrent first reads store the same value, so a shared
+projector is safe to read from any thread.  Projector files, the walk
+tables and ``minimality_check`` read the mask's bits, so inferring,
+saving, loading and pruning never decode it.
 
 Each step maps a whole mask: forward, its context's image (``_image``),
 filtered by the node test and then the predicate, one candidate at a
@@ -29,11 +37,12 @@ positions, so every candidate is retained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .grammar import (
     Grammar,
+    GrammarError,
     GrammarFormatError,
     Rule,
     _header_lines,
@@ -58,29 +67,58 @@ from .xpath import (
     Wildcard,
 )
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Projector:
-    """A grammar together with the subset of its rules to keep."""
+    """A grammar together with the subset of its rules to keep.
+
+    The kept set is stored once, as ``mask``: an int in the grammar's key
+    layout, bit i for the i-th rule of ``sorted_rules()``, with the
+    document node's bit (``bit(None)``) and every bit above it clear.
+    ``Projector(g, kept)`` takes that mask or an iterable of rules, and
+    raises ``ValueError`` for a rule outside the grammar or a bit beyond
+    its rules.  ``kept``, the frozenset of kept rules, is decoded from the
+    mask on first read and cached; inference, projector files, the walk
+    tables and minimality probing read the bits and never decode it.
+    Concurrent first reads each decode and store the same value, so a
+    shared projector is safe to read from any thread.  Projectors are
+    equal when their grammars and masks are: equal grammars sort their
+    rules alike, so they share one layout.
+    """
 
     grammar: Grammar
-    kept: frozenset[Rule]
+    mask: int
+    _kept: frozenset[Rule] | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        extra = self.kept - self.grammar.rules
-        if extra:
-            raise ValueError(f"projector keeps rules outside the grammar: {extra}")
+    def __init__(self, grammar: Grammar, kept: int | Iterable[Rule]):
+        if not isinstance(kept, int):
+            try:
+                kept = grammar.mask_of(kept)
+            except KeyError as exc:
+                raise ValueError(f"projector keeps a rule outside the grammar: {exc}") from None
+        if kept < 0 or kept >> len(grammar.sorted_rules()):
+            raise ValueError(f"projector mask {kept:#x} has bits beyond the grammar's rules")
+        object.__setattr__(self, "grammar", grammar)
+        object.__setattr__(self, "mask", kept)
+
+    @property
+    def kept(self) -> frozenset[Rule]:
+        kept = self._kept
+        if kept is None:
+            kept = frozenset(self.grammar.rules_in(self.mask))
+            object.__setattr__(self, "_kept", kept)
+        return kept
 
     @property
     def dropped(self) -> frozenset[Rule]:
-        return self.grammar.rules - self.kept
+        return frozenset(self.grammar.rules_in(~self.mask))
 
 
 def identity_projector(g: Grammar) -> Projector:
-    return Projector(g, g.rules)
+    return Projector(g, (1 << len(g.sorted_rules())) - 1)
 
 
 def empty_projector(g: Grammar) -> Projector:
-    return Projector(g, frozenset())
+    return Projector(g, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +224,7 @@ def step_transition(
     Upward steps are implicitly intersected with the rules reachable from
     the start names; a rule nothing can derive is never anybody's parent.
     """
-    keys = 0
-    for rule in ctx:
-        keys |= g.bit(rule)
+    keys = g.mask_of(ctx)
     return frozenset(g.rules_in(_image_within(g, keys, axis, _test_mask(g, test), g.bit(None))))
 
 
@@ -295,7 +331,7 @@ def infer_projector(qs: Iterable[QueryEll], g: Grammar) -> Projector:
             # below(doc), every rule the start names reach, when the
             # document node itself is selected
             kept |= contribution | final | g.below(final)
-    return Projector(g, frozenset(g.rules_in(kept)))
+    return Projector(g, kept & ~doc)
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +340,10 @@ def infer_projector(qs: Iterable[QueryEll], g: Grammar) -> Projector:
 
 
 def projector_to_text(p: Projector) -> str:
-    g = p.grammar
-    lines = _header_lines(g)
-    for rule in g.sorted_rules():
-        mark = "+" if rule in p.kept else "-"
+    lines = _header_lines(p.grammar)
+    mask = p.mask
+    for i, rule in enumerate(p.grammar.sorted_rules()):
+        mark = "+" if mask >> i & 1 else "-"
         lines.append(f"{mark} {rule_to_text(rule)}")
     return "\n".join(lines) + "\n"
 
@@ -324,9 +360,11 @@ def parse_projector_text(text: str) -> Projector:
         if mark == "+":
             kept.append(rule)
     try:
-        return Projector(Grammar(start, rules, attrs), frozenset(kept))
-    except ValueError as exc:
+        g = Grammar(start, rules, attrs)
+    except GrammarError as exc:
         raise GrammarFormatError(str(exc)) from None
+    # one bit per `+` line; every rule read is the grammar's
+    return Projector(g, g.mask_of(kept))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +402,7 @@ def minimality_check(
             break
         docs.append(doc)
 
-    if not p.kept:
+    if not p.mask:
         return MinimalityReport("minimal", None, len(docs))
 
     baselines = []
@@ -373,10 +411,8 @@ def minimality_check(
         baselines.append((doc, interp, [oracle.eval_ell(q, doc) for q in qs]))
 
     unused: Rule | None = None
-    for rule in g.sorted_rules():
-        if rule not in p.kept:
-            continue
-        candidate = Projector(g, p.kept - {rule})
+    for bit in mask_bits(p.mask):
+        candidate = Projector(g, p.mask & ~bit)
         needed = False
         for doc, interp, expected in baselines:
             pruned, origin = pruner.prune_tree_with_origin(doc, candidate, interpretation=interp)
@@ -388,7 +424,7 @@ def minimality_check(
                 needed = True
                 break
         if not needed:
-            unused = rule
+            unused = g.sorted_rules()[bit.bit_length() - 1]
             break
 
     if unused is None:

@@ -130,7 +130,7 @@ def _install(
         raise ValueError(f"unknown policy {policy!r}")
     if not is_streamable(p.grammar):
         raise NotStreamableError("grammar is not top-down deterministic; use prune_tree")
-    table = WalkTable(p.grammar, p.kept)
+    table = WalkTable(p.grammar, p.mask)
     child = table.child
     strict = policy == "strict"
     render_start, render_end, render_text, render_comment, render_pi = render
@@ -342,10 +342,11 @@ def prune_tree_with_origin(
     mapping is injective and order-preserving.  Without an
     interpretation, a streamable grammar is validated and copied in one
     top-down pass that builds no witness (``walk_tree`` over the
-    projector's kept set); a grammar that is not streamable, an empty
+    projector's kept mask); a grammar that is not streamable, an empty
     document, a rule that is not text-neutral or a rejection takes the
     other path: the general validation algorithm, which writes the
-    InvalidDocumentError diagnostics, then the copy by witness.
+    InvalidDocumentError diagnostics, then the copy by witness, which
+    reads the projector's decoded ``kept`` set.
     ``validate_tree``'s top-down pass is the same walk, so it would give
     up on exactly these documents and is not run again.  A precomputed
     interpretation may be supplied to amortize validation across many
@@ -355,7 +356,7 @@ def prune_tree_with_origin(
     """
     if interpretation is None:
         if is_streamable(p.grammar):
-            copied = walk_tree(doc, WalkTable(p.grammar, p.kept, validating=True))
+            copied = walk_tree(doc, WalkTable(p.grammar, p.mask, validating=True))
             if copied is not None:
                 return copied
         result = _validate_general(doc, p.grammar)
@@ -370,7 +371,7 @@ def prune_tree_with_origin(
     # pop in pre-order, so each clone takes the next id as it is made.
     # The empty projector yields the empty document.
     work: list[tuple[Node, Element | Document]] = (
-        [(child, pruned) for child in reversed(doc.children)] if p.kept else []
+        [(child, pruned) for child in reversed(doc.children)] if p.mask else []
     )
     while work:
         old, parent = work.pop()

@@ -217,6 +217,12 @@ _TOKEN_RE = re.compile(
 
 _NODE_TYPE_TESTS = {"text", "node", "comment", "processing-instruction"}
 
+# How deep ``parse_query`` lets predicates, parentheses and function-call
+# arguments nest.  Parsing, approximation, inference and the oracle recurse
+# a few frames per level; this bound keeps them all within Python's
+# default recursion limit.
+MAX_QUERY_NESTING = 100
+
 
 class _Tokens:
     def __init__(self, text: str):
@@ -232,6 +238,7 @@ class _Tokens:
             self.items.append((m.group(1), m.start(1)))
             pos = m.end()
         self.index = 0
+        self.depth = 0  # open `[` and `(` around the current token
 
     def peek(self, ahead: int = 0) -> str | None:
         i = self.index + ahead
@@ -254,6 +261,21 @@ class _Tokens:
         if got != tok:
             raise QuerySyntaxError(f"expected {tok!r}, got {got!r}", self.pos())
 
+    def open(self) -> None:
+        """Take an opening `[` or `(`: one nesting level deeper."""
+        if self.depth == MAX_QUERY_NESTING:
+            raise QuerySyntaxError(
+                f"predicates and parentheses nest deeper than {MAX_QUERY_NESTING} levels",
+                self.pos(),
+            )
+        self.take()
+        self.depth += 1
+
+    def close(self, tok: str) -> None:
+        """Take the closing `]` or `)` of the innermost level."""
+        self.expect(tok)
+        self.depth -= 1
+
 
 _IDENT_RE = re.compile(r"[A-Za-z_][\w.\-]*(?::[A-Za-z_][\w.\-]*)?\Z")
 
@@ -269,7 +291,10 @@ def parse_query(text: str) -> FullQuery:
     descendant-or-self::node() step, ``.``/``..`` become self/parent steps
     and ``@a`` an attribute step.  Constructs outside the supported XPath
     subset (namespace axis, comment()/processing-instruction() tests,
-    variables, arithmetic) are rejected by name.
+    variables, arithmetic) are rejected by name.  Predicates, parentheses
+    and function-call arguments may nest at most ``MAX_QUERY_NESTING``
+    (100) levels deep; a deeper query raises ``QuerySyntaxError`` at the
+    opening bracket one level too deep.  Paths may have any length.
     """
     tokens = _Tokens(text)
     branches = [_parse_path(tokens, top_level=True)]
@@ -349,9 +374,9 @@ def _parse_node_test(tokens: _Tokens) -> NodeTest:
 def _parse_predicates(tokens: _Tokens) -> tuple[Expr, ...]:
     preds: list[Expr] = []
     while tokens.peek() == "[":
-        tokens.take()
+        tokens.open()
         preds.append(_parse_or(tokens))
-        tokens.expect("]")
+        tokens.close("]")
     return tuple(preds)
 
 
@@ -390,9 +415,9 @@ def _parse_value(tokens: _Tokens) -> Expr:
         tokens.take()
         return NumberLiteral(float(tok))
     if tok == "(":
-        tokens.take()
+        tokens.open()
         inner = _parse_or(tokens)
-        tokens.expect(")")
+        tokens.close(")")
         return inner
     if tok in ("+", "-", ","):
         raise QuerySyntaxError(f"unsupported: arithmetic operator {tok!r}", tokens.pos())
@@ -403,14 +428,14 @@ def _parse_value(tokens: _Tokens) -> Expr:
         and ":" not in tok
     ):
         name = tokens.take()
-        tokens.take()
+        tokens.open()
         args: list[Expr] = []
         if tokens.peek() != ")":
             args.append(_parse_or(tokens))
             while tokens.peek() == ",":
                 tokens.take()
                 args.append(_parse_or(tokens))
-        tokens.expect(")")
+        tokens.close(")")
         return FunctionCall(name, tuple(args))
     if tok in ("/", "//", ".", "..", "@", "*") or _is_ident(tok):
         return _parse_path(tokens)

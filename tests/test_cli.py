@@ -8,6 +8,8 @@ from xmlprojector.cli import main
 from xmlprojector import parse_projector_text, parse_xml, projector_to_text, serialize, tree_events
 from xmlprojector.doc import subtree_text
 
+from xmlprojector.xpath import MAX_QUERY_NESTING
+
 from conftest import D0_XML, G0_DTD, RECURSIVE_DTD
 
 
@@ -325,10 +327,33 @@ def test_prune_stats_on_non_streamable_grammar(tmp_path, capsys):
 
 
 def test_deeply_nested_query_reports_error_not_traceback(g0_dtd, capsys):
-    query = "/doc" + "[a" * 1_500 + "]" * 1_500
-    assert run(["infer", "--dtd", g0_dtd, "--query", query]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: input nested too deeply") and "Traceback" not in err
+    # parse_query stops at the first bracket past its nesting bound
+    for levels in (MAX_QUERY_NESTING + 1, 1_500):
+        query = "/doc" + "[a" * levels + "]" * levels
+        assert run(["infer", "--dtd", g0_dtd, "--query", query]) == 2
+        err = capsys.readouterr().err
+        offset = len("/doc") + 2 * MAX_QUERY_NESTING
+        assert err == (
+            "error: predicates and parentheses nest deeper than "
+            f"{MAX_QUERY_NESTING} levels (at offset {offset})\n"
+        )
+
+
+def test_query_at_the_nesting_bound_infers_and_checks(recursive_dtd, capsys):
+    query = "//section" + "[section" * MAX_QUERY_NESTING + "]" * MAX_QUERY_NESTING
+    assert run(["infer", "--dtd", recursive_dtd, "--query", query]) == 0
+    assert capsys.readouterr().err == "kept 6 of 6 rules (0 dropped)\n"
+    assert run(["check", "--dtd", recursive_dtd, "--query", query, "--n", "5"]) == 0
+    assert capsys.readouterr().out.strip() == "PASS n=5"
+
+
+def test_check_deep_documents(recursive_dtd, capsys):
+    # documents up to 10 000 levels deep are generated, pruned and compared
+    code = run(
+        ["check", "--dtd", recursive_dtd, "--query", "//para", "--n", "20", "--max-depth", "10000"]
+    )
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "PASS n=20"
 
 
 def test_projector_with_deeply_nested_rule_prunes(tmp_path, capsys):

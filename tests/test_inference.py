@@ -1,6 +1,9 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xmlprojector import (
     GrammarFormatError,
@@ -514,8 +517,15 @@ def test_projector_root_query_keeps_everything(g0):
 
 
 def test_projector_rejects_foreign_rules(g0):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside the grammar"):
         Projector(g0, frozenset([Rule.text("Alien")]))
+    # the mask holds the grammar's rules and nothing else
+    n = len(g0.sorted_rules())
+    assert Projector(g0, (1 << n) - 1).kept == g0.rules
+    with pytest.raises(ValueError, match="beyond the grammar's rules"):
+        Projector(g0, 1 << n)
+    with pytest.raises(ValueError, match="beyond the grammar's rules"):
+        Projector(g0, [None])  # the document node is no rule
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +546,80 @@ def test_projector_file_requires_marks(g0):
 
     with pytest.raises(GrammarFormatError):
         parse_projector_text(grammar_to_text(g0))
+
+
+# ---------------------------------------------------------------------------
+# The kept mask
+
+
+@functools.cache
+def _mask_grammars() -> list[Grammar]:
+    grammars = _differential_grammars()
+    return [grammars[name] for name in sorted(grammars)]
+
+
+def _respaced(line: str, draw) -> str:
+    """The line with each space widened and whitespace around it."""
+    gaps = st.sampled_from([" ", "  ", "\t", " \t "])
+    parts = line.split(" ")
+    out = draw(st.sampled_from(["", "  ", "\t"])) + parts[0]
+    for part in parts[1:]:
+        out += draw(gaps) + part
+    return out + draw(st.sampled_from(["", " ", "\t"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_projector_mask_matches_its_rules(data):
+    g = data.draw(st.sampled_from(_mask_grammars()))
+    rules = g.sorted_rules()
+    chosen = frozenset(data.draw(st.sets(st.sampled_from(rules))))
+    by_rules = Projector(g, chosen)
+    mask = by_rules.mask
+    assert g.rules_in(mask) == [r for r in rules if r in chosen]
+    assert by_rules.kept == chosen
+    by_mask = Projector(g, mask)
+    assert by_mask == by_rules and hash(by_mask) == hash(by_rules)
+    assert by_mask.kept == chosen
+    assert by_mask.dropped == g.rules - chosen
+    text = projector_to_text(by_rules)
+    assert projector_to_text(by_mask) == text
+    # the document node's bit, any higher bit and negative masks are refused
+    for bad in (mask | g.bit(None), mask | g.bit(None) << data.draw(st.integers(1, 70)), -1):
+        with pytest.raises(ValueError):
+            Projector(g, bad)
+    # a hand-written file: rule lines in any order, odd spacing, comments
+    header, lines = text.splitlines()[:1], text.splitlines()[1:]
+    header += [line for line in lines if line.startswith("attlist:")]
+    rule_lines = [line for line in lines if line[0] in "+-"]
+    shuffled = data.draw(st.permutations(rule_lines))
+    hand = [_respaced(line, data.draw) for line in header]
+    for line in shuffled:
+        hand.append(_respaced(line, data.draw))
+        hand.append(data.draw(st.sampled_from(["", "   ", "# a comment"])))
+    loaded = parse_projector_text("\n".join(hand))
+    assert loaded.mask == mask and loaded == by_rules
+    assert projector_to_text(loaded) == text
+
+
+def test_shipping_path_never_decodes_the_kept_set(xmark_grammar, tmp_path):
+    # infer -> projector file -> prune, streamed and in memory, reads only
+    # the projectors' masks: their decoded `kept` stays unset
+    from xmlprojector import parse_xml, prune_tree, serialize
+
+    path = tmp_path / "x.xml"
+    write_xmark_doc(path, 20_000)
+    data = path.read_text()
+    inferred = infer_projector([_ell("//person/name"), _ell("//item/name")], xmark_grammar)
+    loaded = parse_projector_text(projector_to_text(inferred))
+    assert loaded == inferred and 0 < inferred.mask.bit_count() < len(xmark_grammar.rules)
+    streamed: list[str] = []
+    prune_file(data, loaded, streamed.append)
+    in_memory = serialize(prune_tree(parse_xml(data), loaded))
+    assert "".join(streamed) == in_memory and len(in_memory) < len(data)
+    assert inferred._kept is None and loaded._kept is None
+    # reading `kept` decodes it once, into the cache this test watches
+    assert loaded.kept is loaded.kept and loaded._kept is not None
 
 
 # ---------------------------------------------------------------------------

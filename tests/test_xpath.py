@@ -14,6 +14,7 @@ from xmlprojector.xpath import (
     PredAnd,
     PredOr,
     QueryEll,
+    MAX_QUERY_NESTING,
     QuerySyntaxError,
     StepEll,
     TagTest,
@@ -217,6 +218,51 @@ def test_nested_predicates_survive():
     left = pred.left
     assert isinstance(left, PathExists)
     assert left.path[0].pred == PathExists((StepEll(Axis.CHILD, TagTest("c")),))
+
+
+def _nested_queries(levels: int) -> dict[str, str]:
+    """Queries over RECURSIVE_DTD whose brackets nest `levels` deep."""
+    return {
+        "predicates": "//section" + "[section" * levels + "]" * levels,
+        "parentheses": "//section[" + "(" * (levels - 1) + "title" + ")" * (levels - 1) + "]",
+        "calls": "/doc[" + "not(" * (levels - 1) + "section" + ")" * (levels - 1) + "]",
+        "absolute": "/doc" + "[/doc" * levels + "]" * levels,
+    }
+
+
+def test_query_nesting_bound_runs_end_to_end(recursive_grammar):
+    # at the bound, every stage that recurses per level stays within the
+    # recursion limit, even called from 200 frames deep
+    from xmlprojector import infer_projector, parse_xml
+    from xmlprojector.oracle import eval_ell, eval_full
+
+    levels = 30
+    doc = parse_xml(
+        "<doc>" + "<section><title>t</title><para>p</para>" * levels
+        + "</section>" * levels + "</doc>"
+    )
+
+    def nested_call(depth, f):
+        return f() if depth == 0 else nested_call(depth - 1, f)
+
+    def run(text):
+        q = parse_query(text)
+        ell = approximate_to_ell(q)
+        assert infer_projector([ell], recursive_grammar).mask
+        assert eval_full(q, doc) <= set(eval_ell(ell, doc))
+
+    for text in _nested_queries(MAX_QUERY_NESTING).values():
+        nested_call(200, lambda: run(text))
+
+
+def test_query_nesting_past_the_bound_is_a_syntax_error():
+    for name, text in _nested_queries(MAX_QUERY_NESTING + 1).items():
+        with pytest.raises(QuerySyntaxError) as info:
+            parse_query(text)
+        # the offset of the bracket one level too deep
+        opening = [i for i, ch in enumerate(text) if ch in "[("][MAX_QUERY_NESTING]
+        assert info.value.position == opening, name
+        assert f"nest deeper than {MAX_QUERY_NESTING} levels" in str(info.value)
 
 
 # ---------------------------------------------------------------------------
