@@ -43,7 +43,11 @@ _DATA_ERRORS = (InvalidDocumentError, UnresolvableTagError)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # building all five subcommand parsers costs about half a millisecond
+    # more than building one, so only the invoked one is built; help and
+    # errors that list the subcommands get them all
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)
@@ -65,30 +69,42 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser with every subcommand, or with `command` only.
+
+    A parser built for one subcommand prints the same usage line as the
+    full one, so its own errors read the same."""
     parser = argparse.ArgumentParser(
         prog="xmlprojector",
         description="Prune XML documents down to what a set of XPath queries can observe.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        if command is None or name == command:
+            add_arguments(sub.add_parser(name, help=help_text))
+    return parser
 
-    def add_dtd(p, required=True):
-        p.add_argument("--dtd", required=required, help="DTD file defining the schema")
-        p.add_argument("--root", help="root element (default: first declared)")
 
-    def add_queries(p):
-        p.add_argument(
-            "--query",
-            action="append",
-            default=[],
-            metavar="XPATH",
-            help="query; repeatable, results are unioned",
-        )
-        p.add_argument("--queries", help="batch file, one XPath per line, # comments")
+def _add_dtd(p, required=True):
+    p.add_argument("--dtd", required=required, help="DTD file defining the schema")
+    p.add_argument("--root", help="root element (default: first declared)")
 
-    infer = sub.add_parser("infer", help="infer a projector from DTD and queries")
-    add_dtd(infer)
-    add_queries(infer)
+
+def _add_queries(p):
+    p.add_argument(
+        "--query",
+        action="append",
+        default=[],
+        metavar="XPATH",
+        help="query; repeatable, results are unioned",
+    )
+    p.add_argument("--queries", help="batch file, one XPath per line, # comments")
+
+
+def _infer_arguments(infer):
+    _add_dtd(infer)
+    _add_queries(infer)
     infer.add_argument(
         "--emit-grammar",
         action="store_true",
@@ -97,9 +113,10 @@ def _build_parser() -> argparse.ArgumentParser:
     infer.add_argument("-o", "--output", default="-", help="projector file (default stdout)")
     infer.set_defaults(func=_cmd_infer)
 
-    prune = sub.add_parser("prune", help="prune a document with a projector or infer one first")
-    add_dtd(prune, required=False)
-    add_queries(prune)
+
+def _prune_arguments(prune):
+    _add_dtd(prune, required=False)
+    _add_queries(prune)
     prune.add_argument("--projector", help="projector file from `infer`")
     prune.add_argument("-i", "--input", default="-", help="document (default stdin)")
     prune.add_argument("-o", "--output", default="-", help="pruned document (default stdout)")
@@ -109,29 +126,30 @@ def _build_parser() -> argparse.ArgumentParser:
     prune.add_argument("--stats", action="store_true", help="print a stats line to stderr")
     prune.set_defaults(func=_cmd_prune)
 
-    validate = sub.add_parser("validate", help="check a document against the DTD")
-    add_dtd(validate)
+
+def _validate_arguments(validate):
+    _add_dtd(validate)
     validate.add_argument("-i", "--input", default="-", help="document (default stdin)")
     validate.set_defaults(func=_cmd_validate)
 
-    gen = sub.add_parser("gen", help="generate a random valid document")
-    add_dtd(gen)
+
+def _gen_arguments(gen):
+    _add_dtd(gen)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--max-depth", type=int, default=12)
     gen.add_argument("--max-star-repeat", type=int, default=3)
     gen.add_argument("-o", "--output", default="-")
     gen.set_defaults(func=_cmd_gen)
 
-    check = sub.add_parser("check", help="verify pruning soundness on generated documents")
-    add_dtd(check)
-    add_queries(check)
+
+def _check_arguments(check):
+    _add_dtd(check)
+    _add_queries(check)
     check.add_argument("--n", type=int, default=100, help="number of documents")
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--max-depth", type=int, default=12)
     check.add_argument("--dump-dir", default=".", help="where to write counterexamples")
     check.set_defaults(func=_cmd_check)
-
-    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +301,16 @@ def _cmd_check(args) -> int:
     for line in report.lines(doc_paths):
         print(line)
     return 0 if report.passed else 1
+
+
+# subcommand -> (help line, function that adds its arguments)
+_COMMANDS = {
+    "infer": ("infer a projector from DTD and queries", _infer_arguments),
+    "prune": ("prune a document with a projector or infer one first", _prune_arguments),
+    "validate": ("check a document against the DTD", _validate_arguments),
+    "gen": ("generate a random valid document", _gen_arguments),
+    "check": ("verify pruning soundness on generated documents", _check_arguments),
+}
 
 
 if __name__ == "__main__":

@@ -200,22 +200,27 @@ def pred_and(parts: list[Predicate]) -> Predicate | None:
 # ---------------------------------------------------------------------------
 # Concrete-syntax parser
 
+# One token per match: a name (group 1), any other token (group 2), or a
+# character no token starts with, which matches neither group.
 _TOKEN_RE = re.compile(
     r"""
-    \s*(
-        \d+\.\d+ | \.\d+ | \d+              # numbers
-      | '[^']*' | "[^"]*"                   # string literals
-      | // | /
-      | \.\. | \.
-      | :: | @ | \| | \( | \) | \[ | \]
-      | != | <= | >= | = | < | >
-      | , | \* | \+ | -
-      | [A-Za-z_][\w.\-]*(?::[A-Za-z_][\w.\-]*)?   # names, maybe prefixed
+    \s*(?:
+        ([A-Za-z_][\w.\-]*(?::[A-Za-z_][\w.\-]*)?)   # names, maybe prefixed
+      | ( // | / | :: | [\[\]()@|,*+\-=]
+        | '[^']*' | "[^"]*"                         # string literals
+        | \d+\.\d+ | \.\d+ | \d+                    # numbers
+        | \.\. | \.
+        | != | <= | >= | < | >
+        )
+      | \S
     )""",
     re.X,
 )
 
 _NODE_TYPE_TESTS = {"text", "node", "comment", "processing-instruction"}
+_COMPARISONS = {"=", "!=", "<", "<=", ">", ">="}
+_STEP_STARTS = {".", "..", "@", "*"}
+_ANY_DESCENDANT = FullStep("descendant-or-self", NODE_ANY)  # what `//` stands for
 
 # How deep ``parse_query`` lets predicates, parentheses and function-call
 # arguments nest.  Parsing, approximation, inference and the oracle recurse
@@ -225,63 +230,57 @@ MAX_QUERY_NESTING = 100
 
 
 class _Tokens:
+    """The tokens of one query, read by index ``i``.
+
+    ``toks[k]`` is the k-th token's text and ``names[k]`` the same text if
+    the token is a name, else "".  Both end in two sentinels (None and ""),
+    so the parser looks at the current and the next token without bounds
+    checks.  Start offsets are only needed for error messages, so they are
+    found again when one is raised.
+    """
+
+    __slots__ = ("text", "toks", "names", "i", "depth")
+
     def __init__(self, text: str):
+        pairs = _TOKEN_RE.findall(text)
+        toks = [name or other for name, other in pairs]
+        if "" in toks:
+            m = next(m for m in _TOKEN_RE.finditer(text) if m.lastindex is None)
+            raise QuerySyntaxError(f"cannot tokenize {text[m.start():].strip()[:10]!r}", m.start())
         self.text = text
-        self.items: list[tuple[str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m or not m.group(1):
-                if text[pos:].strip():
-                    raise QuerySyntaxError(f"cannot tokenize {text[pos:].strip()[:10]!r}", pos)
-                break
-            self.items.append((m.group(1), m.start(1)))
-            pos = m.end()
-        self.index = 0
+        self.toks: list[str | None] = toks + [None, None]
+        self.names = [name for name, _ in pairs] + ["", ""]
+        self.i = 0
         self.depth = 0  # open `[` and `(` around the current token
 
-    def peek(self, ahead: int = 0) -> str | None:
-        i = self.index + ahead
-        return self.items[i][0] if i < len(self.items) else None
-
-    def pos(self) -> int:
-        if self.index < len(self.items):
-            return self.items[self.index][1]
-        return len(self.text)
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise QuerySyntaxError("unexpected end of query", len(self.text))
-        self.index += 1
-        return tok
+    def error(self, message: str, k: int) -> QuerySyntaxError:
+        """A syntax error at the start of token k, or at the end of the text."""
+        if self.toks[k] is None:
+            return QuerySyntaxError(message, len(self.text))
+        m = list(_TOKEN_RE.finditer(self.text))[k]
+        return QuerySyntaxError(message, m.start(m.lastindex))
 
     def expect(self, tok: str) -> None:
-        got = self.take()
+        got = self.toks[self.i]
+        if got is None:
+            raise self.error("unexpected end of query", self.i)
+        self.i += 1
         if got != tok:
-            raise QuerySyntaxError(f"expected {tok!r}, got {got!r}", self.pos())
+            raise self.error(f"expected {tok!r}, got {got!r}", self.i)
 
     def open(self) -> None:
         """Take an opening `[` or `(`: one nesting level deeper."""
         if self.depth == MAX_QUERY_NESTING:
-            raise QuerySyntaxError(
-                f"predicates and parentheses nest deeper than {MAX_QUERY_NESTING} levels",
-                self.pos(),
+            raise self.error(
+                f"predicates and parentheses nest deeper than {MAX_QUERY_NESTING} levels", self.i
             )
-        self.take()
+        self.i += 1
         self.depth += 1
 
     def close(self, tok: str) -> None:
         """Take the closing `]` or `)` of the innermost level."""
         self.expect(tok)
         self.depth -= 1
-
-
-_IDENT_RE = re.compile(r"[A-Za-z_][\w.\-]*(?::[A-Za-z_][\w.\-]*)?\Z")
-
-
-def _is_ident(tok: str | None) -> bool:
-    return tok is not None and bool(_IDENT_RE.match(tok))
 
 
 def parse_query(text: str) -> FullQuery:
@@ -296,150 +295,159 @@ def parse_query(text: str) -> FullQuery:
     (100) levels deep; a deeper query raises ``QuerySyntaxError`` at the
     opening bracket one level too deep.  Paths may have any length.
     """
-    tokens = _Tokens(text)
-    branches = [_parse_path(tokens, top_level=True)]
-    while tokens.peek() == "|":
-        tokens.take()
-        branches.append(_parse_path(tokens, top_level=True))
-    if tokens.peek() is not None:
-        raise QuerySyntaxError(f"trailing input {tokens.peek()!r}", tokens.pos())
+    t = _Tokens(text)
+    branches = [_parse_path(t)]
+    while t.toks[t.i] == "|":
+        t.i += 1
+        branches.append(_parse_path(t))
+    if t.toks[t.i] is not None:
+        raise t.error(f"trailing input {t.toks[t.i]!r}", t.i)
     return FullQuery(tuple(branches))
 
 
-def _parse_path(tokens: _Tokens, top_level: bool = False) -> PathExpr:
+def _parse_path(t: _Tokens) -> PathExpr:
+    toks, names, i = t.toks, t.names, t.i
     steps: list[FullStep] = []
-    absolute = False
-    tok = tokens.peek()
-    if tok == "/":
-        absolute = True
-        tokens.take()
-        if not _starts_step(tokens.peek()):
+    absolute = toks[i] in ("/", "//")
+    if toks[i] == "/":
+        i += 1
+        if not (names[i] or toks[i] in _STEP_STARTS):
+            t.i = i
             return PathExpr(True, ())
-    elif tok == "//":
-        absolute = True
-        tokens.take()
-        steps.append(FullStep("descendant-or-self", NODE_ANY))
-    steps.append(_parse_step(tokens))
-    while tokens.peek() in ("/", "//"):
-        if tokens.take() == "//":
-            steps.append(FullStep("descendant-or-self", NODE_ANY))
-        steps.append(_parse_step(tokens))
-    return PathExpr(absolute, tuple(steps))
+    elif toks[i] == "//":
+        i += 1
+        steps.append(_ANY_DESCENDANT)
+    while True:
+        tok, after = toks[i], toks[i + 1]
+        if (names[i] or tok == "*") and after != "::" and after != "(" and after != "[":
+            # a plain child step, the common case
+            steps.append(FullStep("child", WILDCARD if tok == "*" else TagTest(tok)))
+            i += 1
+        else:
+            t.i = i
+            steps.append(_parse_step(t))
+            i = t.i
+        if toks[i] == "/":
+            i += 1
+        elif toks[i] == "//":
+            i += 1
+            steps.append(_ANY_DESCENDANT)
+        else:
+            t.i = i
+            return PathExpr(absolute, tuple(steps))
 
 
-def _starts_step(tok: str | None) -> bool:
-    return tok in (".", "..", "@", "*") or _is_ident(tok)
-
-
-def _parse_step(tokens: _Tokens) -> FullStep:
-    tok = tokens.peek()
+def _parse_step(t: _Tokens) -> FullStep:
+    tok = t.toks[t.i]
     if tok == ".":
-        tokens.take()
-        return FullStep("self", NODE_ANY, _parse_predicates(tokens))
+        t.i += 1
+        return FullStep("self", NODE_ANY, _parse_predicates(t))
     if tok == "..":
-        tokens.take()
-        return FullStep("parent", NODE_ANY, _parse_predicates(tokens))
+        t.i += 1
+        return FullStep("parent", NODE_ANY, _parse_predicates(t))
     axis = "child"
     if tok == "@":
-        tokens.take()
+        t.i += 1
         axis = "attribute"
-    elif _is_ident(tok) and tokens.peek(1) == "::":
-        axis = tokens.take()
-        tokens.take()
+    elif t.names[t.i] and t.toks[t.i + 1] == "::":
+        axis = tok
+        t.i += 2
         if axis not in FULL_AXES:
-            raise QuerySyntaxError(f"unknown axis {axis!r}", tokens.pos())
+            raise t.error(f"unknown axis {axis!r}", t.i)
         if axis == "namespace":
-            raise QuerySyntaxError("unsupported: namespace axis", tokens.pos())
-    test = _parse_node_test(tokens)
-    return FullStep(axis, test, _parse_predicates(tokens))
+            raise t.error("unsupported: namespace axis", t.i)
+    test = _parse_node_test(t)
+    return FullStep(axis, test, _parse_predicates(t))
 
 
-def _parse_node_test(tokens: _Tokens) -> NodeTest:
-    tok = tokens.take()
+def _parse_node_test(t: _Tokens) -> NodeTest:
+    i = t.i
+    tok = t.toks[i]
+    if tok is None:
+        raise t.error("unexpected end of query", i)
+    t.i = i + 1
     if tok == "*":
         return WILDCARD
-    if not _is_ident(tok):
-        raise QuerySyntaxError(f"expected a node test, got {tok!r}", tokens.pos())
-    if tok in _NODE_TYPE_TESTS and tokens.peek() == "(":
-        tokens.take()
-        tokens.expect(")")
+    if not t.names[i]:
+        raise t.error(f"expected a node test, got {tok!r}", t.i)
+    if tok in _NODE_TYPE_TESTS and t.toks[t.i] == "(":
+        t.i += 1
+        t.expect(")")
         if tok == "text":
             return TEXT_TEST
         if tok == "node":
             return NODE_ANY
-        raise QuerySyntaxError(f"unsupported: {tok}() node test", tokens.pos())
+        raise t.error(f"unsupported: {tok}() node test", t.i)
     return TagTest(tok)
 
 
-def _parse_predicates(tokens: _Tokens) -> tuple[Expr, ...]:
+def _parse_predicates(t: _Tokens) -> tuple[Expr, ...]:
     preds: list[Expr] = []
-    while tokens.peek() == "[":
-        tokens.open()
-        preds.append(_parse_or(tokens))
-        tokens.close("]")
+    while t.toks[t.i] == "[":
+        t.open()
+        preds.append(_parse_or(t))
+        t.close("]")
     return tuple(preds)
 
 
-def _parse_or(tokens: _Tokens) -> Expr:
-    out = _parse_and(tokens)
-    while tokens.peek() == "or":
-        tokens.take()
-        out = BinaryOp("or", out, _parse_and(tokens))
+def _parse_or(t: _Tokens) -> Expr:
+    out = _parse_and(t)
+    while t.toks[t.i] == "or":
+        t.i += 1
+        out = BinaryOp("or", out, _parse_and(t))
     return out
 
 
-def _parse_and(tokens: _Tokens) -> Expr:
-    out = _parse_comparison(tokens)
-    while tokens.peek() == "and":
-        tokens.take()
-        out = BinaryOp("and", out, _parse_comparison(tokens))
+def _parse_and(t: _Tokens) -> Expr:
+    out = _parse_comparison(t)
+    while t.toks[t.i] == "and":
+        t.i += 1
+        out = BinaryOp("and", out, _parse_comparison(t))
     return out
 
 
-def _parse_comparison(tokens: _Tokens) -> Expr:
-    out = _parse_value(tokens)
-    while tokens.peek() in ("=", "!=", "<", "<=", ">", ">="):
-        op = tokens.take()
-        out = BinaryOp(op, out, _parse_value(tokens))
+def _parse_comparison(t: _Tokens) -> Expr:
+    out = _parse_value(t)
+    while (op := t.toks[t.i]) in _COMPARISONS:
+        t.i += 1
+        out = BinaryOp(op, out, _parse_value(t))
     return out
 
 
-def _parse_value(tokens: _Tokens) -> Expr:
-    tok = tokens.peek()
+def _parse_value(t: _Tokens) -> Expr:
+    i = t.i
+    tok = t.toks[i]
+    if t.names[i]:
+        if t.toks[i + 1] != "(" or tok in _NODE_TYPE_TESTS or ":" in tok:
+            return _parse_path(t)
+        t.i = i + 1
+        t.open()
+        args: list[Expr] = []
+        if t.toks[t.i] != ")":
+            args.append(_parse_or(t))
+            while t.toks[t.i] == ",":
+                t.i += 1
+                args.append(_parse_or(t))
+        t.close(")")
+        return FunctionCall(tok, tuple(args))
     if tok is None:
-        raise QuerySyntaxError("unexpected end of predicate", tokens.pos())
-    if tok.startswith(("'", '"')):
-        tokens.take()
+        raise t.error("unexpected end of predicate", i)
+    if tok[0] in "'\"":
+        t.i = i + 1
         return StringLiteral(tok[1:-1])
-    if tok[0].isdigit() or (tok.startswith(".") and len(tok) > 1 and tok[1].isdigit()):
-        tokens.take()
+    if tok[0].isdigit() or (tok[0] == "." and len(tok) > 1 and tok[1].isdigit()):
+        t.i = i + 1
         return NumberLiteral(float(tok))
     if tok == "(":
-        tokens.open()
-        inner = _parse_or(tokens)
-        tokens.close(")")
+        t.open()
+        inner = _parse_or(t)
+        t.close(")")
         return inner
     if tok in ("+", "-", ","):
-        raise QuerySyntaxError(f"unsupported: arithmetic operator {tok!r}", tokens.pos())
-    if (
-        _is_ident(tok)
-        and tokens.peek(1) == "("
-        and tok not in _NODE_TYPE_TESTS
-        and ":" not in tok
-    ):
-        name = tokens.take()
-        tokens.open()
-        args: list[Expr] = []
-        if tokens.peek() != ")":
-            args.append(_parse_or(tokens))
-            while tokens.peek() == ",":
-                tokens.take()
-                args.append(_parse_or(tokens))
-        tokens.close(")")
-        return FunctionCall(name, tuple(args))
-    if tok in ("/", "//", ".", "..", "@", "*") or _is_ident(tok):
-        return _parse_path(tokens)
-    raise QuerySyntaxError(f"unsupported token {tok!r} in predicate", tokens.pos())
+        raise t.error(f"unsupported: arithmetic operator {tok!r}", i)
+    if tok in _STEP_STARTS or tok == "/" or tok == "//":
+        return _parse_path(t)
+    raise t.error(f"unsupported token {tok!r} in predicate", i)
 
 
 # ---------------------------------------------------------------------------
@@ -470,21 +478,25 @@ def approximate_to_ell(q: FullQuery) -> QueryEll:
     read (function arguments, comparison operands).  Queries already in
     the fragment come back unchanged.
     """
-    branches: list[tuple[StepEll, ...]] = []
-    pending: list[PathExpr] = list(q.branches)
-    while pending:
-        path = pending.pop(0)
-        branches.append(_approx_steps(path.steps, pending))
-    deduped = tuple(dict.fromkeys(branches))
-    return QueryEll(deduped)
+    paths = list(q.branches)
+    # approximating a path appends the absolute paths inside its predicates
+    # to `paths`; the loop reaches them in turn as further branches
+    branches = [_approx_steps(path.steps, paths) for path in paths]
+    if len(branches) > 1:
+        branches = list(dict.fromkeys(branches))
+    return QueryEll(tuple(branches))
 
 
 def _approx_steps(steps: tuple[FullStep, ...], sink: list[PathExpr]) -> tuple[StepEll, ...]:
     out: list[StepEll] = []
     for i, step in enumerate(steps):
+        axis = ELL_AXES.get(step.axis)
+        if axis is not None and not step.predicates:
+            out.append(StepEll(axis, step.test))
+            continue
         pred = _approx_predicates(step.predicates, sink)
-        if step.axis in ELL_AXES:
-            out.append(StepEll(ELL_AXES[step.axis], step.test, pred))
+        if axis is not None:
+            out.append(StepEll(axis, step.test, pred))
         elif step.axis in ("following-sibling", "preceding-sibling"):
             out.append(StepEll(Axis.PARENT, NODE_ANY))
             out.append(StepEll(Axis.CHILD, step.test, pred))

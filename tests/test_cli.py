@@ -442,3 +442,38 @@ def test_hand_written_projector_prunes_as_the_inferred_one(recursive_dtd, tmp_pa
     assert first == second
     assert first.grammar.sorted_rules() == second.grammar.sorted_rules()
     assert projector_to_text(second) == canonical.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-h"],
+        ["prune", "-h"],
+        ["infer", "-h"],
+        ["check", "-h"],
+        ["bogus"],
+        ["infer"],
+        ["prune", "--policy", "x"],
+        ["gen", "--seed", "q"],
+        [],
+        ["prune", "--bogus"],
+    ],
+)
+def test_one_subcommand_parser_reads_as_the_full_parser(argv, capsys, monkeypatch):
+    # main builds only the parser of the subcommand that argv[0] names, and
+    # every parser when argv[0] names none; help, errors and exit codes are
+    # those of the parser with all subcommands
+    from xmlprojector import cli
+
+    def outcome(call):
+        with pytest.raises(SystemExit) as info:
+            call(list(argv))
+        out = capsys.readouterr()
+        return info.value.code, out.out, out.err
+
+    full = outcome(lambda args: cli._build_parser().parse_args(args))
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: built.append(command) or build(command))
+    assert outcome(cli.main) == full
+    assert built == [argv[0] if argv and argv[0] in cli._COMMANDS else None]

@@ -11,7 +11,11 @@ from the fold that stepped one context rule at a time.  The
 streamability verdict of every grammar here was recorded from the
 pairwise label-overlap check.  The generated-document digests were
 recorded from the recursive document generator, so a generator that
-draws its random numbers in another order shows here.  After a
+draws its random numbers in another order shows here.  The query
+digests cover the XPath front end alone: the parse tree and the
+approximated fragment text of each query, or the message and offset of
+its syntax error; they were recorded from the parser that matched one
+token at a time and peeked at each.  After a
 deliberate change of output, print the new tables with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
@@ -47,9 +51,11 @@ from xmlprojector import (
     validate_tree,
 )
 from xmlprojector.grammar import EPSILON, Opt, Plus, Star, alt, names_in, rule_to_text, seq
+from xmlprojector.xpath import MAX_QUERY_NESTING, QuerySyntaxError, ell_to_text
 
 from conftest import DEEP_DTD, G0_DTD, MIXED_DTD, RECURSIVE_DTD, XMARK_DTD, write_xmark_doc
 from test_acceptance import ANY_QUERIES, G0_QUERIES, MIXED_QUERIES, RECURSIVE_QUERIES, XMARK_QUERIES
+from test_xpath import _BAD_QUERIES, _QUERY_CORPUS, _nested_queries
 
 DEEP_QUERIES = [
     "/root/sec/meta",
@@ -430,6 +436,59 @@ def _generation_cases() -> dict[str, Grammar]:
     return {name: _inference_cases()[name][0] for name in names}
 
 
+# The queries of the README and the demos.
+README_DEMO_QUERIES = [
+    "//person/name",
+    "/doc/a/b",
+    "/doc/a[c]/b",
+    "//c",
+    "/doc/a[position()=2]/b",
+    "/doc/a[contains(c,'y')]/b",
+    "/doc/a[not(c)]/b",
+    "/a/b/following-sibling::c",
+    "/a/following::c",
+    "//person/@id",
+    "/doc/a[/doc/c]/b",
+    "//x[strange(y/z)]",
+]
+
+
+@functools.cache
+def _query_cases() -> dict[str, list[str]]:
+    walks: list[str] = []
+    for seed in range(10):
+        walks += _walk_queries(random.Random(1000 + seed), _synthetic_dtd(seed)[1], 30)
+    wide: list[str] = []
+    for seed in range(3):
+        wide += _wide_queries(random.Random(seed), _wide_dtd(seed, 120)[1])
+    return {
+        "corpus": _QUERY_CORPUS,
+        "readme_demos": README_DEMO_QUERIES,
+        "acceptance": G0_QUERIES + ANY_QUERIES + XMARK_QUERIES + RECURSIVE_QUERIES
+        + MIXED_QUERIES + DEEP_QUERIES,
+        "walks": walks,
+        "wide": wide,
+        "errors": _BAD_QUERIES,
+        "nesting": [
+            text
+            for levels in (MAX_QUERY_NESTING, MAX_QUERY_NESTING + 1)
+            for text in _nested_queries(levels).values()
+        ],
+    }
+
+
+def _query_record(queries: list[str]) -> str:
+    parts = []
+    for text in queries:
+        try:
+            q = parse_query(text)
+        except QuerySyntaxError as exc:
+            parts.append(f"## {text!r}\nerror {exc}\nposition {exc.position}\n")
+            continue
+        parts.append(f"## {text!r}\n{q!r}\n{ell_to_text(approximate_to_ell(q))}\n")
+    return "".join(parts)
+
+
 def _generation_record(g: Grammar) -> str:
     docs = (serialize(generate_document(g, GenConfig(seed=s))) for s in range(10))
     return "".join(f"## {s}\n{xml}\n" for s, xml in enumerate(docs))
@@ -539,6 +598,22 @@ GOLDEN_GENERATION = {
 }
 
 
+GOLDEN_QUERIES = {
+    "corpus": "00870d2a4fb374759bb2b344",
+    "readme_demos": "311ee4312b0f7e98e336ae18",
+    "acceptance": "6ba7a406a20b45530f75f26d",
+    "walks": "0898f818f17c8833d26ac687",
+    "wide": "c3bd5ffafa90eb1a5d78428b",
+    "errors": "148f63de8c06b3a94858b24b",
+    "nesting": "0558aa45e23bb7cbff1982f5",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_QUERIES))
+def test_queries_match_golden(case):
+    assert _digest(_query_record(_query_cases()[case])) == GOLDEN_QUERIES[case]
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN_INFERENCE))
 def test_inferred_projectors_match_golden(case):
     g, queries = _inference_cases()[case]
@@ -571,6 +646,9 @@ if __name__ == "__main__":
     print("}\n\nGOLDEN_GENERATION = {")
     for name, g in _generation_cases().items():
         print(f'    "{name}": "{_digest(_generation_record(g))}",')
+    print("}\n\nGOLDEN_QUERIES = {")
+    for name, queries in _query_cases().items():
+        print(f'    "{name}": "{_digest(_query_record(queries))}",')
     print("}\n\nGOLDEN_STREAMABLE = {")
     for name, g in _streamability_cases().items():
         print(f'    "{name}": {is_streamable(g)},')

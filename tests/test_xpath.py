@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xmlprojector.xpath import (
     NODE_ANY,
@@ -83,17 +85,49 @@ def test_parse_function_and_comparison():
     assert pred.right.op == "!="
 
 
+# One or more inputs for each way parse_query rejects a query.
+_BAD_QUERIES = [
+    "/a/namespace::x",
+    "/a/comment()",
+    "/a[$v]",
+    "/a[1 + 2]",
+    "doc//",
+    "/a[",
+    "/a]b",
+    "",
+    "   ",
+    "/a $",
+    "/a/b#c",
+    "/a[b c]",
+    "/a[b",
+    "/a[(b]",
+    "/a/foo::b",
+    "/a/ns:child::b",
+    "/a/[b]",
+    "/a/processing-instruction()",
+    "/a/text(",
+    "/a/node(x)",
+    "/a[b=]",
+    "/a[-1]",
+    "/a[,]",
+    "/a[]",
+    "/a[f(b,]",
+    "/a[f(b c)]",
+    "/a[b]]",
+    "/a | ",
+    "| /a",
+    "/a/@",
+    "/a/::b",
+    "/a/child::",
+    "/a/'x'",
+    "/a[b and]",
+    "/a[b or or c]",
+    "a:b:c",
+]
+
+
 def test_parse_errors():
-    for bad in [
-        "/a/namespace::x",
-        "/a/comment()",
-        "/a[$v]",
-        "/a[1 + 2]",
-        "doc//",
-        "/a[",
-        "/a]b",
-        "",
-    ]:
+    for bad in _BAD_QUERIES:
         with pytest.raises(QuerySyntaxError):
             parse_query(bad)
 
@@ -293,6 +327,36 @@ _QUERY_CORPUS = [
     "//a[b[c[text()]]]",
     "/doc/a[b][c][2]/b",
 ]
+
+
+# Pieces that strings over the XPath token alphabet are built from; pieces
+# run together, so names and punctuation also merge into longer tokens.
+_QUERY_ALPHABET = [
+    "/", "//", "[", "]", "(", ")", "::", "@", ".", "..", "|", ",",
+    "=", "!=", "<", "*", "-",
+    "child", "descendant", "descendant-or-self", "parent", "ancestor",
+    "ancestor-or-self", "self", "following-sibling", "preceding-sibling",
+    "following", "preceding", "attribute", "namespace",
+    "or", "and", "not", "contains", "position", "text", "node", "comment",
+    "a", "b", "c", "ns:a",
+    "'x'", '""', "1", "2.5", ".5",
+    "$", " ", "\t",
+]
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(st.sampled_from(_QUERY_ALPHABET), max_size=16).map("".join))
+def test_parse_query_is_total(text):
+    # any string either parses or is a syntax error with an offset inside
+    # the text; what parses approximates, and the approximation reads back
+    # to itself through its canonical text
+    try:
+        q = parse_query(text)
+    except QuerySyntaxError as exc:
+        assert exc.position is not None and 0 <= exc.position <= len(text)
+        return
+    ell = approximate_to_ell(q)
+    assert approximate_to_ell(parse_query(ell_to_text(ell))) == ell
 
 
 @pytest.mark.parametrize("text", _QUERY_CORPUS)
