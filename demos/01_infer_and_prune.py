@@ -6,21 +6,19 @@ streaming pass without changing the query's answer.
 """
 
 from xmlprojector import (
+    PruneStats,
     approximate_to_ell,
     ell_to_text,
     grammar_to_text,
     infer_projector,
-    iter_events,
     parse_dtd,
     parse_query,
     parse_xml,
     projector_to_text,
-    prune_stream,
+    prune_file,
     prune_tree,
     serialize,
-    serialize_events,
 )
-from xmlprojector.pruner import PruneStats
 
 DTD = """
 <!ELEMENT doc (a*)>
@@ -43,7 +41,9 @@ print("\nInferred projector (+ kept, - dropped):\n")
 print(projector_to_text(projector))
 
 stats = PruneStats()
-pruned = serialize_events(prune_stream(iter_events(DOCUMENT), projector, stats=stats))
+chunks: list[str] = []
+prune_file(DOCUMENT, projector, chunks.append, stats=stats)
+pruned = "".join(chunks)
 print("Original:", DOCUMENT)
 print("Pruned:  ", pruned)
 print("Stats:   ", stats.line())

@@ -20,21 +20,12 @@ Typical use::
 __version__ = "0.1.0"
 
 from .doc import (
-    Comment,
     Document,
     Element,
-    EndElement,
-    ProcessingInstruction,
-    SaxEvent,
-    StartElement,
-    Text,
     TextNode,
     XmlSyntaxError,
-    iter_events,
     parse_xml,
     serialize,
-    serialize_events,
-    tree_events,
 )
 from .dtd import DtdError, parse_dtd
 from .grammar import (
@@ -91,7 +82,6 @@ from .pruner import (
     PruneStats,
     UnresolvableTagError,
     prune_file,
-    prune_stream,
     prune_tree,
 )
 from .xpath import (

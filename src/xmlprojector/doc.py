@@ -1,13 +1,15 @@
-"""XML document model and SAX-style event streams.
+"""XML document model, parsing and printing.
 
-One document representation, two views: an in-memory tree of element/text
-nodes (plus pass-through comment/PI nodes) and a flat sequence of
-start/text/end events.  Events print through ``serialize_event``; trees
-print straight from their nodes (``serialize``, ``subtree_text``),
-building no events.  Both printers format through the same helpers
-(``_attributes``, ``escape``, ``_pi_text``), and
-``test_parse_xml_numbers_nodes_as_it_builds`` keeps them byte-identical:
-a tree, its events and the event stream it was parsed from print alike.
+Documents live in memory as a tree of element/text nodes (plus
+pass-through comment/PI nodes).  ``parse_xml`` builds that tree inside
+the expat callbacks; the streaming pruner (``pruner.prune_file``) runs in
+the same callbacks and prints what it keeps through ``CALLBACK_TEXT``,
+building no tree.  Trees print straight from their nodes (``serialize``,
+``subtree_text``).  Both printers format through the same helpers
+(``_attributes``, ``escape``, ``_pi_text``), so a tree and the callbacks
+it was parsed from print alike; ``test_parse_xml_numbers_nodes_as_it_builds``
+checks that byte for byte.  This module is the one place that knows the
+output text format.
 
 Node identifiers are pre-order positions: the document node is 0 and every
 node below it gets the next id in document order.  ``parse_xml`` and the
@@ -18,43 +20,8 @@ numbers a tree of nodes linked beforehand (generated or hand-built).
 from __future__ import annotations
 
 import xml.parsers.expat
-from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 from xml.sax.saxutils import escape, quoteattr
-
-
-# ---------------------------------------------------------------------------
-# Events
-
-
-@dataclass(frozen=True)
-class StartElement:
-    tag: str
-    attributes: tuple[tuple[str, str], ...] = ()
-
-
-@dataclass(frozen=True)
-class Text:
-    content: str
-
-
-@dataclass(frozen=True)
-class EndElement:
-    tag: str
-
-
-@dataclass(frozen=True)
-class Comment:
-    content: str
-
-
-@dataclass(frozen=True)
-class ProcessingInstruction:
-    target: str
-    data: str
-
-
-SaxEvent = StartElement | Text | EndElement | Comment | ProcessingInstruction
 
 
 class XmlSyntaxError(ValueError):
@@ -197,11 +164,13 @@ def feed(parser: xml.parsers.expat.XMLParserType, source: str | bytes | IO[bytes
     """Parse XML text or a binary file object, pausing after each chunk.
 
     The parser's handlers run during each pause's chunk; expat's errors
-    surface as XmlSyntaxError with line and 1-based column.
+    surface as XmlSyntaxError with line and 1-based column.  Text goes to
+    expat as ``str``, which tells it the data is UTF-8 whatever encoding
+    the XML declaration names; bytes are decoded as declared.
     """
     try:
         if isinstance(source, (str, bytes)):
-            parser.Parse(source.encode("utf-8") if isinstance(source, str) else source, True)
+            parser.Parse(source, True)
             yield
             return
         while True:
@@ -214,31 +183,6 @@ def feed(parser: xml.parsers.expat.XMLParserType, source: str | bytes | IO[bytes
         raise XmlSyntaxError(
             xml.parsers.expat.errors.messages[exc.code], exc.lineno, exc.offset + 1
         ) from None
-
-
-def iter_events(source: str | bytes | IO[bytes]) -> Iterator[SaxEvent]:
-    """Stream SAX events from XML text or a binary file object.
-
-    Memory is bounded by the parser buffer plus one chunk of pending
-    events; the input is never materialized as a tree.
-    """
-    pending: list[SaxEvent] = []
-    parser = new_parser()
-
-    def start(tag, attr_list):
-        pairs = tuple((attr_list[i], attr_list[i + 1]) for i in range(0, len(attr_list), 2))
-        pending.append(StartElement(tag, pairs))
-
-    parser.StartElementHandler = start
-    parser.EndElementHandler = lambda tag: pending.append(EndElement(tag))
-    parser.CharacterDataHandler = lambda data: pending.append(Text(data))
-    parser.CommentHandler = lambda data: pending.append(Comment(data))
-    parser.ProcessingInstructionHandler = lambda target, data: pending.append(
-        ProcessingInstruction(target, data)
-    )
-    for _ in feed(parser, source):
-        yield from pending
-        pending.clear()
 
 
 def parse_xml(source: str | bytes | IO[bytes]) -> Document:
@@ -304,49 +248,12 @@ def parse_xml(source: str | bytes | IO[bytes]) -> Document:
 # Serialization
 
 
-def tree_events(doc: Document) -> Iterator[SaxEvent]:
-    """Event view of a tree in document order, one Text per text node."""
-    return _events_of(doc.children)
-
-
-def _events_of(nodes: list[Node]) -> Iterator[SaxEvent]:
-    # An explicit stack, not recursion, so nesting depth is unbounded.
-    # It holds nodes still to visit and the end events of open elements.
-    stack: list[Node | EndElement] = list(reversed(nodes))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Element):
-            yield StartElement(node.tag, node.attributes)
-            stack.append(EndElement(node.tag))
-            stack.extend(reversed(node.children))
-        elif isinstance(node, EndElement):
-            yield node
-        elif isinstance(node, TextNode):
-            yield Text(node.content)
-        elif isinstance(node, CommentNode):
-            yield Comment(node.content)
-        else:
-            yield ProcessingInstruction(node.target, node.data)
-
-
 def _attributes(pairs: Iterable[tuple[str, str]]) -> str:
     return "".join(f" {name}={quoteattr(value)}" for name, value in pairs)
 
 
 def _pi_text(target: str, data: str) -> str:
     return f"<?{target} {data}?>" if data else f"<?{target}?>"
-
-
-def serialize_event(event: SaxEvent) -> str:
-    if isinstance(event, StartElement):
-        return f"<{event.tag}{_attributes(event.attributes)}>"
-    if isinstance(event, EndElement):
-        return f"</{event.tag}>"
-    if isinstance(event, Text):
-        return escape(event.content)
-    if isinstance(event, Comment):
-        return f"<!--{event.content}-->"
-    return _pi_text(event.target, event.data)
 
 
 def _start_tag(tag: str, attrs: list[str]) -> str:
@@ -356,14 +263,12 @@ def _start_tag(tag: str, attrs: list[str]) -> str:
     return f"<{tag}{_attributes(zip(it, it))}>"
 
 
-# serialize_event's output computed from expat callback arguments, for
-# printing straight from the parser (see new_parser): the start, end,
-# character data, comment and processing instruction handlers, in order.
+# The printers of expat callback arguments, for printing straight from
+# the parser (see new_parser): the start, end, character data, comment
+# and processing instruction handlers, in order.  They print what
+# ``serialize`` prints of the nodes ``parse_xml`` builds in the same
+# callbacks.
 CALLBACK_TEXT = (_start_tag, lambda tag: f"</{tag}>", escape, lambda data: f"<!--{data}-->", _pi_text)
-
-
-def serialize_events(events: Iterable[SaxEvent]) -> str:
-    return "".join(serialize_event(e) for e in events)
 
 
 def serialize(doc: Document) -> str:
@@ -379,10 +284,9 @@ def subtree_text(node: Document | Node) -> str:
 
 
 def _text_of(nodes: list[Node]) -> str:
-    """``serialize_events(_events_of(nodes))``, printed straight from the
-    tree.  An explicit stack, not recursion, so nesting depth is
-    unbounded; it holds nodes still to print and the end tags of open
-    elements."""
+    """The nodes' text in document order, printed straight from the tree.
+    An explicit stack, not recursion, so nesting depth is unbounded; it
+    holds nodes still to print and the end tags of open elements."""
     out: list[str] = []
     append = out.append
     stack: list[Node | str] = list(reversed(nodes))

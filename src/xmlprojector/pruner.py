@@ -1,11 +1,10 @@
 """Applying a projector to documents.
 
-Two pruners with one observable contract.  The streaming pruner handles
-top-down deterministic (streamable) grammars in a single pass, holding
-nothing but a stack of kept frames and a depth counter, so memory follows
-document depth rather than document size.  It runs inside the expat
-callbacks (``prune_file``) or over SAX events (``prune_stream``); both
-drive the same handlers.  ``prune_tree`` handles arbitrary regular tree
+Two pruners with one observable contract.  The streaming pruner,
+``prune_file``, handles top-down deterministic (streamable) grammars in
+a single pass inside the expat callbacks, holding nothing but a stack of
+kept frames and a depth counter, so memory follows document depth rather
+than document size.  ``prune_tree`` handles arbitrary regular tree
 grammars.  On streamable grammars it validates and copies in one
 top-down pass building no witness (``grammar.walk_tree``, the walk that
 also types nodes for ``validate_tree``); elsewhere, and wherever that
@@ -19,21 +18,15 @@ pruners produce byte-identical serializations of valid documents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Callable
 
 from .doc import (
     CALLBACK_TEXT,
-    Comment,
     CommentNode,
     Document,
     Element,
-    EndElement,
     Node,
     PINode,
-    ProcessingInstruction,
-    SaxEvent,
-    StartElement,
-    Text,
     TextNode,
     feed,
     new_parser,
@@ -100,31 +93,36 @@ class PruneStats:
 # Streaming pruner
 
 
-class _Slots:
-    """The five expat handler slots, for driving the pruner from events."""
+def prune_file(
+    src: str | bytes | IO[bytes],
+    p: Projector,
+    write: Callable[[str], object],
+    *,
+    policy: str = "strict",
+    stats: PruneStats | None = None,
+) -> None:
+    """Prune XML text or a binary file object in one pass inside the
+    parser's callbacks, passing the serialized output to ``write`` once
+    per parsed chunk.  No tree is built.
 
-    __slots__ = ("StartElementHandler", "EndElementHandler", "CharacterDataHandler",
-                 "CommentHandler", "ProcessingInstructionHandler")
+    Requires a streamable grammar.  An element whose tag has no candidate
+    name is handled per `policy`: 'strict' raises UnresolvableTagError,
+    'drop' prunes that subtree.  Neither policy validates: 'strict' checks
+    tags against the grammar, never content models, and nothing inside a
+    dropped subtree is checked, so a document that violates the DTD can
+    come out pruned where ``prune_tree`` raises InvalidDocumentError.
+    Comments and processing instructions ride along wherever the
+    surrounding element is kept.  State is one frame per open kept element
+    plus a counter inside pruned regions, so memory follows input depth,
+    never input size.
 
-
-# Kept items as events, one constructor per handler in CALLBACK_TEXT's order.
-_AS_EVENTS = (StartElement, EndElement, Text, Comment, ProcessingInstruction)
-
-
-def _install(
-    p: Projector, policy: str, stats: PruneStats | None, target, out: list, render: tuple
-) -> Callable[[], None]:
-    """Bind the pruning state machine to ``target``'s handler slots.
-
-    ``target`` is an expat parser or a ``_Slots``.  Kept items go to ``out``
-    through ``render``.  Each start tag is resolved through the walk table
-    from the innermost kept frame, whose entry says whether the element,
-    and text under it, is kept; the table is not a validating one, so no
-    automaton is compiled.  On entering a dropped subtree the handlers
-    are swapped for ones that only count, and comments and PIs go
-    unhandled, until the subtree closes; text there is counted only when
-    ``stats`` is given, and goes unhandled otherwise.  Returns the function
-    that adds the run's counters to ``stats``.
+    Each start tag is resolved through the walk table from the innermost
+    kept frame, whose entry says whether the element, and text under it,
+    is kept; the table is not a validating one, so no automaton is
+    compiled.  On entering a dropped subtree the handlers are swapped for
+    ones that only count, and comments and PIs go unhandled, until the
+    subtree closes; text there is counted only when ``stats`` is given,
+    and goes unhandled otherwise.
     """
     if policy not in ("strict", "drop"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -133,7 +131,9 @@ def _install(
     table = WalkTable(p.grammar, p.mask)
     child = table.child
     strict = policy == "strict"
-    render_start, render_end, render_text, render_comment, render_pi = render
+    start_text, end_text, escape_text, comment_text, pi_text = CALLBACK_TEXT
+    parser = new_parser()
+    out: list[str] = []
     append = out.append
     # The document node's entry, then the kept frames only.  The document
     # node's entry is kept unless the projector is empty, and its text is
@@ -155,22 +155,22 @@ def _install(
             elements_out += 1
             stack.append(entry)
             tags.append(tag)
-            append(render_start(tag, attrs))
+            append(start_text(tag, attrs))
             return
         if entry is None and strict:
             raise UnresolvableTagError(tag, "/" + "/".join(tags + [tag]))
         resume = depth - 1
-        target.StartElementHandler = skip_start
-        target.EndElementHandler = skip_end
-        target.CharacterDataHandler = dropped_text
-        target.CommentHandler = target.ProcessingInstructionHandler = None
+        parser.StartElementHandler = skip_start
+        parser.EndElementHandler = skip_end
+        parser.CharacterDataHandler = dropped_text
+        parser.CommentHandler = parser.ProcessingInstructionHandler = None
 
     def end(tag):
         nonlocal depth
         depth -= 1
         stack.pop()
         tags.pop()
-        append(render_end(tag))
+        append(end_text(tag))
 
     def text(data):
         nonlocal text_in, text_out
@@ -178,15 +178,15 @@ def _install(
         text_in += size
         if stack[-1].text_kept:
             text_out += size
-            append(render_text(data))
+            append(escape_text(data))
 
     def comment(data):
         if stack[-1].kept:
-            append(render_comment(data))
+            append(comment_text(data))
 
-    def instruction(pi_target, data):
+    def instruction(target, data):
         if stack[-1].kept:
-            append(render_pi(pi_target, data))
+            append(pi_text(target, data))
 
     def skip_start(tag, attrs):
         nonlocal depth, max_depth, elements_in
@@ -208,93 +208,21 @@ def _install(
     dropped_text = None if stats is None else skip_text
 
     def keep():
-        target.StartElementHandler = start
-        target.EndElementHandler = end
-        target.CharacterDataHandler = text
-        target.CommentHandler = comment
-        target.ProcessingInstructionHandler = instruction
-
-    def finish():
-        if stats is not None:
-            stats.add(elements_in, elements_out, text_in, text_out, max_depth)
+        parser.StartElementHandler = start
+        parser.EndElementHandler = end
+        parser.CharacterDataHandler = text
+        parser.CommentHandler = comment
+        parser.ProcessingInstructionHandler = instruction
 
     keep()
-    return finish
-
-
-def prune_file(
-    src: str | bytes | IO[bytes],
-    p: Projector,
-    write: Callable[[str], object],
-    *,
-    policy: str = "strict",
-    stats: PruneStats | None = None,
-) -> None:
-    """Prune XML text or a binary file object in one pass inside the
-    parser's callbacks, passing the serialized output to ``write`` once
-    per parsed chunk.  No event objects are built.
-
-    Requires a streamable grammar.  An element whose tag has no candidate
-    name is handled per `policy`: 'strict' raises UnresolvableTagError,
-    'drop' prunes that subtree.  Neither policy validates: 'strict' checks
-    tags against the grammar, never content models, and nothing inside a
-    dropped subtree is checked, so a document that violates the DTD can
-    come out pruned where ``prune_tree`` raises InvalidDocumentError.
-    Comments and processing instructions ride along wherever the
-    surrounding element is kept.  State is one frame per open kept element
-    plus a counter inside pruned regions, so memory follows input depth,
-    never input size.
-    """
-    out: list[str] = []
-    parser = new_parser()
-    finish = _install(p, policy, stats, parser, out, CALLBACK_TEXT)
     try:
         for _ in feed(parser, src):
             if out:
                 write("".join(out))
                 out.clear()
     finally:
-        finish()
-
-
-def prune_stream(
-    events: Iterable[SaxEvent],
-    p: Projector,
-    *,
-    policy: str = "strict",
-    stats: PruneStats | None = None,
-) -> Iterator[SaxEvent]:
-    """One-pass event filter; yields the events of the pruned document.
-
-    Feeds each event to the handlers ``prune_file`` runs inside the
-    parser, so output, stats, policies and errors are the same.  Like
-    ``prune_file`` this is not validation: 'strict' checks tags, never
-    content models, and a document that violates the DTD can come out
-    pruned where ``prune_tree`` raises InvalidDocumentError.
-    """
-    out: list[SaxEvent] = []
-    slots = _Slots()
-    finish = _install(p, policy, stats, slots, out, _AS_EVENTS)
-    try:
-        for event in events:
-            kind = type(event)
-            if kind is StartElement:
-                slots.StartElementHandler(event.tag, event.attributes)
-            elif kind is Text:
-                if slots.CharacterDataHandler is not None:
-                    slots.CharacterDataHandler(event.content)
-            elif kind is EndElement:
-                slots.EndElementHandler(event.tag)
-            elif kind is Comment:
-                if slots.CommentHandler is not None:
-                    slots.CommentHandler(event.content)
-            elif slots.ProcessingInstructionHandler is not None:
-                slots.ProcessingInstructionHandler(event.target, event.data)
-            if out:
-                yield from out
-                out.clear()
-    finally:
-        finish()
+        if stats is not None:
+            stats.add(elements_in, elements_out, text_in, text_out, max_depth)
 
 
 # ---------------------------------------------------------------------------

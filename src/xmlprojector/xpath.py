@@ -245,8 +245,10 @@ class _Tokens:
         pairs = _TOKEN_RE.findall(text)
         toks = [name or other for name, other in pairs]
         if "" in toks:
+            # the bad character ends the match, after any whitespace
             m = next(m for m in _TOKEN_RE.finditer(text) if m.lastindex is None)
-            raise QuerySyntaxError(f"cannot tokenize {text[m.start():].strip()[:10]!r}", m.start())
+            at = m.end() - 1
+            raise QuerySyntaxError(f"cannot tokenize {text[at:].strip()[:10]!r}", at)
         self.text = text
         self.toks: list[str | None] = toks + [None, None]
         self.names = [name for name, _ in pairs] + ["", ""]
@@ -264,9 +266,9 @@ class _Tokens:
         got = self.toks[self.i]
         if got is None:
             raise self.error("unexpected end of query", self.i)
-        self.i += 1
         if got != tok:
             raise self.error(f"expected {tok!r}, got {got!r}", self.i)
+        self.i += 1
 
     def open(self) -> None:
         """Take an opening `[` or `(`: one nesting level deeper."""
@@ -351,11 +353,11 @@ def _parse_step(t: _Tokens) -> FullStep:
         axis = "attribute"
     elif t.names[t.i] and t.toks[t.i + 1] == "::":
         axis = tok
-        t.i += 2
         if axis not in FULL_AXES:
             raise t.error(f"unknown axis {axis!r}", t.i)
         if axis == "namespace":
             raise t.error("unsupported: namespace axis", t.i)
+        t.i += 2
     test = _parse_node_test(t)
     return FullStep(axis, test, _parse_predicates(t))
 
@@ -369,7 +371,7 @@ def _parse_node_test(t: _Tokens) -> NodeTest:
     if tok == "*":
         return WILDCARD
     if not t.names[i]:
-        raise t.error(f"expected a node test, got {tok!r}", t.i)
+        raise t.error(f"expected a node test, got {tok!r}", i)
     if tok in _NODE_TYPE_TESTS and t.toks[t.i] == "(":
         t.i += 1
         t.expect(")")
@@ -377,7 +379,7 @@ def _parse_node_test(t: _Tokens) -> NodeTest:
             return TEXT_TEST
         if tok == "node":
             return NODE_ANY
-        raise t.error(f"unsupported: {tok}() node test", t.i)
+        raise t.error(f"unsupported: {tok}() node test", i)
     return TagTest(tok)
 
 

@@ -25,12 +25,10 @@ from xmlprojector import (
     parse_query,
     prune_tree,
     serialize,
-    serialize_events,
-    tree_events,
 )
-from xmlprojector.doc import iter_events
+from xmlprojector.doc import feed, new_parser
 from xmlprojector.oracle import require_interpretation
-from xmlprojector.pruner import PruneStats, prune_file, prune_stream
+from xmlprojector.pruner import PruneStats, prune_file
 from xmlprojector.xpath import Axis
 
 from conftest import DEEP_DTD, G0_DTD, MIXED_DTD, RECURSIVE_DTD, XMARK_DTD, write_deep_doc, write_xmark_doc
@@ -226,32 +224,8 @@ def test_criterion_3_minimality_at_desk_scale():
 
 
 def test_criterion_4_one_pass_memory_bound(big_docs, deep_grammar):
-    pi = infer_projector([approximate_to_ell(parse_query("/root/sec/meta"))], deep_grammar)
-    peaks = {}
-    depths = {}
-    for label, path in big_docs.items():
-        stats = PruneStats()
-        sink: list[int] = [0]
-        tracemalloc.start()
-        with open(path, "rb") as src:
-            for event in prune_stream(iter_events(src), pi, stats=stats):
-                sink[0] += 1
-        peaks[label] = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        depths[label] = stats.max_depth
-    ratio = max(peaks.values()) / min(peaks.values())
-    ok = ratio < 2.0 and all(d == 8 for d in depths.values())
-    _report(
-        "4 one-pass memory bound",
-        ok,
-        f"(peaks KiB {', '.join(f'{k}={v / 1024:.0f}' for k, v in peaks.items())}; "
-        f"ratio {ratio:.2f} over 100x size; depth {depths['100MB']})",
-    )
-
-
-def test_one_pass_memory_bound_fused_path(big_docs, deep_grammar):
-    """Criterion 4's bound on the path the CLI runs: pruning inside the
-    expat callbacks, output handed to a writer once per chunk."""
+    """Pruning as the CLI runs it, inside the expat callbacks with output
+    handed to a writer once per chunk, holds memory flat over 100x size."""
     pi = infer_projector([approximate_to_ell(parse_query("/root/sec/meta"))], deep_grammar)
     peaks = {}
     depths = {}
@@ -272,7 +246,7 @@ def test_one_pass_memory_bound_fused_path(big_docs, deep_grammar):
     ratio = max(peaks.values()) / min(peaks.values())
     ok = ratio < 2.0 and all(d == 8 for d in depths.values())
     _report(
-        "4 one-pass memory bound, fused path",
+        "4 one-pass memory bound",
         ok,
         f"(peaks KiB {', '.join(f'{k}={v / 1024:.0f}' for k, v in peaks.items())}; "
         f"ratio {ratio:.2f} over 100x size; depth {depths['100MB']})",
@@ -280,27 +254,42 @@ def test_one_pass_memory_bound_fused_path(big_docs, deep_grammar):
 
 
 def test_criterion_5_pruning_cost(big_docs, deep_grammar):
+    """Pruning and printing cost at most 1.5x parsing with no-op Python
+    handlers in every callback slot ``prune_file`` uses: the floor for
+    any pruner that runs in the callbacks."""
     pi = infer_projector([approximate_to_ell(parse_query("/root/sec/meta"))], deep_grammar)
     path = big_docs["100MB"]
 
+    def noop(*_):
+        pass
+
     t0 = time.perf_counter()
     with open(path, "rb") as src:
-        for _ in iter_events(src):
+        parser = new_parser()
+        parser.StartElementHandler = parser.EndElementHandler = noop
+        parser.CharacterDataHandler = parser.CommentHandler = noop
+        parser.ProcessingInstructionHandler = noop
+        for _ in feed(parser, src):
             pass
     parse_seconds = time.perf_counter() - t0
 
-    parts = 0
+    written = [0]
+
+    def write(text: str) -> None:
+        written[0] += len(text)
+
     t0 = time.perf_counter()
     with open(path, "rb") as src:
-        for event in prune_stream(iter_events(src), pi):
-            parts += len(serialize_events((event,)))
+        prune_file(src, pi, write)
     prune_seconds = time.perf_counter() - t0
 
+    assert written[0] > 0
     ratio = prune_seconds / parse_seconds
     _report(
         "5 pruning cost",
         ratio <= 1.5,
-        f"(parse {parse_seconds:.1f}s, prune+serialize {prune_seconds:.1f}s, ratio {ratio:.2f} <= 1.5)",
+        f"(no-op callbacks {parse_seconds:.1f}s, prune+serialize {prune_seconds:.1f}s, "
+        f"ratio {ratio:.2f} <= 1.5)",
     )
 
 
@@ -333,12 +322,13 @@ def test_criterion_7_cross_pruner_agreement():
         docs = []
         for seed in range(10):
             doc = generate_document(grammar, GenConfig(seed=seed, max_depth=depth))
-            docs.append((doc, require_interpretation(doc, grammar), list(tree_events(doc))))
+            docs.append((doc, require_interpretation(doc, grammar), serialize(doc)))
         for pi in projectors:
-            for doc, interp, events in docs:
+            for doc, interp, text in docs:
                 via_tree = serialize(prune_tree(doc, pi, interpretation=interp))
-                via_stream = serialize_events(prune_stream(iter(events), pi))
-                assert via_tree == via_stream
+                via_stream: list[str] = []
+                prune_file(text, pi, via_stream.append)
+                assert via_tree == "".join(via_stream)
                 triples += 1
     _report("7 cross-pruner agreement", triples >= 500, f"({triples} byte-identical triples)")
 
@@ -349,9 +339,13 @@ def test_criterion_8_size_reduction(tmp_path):
     grammar = parse_dtd(XMARK_DTD)
     pi = infer_projector([approximate_to_ell(parse_query("//person/name"))], grammar)
     pruned_bytes = 0
+
+    def write(text: str) -> None:
+        nonlocal pruned_bytes
+        pruned_bytes += len(text.encode("utf-8"))
+
     with open(path, "rb") as src:
-        for event in prune_stream(iter_events(src), pi):
-            pruned_bytes += len(serialize_events((event,)).encode("utf-8"))
+        prune_file(src, pi, write)
     fraction = pruned_bytes / total
     _report(
         "8 size reduction",

@@ -5,7 +5,7 @@ import pytest
 
 from xmlprojector.cli import main
 
-from xmlprojector import parse_projector_text, parse_xml, projector_to_text, serialize, tree_events
+from xmlprojector import parse_projector_text, parse_xml, projector_to_text, serialize
 from xmlprojector.doc import subtree_text
 
 from xmlprojector.xpath import MAX_QUERY_NESTING
@@ -238,7 +238,7 @@ def test_deep_nesting_serializes_and_streams(recursive_dtd, tmp_path, capsys):
     xml = _nested_sections(levels)
     doc = parse_xml(xml)
     assert serialize(doc) == xml
-    assert sum(1 for _ in tree_events(doc)) == 5 * levels + 2
+    assert sum(1 for _ in doc.iter_nodes()) == 3 * levels + 2
     assert subtree_text(doc.root.children[0]) == xml[len("<doc>") : -len("</doc>")]
     path = tmp_path / "deep.xml"
     path.write_text(xml)

@@ -21,22 +21,18 @@ from xmlprojector import (
     parse_xml,
     projector_to_text,
     serialize,
-    serialize_events,
-    tree_events,
     validate_tree,
 )
 from xmlprojector.doc import (
+    CALLBACK_TEXT,
     CommentNode,
     Document,
     Element,
-    EndElement,
     PINode,
-    StartElement,
-    Text,
     TextNode,
     XmlSyntaxError,
-    _events_of,
-    iter_events,
+    feed,
+    new_parser,
     subtree_text,
 )
 from xmlprojector.grammar import (
@@ -56,7 +52,6 @@ from xmlprojector.pruner import (
     PruneStats,
     UnresolvableTagError,
     prune_file,
-    prune_stream,
     prune_tree,
     prune_tree_with_origin,
 )
@@ -81,7 +76,9 @@ def _ell(text):
 
 
 def _stream(xml, projector, **kw):
-    return serialize_events(prune_stream(iter_events(xml), projector, **kw))
+    out: list[str] = []
+    prune_file(xml, projector, out.append, **kw)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +146,7 @@ def test_stream_attributes_preserved():
 def test_stream_strict_policy_raises_with_path(g0):
     pi = identity_projector(g0)
     with pytest.raises(UnresolvableTagError) as err:
-        list(prune_stream(iter_events("<doc><a><z/><b>x</b></a></doc>"), pi))
+        _stream("<doc><a><z/><b>x</b></a></doc>", pi)
     assert err.value.path == "/doc/a/z"
 
 
@@ -189,12 +186,12 @@ def test_stream_requires_streamable_grammar():
         ),
     )
     with pytest.raises(NotStreamableError):
-        list(prune_stream(iter_events("<f><a/></f>"), identity_projector(g)))
+        _stream("<f><a/></f>", identity_projector(g))
 
 
 def test_stream_rejects_unknown_policy(g0):
     with pytest.raises(ValueError):
-        list(prune_stream(iter_events(D0_XML), identity_projector(g0), policy="maybe"))
+        _stream(D0_XML, identity_projector(g0), policy="maybe")
 
 
 def test_stream_compiles_nothing_it_does_not_use(tmp_path):
@@ -239,9 +236,9 @@ def test_wildcard_children_are_never_linked_per_tag(monkeypatch):
     prune_file(xml, pi, streamed.append)
     expected = "<r>" + "".join(f"<t{i}>x{i}<t{999 - i}></t{999 - i}></t{i}>" for i in range(1000))
     expected += "<!--c--></r>"
-    assert "".join(streamed) == _stream(xml, pi) == serialize(prune_tree(parse_xml(xml), pi))
+    assert "".join(streamed) == serialize(prune_tree(parse_xml(xml), pi))
     assert "".join(streamed) == expected
-    assert len(tables) == 3  # prune_file, prune_stream, prune_tree's one-pass copy
+    assert len(tables) == 2  # prune_file, prune_tree's one-pass copy
     for t in tables:
         assert [e.rule for e in t._entries.values()] == [g.sorted_rules()[1]]
         assert t.root.by_tag == {} and all(e.by_tag == {} for e in t._entries.values())
@@ -301,11 +298,9 @@ def test_pruners_agree_on_generated_documents(g0, recursive_grammar, mixed_gramm
             projectors.append(infer_projector([_ell(text)], g))
         for seed in range(12):
             doc = generate_document(g, GenConfig(seed=seed, max_depth=8))
-            events = list(tree_events(doc))
+            text = serialize(doc)
             for pi in projectors:
-                via_tree = serialize(prune_tree(doc, pi))
-                via_stream = serialize_events(prune_stream(iter(events), pi))
-                assert via_tree == via_stream
+                assert serialize(prune_tree(doc, pi)) == _stream(text, pi)
 
 
 # Whitespace-only text in mixed and in element-only content, beside
@@ -361,6 +356,7 @@ def test_stream_without_stats_gives_identical_output(
 ):
     dropped_text = 0
     for pi, data in _dropped_text_cases(tmp_path, xmark_grammar, deep_grammar, mixed_grammar):
+        outputs = set()
         for step in (len(data), 7):
             counted: list[str] = []
             stats = PruneStats()
@@ -368,9 +364,9 @@ def test_stream_without_stats_gives_identical_output(
             plain: list[str] = []
             prune_file(_Trickle(data, step), pi, plain.append)
             assert "".join(plain) == "".join(counted), (pi.kept, data[:60])
+            outputs.add("".join(plain))
+        assert len(outputs) == 1, (pi.kept, data[:60])
         dropped_text += stats.text_bytes_in - stats.text_bytes_out
-        events = list(iter_events(data.decode("utf-8")))
-        assert serialize_events(prune_stream(events, pi)) == "".join(counted)
     assert dropped_text > 0
 
 
@@ -398,9 +394,6 @@ def test_deep_chain_grammar_streams():
     dtd = "".join(f"<!ELEMENT e{i} (e{i + 1}?)>" for i in range(levels)) + f"<!ELEMENT e{levels} EMPTY>"
     pi = identity_projector(parse_dtd(dtd))
     xml = "<e0><e1><e2></e2></e1></e0>"
-    out: list[str] = []
-    prune_file(xml, pi, out.append)
-    assert "".join(out) == xml
     assert _stream(xml, pi) == xml
 
 
@@ -409,7 +402,7 @@ def test_stats_monotone_on_generated_documents(g0):
     for seed in range(20):
         doc = generate_document(g0, GenConfig(seed=seed))
         stats = PruneStats()
-        list(prune_stream(tree_events(doc), pi, stats=stats))
+        _stream(serialize(doc), pi, stats=stats)
         assert stats.elements_out <= stats.elements_in
         assert stats.text_bytes_out <= stats.text_bytes_in
 
@@ -434,19 +427,17 @@ def test_pruned_document_validates_against_erasure(g0):
 
 def test_strict_streaming_is_not_validation(recursive_grammar):
     # Stray text under doc and a title after a para violate the DTD; the
-    # streaming pruners check tags only, the in-memory one validates.
+    # streaming pruner checks tags only, the in-memory one validates.
     xml = "<doc>stray text<section><para>p</para><title>late</title></section></doc>"
     pi = infer_projector([_ell("//para")], recursive_grammar)
-    fused: list[str] = []
-    prune_file(xml, pi, fused.append)
-    expected = "<doc><section><para>p</para></section></doc>"
-    assert "".join(fused) == _stream(xml, pi) == expected
+    assert _stream(xml, pi) == "<doc><section><para>p</para></section></doc>"
     with pytest.raises(InvalidDocumentError):
         prune_tree(parse_xml(xml), pi)
 
 
 # ---------------------------------------------------------------------------
-# The fused pruner (inside the expat callbacks) against the event pruner
+# The fused pruner (prune_file, inside the expat callbacks) on decorated
+# documents: read in pieces, read whole, and against the in-memory pruner
 
 
 class _Trickle:
@@ -472,12 +463,14 @@ def _decorated(doc, rng: random.Random, unknown: bool) -> bytes:
     content whitespace and, if asked, an element no grammar rule names."""
     parts = ['<?xml version="1.0" encoding="utf-8"?>\n<!--head é--><?top a="1"?>']
     starts = 0
-    for event in tree_events(doc):
-        if isinstance(event, StartElement):
-            attrs = event.attributes
+    stack = list(reversed(doc.children))  # nodes still to print and end tags
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Element):
+            attrs = node.attributes
             if rng.random() < 0.3:
                 attrs += (("note", rng.choice(_ATTR_VALUES)),)
-            parts.append(f"<{event.tag}{''.join(f' {n}={quoteattr(v)}' for n, v in attrs)}>")
+            parts.append(f"<{node.tag}{''.join(f' {n}={quoteattr(v)}' for n, v in attrs)}>")
             roll = rng.random()
             if roll < 0.15:
                 parts.append("<!-- inner é -->")
@@ -490,27 +483,32 @@ def _decorated(doc, rng: random.Random, unknown: bool) -> bytes:
             starts += 1
             if unknown and starts == 3:
                 parts.append('<zz k="v"><b>q</b><!--z--></zz>')
-        elif isinstance(event, Text):
-            content = event.content + rng.choice(_TEXTS)
+            stack.append(f"</{node.tag}>")
+            stack.extend(reversed(node.children))
+        elif isinstance(node, TextNode):
+            content = node.content + rng.choice(_TEXTS)
             if rng.random() < 0.3 and "]]>" not in content:
                 parts.append(f"<![CDATA[{content}]]>")
             else:
                 parts.append(escape(content))
-        elif isinstance(event, EndElement):
-            parts.append(f"</{event.tag}>")
+        elif isinstance(node, str):
+            parts.append(node)
     parts.append("<!--tail--><?end here?>\n")
     return "".join(parts).encode("utf-8")
 
 
-def _outcome(run) -> tuple:
+def _outcome(src, pi, policy) -> tuple:
+    """``prune_file``'s output or error, with its stats unless the input
+    is not well formed."""
     stats = PruneStats()
+    out: list[str] = []
     try:
-        text = run(stats)
+        prune_file(src, pi, out.append, policy=policy, stats=stats)
     except XmlSyntaxError as exc:
         return ("syntax", exc.line, exc.column), None
     except UnresolvableTagError as exc:
         return ("unresolvable", exc.path), stats
-    return ("ok", text), stats
+    return ("ok", "".join(out)), stats
 
 
 _DIFF_CORPUS = {
@@ -524,6 +522,9 @@ _DIFF_CORPUS = {
 
 @pytest.mark.parametrize("name", sorted(_DIFF_CORPUS))
 def test_fused_matches_event_pruner(name):
+    """``prune_file`` gives the same output, error and stats whether the
+    input arrives in 1- or 7-byte reads or whole, and the in-memory
+    pruner's output and stats wherever that accepts the document."""
     dtd, queries, depth = _DIFF_CORPUS[name]
     g = parse_dtd(dtd)
     projectors = [identity_projector(g), empty_projector(g)]
@@ -539,24 +540,29 @@ def test_fused_matches_event_pruner(name):
             inputs.append(data.replace(b"</", b"</x", 1))  # mismatched end tag
     seen = set()
     for data in inputs:
+        try:
+            doc = parse_xml(data)
+        except XmlSyntaxError:
+            doc = None
         for pi in projectors:
+            # the in-memory pruner's output and stats, where it accepts the document
+            tree = None
+            if doc is not None:
+                tree_stats = PruneStats()
+                try:
+                    tree = ("ok", serialize(prune_tree(doc, pi, stats=tree_stats))), tree_stats
+                except InvalidDocumentError:
+                    pass
             for policy in ("strict", "drop"):
-                for step in (1, 7, 65536):
-
-                    def fused(stats):
-                        out: list[str] = []
-                        prune_file(_Trickle(data, step), pi, out.append, policy=policy, stats=stats)
-                        return "".join(out)
-
-                    def events(stats):
-                        src = iter_events(_Trickle(data, step))
-                        return serialize_events(prune_stream(src, pi, policy=policy, stats=stats))
-
-                    got, want = _outcome(fused), _outcome(events)
-                    assert got == want, (name, step, policy, data[:200])
-                    seen.add(got[0][0])
-                    if got[1] is not None and got[1].elements_out < got[1].elements_in:
-                        seen.add("dropped")
+                whole = _outcome(data, pi, policy)
+                for step in (1, 7):
+                    got = _outcome(_Trickle(data, step), pi, policy)
+                    assert got == whole, (name, step, policy, data[:200])
+                if tree is not None:
+                    assert whole == tree, (name, policy, data[:200])
+                seen.add(whole[0][0])
+                if whole[1] is not None and whole[1].elements_out < whole[1].elements_in:
+                    seen.add("dropped")
     assert seen == {"ok", "syntax", "unresolvable", "dropped"}
 
 
@@ -605,25 +611,69 @@ def _building_inputs(name: str) -> list[bytes]:
     ]
 
 
+_HANDLER_SLOTS = (
+    "StartElementHandler",
+    "EndElementHandler",
+    "CharacterDataHandler",
+    "CommentHandler",
+    "ProcessingInstructionHandler",
+)
+
+
+def _callback_text(data: bytes) -> str:
+    """The input printed straight from the parser's callbacks, as the
+    streaming pruner prints what it keeps."""
+    out: list[str] = []
+    parser = new_parser()
+    for slot, render in zip(_HANDLER_SLOTS, CALLBACK_TEXT):
+        setattr(parser, slot, lambda *args, render=render: out.append(render(*args)))
+    for _ in feed(parser, data):
+        pass
+    return "".join(out)
+
+
+def _tree_text(nodes: list) -> str:
+    """The nodes printed by a walk of their own: the reference for
+    ``serialize`` and ``subtree_text``."""
+    parts: list[str] = []
+    stack = list(reversed(nodes))  # nodes still to print and end tags
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif isinstance(node, Element):
+            attrs = "".join(f" {n}={quoteattr(v)}" for n, v in node.attributes)
+            parts.append(f"<{node.tag}{attrs}>")
+            stack.append(f"</{node.tag}>")
+            stack.extend(reversed(node.children))
+        elif isinstance(node, TextNode):
+            parts.append(escape(node.content))
+        elif isinstance(node, CommentNode):
+            parts.append(f"<!--{node.content}-->")
+        else:
+            parts.append(f"<?{node.target} {node.data}?>" if node.data else f"<?{node.target}?>")
+    return "".join(parts)
+
+
 @pytest.mark.parametrize("name", ["hand", "G0", "xmark", "mixed"])
 def test_parse_xml_numbers_nodes_as_it_builds(name):
     for data in _building_inputs(name):
-        want = serialize_events(iter_events(data))
+        want = _callback_text(data)
         for src in _forms(data):
             doc = parse_xml(src)
             nodes = _assert_preorder_ids(doc)
             assert serialize(doc) == want, (name, src)
-            assert serialize(doc) == serialize_events(tree_events(doc))
+            assert serialize(doc) == _tree_text(doc.children)
             assert not any(isinstance(child, TextNode) for child in doc.children)
             for node in nodes[1:]:
                 if isinstance(node, Element):
                     kinds = [type(child) for child in node.children]
                     assert (TextNode, TextNode) not in zip(kinds, kinds[1:]), (name, src)
-        # the tree printer against the event printer, node by node; in the
+        # the tree printer against the test's own, node by node; in the
         # 10 000-level chain only every 1000th node, as subtree sizes sum
-        # to 50 million events there
+        # to 50 million nodes there
         for node in nodes[1:] if len(nodes) < 10_000 else nodes[1::1000]:
-            assert subtree_text(node) == serialize_events(_events_of([node])), (name, node)
+            assert subtree_text(node) == _tree_text([node]), (name, node)
 
 
 @pytest.mark.parametrize(
@@ -639,6 +689,18 @@ def test_parse_xml_rejects_malformed_input(data, where):
         with pytest.raises(XmlSyntaxError) as exc:
             parse_xml(src)
         assert (exc.value.line, exc.value.column) == where
+
+
+def test_text_input_is_unicode_whatever_encoding_it_declares():
+    # A str is already decoded: its declaration names the encoding of the
+    # bytes it came from, not of the str.  Bytes decode as declared.
+    xml = '<?xml version="1.0" encoding="ISO-8859-1"?><r>é</r>'
+    assert serialize(parse_xml(xml)) == "<r>é</r>"
+    assert serialize(parse_xml(xml.encode("latin-1"))) == "<r>é</r>"
+    stats = PruneStats()
+    pi = identity_projector(parse_dtd("<!ELEMENT r (#PCDATA)>"))
+    assert _stream(xml, pi, stats=stats) == "<r>é</r>"
+    assert stats.text_bytes_in == len("é".encode("utf-8"))
 
 
 @pytest.mark.parametrize("name", ["G0", "xmark", "mixed"])

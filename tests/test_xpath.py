@@ -132,6 +132,23 @@ def test_parse_errors():
             parse_query(bad)
 
 
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("/a[b c]", 5),  # the unexpected token, not the one after it
+        ("/a/foo::b", 3),  # the unknown axis name
+        ("/a/namespace::b", 3),
+        ("/a/comment()", 3),  # the unsupported node test's name
+        ("/a/child::[x]", 10),  # the token where a node test should be
+        ("/a $", 3),  # the bad character, not the whitespace before it
+    ],
+)
+def test_parse_error_points_at_the_offending_token(text, offset):
+    with pytest.raises(QuerySyntaxError) as info:
+        parse_query(text)
+    assert info.value.position == offset
+
+
 def test_prefixed_names_are_plain_tags():
     (path,) = parse_query("/ns:doc/ns:a").branches
     assert path.steps[0].test == TagTest("ns:doc")
