@@ -26,6 +26,7 @@ from xmlprojector import (
     prune_tree,
     serialize,
 )
+from xmlprojector.cli import main
 from xmlprojector.doc import feed, new_parser
 from xmlprojector.oracle import require_interpretation
 from xmlprojector.pruner import PruneStats, prune_file
@@ -223,9 +224,39 @@ def test_criterion_3_minimality_at_desk_scale():
     _report("3 minimality", True, "(both queries minimal; every injected rule is found)")
 
 
-def test_criterion_4_one_pass_memory_bound(big_docs, deep_grammar):
-    """Pruning as the CLI runs it, inside the expat callbacks with output
-    handed to a writer once per chunk, holds memory flat over 100x size."""
+def test_criterion_4_one_pass_memory_bound(big_docs, tmp_path, capsys):
+    """The `prune` subcommand, file in and file out, holds memory flat
+    over 100x input size: reading, pruning and writing are all one pass."""
+    dtd = tmp_path / "deep.dtd"
+    dtd.write_text(DEEP_DTD)
+    peaks = {}
+    depths = {}
+    for label, path in big_docs.items():
+        out = tmp_path / f"pruned_{label}.xml"
+        argv = ["prune", "--dtd", str(dtd), "--query", "/root/sec/meta",
+                "-i", path, "-o", str(out), "--stats"]
+        tracemalloc.start()
+        code = main(argv)
+        peaks[label] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert code == 0
+        assert out.stat().st_size > 0
+        stats_line = capsys.readouterr().err.strip().splitlines()[-1]
+        depths[label] = int(stats_line.rsplit("max_depth=", 1)[1])
+        out.unlink()
+    ratio = max(peaks.values()) / min(peaks.values())
+    ok = ratio < 2.0 and all(d == 8 for d in depths.values())
+    _report(
+        "4 one-pass memory bound",
+        ok,
+        f"(peaks KiB {', '.join(f'{k}={v / 1024:.0f}' for k, v in peaks.items())}; "
+        f"ratio {ratio:.2f} over 100x size; depth {depths['100MB']})",
+    )
+
+
+def test_one_pass_memory_bound_fused_path(big_docs, deep_grammar):
+    """Criterion 4's bound on ``prune_file`` alone: pruning inside the
+    expat callbacks, output handed to a writer once per chunk."""
     pi = infer_projector([approximate_to_ell(parse_query("/root/sec/meta"))], deep_grammar)
     peaks = {}
     depths = {}
@@ -246,7 +277,7 @@ def test_criterion_4_one_pass_memory_bound(big_docs, deep_grammar):
     ratio = max(peaks.values()) / min(peaks.values())
     ok = ratio < 2.0 and all(d == 8 for d in depths.values())
     _report(
-        "4 one-pass memory bound",
+        "4 one-pass memory bound, fused path",
         ok,
         f"(peaks KiB {', '.join(f'{k}={v / 1024:.0f}' for k, v in peaks.items())}; "
         f"ratio {ratio:.2f} over 100x size; depth {depths['100MB']})",
