@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import ExitStack
 from typing import IO
 
 from .doc import XmlSyntaxError, parse_xml, serialize
@@ -38,7 +39,14 @@ from .pruner import (
 )
 from .xpath import QueryEll, QuerySyntaxError, approximate_to_ell, parse_query
 
-_USAGE_ERRORS = (DtdError, GrammarFormatError, QuerySyntaxError, XmlSyntaxError, OracleError)
+
+class InputFileError(ValueError):
+    """A DTD, projector or query file that is not UTF-8 text."""
+
+
+_USAGE_ERRORS = (
+    DtdError, GrammarFormatError, QuerySyntaxError, XmlSyntaxError, OracleError, InputFileError
+)
 _DATA_ERRORS = (InvalidDocumentError, UnresolvableTagError)
 
 
@@ -158,7 +166,10 @@ def _check_arguments(check):
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputFileError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def _query_texts(args) -> list[str]:
@@ -239,9 +250,11 @@ def _cmd_infer(args) -> int:
 def _cmd_prune(args) -> int:
     projector = _load_projector(args)
     stats = PruneStats() if args.stats else None
-    src = _open_in(args.input)
-    out = _open_out(args.output)
-    try:
+    with ExitStack() as files:
+        src = _open_in(args.input)
+        files.callback(_close, src, args.input)
+        out = _open_out(args.output)
+        files.callback(_close, out, args.output)
         if is_streamable(projector.grammar):
             prune_file(src, projector, out.write, policy=args.policy, stats=stats)
         else:
@@ -251,9 +264,6 @@ def _cmd_prune(args) -> int:
         if stats is not None:
             print(stats.line(), file=sys.stderr)
         return 0
-    finally:
-        _close(src, args.input)
-        _close(out, args.output)
 
 
 def _cmd_validate(args) -> int:

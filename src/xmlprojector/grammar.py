@@ -16,7 +16,9 @@ grammar and projector files.
 
 ``Grammar`` also owns the rule index, built once at construction: the
 rules in sort order, each name's rules and the names each rule's content
-mentions (``sorted_rules``, ``rules_of``, ``child_names``).  Every other
+mentions (``sorted_rules``, ``rules_of``, ``child_names``); a rule read
+from text gives its names without its regex being parsed, so loading a
+projector builds no content regex.  Every other
 question about the grammar's structure is answered on key masks (ints,
 bit i for the i-th sorted rule, one bit more for the document node):
 one-step and reachability masks down and up (``child_mask``,
@@ -198,9 +200,20 @@ def names_in(regex: ContentRegex) -> frozenset[str]:
 # Rules and grammars
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Rule:
-    """One production: ``name -> label [ content ]`` or ``name -> String``."""
+    """One production: ``name -> label [ content ]`` or ``name -> String``.
+
+    An element rule read from text (``parse_rule_text``) keeps its regex
+    text and the names in it, and parses the text into ``content`` on the
+    first read of ``content``: when its automaton is compiled, it is
+    printed, pickled or compared with a rule of its name and label, or it
+    breaks a sort tie.  Loading checked the text, so that parse cannot
+    fail.  Such a rule equals, hashes, pickles and sorts like the rule
+    built with the parsed content.  Concurrent first reads each parse and
+    store an equal value, so a shared rule is safe to read from any
+    thread.
+    """
 
     name: str
     label: Label | None
@@ -215,6 +228,17 @@ class Rule:
         # hash need not read the content, whose tree may be deeper than the
         # recursion limit; DTD imports give each name one rule.
         object.__setattr__(self, "_hash", hash((self.name, self.label)))
+
+    def _content_names(self) -> tuple[str, ...]:
+        """The names an element rule's content mentions."""
+        return tuple(names_in(self.content))
+
+    def __eq__(self, other):
+        # the dataclass's own test, but a rule read from text, of a subclass,
+        # equals the rule built with its content
+        if not isinstance(other, Rule):
+            return NotImplemented
+        return (self.name, self.label, self.content) == (other.name, other.label, other.content)
 
     def __hash__(self):
         return self._hash
@@ -252,6 +276,38 @@ class Rule:
 
     def __repr__(self):
         return f"Rule({rule_to_text(self)!r})"
+
+
+class _RuleFromText(Rule):
+    """An element rule read from text: its regex text, which
+    ``parse_regex_text`` accepts, is parsed into ``content`` on first read
+    (see ``Rule``), and the names in it were read at load.  A subclass, so
+    that reading any other attribute of any rule stays a plain attribute
+    read.  Attributes are set with ``object.__setattr__``: writing the
+    instance's ``__dict__`` would slow every later attribute read."""
+
+    @classmethod
+    def make(cls, name: str, label: Label, regex: str, names: tuple[str, ...]) -> Rule:
+        """The rule; ``names``: the names ``regex`` mentions."""
+        if not _NAME_RE.match(name):
+            raise GrammarError(f"illegal rule name {name!r}")
+        rule = cls.__new__(cls)
+        fields = {"name": name, "label": label, "_regex": regex, "_content": None,
+                  "_hash": hash((name, label)), "_names": names}
+        for attr, value in fields.items():
+            object.__setattr__(rule, attr, value)
+        return rule
+
+    def _content_names(self) -> tuple[str, ...]:
+        return self._names
+
+    @property
+    def content(self) -> ContentRegex:
+        content = self._content
+        if content is None:
+            content = parse_regex_text(self._regex)
+            object.__setattr__(self, "_content", content)
+        return content
 
 
 # What a text-neutral element rule's children step, for one-pass walks:
@@ -322,7 +378,7 @@ class Grammar:
         for rule in self._sorted:
             by_name.setdefault(rule.name, []).append(rule)
             if not rule.is_text:
-                self._child_names[rule] = tuple(names_in(rule.content))
+                self._child_names[rule] = rule._content_names()
         self._by_name: dict[str, tuple[Rule, ...]] = {n: tuple(rs) for n, rs in by_name.items()}
         missing = self.start.union(*self._child_names.values()) - self._by_name.keys()
         if missing:
@@ -1049,10 +1105,11 @@ def is_streamable(g: Grammar) -> bool:
             texts = below & text
             return texts & (texts - 1) == 0 and (every or _resolves_one_way(g, below & elements))
 
-        at_root = every or _resolves_one_way(g, g.child_mask(g.bit(None)) & elements)
-        g._streamable = at_root and all(
-            one_way(g.child_mask(1 << i)) for i in range(len(g.sorted_rules()))
-        )
+        # each key's child mask, the document node's last: ``element_mask``
+        # filled them
+        rows = g._down
+        at_root = every or _resolves_one_way(g, rows[-1] & elements)
+        g._streamable = at_root and all(map(one_way, rows[:-1]))
     return g._streamable
 
 
@@ -1204,24 +1261,68 @@ def rule_to_text(rule: Rule) -> str:
     return f"{rule.name} -> {rule.label} [ {regex_to_text(rule.content)} ]"
 
 
-_RULE_RE = re.compile(r"\s*(\S+)\s*->\s*(.*?)\s*\Z")
+# Where ``parse_regex_text`` has no part for an operator to apply to or for
+# the text to end on: after `(` or `|`, an operator other than `(`, or the
+# end; and at the start, such an operator.  Whitespace and `[ ]`, which the
+# tokenizer skips, may come between.  Two patterns, as one searched with an
+# alternation took three times as long.
+_NO_PART_RE = re.compile(r"[(|][\s\[\]]*(?:[|)*+?]|\Z)")
+_NO_FIRST_PART_RE = re.compile(r"[\s\[\]]*[|)*+?]")
+_PAREN_RE = re.compile(r"[()]")
+_NAME_TOKEN_RE = re.compile(r"[^\s()|*+?\[\]]+")  # _TOKEN_RE's names, #eps and #empty
+
+
+def _regex_names(text: str) -> tuple[str, ...] | None:
+    """The names a regex text mentions, or None where ``parse_regex_text``
+    rejects the text: a check of where parts are missing and of the
+    parentheses' balance, building no regex."""
+    if _NO_PART_RE.search(text) or _NO_FIRST_PART_RE.match(text):
+        return None
+    if "(" in text or ")" in text:
+        depth = 0
+        for paren in _PAREN_RE.findall(text):
+            depth += 1 if paren == "(" else -1
+            if depth < 0:
+                return None
+        if depth:
+            return None
+    names = set(_NAME_TOKEN_RE.findall(text))
+    names.discard("#eps")
+    names.discard("#empty")
+    return tuple(names)
+
+
+# A rule's name and arrow; its body is the rest of the text without the
+# trailing whitespace, and holds no newline.  That is what
+# ``\s*(\S+)\s*->\s*(.*?)\s*\Z`` matches, but its lazy body took four
+# times as long.
+_RULE_RE = re.compile(r"\s*(\S+)\s*->\s*")
 _BODY_RE = re.compile(r"(\S+)\s*\[(.*)\]\s*\Z", re.S)
 
 
 def parse_rule_text(text: str, line: int | None = None) -> Rule:
+    """Read one rule.  An element rule's regex text is checked, and the
+    names in it read, in one cheap pass; the text is parsed on the first
+    read of the rule's ``content`` (see ``Rule``).  A text the check
+    rejects is parsed at once, which raises ``parse_regex_text``'s error;
+    so does a bad label, then a bad name, each as a ``GrammarFormatError``
+    on the line."""
     m = _RULE_RE.match(text)
-    if not m:
+    body = text[m.end() :].rstrip() if m else None
+    if body is None or "\n" in body:
         raise GrammarFormatError(f"not a rule: {text!r}", line)
-    name, body = m.group(1), m.group(2)
-    if body == "String":
-        return Rule.text(name)
-    bm = _BODY_RE.match(body)
-    if not bm:
+    name = m.group(1)
+    bm = None if body == "String" else _BODY_RE.match(body)
+    if bm is None and body != "String":
         raise GrammarFormatError(f"rule body must be `String` or `label [ regex ]`: {text!r}", line)
-    label, regex_text = bm.group(1), bm.group(2).strip()
     try:
-        content = parse_regex_text(regex_text) if regex_text else EPSILON
-        return Rule.element(name, label, content)
+        if bm is None:
+            return Rule.text(name)
+        tag, regex = bm.group(1), bm.group(2).strip()
+        names = _regex_names(regex)
+        if names is None:  # the parser raises its own error for the text
+            return Rule.element(name, tag, parse_regex_text(regex))
+        return _RuleFromText.make(name, WILDCARD_LABEL if tag == "_" else Label(tag), regex, names)
     except (GrammarError, GrammarFormatError) as exc:
         raise GrammarFormatError(str(exc), line) from None
 

@@ -1,5 +1,7 @@
+import gc
 import io
 import sys
+import warnings
 
 import pytest
 
@@ -164,6 +166,43 @@ def test_usage_errors_exit_2(g0_dtd, tmp_path, capsys):
     assert run(["infer", "--dtd", g0_dtd, "--query", "/doc["]) == 2
     assert run(["infer", "--dtd", g0_dtd]) == 2
     assert run(["prune", "--projector", str(tmp_path / "missing.proj")]) == 2
+
+
+def test_undecodable_input_files_are_usage_errors(g0_dtd, d0_xml, tmp_path, capsys):
+    # a DTD, projector or query file that is not UTF-8: exit 2, one error
+    # line naming the file
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"start: A\n+ A -> a [ ]\n\xff\n")
+    for argv in (
+        ["prune", "--projector", str(bad), "-i", d0_xml],
+        ["infer", "--dtd", str(bad), "--query", "/doc"],
+        ["prune", "--dtd", g0_dtd, "--queries", str(bad), "-i", d0_xml],
+    ):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: not UTF-8 text ("), captured.err
+        assert captured.err.count("\n") == 1
+
+
+def test_prune_closes_its_input_when_the_output_cannot_be_opened(g0_dtd, d0_xml, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.xml"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["prune", "--dtd", g0_dtd, "--query", "/doc/a/b", "-i", d0_xml, "-o", str(out)])
+        gc.collect()
+    assert code == 2 and "No such file or directory" in capsys.readouterr().err
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_bad_rule_names_in_projector_files_are_usage_errors(d0_xml, tmp_path, capsys):
+    # a text rule's bad name is a format error on its line, as an element
+    # rule's is
+    proj = tmp_path / "p.proj"
+    for line in ("+ 1A -> String", "+ 1A -> a [ ]"):
+        proj.write_text(f"start: A\n+ A -> a [ ]\n{line}\n")
+        assert run(["prune", "--projector", str(proj), "-i", d0_xml]) == 2
+        assert capsys.readouterr().err == "error: line 3: illegal rule name '1A'\n"
 
 
 def test_no_queries_is_one_usage_error(g0_dtd, d0_xml, tmp_path, capsys):

@@ -1,5 +1,8 @@
 import pickle
 import random
+import re
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -36,10 +39,12 @@ from xmlprojector import (
 )
 from xmlprojector.doc import Document, Element, TextNode, subtree_text
 from xmlprojector.grammar import (
+    _NAME_RE,
     _TOKEN_RE,
     EMPTY,
     EPSILON,
     WalkTable,
+    _regex_names,
     _validate_general,
     alt,
     names_in,
@@ -817,6 +822,148 @@ def test_deeply_nested_rule_parses():
     assert rule.name == "R" and str(rule.label) == "r"
     assert hash(rule) == hash(Rule.element("R", "r", Atom("x")))
     assert rule in {rule} and rule != Rule.element("R", "r", Atom("x"))
+
+
+# ---------------------------------------------------------------------------
+# Rules read from text: the regex is checked and its names read at load,
+# and parsed on first read of ``content``
+
+
+_CHECK_TOKENS = [
+    "(", ")", "|", "*", "+", "?", "a", "b", "c.d", "#eps", "#empty",
+    " ", " ", "\t", "　", "  \t ", "[", "]",
+]
+
+
+def _unparsed(rule: Rule) -> bool:
+    return rule._content is None
+
+
+@settings(max_examples=3000, deadline=None)
+@given(st.lists(st.sampled_from(_CHECK_TOKENS), max_size=14).map("".join))
+def test_regex_check_accepts_what_the_parser_accepts(text):
+    names = _regex_names(text)
+    try:
+        regex = parse_regex_text(text)
+    except GrammarFormatError:
+        assert names is None
+        return
+    assert names is not None and len(names) == len(set(names))
+    assert set(names) == names_in(regex)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(st.sampled_from(_CHECK_TOKENS), max_size=14).map("".join))
+def test_rule_read_from_text_acts_as_the_parsed_rule(text):
+    line = f"R -> r [ {text} ]"
+    try:
+        eager = Rule.element("R", "r", parse_regex_text(text))
+    except GrammarFormatError as exc:
+        with pytest.raises(GrammarFormatError) as raised:
+            parse_rule_text(line, 7)
+        assert str(raised.value) == f"line 7: {exc}"
+        return
+
+    def read() -> Rule:  # a fresh, unparsed rule per use
+        return parse_rule_text(line)
+
+    assert _unparsed(read()) and set(read()._names) == names_in(eager.content)
+    assert hash(read()) == hash(eager)
+    assert read() == eager and eager == read()
+    assert rule_to_text(read()) == rule_to_text(eager) and repr(read()) == repr(eager)
+    assert pickle.loads(pickle.dumps(read())) == eager
+    assert read().sort_key() == eager.sort_key()
+    names = names_in(eager.content)
+    if all(_NAME_RE.match(n) and n != "R" for n in names):
+        children = [Rule.text(n) for n in names]
+        rule = read()
+        auto = Grammar(["R"], [rule, *children]).automaton(rule)
+        expected = Grammar(["R"], [eager, *children]).automaton(eager)
+        assert (auto.start_state, auto._accepting, auto._rows) == (
+            expected.start_state, expected._accepting, expected._rows,
+        )
+    # the first read parses and stores the content; the next reads it back
+    rule = read()
+    assert rule.content == eager.content and not _unparsed(rule)
+    assert rule.content is rule.content
+
+
+def test_concurrent_first_reads_of_content_agree():
+    # threads racing on a rule's first read each parse and store an equal
+    # value; every reader sees the parsed content
+    expected = parse_regex_text("(a | b)* c? (d e)+")
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            rule = parse_rule_text("R -> r [ (a | b)* c? (d e)+ ]")
+            seen = []
+            threads = [threading.Thread(target=lambda: seen.append(rule.content)) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert seen == [expected] * 8 and rule.content == expected
+    finally:
+        sys.setswitchinterval(old)
+
+
+def _old_parse_rule_text(text: str, line: int | None = None) -> Rule:
+    """``parse_rule_text`` as it was before rules kept their regex text:
+    one pattern for name and body, and every regex parsed at load.  But a
+    text rule's bad name is a ``GrammarFormatError`` on its line, as an
+    element rule's is; it was a bare ``GrammarError``."""
+    m = re.match(r"\s*(\S+)\s*->\s*(.*?)\s*\Z", text)
+    if not m:
+        raise GrammarFormatError(f"not a rule: {text!r}", line)
+    name, body = m.group(1), m.group(2)
+    if body == "String":
+        try:
+            return Rule.text(name)
+        except GrammarError as exc:
+            raise GrammarFormatError(str(exc), line) from None
+    bm = re.match(r"(\S+)\s*\[(.*)\]\s*\Z", body, re.S)
+    if not bm:
+        raise GrammarFormatError(f"rule body must be `String` or `label [ regex ]`: {text!r}", line)
+    label, regex_text = bm.group(1), bm.group(2).strip()
+    try:
+        content = parse_regex_text(regex_text) if regex_text else EPSILON
+        return Rule.element(name, label, content)
+    except (GrammarError, GrammarFormatError) as exc:
+        raise GrammarFormatError(str(exc), line) from None
+
+
+def _read_outcome(parse, text):
+    try:
+        return "rule", parse(text, 3)
+    except (GrammarError, GrammarFormatError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_LINE_TOKENS = [
+    "R", "r", "_", "1x", "->", "-", ">", "[", "]", "String", "a", "(", ")", "|", "*",
+    " ", " ", "\t", "\n", "\u3000",
+]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "R -> r [ a ]", "  R->r[a]  ", "R -> String", "R -> String\n", "R->String \n\t",
+        "R -> r [ a\n b ]", "R ->\n r [ ]", "A->B -> b [ ]", "A->b[x] -> c ]", "R -> r [ a ] ]",
+        "R -> 1r [ (a ]", "1R -> 1r [ a ]", "1R -> r [ a ]", "1R -> String", "R -> r", "R ->",
+    ],
+)
+def test_rule_lines_read_as_before_on_examples(text):
+    assert _read_outcome(parse_rule_text, text) == _read_outcome(_old_parse_rule_text, text)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(st.sampled_from(_LINE_TOKENS), max_size=12).map("".join))
+def test_rule_lines_read_as_before(text):
+    # the same rule, or the same error type and message with its line
+    assert _read_outcome(parse_rule_text, text) == _read_outcome(_old_parse_rule_text, text)
 
 
 # ---------------------------------------------------------------------------

@@ -622,6 +622,32 @@ def test_shipping_path_never_decodes_the_kept_set(xmark_grammar, tmp_path):
     assert loaded.kept is loaded.kept and loaded._kept is not None
 
 
+def test_stream_prune_builds_no_content_regex(tmp_path, monkeypatch):
+    # CLI infer -> projector file -> parse_projector_text -> is_streamable
+    # -> prune_file parses no rule's regex; prune_tree, which compiles
+    # content automata, parses them on first need and prunes alike
+    from xmlprojector import cli, grammar, is_streamable, parse_xml, prune_tree, serialize
+
+    dtd, proj, doc = tmp_path / "x.dtd", tmp_path / "x.proj", tmp_path / "x.xml"
+    dtd.write_text(XMARK_DTD)
+    queries = ["--query", "//person/name", "--query", "//item/name"]
+    assert cli.main(["infer", "--dtd", str(dtd), *queries, "-o", str(proj)]) == 0
+    write_xmark_doc(doc, 20_000)
+    data = doc.read_text()
+    parsed: list[str] = []
+    parse = grammar.parse_regex_text
+    monkeypatch.setattr(grammar, "parse_regex_text", lambda text: parsed.append(text) or parse(text))
+    loaded = parse_projector_text(proj.read_text())
+    assert is_streamable(loaded.grammar)
+    streamed: list[str] = []
+    prune_file(data, loaded, streamed.append)
+    elements = [rule for rule in loaded.grammar.rules if not rule.is_text]
+    assert parsed == [] and all(rule._content is None for rule in elements)
+    in_memory = serialize(prune_tree(parse_xml(data), loaded))
+    assert "".join(streamed) == in_memory and len(in_memory) < len(data)
+    assert parsed and projector_to_text(loaded) == proj.read_text()
+
+
 # ---------------------------------------------------------------------------
 # Minimality probing (small budgets; the acceptance suite runs the full ones)
 
