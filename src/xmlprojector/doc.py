@@ -1,20 +1,22 @@
 """XML document model, parsing and printing.
 
 Documents live in memory as a tree of element/text nodes (plus
-pass-through comment/PI nodes).  ``parse_xml`` builds that tree inside
-the expat callbacks; the streaming pruner (``pruner.prune_file``) runs in
-the same callbacks and prints what it keeps through ``CALLBACK_TEXT``,
-building no tree.  Trees print straight from their nodes (``serialize``,
-``subtree_text``).  Both printers format through the same helpers
-(``_attributes``, ``escape``, ``_pi_text``), so a tree and the callbacks
-it was parsed from print alike; ``test_parse_xml_numbers_nodes_as_it_builds``
-checks that byte for byte.  This module is the one place that knows the
-output text format.
+pass-through comment/PI nodes), each edge held once, in the parent's
+``children``: a tree is acyclic, and what walks up reads ``parent_map``.
+``parse_xml`` builds that tree inside the expat callbacks; the streaming
+pruner (``pruner.prune_file``) runs in the same callbacks and prints
+what it keeps through ``CALLBACK_TEXT``, building no tree.  Trees print
+straight from their nodes (``serialize``, ``subtree_text``).  Both
+printers format through the same helpers (``_attributes``, ``escape``,
+``_pi_text``), so a tree and the callbacks it was parsed from print
+alike; ``test_parse_xml_numbers_nodes_as_it_builds`` checks that byte
+for byte.  This module is the one place that knows the output text
+format.
 
 Node identifiers are pre-order positions: the document node is 0 and every
 node below it gets the next id in document order.  ``parse_xml`` and the
 pruned copy number nodes as they create them; ``Document.__init__``
-numbers a tree of nodes linked beforehand (generated or hand-built).
+numbers a tree of nodes built beforehand (generated or hand-built).
 """
 
 from __future__ import annotations
@@ -40,13 +42,12 @@ class XmlSyntaxError(ValueError):
 
 
 class Element:
-    __slots__ = ("tag", "attributes", "children", "parent", "nid")
+    __slots__ = ("tag", "attributes", "children", "nid")
 
     def __init__(self, tag: str, attributes: tuple[tuple[str, str], ...] = ()):
         self.tag = tag
         self.attributes = attributes
         self.children: list[Node] = []
-        self.parent: Element | Document | None = None
         self.nid = -1
 
     def __repr__(self):
@@ -54,11 +55,10 @@ class Element:
 
 
 class TextNode:
-    __slots__ = ("content", "parent", "nid")
+    __slots__ = ("content", "nid")
 
     def __init__(self, content: str):
         self.content = content
-        self.parent: Element | Document | None = None
         self.nid = -1
 
     def __repr__(self):
@@ -66,21 +66,19 @@ class TextNode:
 
 
 class CommentNode:
-    __slots__ = ("content", "parent", "nid")
+    __slots__ = ("content", "nid")
 
     def __init__(self, content: str):
         self.content = content
-        self.parent: Element | Document | None = None
         self.nid = -1
 
 
 class PINode:
-    __slots__ = ("target", "data", "parent", "nid")
+    __slots__ = ("target", "data", "nid")
 
     def __init__(self, target: str, data: str):
         self.target = target
         self.data = data
-        self.parent: Element | Document | None = None
         self.nid = -1
 
 
@@ -98,8 +96,6 @@ class Document:
 
     def __init__(self, children: Iterable[Node] = ()):
         self.children: list[Node] = list(children)
-        for child in self.children:
-            child.parent = self
         self.nid = 0
         self.renumber()
 
@@ -126,20 +122,30 @@ class Document:
                 stack.extend(reversed(node.children))
 
 
-def node_path(node: Document | Node) -> str:
-    """Slash path of tag names from the root, e.g. ``/doc/a/text()``."""
+def parent_map(doc: Document) -> dict[Node, Element | Document]:
+    """Each node below the document, mapped to its parent: read off
+    ``children``, as nodes hold no parent link."""
+    parents: dict[Node, Element | Document] = {}
+    for node in doc.iter_nodes():
+        if isinstance(node, (Document, Element)):
+            parents.update(dict.fromkeys(node.children, node))
+    return parents
+
+
+def node_path(doc: Document, node: Document | Node) -> str:
+    """Slash path of tag names from the root of ``doc`` to ``node``, e.g. ``/doc/a/text()``."""
+    parents = parent_map(doc)
     parts: list[str] = []
-    cur: Document | Node | None = node
-    while cur is not None and not isinstance(cur, Document):
-        if isinstance(cur, Element):
-            parts.append(cur.tag)
-        elif isinstance(cur, TextNode):
+    while node is not doc:
+        if isinstance(node, Element):
+            parts.append(node.tag)
+        elif isinstance(node, TextNode):
             parts.append("text()")
-        elif isinstance(cur, CommentNode):
+        elif isinstance(node, CommentNode):
             parts.append("comment()")
         else:
-            parts.append(f"processing-instruction({cur.target})")
-        cur = cur.parent
+            parts.append(f"processing-instruction({node.target})")
+        node = parents[node]
     return "/" + "/".join(reversed(parts))
 
 
@@ -194,11 +200,11 @@ def parse_xml(source: str | bytes | IO[bytes]) -> Document:
     children of the document node; expat reports no text there.
     """
     doc = Document()
-    parent: Element | Document = doc  # the innermost open element, or the document
+    stack: list[Element | Document] = [doc]  # the document, then the open elements
     nid = 0
 
     def start(tag, attr_list):
-        nonlocal parent, nid
+        nonlocal nid
         if attr_list:
             pairs = iter(attr_list)
             elem = Element(tag, tuple(zip(pairs, pairs)))
@@ -206,32 +212,28 @@ def parse_xml(source: str | bytes | IO[bytes]) -> Document:
             elem = Element(tag)
         nid += 1
         elem.nid = nid
-        elem.parent = parent
-        parent.children.append(elem)
-        parent = elem
+        stack[-1].children.append(elem)
+        stack.append(elem)
 
     def end(tag):
-        nonlocal parent
-        parent = parent.parent
+        stack.pop()
 
     def text(data):
         nonlocal nid
-        siblings = parent.children
+        siblings = stack[-1].children
         if siblings and type(siblings[-1]) is TextNode:
             siblings[-1].content += data
         else:
             node = TextNode(data)
             nid += 1
             node.nid = nid
-            node.parent = parent
             siblings.append(node)
 
     def attach(node: CommentNode | PINode) -> None:
         nonlocal nid
         nid += 1
         node.nid = nid
-        node.parent = parent
-        parent.children.append(node)
+        stack[-1].children.append(node)
 
     parser = new_parser()
     parser.StartElementHandler = start

@@ -37,11 +37,11 @@ walks on streamable grammars share.  It is built per call for one kept
 mask, with one entry per element rule and one for the document node, each
 made, and each exact child tag linked, the first time a walk meets it;
 an entry's step plan (``plan``: its automaton rows and text name,
-compiled once per rule on the grammar) is filled only in a validating
-table.  Two walks read it: the streaming pruner's handlers, and
-``walk_tree``, the one validating top-down walk, which copies the nodes
-a projector keeps for the in-memory pruner and, with nothing kept,
-types each node for ``validate_tree``.
+compiled once per rule on the grammar) is filled the first time
+``walk_tree`` pops it.  Two walks read it: the streaming pruner's
+handlers, and ``walk_tree``, the one validating top-down walk, which
+copies the nodes a projector keeps for the in-memory pruner and, with
+nothing kept, types each node for ``validate_tree``.
 """
 
 from __future__ import annotations
@@ -460,7 +460,7 @@ class Grammar:
 
     def plan(self, rule: Rule) -> StepPlan | None:
         """What the children of a node the element rule generates step, for
-        the validating walks of ``WalkTable``: the automaton's rows
+        ``walk_tree``'s validating walk: the automaton's rows
         (``state -> {name: next state}``), start state and accepting
         states, and the one text rule and its name (None if there is
         none).  None when the rule is not text-neutral, where one pass
@@ -738,8 +738,9 @@ class WalkEntry:
     rule's bit is in the kept mask, or for the document node, the kept
     mask is not empty.  ``text_kept``: the rule's text child's bit is.
     ``by_tag``: the entries of the child tags met so far, exact tags only.
-    ``plan``: the rule's step plan in a validating table, None in any
-    other."""
+    ``plan``: the rule's step plan (``Grammar.plan``), filled the first
+    time ``walk_tree`` pops the entry; None before, and on a rule that
+    is not text-neutral."""
 
     __slots__ = ("name", "bit", "kept", "text_kept", "by_tag", "rule", "plan")
 
@@ -767,27 +768,22 @@ class WalkTable:
     and links the tag.  A wildcard child is never linked per tag, so the
     table holds at most one entry per element rule and one link per exact
     tag in the grammar, however many distinct tags a document has.
-    Nothing is built for rules a document never reaches.  A
-    ``validating`` table, for ``walk_tree``, which steps content automata,
-    fills each entry's step plan as it makes the entry (``Grammar.plan``,
-    compiled once per rule); any other compiles no automaton.
+    Nothing is built for rules a document never reaches, and no
+    automaton is compiled but for the entries ``walk_tree`` pops.
     """
 
-    __slots__ = ("grammar", "kept", "validating", "root", "_entries")
+    __slots__ = ("grammar", "kept", "root", "_entries")
 
-    def __init__(self, g: Grammar, kept: int = 0, validating: bool = False):
+    def __init__(self, g: Grammar, kept: int = 0):
         self.grammar = g
         self.kept = kept
-        self.validating = validating
         self.root = WalkEntry(None, None, g.bit(None), kept != 0, False)
         self._entries: dict[int, WalkEntry] = {}  # by the rule's bit
 
     def child(self, parent: WalkEntry, tag: str) -> WalkEntry | None:
         """The entry of the element rule a child tagged ``tag`` resolves
         to under ``parent``, linking an exact tag into ``parent.by_tag``.
-        None if the tag resolves to no rule or, in a validating table, to
-        a rule with no step plan, which is not text-neutral: a validating
-        walk gives up on either."""
+        None if the tag resolves to no rule."""
         g = self.grammar
         # child_mask(parent.bit) & tag_mask(tag), with the masks read in
         # place (the constructor filled them): this runs once per tag a
@@ -803,10 +799,6 @@ class WalkTable:
             text = rows[i] & g._kind_masks[2]  # at most one text rule
             entry = WalkEntry(rule.name, rule, found, bool(found & kept), bool(text & kept))
             self._entries[found] = entry
-            if self.validating:
-                entry.plan = g.plan(rule)
-        if entry.plan is None and self.validating:
-            return None
         if not found & wild:
             parent.by_tag[tag] = entry
         return entry
@@ -815,8 +807,8 @@ class WalkTable:
 def walk_tree(
     doc: Document, table: WalkTable, typed: Interpretation | None = None
 ) -> tuple[Document, dict[int, int]] | None:
-    """The one validating top-down walk, over a validating ``WalkTable``
-    on a streamable grammar: each child's entry from its parent's, one
+    """The one validating top-down walk, over a ``WalkTable`` on a
+    streamable grammar: each child's entry from its parent's, one
     automaton step per child, an accepting state after the last; text
     steps the parent's single text name, whitespace the automaton cannot
     step is skipped and other text rejects.  Runs over an explicit stack,
@@ -830,7 +822,7 @@ def walk_tree(
     records in ``typed``, in pre-order, the rule of each element and of
     each text node the automaton steps.  None where the walk gives up: a
     document without a root, a rejection, or a rule that is not
-    text-neutral."""
+    text-neutral (its step plan, filled on the entry's first pop, is None)."""
     root = doc.root
     top = table.child(table.root, root.tag) if root is not None else None
     if top is None:
@@ -866,7 +858,6 @@ def walk_tree(
             else:
                 clone = PINode(node.target, node.data)
             clone.nid = nid
-            clone.parent = parent
             parent.children.append(clone)
             continue
         if typed is not None:
@@ -876,9 +867,12 @@ def walk_tree(
             nid += 1
             clone = Element(node.tag, node.attributes)
             clone.nid = nid
-            clone.parent = parent
             parent.children.append(clone)
             origin[nid] = node.nid
+        if entry.plan is None:
+            entry.plan = table.grammar.plan(entry.rule)
+            if entry.plan is None:
+                return None
         copy_text = clone is not None and entry.text_kept
         rows, state, accepting, text_rule, text_name = entry.plan
         by_tag = entry.by_tag
@@ -959,7 +953,7 @@ def validate_tree(doc: Document, g: Grammar) -> Interpretation | Invalid:
     """
     if is_streamable(g):
         typed: Interpretation = {}
-        if walk_tree(doc, WalkTable(g, validating=True), typed) is not None:
+        if walk_tree(doc, WalkTable(g), typed) is not None:
             return typed
     return _validate_general(doc, g)
 
@@ -1037,10 +1031,10 @@ def _validate_general(doc: Document, g: Grammar) -> Interpretation | Invalid:
     start_rules = [r for r in possible[root.nid] if r.name in g.start]
     if not start_rules:
         if isinstance(first_bad, TextNode):
-            return Invalid(node_path(first_bad), "text not generated by any text rule")
+            return Invalid(node_path(doc, first_bad), "text not generated by any text rule")
         if first_bad is not None:
-            return Invalid(node_path(first_bad), "no rule matches this element")
-        return Invalid(node_path(root), "root has no start-name rule")
+            return Invalid(node_path(doc, first_bad), "no rule matches this element")
+        return Invalid(node_path(doc, root), "root has no start-name rule")
 
     interpretation: Interpretation = {}
     down: list[tuple[Node, Rule]] = [(root, start_rules[0])]

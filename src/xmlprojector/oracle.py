@@ -3,8 +3,9 @@
 Everything here favors obviousness over speed.  ``eval_ell`` is a direct
 denotational evaluator for fragment queries; ``eval_full`` evaluates the
 parsed XPath subset (all axes, positional predicates, a small function
-set) and exists purely as a test oracle.  ``generate_document`` draws
-random members of a grammar's language; ``enumerate_documents`` lists them
+set) and exists purely as a test oracle.  Both read parents from one
+``doc.parent_map`` per call.  ``generate_document`` draws random members
+of a grammar's language; ``enumerate_documents`` lists them lazily and
 exhaustively within bounds.  ``check_soundness`` ties the pipeline
 together: prune with an inferred projector, then demand that every query
 answers identically on the original and the pruned document.
@@ -14,10 +15,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, product
+from functools import cache
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
-from .doc import Document, Element, TextNode, serialize, string_value, subtree_text
+from .doc import Document, Element, TextNode, parent_map, serialize, string_value, subtree_text
 from .grammar import (
     Alt,
     Atom,
@@ -88,18 +90,12 @@ def _descendants(node: _TreeNode) -> list[_TreeNode]:
     return out
 
 
-def _parent(node: _TreeNode) -> _TreeNode | None:
-    if isinstance(node, Document):
-        return None
-    return node.parent  # type: ignore[return-value]
-
-
-def _ancestors(node: _TreeNode) -> list[_TreeNode]:
+def _ancestors(node: _TreeNode, parents: dict) -> list[_TreeNode]:
     out: list[_TreeNode] = []
-    cur = _parent(node)
+    cur = parents.get(node)
     while cur is not None:
         out.append(cur)
-        cur = _parent(cur)
+        cur = parents.get(cur)
     return out
 
 
@@ -123,15 +119,16 @@ def eval_ell(q: QueryEll, d: Document) -> NodeSet:
     """Evaluate a fragment query; the union of its branches, from the
     document node, as ids in document order."""
     out: set[int] = set()
+    parents = parent_map(d)
     for branch in q.branches:
         nodes: set[_TreeNode] = {d}
         for step in branch:
-            nodes = _ell_step(nodes, step)
+            nodes = _ell_step(nodes, step, parents)
         out.update(n.nid for n in nodes)
     return sorted(out)
 
 
-def _ell_axis(node: _TreeNode, axis: Axis) -> list[_TreeNode]:
+def _ell_axis(node: _TreeNode, axis: Axis, parents: dict) -> list[_TreeNode]:
     if axis is Axis.SELF:
         return [node]
     if axis is Axis.CHILD:
@@ -141,35 +138,34 @@ def _ell_axis(node: _TreeNode, axis: Axis) -> list[_TreeNode]:
     if axis is Axis.DESCENDANT_OR_SELF:
         return [node] + _descendants(node)
     if axis is Axis.PARENT:
-        p = _parent(node)
-        return [] if p is None else [p]
+        return [parents[node]] if node in parents else []
     if axis is Axis.ANCESTOR:
-        return _ancestors(node)
-    return [node] + _ancestors(node)
+        return _ancestors(node, parents)
+    return [node] + _ancestors(node, parents)
 
 
-def _ell_step(nodes: set[_TreeNode], step: StepEll) -> set[_TreeNode]:
+def _ell_step(nodes: set[_TreeNode], step: StepEll, parents: dict) -> set[_TreeNode]:
     out: set[_TreeNode] = set()
     for node in nodes:
-        for target in _ell_axis(node, step.axis):
+        for target in _ell_axis(node, step.axis, parents):
             if _test_match(target, step.test) and (
-                step.pred is None or _ell_pred(target, step.pred)
+                step.pred is None or _ell_pred(target, step.pred, parents)
             ):
                 out.add(target)
     return out
 
 
-def _ell_pred(node: _TreeNode, pred: Predicate) -> bool:
+def _ell_pred(node: _TreeNode, pred: Predicate, parents: dict) -> bool:
     if isinstance(pred, PathExists):
         nodes: set[_TreeNode] = {node}
         for step in pred.path:
-            nodes = _ell_step(nodes, step)
+            nodes = _ell_step(nodes, step, parents)
             if not nodes:
                 return False
         return True
     if isinstance(pred, PredAnd):
-        return _ell_pred(node, pred.left) and _ell_pred(node, pred.right)
-    return _ell_pred(node, pred.left) or _ell_pred(node, pred.right)
+        return _ell_pred(node, pred.left, parents) and _ell_pred(node, pred.right, parents)
+    return _ell_pred(node, pred.left, parents) or _ell_pred(node, pred.right, parents)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +188,9 @@ ResultId = int | tuple
 
 def eval_full(q: FullQuery, d: Document) -> set[ResultId]:
     out: set[ResultId] = set()
+    parents = parent_map(d)
     for path in q.branches:
-        for node in _full_path(path.steps, [d], d):
+        for node in _full_path(path.steps, [d], d, parents):
             out.add(node.rid if isinstance(node, AttrNode) else node.nid)
     return out
 
@@ -219,25 +216,25 @@ def _after_subtree(node: _TreeNode) -> int:
     return last.nid + 1
 
 
-def _full_axis(node: _TreeNode | AttrNode, axis: str, doc: Document) -> list:
+def _full_axis(node: _TreeNode | AttrNode, axis: str, doc: Document, parents: dict) -> list:
     """Candidates in axis order (reverse axes run backwards)."""
     if isinstance(node, AttrNode):
         if axis == "self":
             return [node]
         if axis in ("parent", "ancestor", "ancestor-or-self"):
-            chain = [node.owner] + _ancestors(node.owner)
+            chain = [node.owner] + _ancestors(node.owner, parents)
             if axis == "parent":
                 return chain[:1]
             return ([node] if axis == "ancestor-or-self" else []) + chain
         return []
     if axis in ("self", "child", "descendant", "descendant-or-self", "parent", "ancestor", "ancestor-or-self"):
-        return _ell_axis(node, Axis(axis))
+        return _ell_axis(node, Axis(axis), parents)
     if axis == "attribute":
         if isinstance(node, Element):
             return [AttrNode(node, n, v) for n, v in node.attributes]
         return []
     if axis == "following-sibling" or axis == "preceding-sibling":
-        parent = _parent(node)
+        parent = parents.get(node)
         if parent is None:
             return []
         siblings = _children(parent)
@@ -250,10 +247,8 @@ def _full_axis(node: _TreeNode | AttrNode, axis: str, doc: Document) -> list:
         if axis == "following":
             cutoff = _after_subtree(node)
             return [m for m in everything if m.nid >= cutoff]
-        ancestors = set(id(a) for a in _ancestors(node))
-        return list(
-            reversed([m for m in everything if m.nid < node.nid and id(m) not in ancestors])
-        )
+        ancestors = set(_ancestors(node, parents))
+        return [m for m in reversed(everything) if m.nid < node.nid and m not in ancestors]
     raise OracleError(f"unsupported axis in oracle: {axis}")
 
 
@@ -265,57 +260,57 @@ def _attr_test(node, test: NodeTest) -> bool:
     return _test_match(node, test)
 
 
-def _full_path(steps: tuple[FullStep, ...], start: list, doc: Document) -> list:
+def _full_path(steps: tuple[FullStep, ...], start: list, doc: Document, parents: dict) -> list:
     current = _doc_order(start)
     for step in steps:
         gathered: list = []
         for node in current:
             candidates = [
-                n for n in _full_axis(node, step.axis, doc) if _attr_test(n, step.test)
+                n for n in _full_axis(node, step.axis, doc, parents) if _attr_test(n, step.test)
             ]
             for pred in step.predicates:
                 size = len(candidates)
                 candidates = [
                     c
                     for i, c in enumerate(candidates)
-                    if _pred_value(pred, c, i + 1, size, doc)
+                    if _pred_value(pred, c, i + 1, size, doc, parents)
                 ]
             gathered.extend(candidates)
         current = _doc_order(gathered)
     return current
 
 
-def _pred_value(expr: Expr, node, position: int, size: int, doc: Document) -> bool:
-    value = _expr_value(expr, node, position, size, doc)
+def _pred_value(expr: Expr, node, position: int, size: int, doc: Document, parents: dict) -> bool:
+    value = _expr_value(expr, node, position, size, doc, parents)
     if isinstance(value, float):
         return value == position  # numeric predicate selects by position
     return _to_bool(value)
 
 
-def _expr_value(expr: Expr, node, position: int, size: int, doc: Document):
+def _expr_value(expr: Expr, node, position: int, size: int, doc: Document, parents: dict):
     if isinstance(expr, PathExpr):
         start = [doc] if expr.absolute else [node]
-        return _full_path(expr.steps, start, doc)
+        return _full_path(expr.steps, start, doc, parents)
     if isinstance(expr, StringLiteral):
         return expr.value
     if isinstance(expr, NumberLiteral):
         return expr.value
     if isinstance(expr, BinaryOp):
         if expr.op in ("or", "and"):
-            lv = _to_bool(_expr_value(expr.left, node, position, size, doc))
+            lv = _to_bool(_expr_value(expr.left, node, position, size, doc, parents))
             if expr.op == "or":
-                return lv or _to_bool(_expr_value(expr.right, node, position, size, doc))
-            return lv and _to_bool(_expr_value(expr.right, node, position, size, doc))
-        lv = _expr_value(expr.left, node, position, size, doc)
-        rv = _expr_value(expr.right, node, position, size, doc)
+                return lv or _to_bool(_expr_value(expr.right, node, position, size, doc, parents))
+            return lv and _to_bool(_expr_value(expr.right, node, position, size, doc, parents))
+        lv = _expr_value(expr.left, node, position, size, doc, parents)
+        rv = _expr_value(expr.right, node, position, size, doc, parents)
         return _compare(expr.op, lv, rv)
     if isinstance(expr, FunctionCall):
-        return _call(expr, node, position, size, doc)
+        return _call(expr, node, position, size, doc, parents)
     raise OracleError(f"unsupported expression in oracle: {expr!r}")
 
 
-def _call(expr: FunctionCall, node, position: int, size: int, doc: Document):
-    args = [_expr_value(a, node, position, size, doc) for a in expr.args]
+def _call(expr: FunctionCall, node, position: int, size: int, doc: Document, parents: dict):
+    args = [_expr_value(a, node, position, size, doc, parents) for a in expr.args]
     name = expr.name
     if name == "position" and not args:
         return float(position)
@@ -566,7 +561,6 @@ def generate_document(g: Grammar, cfg: GenConfig = GenConfig()) -> Document:
             node = Element(tag, attrs)
             word = gen_word(rule.content, budget - 1)
             work.extend((child, budget - 1, node) for child in reversed(word))
-        node.parent = parent
         parent.children.append(node)
     return doc.renumber()
 
@@ -592,28 +586,38 @@ def enumerate_documents(
 ) -> Iterator[Document]:
     """Bounded-exhaustive enumeration: every document whose star repetitions
     stay within `max_star_repeat` and whose depth stays within `max_depth`,
-    with a single representative text string."""
+    with a single representative text string.  Lazy: subtrees are made
+    anew where they recur, so memory follows the bounds, not the count."""
     cost = _min_depths(g)
-    memo: dict[tuple[str, int], list[tuple]] = {}
 
-    def trees(name: str, depth: int) -> list[tuple]:
-        key = (name, depth)
-        if key in memo:
-            return memo[key]
-        out: list[tuple] = []
+    def trees(name: str, depth: int) -> Iterator[tuple]:
         for rule in g.rules_of(name):
             if rule.is_text:
-                out.append(("t", text))
+                yield ("t", text)
             elif 1 + _mm(rule.content, cost) <= depth:
-                tag = rule.label.tag or "n"
                 for word in words(rule.content, depth - 1):
-                    combos = [trees(n, depth - 1) for n in word]
-                    if any(not c for c in combos):
-                        continue
-                    out.extend(("e", tag, children) for children in product(*combos))
-        memo[key] = out
-        return out
+                    for children in forests(word, depth - 1):
+                        yield ("e", rule.label.tag or "n", children)
 
+    def forests(word: tuple[str, ...], depth: int) -> Iterator[tuple]:
+        """``itertools.product`` of the names' trees, in its order, with
+        one tree generator per name, restarted when a name before it moves."""
+        if not word:
+            yield ()
+        picked: list[tuple] = []  # a tree for each name before the last generator's
+        generators = [trees(name, depth) for name in word[:1]]
+        while generators:
+            tree = next(generators[-1], None)
+            if tree is None:
+                generators.pop()
+                del picked[-1:]
+            elif len(generators) < len(word):
+                picked.append(tree)
+                generators.append(trees(word[len(generators)], depth))
+            else:
+                yield (*picked, tree)
+
+    @cache
     def words(regex: ContentRegex, depth: int) -> list[tuple[str, ...]]:
         if isinstance(regex, Empty):
             return []
@@ -650,7 +654,6 @@ def enumerate_documents(
             else:
                 node = Element(template[1])
                 work.extend((child, node) for child in reversed(template[2]))
-            node.parent = parent
             parent.children.append(node)
         return doc.renumber()
 

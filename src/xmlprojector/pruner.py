@@ -118,7 +118,7 @@ def prune_file(
 
     Each start tag is resolved through the walk table from the innermost
     kept frame, whose entry says whether the element, and text under it,
-    is kept; the table is not a validating one, so no automaton is
+    is kept; the handlers read no step plan, so no automaton is
     compiled.  On entering a dropped subtree the handlers are swapped for
     ones that only count, and comments and PIs go unhandled, until the
     subtree closes; text there is counted only when ``stats`` is given,
@@ -280,11 +280,12 @@ def prune_tree_with_origin(
     interpretation may be supplied to amortize validation across many
     projectors of the same grammar; it is copied by witness.  Both copies
     run over an explicit stack, so nesting depth is unbounded, and give
-    each clone the next pre-order id as they make it.
+    each clone the next pre-order id as they link it into its parent's
+    ``children``.
     """
     if interpretation is None:
         if is_streamable(p.grammar):
-            copied = walk_tree(doc, WalkTable(p.grammar, p.mask, validating=True))
+            copied = walk_tree(doc, WalkTable(p.grammar, p.mask))
             if copied is not None:
                 return copied
         result = _validate_general(doc, p.grammar)
@@ -318,6 +319,5 @@ def prune_tree_with_origin(
             work.extend((child, clone) for child in reversed(old.children))
         nid += 1
         clone.nid = nid
-        clone.parent = parent
         parent.children.append(clone)
     return pruned, origin

@@ -511,8 +511,6 @@ def _mutant(xml: str, rng: random.Random, tags: list[str]) -> Document:
         kids.insert(i, parse_xml(f"<w>{subtree_text(kids[i])}</w>").root.children[0])
     elif i + 1 < len(kids):
         kids[i], kids[i + 1] = kids[i + 1], kids[i]
-    for child in kids:
-        child.parent = elem
     return doc.renumber()
 
 

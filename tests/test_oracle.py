@@ -1,5 +1,11 @@
 import functools
+import hashlib
+import os
+import subprocess
+import sys
 import time
+from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +29,7 @@ from xmlprojector import (
     validate_tree,
 )
 from xmlprojector import oracle, pruner
+from xmlprojector.doc import Document, Element, TextNode
 from xmlprojector.oracle import OracleError
 from xmlprojector.pruner import prune_tree_with_origin
 
@@ -112,6 +119,50 @@ def test_eval_full_rejects_unknown_function(d0):
         eval_full(parse_query("/doc/a[mystery(b)]"), d0)
 
 
+def _element(tag, *children):
+    elem = Element(tag)
+    elem.children.extend(children)
+    return elem
+
+
+_UPWARD_AND_SIDEWAYS = [
+    "//b/parent::a",
+    "//b/parent::*",
+    "//b/ancestor::a",
+    "//text()/ancestor::*",
+    "//b/ancestor-or-self::*",
+    "//b/following-sibling::c",
+    "//c/preceding-sibling::b",
+    "//b/following::b",
+    "//text()/following::*",
+    "//c/preceding::*",
+    "/doc/a[2]/b/preceding::b",
+]
+
+
+def test_hand_built_tree_navigates_as_its_parsed_twin():
+    """A tree built with the public constructors alone, no node linked
+    to its parent, validates and answers upward and sideways axes as the
+    parsed document with the same text does."""
+    built = Document([_element("doc", _element("a", _element("b")))])
+    parsed = parse_xml(serialize(built))
+    g = parse_dtd("<!ELEMENT doc (a*)><!ELEMENT a EMPTY>")
+    assert validate_tree(built, g) == validate_tree(parsed, g)
+    assert validate_tree(built, g).path == "/doc/a/b"
+    assert eval_ell(_ell("//b/ancestor::a"), built) == [2]
+    assert eval_full(parse_query("//b/ancestor::a"), built) == {2}
+
+    built = Document([_element(
+        "doc", _element("a", _element("b"), _element("c", TextNode("x"))), _element("a", _element("b"))
+    )])
+    parsed = parse_xml(serialize(built))
+    for text in _UPWARD_AND_SIDEWAYS:
+        query = parse_query(text)
+        assert eval_full(query, parsed), text
+        assert eval_full(query, built) == eval_full(query, parsed), text
+        assert eval_ell(_ell(text), built) == eval_ell(_ell(text), parsed), text
+
+
 # ---------------------------------------------------------------------------
 # Generation
 
@@ -171,6 +222,62 @@ def test_enumeration_respects_depth():
     g = parse_dtd("<!ELEMENT s (s?)>")
     docs = list(enumerate_documents(g, max_depth=3))
     assert {serialize(d) for d in docs} == {"<s></s>", "<s><s></s></s>", "<s><s><s></s></s></s>"}
+
+
+# sha256 of the first 300 documents' serializations, one a line, as the
+# enumerator that built every tree list before its first document yielded
+# them: the lazy enumerator must keep that order.
+_ENUMERATION_ORDER = {
+    "G0": (
+        G0_DTD, {},
+        "2fc3be72dc803cf8f9332e7cb57869c5b7925bbf90ce97f5b3c8f6a384e8c0e0",
+    ),
+    "recursive": (
+        RECURSIVE_DTD, {"max_depth": 4},
+        "86800f38051c0f5f322469bc04596f4be97eba297e0d401ea3b1b13b68f168b4",
+    ),
+    "synthetic0": (
+        _synthetic_dtd(0)[0], {"max_star_repeat": 1, "max_depth": 4},
+        "3cf20faafd946acfad717cd06f0b8b984ae534aebea7dbb4f8bb978006e456ca",
+    ),
+    "synthetic6": (
+        _synthetic_dtd(6)[0], {"max_star_repeat": 1, "max_depth": 3},
+        "d7667416f3118e6f5216ad88a2290b00469bc968599d993315cb123eebc340eb",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENUMERATION_ORDER))
+def test_enumeration_order_is_pinned(name):
+    dtd, bounds, expected = _ENUMERATION_ORDER[name]
+    docs = islice(enumerate_documents(parse_dtd(dtd), **bounds), 300)
+    text = "".join(serialize(doc) + "\n" for doc in docs)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == expected
+
+
+# Run in a child process whose address space is capped at 800 MB: the
+# first documents of two synthetic DTDs whose full enumeration does not fit.
+_FIRST_DOCUMENTS = """
+import resource
+from itertools import islice
+from xmlprojector import enumerate_documents, parse_dtd
+from test_golden import _synthetic_dtd
+resource.setrlimit(resource.RLIMIT_AS, (800 << 20, 800 << 20))
+for seed in (6, 7):
+    g = parse_dtd(_synthetic_dtd(seed)[0])
+    print(seed, len(list(islice(enumerate_documents(g, max_star_repeat=1, max_depth=4), 100))))
+"""
+
+
+def test_enumeration_memory_follows_the_documents_taken():
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root / "src"), str(root / "tests")])
+    done = subprocess.run(
+        [sys.executable, "-c", _FIRST_DOCUMENTS], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split() == ["6", "100", "7", "100"]
 
 
 # ---------------------------------------------------------------------------
