@@ -17,13 +17,20 @@ Node identifiers are pre-order positions: the document node is 0 and every
 node below it gets the next id in document order.  ``parse_xml`` and the
 pruned copy number nodes as they create them; ``Document.__init__``
 numbers a tree of nodes built beforehand (generated or hand-built).
+
+Trees are acyclic, so reference counting frees them and the cyclic
+collector never finds anything in them; the builders (``parse_xml``, the
+walk and the witness copy of the in-memory pruner) run inside
+``collector_paused`` so that its generation collections do not walk a
+tree while it grows.
 """
 
 from __future__ import annotations
 
+import gc
 import xml.parsers.expat
+from contextlib import contextmanager
 from typing import IO, Iterable, Iterator
-from xml.sax.saxutils import escape, quoteattr
 
 
 class XmlSyntaxError(ValueError):
@@ -35,6 +42,30 @@ class XmlSyntaxError(ValueError):
         if line is not None:
             message = f"{message} (line {line}, column {column})"
         super().__init__(message)
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Run the block with the cyclic collector off; afterwards, also when
+    the block raises, turn it back on if it was on before.
+
+    For building trees, which hold no reference cycles: the collections
+    that allocating their nodes would trigger walk the growing tree and
+    free nothing.  Reference counting still frees everything at once.
+
+    ``gc`` switches are process-global, so while a build runs no thread
+    collects cycles.  Overlapping builds in several threads end with the
+    collector as the first of them found it, though a later build may
+    run in part with it on.  A caller that turns the collector off in
+    another thread while a build runs may find it back on afterwards.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +272,35 @@ def parse_xml(source: str | bytes | IO[bytes]) -> Document:
     parser.CharacterDataHandler = text
     parser.CommentHandler = lambda data: attach(CommentNode(data))
     parser.ProcessingInstructionHandler = lambda target, data: attach(PINode(target, data))
-    for _ in feed(parser, source):
-        pass
+    with collector_paused():
+        for _ in feed(parser, source):
+            pass
     return doc
 
 
 # ---------------------------------------------------------------------------
 # Serialization
+
+
+def escape(data: str) -> str:
+    """Character data with ``&``, ``<`` and ``>`` escaped, as
+    ``xml.sax.saxutils.escape`` gives it (that module's import pulls in
+    ``urllib`` and ``email``, which the command line does not need)."""
+    return data.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def quoteattr(data: str) -> str:
+    """An attribute value escaped and quoted, as
+    ``xml.sax.saxutils.quoteattr`` gives it: newline, carriage return and
+    tab as character references, and the value in double quotes, or in
+    single quotes if it holds a double quote but no single one, or else
+    in double quotes with ``&quot;`` for each double quote."""
+    data = escape(data).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in data:
+        return f'"{data}"'
+    if "'" not in data:
+        return f"'{data}'"
+    return '"' + data.replace('"', "&quot;") + '"'
 
 
 def _attributes(pairs: Iterable[tuple[str, str]]) -> str:

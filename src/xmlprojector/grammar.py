@@ -38,10 +38,11 @@ mask, with one entry per element rule and one for the document node, each
 made, and each exact child tag linked, the first time a walk meets it;
 an entry's step plan (``plan``: its automaton rows and text name,
 compiled once per rule on the grammar) is filled the first time
-``walk_tree`` pops it.  Two walks read it: the streaming pruner's
-handlers, and ``walk_tree``, the one validating top-down walk, which
-copies the nodes a projector keeps for the in-memory pruner and, with
-nothing kept, types each node for ``validate_tree``.
+``walk_tree`` opens an element of its rule.  Two walks read it: the
+streaming pruner's handlers, and ``walk_tree``, the one validating
+top-down walk, which holds one frame per open element, copies the nodes
+a projector keeps for the in-memory pruner and, with nothing kept, types
+each node for ``validate_tree``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from itertools import compress, groupby
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .doc import CommentNode, Document, Element, Node, PINode, TextNode, node_path
+from .doc import CommentNode, Document, Element, Node, PINode, TextNode, collector_paused, node_path
 
 _NAME_RE = re.compile(r"[A-Za-z_:][\w.\-:]*\Z")
 # ``rules_in`` decodes a mask in C when more than one in _DENSE of the rules'
@@ -460,7 +461,8 @@ class Grammar:
 
     def plan(self, rule: Rule) -> StepPlan | None:
         """What the children of a node the element rule generates step, for
-        ``walk_tree``'s validating walk: the automaton's rows
+        ``walk_tree``'s validating walk, which unpacks it into the frame
+        of each element of the rule it opens: the automaton's rows
         (``state -> {name: next state}``), start state and accepting
         states, and the one text rule and its name (None if there is
         none).  None when the rule is not text-neutral, where one pass
@@ -738,9 +740,9 @@ class WalkEntry:
     rule's bit is in the kept mask, or for the document node, the kept
     mask is not empty.  ``text_kept``: the rule's text child's bit is.
     ``by_tag``: the entries of the child tags met so far, exact tags only.
-    ``plan``: the rule's step plan (``Grammar.plan``), filled the first
-    time ``walk_tree`` pops the entry; None before, and on a rule that
-    is not text-neutral."""
+    ``plan``: the rule's step plan (``Grammar.plan``), filled on the
+    entry's first open, when ``walk_tree`` first opens an element of the
+    rule; None before, and on a rule that is not text-neutral."""
 
     __slots__ = ("name", "bit", "kept", "text_kept", "by_tag", "rule", "plan")
 
@@ -769,7 +771,8 @@ class WalkTable:
     table holds at most one entry per element rule and one link per exact
     tag in the grammar, however many distinct tags a document has.
     Nothing is built for rules a document never reaches, and no
-    automaton is compiled but for the entries ``walk_tree`` pops.
+    automaton is compiled but for the entries whose elements
+    ``walk_tree`` opens.
     """
 
     __slots__ = ("grammar", "kept", "root", "_entries")
@@ -811,8 +814,9 @@ def walk_tree(
     streamable grammar: each child's entry from its parent's, one
     automaton step per child, an accepting state after the last; text
     steps the parent's single text name, whitespace the automaton cannot
-    step is skipped and other text rejects.  Runs over an explicit stack,
-    so nesting depth is unbounded.
+    step is skipped and other text rejects.  It holds one frame per open
+    element (an explicit stack, so nesting depth is unbounded) and reaches
+    the nodes in pre-order, each child stepped as the walk comes to it.
 
     Copies the nodes the table keeps as it reaches them (kept elements,
     the text of rules whose text is kept, comments and PIs under kept
@@ -822,87 +826,94 @@ def walk_tree(
     records in ``typed``, in pre-order, the rule of each element and of
     each text node the automaton steps.  None where the walk gives up: a
     document without a root, a rejection, or a rule that is not
-    text-neutral (its step plan, filled on the entry's first pop, is None)."""
+    text-neutral (its step plan, filled on the entry's first open, is
+    None).  The cyclic collector is paused while the copy grows."""
     root = doc.root
     top = table.child(table.root, root.tag) if root is not None else None
     if top is None:
         return None
+    plan_of, child_of = table.grammar.plan, table.child
     pruned = Document()
     origin = {0: 0}
     nid = 0
-    # Nodes still to visit, each with its entry and its parent's clone
-    # (None below a dropped element, which is validated but not copied).
-    # A node with no entry is text, a comment or a PI to copy, or, when
-    # typing, where nothing is copied, text with its rule in place of the
-    # clone.  They pop in pre-order, so each clone takes the next id, and
-    # each typed node its place in ``typed``, as it is reached.
-    work: list[tuple[Node, WalkEntry | None, Element | Document | Rule | None]] = []
-    for child in reversed(doc.children):
-        if child is root:
-            work.append((root, top, pruned))
-        elif table.root.kept and isinstance(child, (CommentNode, PINode)):
-            work.append((child, None, pruned))
-    while work:
-        node, entry, parent = work.pop()
-        if entry is None:
-            if typed is not None:
-                typed[node.nid] = parent
-                continue
-            nid += 1
-            kind = type(node)
-            if kind is TextNode:
-                clone: Node = TextNode(node.content)
-                origin[nid] = node.nid
-            elif kind is CommentNode:
-                clone = CommentNode(node.content)
+    # The open element's frame, in locals: its children's iterator, its
+    # entry, its clone (None in a dropped subtree, which is validated but
+    # not copied), its automaton state and its plan's fields.  Opening a
+    # child element pushes them and loads the child's.  The document
+    # node is the bottom frame: its children are the root and, where the
+    # table keeps anything, the comments and PIs beside it, and its plan
+    # steps the root once.
+    entry, clone = table.root, pruned
+    it = iter([c for c in doc.children
+               if c is root or entry.kept and type(c) in (CommentNode, PINode)])
+    rows, state, accepting, text_rule, text_name = ({top.name: 0},), 0, (0,), None, None
+    by_tag, copy_text = entry.by_tag, False
+    frames: list[tuple] = []
+    with collector_paused():
+        while True:
+            for child in it:
+                kind = type(child)
+                if kind is Element:
+                    child_entry = by_tag.get(child.tag) or child_of(entry, child.tag)
+                    if child_entry is None:
+                        return None
+                    state = rows[state].get(child_entry.name)
+                    if state is None:
+                        return None
+                    frames.append((it, entry, clone, state, rows, accepting, text_rule, text_name,
+                                   by_tag, copy_text))
+                    entry = child_entry
+                    if typed is not None:
+                        typed[child.nid] = entry.rule
+                    if clone is not None:
+                        if entry.kept:
+                            nid += 1
+                            element = Element(child.tag, child.attributes)
+                            element.nid = nid
+                            clone.children.append(element)
+                            origin[nid] = child.nid
+                            clone = element
+                        else:
+                            clone = None
+                    plan = entry.plan
+                    if plan is None:
+                        plan = entry.plan = plan_of(entry.rule)
+                        if plan is None:
+                            return None
+                    rows, state, accepting, text_rule, text_name = plan
+                    by_tag, copy_text = entry.by_tag, clone is not None and entry.text_kept
+                    it = iter(child.children)
+                    break
+                if kind is TextNode:
+                    after = rows[state].get(text_name)
+                    if after is not None:
+                        state = after
+                        if copy_text:
+                            nid += 1
+                            text = TextNode(child.content)
+                            text.nid = nid
+                            clone.children.append(text)
+                            origin[nid] = child.nid
+                        elif typed is not None:
+                            typed[child.nid] = text_rule
+                    elif child.content.strip():
+                        return None
+                elif clone is not None:
+                    if kind is CommentNode:
+                        copy: Node = CommentNode(child.content)
+                    else:
+                        copy = PINode(child.target, child.data)
+                    nid += 1
+                    copy.nid = nid
+                    clone.children.append(copy)
             else:
-                clone = PINode(node.target, node.data)
-            clone.nid = nid
-            parent.children.append(clone)
-            continue
-        if typed is not None:
-            typed[node.nid] = entry.rule
-        clone = None
-        if parent is not None and entry.kept:
-            nid += 1
-            clone = Element(node.tag, node.attributes)
-            clone.nid = nid
-            parent.children.append(clone)
-            origin[nid] = node.nid
-        if entry.plan is None:
-            entry.plan = table.grammar.plan(entry.rule)
-            if entry.plan is None:
-                return None
-        copy_text = clone is not None and entry.text_kept
-        rows, state, accepting, text_rule, text_name = entry.plan
-        by_tag = entry.by_tag
-        children: list[tuple[Node, WalkEntry | None, Element | Rule | None]] = []
-        for child in node.children:
-            kind = type(child)
-            if kind is Element:
-                child_entry = by_tag.get(child.tag) or table.child(entry, child.tag)
-                if child_entry is None:
+                # the open element's children are done
+                if state not in accepting:
                     return None
-                state = rows[state].get(child_entry.name)
-                if state is None:
-                    return None
-                children.append((child, child_entry, clone))
-            elif kind is TextNode:
-                after = rows[state].get(text_name)
-                if after is not None:
-                    state = after
-                    if copy_text:
-                        children.append((child, None, clone))
-                    elif typed is not None:
-                        children.append((child, None, text_rule))
-                elif child.content.strip():
-                    return None
-            elif clone is not None:
-                children.append((child, None, clone))
-        if state not in accepting:
-            return None
-        work.extend(reversed(children))
-    return pruned, origin
+                if not frames:
+                    return pruned, origin
+                (it, entry, clone, state, rows, accepting, text_rule, text_name,
+                 by_tag, copy_text) = frames.pop()
 
 
 # ---------------------------------------------------------------------------

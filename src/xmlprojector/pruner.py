@@ -7,12 +7,15 @@ kept frames and a depth counter, so memory follows document depth rather
 than document size.  ``prune_tree`` handles arbitrary regular tree
 grammars.  On streamable grammars it validates and copies in one
 top-down pass building no witness (``grammar.walk_tree``, the walk that
-also types nodes for ``validate_tree``); elsewhere, and wherever that
-pass gives up, it validates with the general algorithm and then erases
-every node whose witnessing rule was dropped.  The handlers and the
-walk read one ``WalkTable`` built per call, whose entries and tag links
-are made as the document first meets them.  On streamable grammars both
-pruners produce byte-identical serializations of valid documents.
+also types nodes for ``validate_tree``), which holds one frame per open
+element and clones each kept node in pre-order as it reaches it;
+elsewhere, and wherever that pass gives up, it validates with the
+general algorithm and then erases every node whose witnessing rule was
+dropped.  Both copies run with the cyclic collector paused
+(``doc.collector_paused``).  The handlers and the walk read one
+``WalkTable`` built per call, whose entries and tag links are made as
+the document first meets them.  On streamable grammars both pruners
+produce byte-identical serializations of valid documents.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .doc import (
     Node,
     PINode,
     TextNode,
+    collector_paused,
     feed,
     new_parser,
 )
@@ -279,9 +283,10 @@ def prune_tree_with_origin(
     up on exactly these documents and is not run again.  A precomputed
     interpretation may be supplied to amortize validation across many
     projectors of the same grammar; it is copied by witness.  Both copies
-    run over an explicit stack, so nesting depth is unbounded, and give
-    each clone the next pre-order id as they link it into its parent's
-    ``children``.
+    run over an explicit stack, so nesting depth is unbounded, give each
+    clone the next pre-order id as they link it into its parent's
+    ``children``, and pause the cyclic collector while the copy grows
+    (``doc.collector_paused``).
     """
     if interpretation is None:
         if is_streamable(p.grammar):
@@ -302,22 +307,23 @@ def prune_tree_with_origin(
     work: list[tuple[Node, Element | Document]] = (
         [(child, pruned) for child in reversed(doc.children)] if p.mask else []
     )
-    while work:
-        old, parent = work.pop()
-        if isinstance(old, CommentNode):
-            clone: Node = CommentNode(old.content)
-        elif isinstance(old, PINode):
-            clone = PINode(old.target, old.data)
-        elif interpretation.get(old.nid) not in p.kept:
-            continue
-        elif isinstance(old, TextNode):
-            clone = TextNode(old.content)
-            origin[nid + 1] = old.nid
-        else:
-            clone = Element(old.tag, old.attributes)
-            origin[nid + 1] = old.nid
-            work.extend((child, clone) for child in reversed(old.children))
-        nid += 1
-        clone.nid = nid
-        parent.children.append(clone)
+    with collector_paused():
+        while work:
+            old, parent = work.pop()
+            if isinstance(old, CommentNode):
+                clone: Node = CommentNode(old.content)
+            elif isinstance(old, PINode):
+                clone = PINode(old.target, old.data)
+            elif interpretation.get(old.nid) not in p.kept:
+                continue
+            elif isinstance(old, TextNode):
+                clone = TextNode(old.content)
+                origin[nid + 1] = old.nid
+            else:
+                clone = Element(old.tag, old.attributes)
+                origin[nid + 1] = old.nid
+                work.extend((child, clone) for child in reversed(old.children))
+            nid += 1
+            clone.nid = nid
+            parent.children.append(clone)
     return pruned, origin

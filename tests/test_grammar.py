@@ -245,11 +245,14 @@ def test_validate_mixed_content(mixed_grammar):
 
 
 def test_validate_deep_nesting_in_pre_order(recursive_grammar):
-    levels = 10_000
+    # 100 000 open elements: the walk holds one frame per open element
+    levels = 100_000
     doc = parse_xml("<doc>" + "<section><title>t</title>" * levels + "</section>" * levels + "</doc>")
     interp = validate_tree(doc, recursive_grammar)
     assert len(interp) == 3 * levels + 1
     assert list(interp) == sorted(interp)  # witness rules are assigned in pre-order
+    names = [rule.name for rule in interp.values()]
+    assert names == ["Doc"] + ["Section", "Title", "TTitle"] * levels
 
 
 def test_validate_ambiguous_grammar_any_witness():

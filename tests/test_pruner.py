@@ -1,8 +1,11 @@
 import gc
+import io
 import random
 from xml.sax.saxutils import escape, quoteattr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xmlprojector import grammar, pruner
 from xmlprojector import (
@@ -37,6 +40,8 @@ from xmlprojector.doc import (
     parent_map,
     subtree_text,
 )
+from xmlprojector.doc import escape as escape_text
+from xmlprojector.doc import quoteattr as quote_attribute
 from xmlprojector.grammar import (
     EPSILON,
     Atom,
@@ -693,6 +698,16 @@ def test_parse_xml_rejects_malformed_input(data, where):
         assert (exc.value.line, exc.value.column) == where
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet="&<>\"'\n\r\t a;é")))
+def test_printers_escape_as_saxutils(data):
+    # the reference is imported here only: it is too costly for start-up
+    from xml.sax import saxutils
+
+    assert escape_text(data) == saxutils.escape(data)
+    assert quote_attribute(data) == saxutils.quoteattr(data)
+
+
 def test_text_input_is_unicode_whatever_encoding_it_declares():
     # A str is already decoded: its declaration names the encoding of the
     # bytes it came from, not of the str.  Bytes decode as declared.
@@ -748,6 +763,113 @@ def test_no_tree_waits_for_the_cyclic_collector(tmp_path):
         if was_enabled:
             gc.enable()
     assert left == []
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The cyclic collector switched on or off for one test, then restored."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def test_tree_builders_leave_the_collector_as_they_found_it(collector, recursive_grammar):
+    g = recursive_grammar
+    p = infer_projector([_ell("//para")], g)
+    valid = "<doc><section><title>t</title><para>p</para></section></doc>"
+    invalid = "<doc><section><para>p</para></section></doc>"  # no title: the walk gives up
+    doc = parse_xml(valid)
+    calls = [
+        lambda: parse_xml(valid),
+        lambda: prune_tree(doc, p),
+        lambda: prune_tree_with_origin(doc, p),
+        lambda: prune_tree_with_origin(doc, p, validate_tree(doc, g)),  # the witness copy
+        lambda: validate_tree(doc, g),
+        lambda: validate_tree(parse_xml(invalid), g),  # falls back to _validate_general
+    ]
+    for call in calls:
+        call()
+        assert gc.isenabled() is collector
+    # over 64 KiB, so the error surfaces in a later chunk of the file
+    broken = io.BytesIO(b"<doc>" + b"<section><title>t</title></section>" * 3_000 + b"</oops>")
+    raising = [
+        (XmlSyntaxError, lambda: parse_xml(broken)),
+        (InvalidDocumentError, lambda: prune_tree(parse_xml(invalid), p)),
+        (InvalidDocumentError, lambda: prune_tree_with_origin(parse_xml(invalid), p)),
+    ]
+    for error, call in raising:
+        with pytest.raises(error):
+            call()
+        assert gc.isenabled() is collector
+    assert broken.tell() > 1 << 16
+
+
+def test_tree_builders_run_no_collection_per_node(recursive_grammar):
+    """With a threshold that would start a collection every ten
+    allocations, building trees of 8 000 nodes starts almost none: the
+    builders pause the collector."""
+    g = recursive_grammar
+    text = "<doc>" + "<section><title>t</title><para>p</para></section>" * 2_000 + "</doc>"
+    doc, p = parse_xml(text), identity_projector(g)
+    interp = validate_tree(doc, g)
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    for build in (
+        lambda: parse_xml(text),
+        lambda: prune_tree(doc, p),
+        lambda: validate_tree(doc, g),
+        lambda: prune_tree_with_origin(doc, p, interp),
+    ):
+        threshold = gc.get_threshold()
+        gc.collect()
+        started.clear()
+        gc.callbacks.append(count)
+        gc.set_threshold(10)
+        try:
+            build()
+        finally:
+            gc.set_threshold(*threshold)
+            gc.callbacks.remove(count)
+        assert len(started) < 10
+
+
+def test_deep_copy_keeps_its_origin_map(recursive_grammar):
+    # 100 000 sections, each with a title whose text is dropped: the walk
+    # and the witness copy give the same tree and the same origin map
+    g = recursive_grammar
+    levels = 100_000
+    doc = parse_xml("<doc>" + "<section><title>t</title>" * levels + "</section>" * levels + "</doc>")
+    p = Projector(g, [r for r in g.sorted_rules() if not r.is_text])
+    pruned, origin = prune_tree_with_origin(doc, p)
+    expected = {0: 0, 1: 1}
+    for k in range(levels):
+        expected[2 + 2 * k] = 2 + 3 * k  # section
+        expected[3 + 2 * k] = 3 + 3 * k  # title
+    assert origin == expected
+    witness, witness_origin = prune_tree_with_origin(doc, p, validate_tree(doc, g))
+    assert witness_origin == expected
+    assert serialize(witness) == serialize(pruned) == (
+        "<doc>" + "<section><title></title>" * levels + "</section>" * levels + "</doc>"
+    )
+
+
+def test_deep_rejection_reaches_the_general_diagnostics(recursive_grammar):
+    # both walks, typing and copying, give up at the bottom of a
+    # 100 000-level document, and the general algorithm names the
+    # innermost section, which has no title
+    levels = 100_000
+    doc = parse_xml("<doc>" + "<section><title>t</title>" * (levels - 1) + "<section>"
+                    + "</section>" * levels + "</doc>")
+    invalid = Invalid("/doc" + "/section" * levels, "no rule matches this element")
+    assert validate_tree(doc, recursive_grammar) == invalid
+    with pytest.raises(InvalidDocumentError) as exc:
+        prune_tree(doc, identity_projector(recursive_grammar))
+    assert (exc.value.path, exc.value.reason) == (invalid.path, invalid.reason)
 
 
 @pytest.mark.parametrize("name", ["G0", "xmark", "mixed"])
