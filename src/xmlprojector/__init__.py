@@ -72,7 +72,6 @@ from .oracle import (
     SoundnessReport,
     check_soundness,
     enumerate_documents,
-    eval_ell,
     eval_full,
     generate_document,
 )

@@ -65,6 +65,8 @@ from .xpath import (
     TagTest,
     TextTest,
     Wildcard,
+    ell_to_text,
+    parse_query,
 )
 
 @dataclass(frozen=True, init=False)
@@ -405,10 +407,11 @@ def minimality_check(
     if not p.mask:
         return MinimalityReport("minimal", None, len(docs))
 
+    parsed = [parse_query(ell_to_text(q)) for q in qs]
     baselines = []
     for doc in docs:
         interp = oracle.require_interpretation(doc, g)
-        baselines.append((doc, interp, [oracle.eval_ell(q, doc) for q in qs]))
+        baselines.append((doc, interp, [oracle.eval_full(q, doc) for q in parsed]))
 
     unused: Rule | None = None
     for bit in mask_bits(p.mask):
@@ -418,8 +421,8 @@ def minimality_check(
             pruned, origin = pruner.prune_tree_with_origin(doc, candidate, interpretation=interp)
             pair = oracle.PrunedPair(doc, pruned, origin)
             if any(
-                not pair.results_match(q_expected, oracle.eval_ell(q, pruned))
-                for q, q_expected in zip(qs, expected)
+                not pair.results_match(q_expected, oracle.eval_full(q, pruned))
+                for q, q_expected in zip(parsed, expected)
             ):
                 needed = True
                 break

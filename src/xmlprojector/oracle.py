@@ -1,14 +1,16 @@
-"""Ground truth: reference evaluators, document synthesis, soundness runs.
+"""Ground truth: a reference evaluator, document synthesis, soundness runs.
 
-Everything here favors obviousness over speed.  ``eval_ell`` is a direct
-denotational evaluator for fragment queries; ``eval_full`` evaluates the
-parsed XPath subset (all axes, positional predicates, a small function
-set) and exists purely as a test oracle.  Both read parents from one
-``doc.parent_map`` per call.  ``generate_document`` draws random members
-of a grammar's language; ``enumerate_documents`` lists them lazily and
-exhaustively within bounds.  ``check_soundness`` ties the pipeline
-together: prune with an inferred projector, then demand that every query
-answers identically on the original and the pruned document.
+Everything here favors obviousness over speed.  ``eval_full``, the one
+evaluator, answers the parsed XPath subset (all axes, positional
+predicates, a small function set) and exists purely as a test oracle;
+fragment queries go through it as their text (``xpath.ell_to_text``).
+Each call builds one ``_Index`` of the document in one pre-order pass,
+from which every axis is a lookup or a slice.  ``generate_document``
+draws random members of a grammar's language; ``enumerate_documents``
+lists them lazily and exhaustively within bounds.  ``check_soundness``
+ties the pipeline together: prune with an inferred projector, then demand
+that every query answers identically on the original and the pruned
+document.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import random
 from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .doc import Document, Element, TextNode, parent_map, serialize, string_value, subtree_text
+from .doc import Document, Element, TextNode, serialize, string_value, subtree_text
 from .grammar import (
     Alt,
     Atom,
@@ -40,7 +42,6 @@ from .grammar import (
 from .inference import Projector, infer_projector
 from .pruner import InvalidDocumentError, UnresolvableTagError, prune_file, prune_tree_with_origin
 from .xpath import (
-    Axis,
     BinaryOp,
     Expr,
     FullQuery,
@@ -49,14 +50,8 @@ from .xpath import (
     NodeAny,
     NodeTest,
     NumberLiteral,
-    PathExists,
     PathExpr,
-    PredAnd,
-    Predicate,
-    QueryEll,
-    StepEll,
     StringLiteral,
-    TagTest,
     TextTest,
     Wildcard,
     approximate_to_ell,
@@ -71,105 +66,62 @@ class OracleError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Tree navigation shared by both evaluators
+# XPath evaluator (test oracle only)
 
 
-def _children(node: _TreeNode) -> list[_TreeNode]:
-    if isinstance(node, TextNode):
-        return []
+def _content(node: Document | Element) -> list[_TreeNode]:
     return [c for c in node.children if isinstance(c, (Element, TextNode))]
 
 
-def _descendants(node: _TreeNode) -> list[_TreeNode]:
-    out: list[_TreeNode] = []
-    work = _children(node)
-    while work:
-        cur = work.pop(0)
-        out.append(cur)
-        work = _children(cur) + work
-    return out
+class _Index:
+    """One pre-order pass over a document's content nodes (the document
+    node, elements and text; comments and PIs are no XPath nodes here).
 
+    ``order`` lists them in document order.  Per node: ``pos``, its place
+    in ``order``; ``end``, the place past its subtree; ``parent``; ``kids``,
+    its content children; ``rank``, its place among its parent's.  So a
+    subtree is ``order[pos:end]`` and what follows it ``order[end:]``
+    (Grust's pre/post plane).
+    """
 
-def _ancestors(node: _TreeNode, parents: dict) -> list[_TreeNode]:
-    out: list[_TreeNode] = []
-    cur = parents.get(node)
-    while cur is not None:
-        out.append(cur)
-        cur = parents.get(cur)
-    return out
+    __slots__ = ("doc", "order", "pos", "end", "parent", "kids", "rank")
 
+    def __init__(self, doc: Document):
+        order: list[_TreeNode] = [doc]
+        pos: dict[_TreeNode, int] = {doc: 0}
+        end: dict[_TreeNode, int] = {}
+        parent: dict[_TreeNode, _TreeNode] = {}
+        kids_of: dict[_TreeNode, list[_TreeNode]] = {doc: _content(doc)}
+        rank_of: dict[_TreeNode, int] = {}
+        # one frame per open node: the node and its children still to visit
+        frames = [(doc, enumerate(kids_of[doc]))]
+        while frames:
+            node, kids = frames[-1]
+            for rank, kid in kids:
+                pos[kid] = len(order)
+                order.append(kid)
+                parent[kid] = node
+                rank_of[kid] = rank
+                if isinstance(kid, TextNode):
+                    kids_of[kid] = []
+                    end[kid] = len(order)
+                else:
+                    kids_of[kid] = _content(kid)
+                    frames.append((kid, enumerate(kids_of[kid])))
+                    break  # visit the child's subtree first
+            else:
+                end[node] = len(order)
+                frames.pop()
+        self.doc, self.order, self.pos, self.end = doc, order, pos, end
+        self.parent, self.kids, self.rank = parent, kids_of, rank_of
 
-def _test_match(node: _TreeNode, test: NodeTest) -> bool:
-    if isinstance(test, NodeAny):
-        return True
-    if isinstance(test, TextTest):
-        return isinstance(node, TextNode)
-    if isinstance(test, Wildcard):
-        return isinstance(node, Element)
-    return isinstance(node, Element) and node.tag == test.tag
-
-
-# ---------------------------------------------------------------------------
-# Fragment evaluator
-
-NodeSet = list[int]  # node ids in document order
-
-
-def eval_ell(q: QueryEll, d: Document) -> NodeSet:
-    """Evaluate a fragment query; the union of its branches, from the
-    document node, as ids in document order."""
-    out: set[int] = set()
-    parents = parent_map(d)
-    for branch in q.branches:
-        nodes: set[_TreeNode] = {d}
-        for step in branch:
-            nodes = _ell_step(nodes, step, parents)
-        out.update(n.nid for n in nodes)
-    return sorted(out)
-
-
-def _ell_axis(node: _TreeNode, axis: Axis, parents: dict) -> list[_TreeNode]:
-    if axis is Axis.SELF:
-        return [node]
-    if axis is Axis.CHILD:
-        return _children(node)
-    if axis is Axis.DESCENDANT:
-        return _descendants(node)
-    if axis is Axis.DESCENDANT_OR_SELF:
-        return [node] + _descendants(node)
-    if axis is Axis.PARENT:
-        return [parents[node]] if node in parents else []
-    if axis is Axis.ANCESTOR:
-        return _ancestors(node, parents)
-    return [node] + _ancestors(node, parents)
-
-
-def _ell_step(nodes: set[_TreeNode], step: StepEll, parents: dict) -> set[_TreeNode]:
-    out: set[_TreeNode] = set()
-    for node in nodes:
-        for target in _ell_axis(node, step.axis, parents):
-            if _test_match(target, step.test) and (
-                step.pred is None or _ell_pred(target, step.pred, parents)
-            ):
-                out.add(target)
-    return out
-
-
-def _ell_pred(node: _TreeNode, pred: Predicate, parents: dict) -> bool:
-    if isinstance(pred, PathExists):
-        nodes: set[_TreeNode] = {node}
-        for step in pred.path:
-            nodes = _ell_step(nodes, step, parents)
-            if not nodes:
-                return False
-        return True
-    if isinstance(pred, PredAnd):
-        return _ell_pred(node, pred.left, parents) and _ell_pred(node, pred.right, parents)
-    return _ell_pred(node, pred.left, parents) or _ell_pred(node, pred.right, parents)
-
-
-# ---------------------------------------------------------------------------
-# Full-XPath evaluator (test oracle only)
+    def ancestors(self, node: _TreeNode) -> list[_TreeNode]:
+        out: list[_TreeNode] = []
+        cur = self.parent.get(node)
+        while cur is not None:
+            out.append(cur)
+            cur = self.parent.get(cur)
+        return out
 
 
 @dataclass(frozen=True)
@@ -187,130 +139,141 @@ ResultId = int | tuple
 
 
 def eval_full(q: FullQuery, d: Document) -> set[ResultId]:
+    """Evaluate a parsed query from the document node: the union of its
+    branches' results, as node ids and ``AttrNode.rid`` tuples."""
     out: set[ResultId] = set()
-    parents = parent_map(d)
+    idx = _Index(d)
     for path in q.branches:
-        for node in _full_path(path.steps, [d], d, parents):
+        for node in _full_path(path.steps, [d], idx):
             out.add(node.rid if isinstance(node, AttrNode) else node.nid)
     return out
 
 
-def _doc_order(nodes: Iterable[_TreeNode | AttrNode]) -> list[_TreeNode | AttrNode]:
+def _doc_order(nodes: Iterable[_TreeNode | AttrNode], idx: _Index) -> list[_TreeNode | AttrNode]:
+    pos = idx.pos
+
     def key(n):
         if isinstance(n, AttrNode):
-            return (n.owner.nid, 1, n.name)
-        return (n.nid, 0, "")
+            return (pos[n.owner], 1, n.name)
+        return (pos[n], 0, "")
 
     return sorted(set(nodes), key=key)
 
 
-def _after_subtree(node: _TreeNode) -> int:
-    """The first node id past the node's subtree.
-
-    Pre-order ids, which comments and PIs take too, are contiguous within
-    a subtree, so that is one past the id of its last descendant.
-    """
-    last = node
-    while isinstance(last, (Document, Element)) and last.children:
-        last = last.children[-1]
-    return last.nid + 1
-
-
-def _full_axis(node: _TreeNode | AttrNode, axis: str, doc: Document, parents: dict) -> list:
+def _full_axis(node: _TreeNode | AttrNode, axis: str, idx: _Index) -> list:
     """Candidates in axis order (reverse axes run backwards)."""
     if isinstance(node, AttrNode):
         if axis == "self":
             return [node]
         if axis in ("parent", "ancestor", "ancestor-or-self"):
-            chain = [node.owner] + _ancestors(node.owner, parents)
+            chain = [node.owner] + idx.ancestors(node.owner)
             if axis == "parent":
                 return chain[:1]
             return ([node] if axis == "ancestor-or-self" else []) + chain
         return []
-    if axis in ("self", "child", "descendant", "descendant-or-self", "parent", "ancestor", "ancestor-or-self"):
-        return _ell_axis(node, Axis(axis), parents)
+    if axis == "self":
+        return [node]
+    if axis == "child":
+        return idx.kids[node]
+    if axis == "descendant":
+        return idx.order[idx.pos[node] + 1 : idx.end[node]]
+    if axis == "descendant-or-self":
+        return idx.order[idx.pos[node] : idx.end[node]]
+    if axis == "parent":
+        return [idx.parent[node]] if node in idx.parent else []
+    if axis == "ancestor":
+        return idx.ancestors(node)
+    if axis == "ancestor-or-self":
+        return [node] + idx.ancestors(node)
     if axis == "attribute":
         if isinstance(node, Element):
             return [AttrNode(node, n, v) for n, v in node.attributes]
         return []
     if axis == "following-sibling" or axis == "preceding-sibling":
-        parent = parents.get(node)
+        parent = idx.parent.get(node)
         if parent is None:
             return []
-        siblings = _children(parent)
-        i = siblings.index(node)
+        siblings, rank = idx.kids[parent], idx.rank[node]
         if axis == "following-sibling":
-            return siblings[i + 1 :]
-        return list(reversed(siblings[:i]))
-    if axis in ("following", "preceding"):
-        everything = [m for m in doc.iter_nodes() if isinstance(m, (Element, TextNode))]
-        if axis == "following":
-            cutoff = _after_subtree(node)
-            return [m for m in everything if m.nid >= cutoff]
-        ancestors = set(_ancestors(node, parents))
-        return [m for m in reversed(everything) if m.nid < node.nid and m not in ancestors]
+            return siblings[rank + 1 :]
+        return siblings[:rank][::-1]
+    if axis == "following":
+        return idx.order[idx.end[node] :]
+    if axis == "preceding":
+        ancestors = set(idx.ancestors(node))
+        return [m for m in reversed(idx.order[: idx.pos[node]]) if m not in ancestors]
     raise OracleError(f"unsupported axis in oracle: {axis}")
 
 
-def _attr_test(node, test: NodeTest) -> bool:
-    if isinstance(node, AttrNode):
-        if isinstance(test, NodeAny) or isinstance(test, Wildcard):
-            return True
-        return isinstance(test, TagTest) and test.tag == node.name
-    return _test_match(node, test)
+def _node_test(test: NodeTest) -> Callable[[_TreeNode | AttrNode], bool]:
+    """The test as a predicate on candidates: ``*`` and a name match
+    elements and attributes, by tag or name."""
+    if isinstance(test, NodeAny):
+        return lambda n: True
+    if isinstance(test, TextTest):
+        return lambda n: isinstance(n, TextNode)
+    if isinstance(test, Wildcard):
+        return lambda n: isinstance(n, (Element, AttrNode))
+    tag = test.tag
+
+    def named(n) -> bool:
+        if isinstance(n, Element):
+            return n.tag == tag
+        return isinstance(n, AttrNode) and n.name == tag
+
+    return named
 
 
-def _full_path(steps: tuple[FullStep, ...], start: list, doc: Document, parents: dict) -> list:
-    current = _doc_order(start)
+def _full_path(steps: tuple[FullStep, ...], start: list, idx: _Index) -> list:
+    current = _doc_order(start, idx)
     for step in steps:
         gathered: list = []
+        match = _node_test(step.test)
         for node in current:
-            candidates = [
-                n for n in _full_axis(node, step.axis, doc, parents) if _attr_test(n, step.test)
-            ]
+            candidates = list(filter(match, _full_axis(node, step.axis, idx)))
             for pred in step.predicates:
                 size = len(candidates)
                 candidates = [
                     c
                     for i, c in enumerate(candidates)
-                    if _pred_value(pred, c, i + 1, size, doc, parents)
+                    if _pred_value(pred, c, i + 1, size, idx)
                 ]
             gathered.extend(candidates)
-        current = _doc_order(gathered)
+        current = _doc_order(gathered, idx)
     return current
 
 
-def _pred_value(expr: Expr, node, position: int, size: int, doc: Document, parents: dict) -> bool:
-    value = _expr_value(expr, node, position, size, doc, parents)
+def _pred_value(expr: Expr, node, position: int, size: int, idx: _Index) -> bool:
+    value = _expr_value(expr, node, position, size, idx)
     if isinstance(value, float):
         return value == position  # numeric predicate selects by position
     return _to_bool(value)
 
 
-def _expr_value(expr: Expr, node, position: int, size: int, doc: Document, parents: dict):
+def _expr_value(expr: Expr, node, position: int, size: int, idx: _Index):
     if isinstance(expr, PathExpr):
-        start = [doc] if expr.absolute else [node]
-        return _full_path(expr.steps, start, doc, parents)
+        start = [idx.doc] if expr.absolute else [node]
+        return _full_path(expr.steps, start, idx)
     if isinstance(expr, StringLiteral):
         return expr.value
     if isinstance(expr, NumberLiteral):
         return expr.value
     if isinstance(expr, BinaryOp):
         if expr.op in ("or", "and"):
-            lv = _to_bool(_expr_value(expr.left, node, position, size, doc, parents))
+            lv = _to_bool(_expr_value(expr.left, node, position, size, idx))
             if expr.op == "or":
-                return lv or _to_bool(_expr_value(expr.right, node, position, size, doc, parents))
-            return lv and _to_bool(_expr_value(expr.right, node, position, size, doc, parents))
-        lv = _expr_value(expr.left, node, position, size, doc, parents)
-        rv = _expr_value(expr.right, node, position, size, doc, parents)
+                return lv or _to_bool(_expr_value(expr.right, node, position, size, idx))
+            return lv and _to_bool(_expr_value(expr.right, node, position, size, idx))
+        lv = _expr_value(expr.left, node, position, size, idx)
+        rv = _expr_value(expr.right, node, position, size, idx)
         return _compare(expr.op, lv, rv)
     if isinstance(expr, FunctionCall):
-        return _call(expr, node, position, size, doc, parents)
+        return _call(expr, node, position, size, idx)
     raise OracleError(f"unsupported expression in oracle: {expr!r}")
 
 
-def _call(expr: FunctionCall, node, position: int, size: int, doc: Document, parents: dict):
-    args = [_expr_value(a, node, position, size, doc, parents) for a in expr.args]
+def _call(expr: FunctionCall, node, position: int, size: int, idx: _Index):
+    args = [_expr_value(a, node, position, size, idx) for a in expr.args]
     name = expr.name
     if name == "position" and not args:
         return float(position)
@@ -352,6 +315,10 @@ def _to_string(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF or value == -_INF:
+            return "Infinity" if value > 0 else "-Infinity"
         return repr(int(value)) if value == int(value) else repr(value)
     return value
 
@@ -717,18 +684,6 @@ class PrunedPair:
             if subtree_text(self.original_nodes[rid]) != subtree_text(self.pruned_nodes[new_id]):
                 return False
         return True
-
-
-def results_match(
-    expected: Iterable[ResultId],
-    got: Iterable[ResultId],
-    original: Document,
-    pruned: Document,
-    origin: dict[int, int],
-) -> bool:
-    """``PrunedPair.results_match`` for one query; to compare several
-    queries across one pair, build the ``PrunedPair`` once."""
-    return PrunedPair(original, pruned, origin).results_match(expected, got)
 
 
 @dataclass

@@ -152,6 +152,15 @@ def test_check_passes(g0_dtd, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "PASS n=25"
 
 
+def test_check_query_on_non_finite_numbers(tmp_path, capsys):
+    # generated text is never numeric, so string(number(b)) is 'NaN'
+    dtd = tmp_path / "nan.dtd"
+    dtd.write_text("<!ELEMENT doc (a*)><!ELEMENT a (b)><!ELEMENT b (#PCDATA)>")
+    query = "/doc/a[string(number(b)) = 'NaN']"
+    assert run(["check", "--dtd", str(dtd), "--query", query, "--n", "10"]) == 0
+    assert capsys.readouterr().out.strip() == "PASS n=10"
+
+
 def test_emit_grammar_round_trips(g0_dtd, capsys):
     assert run(["infer", "--dtd", g0_dtd, "--emit-grammar"]) == 0
     from xmlprojector import parse_dtd, parse_grammar_text

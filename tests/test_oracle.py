@@ -17,7 +17,6 @@ from xmlprojector import (
     approximate_to_ell,
     check_soundness,
     enumerate_documents,
-    eval_ell,
     eval_full,
     generate_document,
     identity_projector,
@@ -29,9 +28,10 @@ from xmlprojector import (
     validate_tree,
 )
 from xmlprojector import oracle, pruner
-from xmlprojector.doc import Document, Element, TextNode
-from xmlprojector.oracle import OracleError
+from xmlprojector.doc import CommentNode, Document, Element, PINode, TextNode, parent_map
+from xmlprojector.oracle import AttrNode, OracleError
 from xmlprojector.pruner import prune_tree_with_origin
+from xmlprojector.xpath import FULL_AXES, ell_to_text
 
 from conftest import DEEP_DTD, G0_DTD, MIXED_DTD, RECURSIVE_DTD, XMARK_DTD
 from test_golden import _synthetic_dtd
@@ -41,31 +41,37 @@ def _ell(text):
     return approximate_to_ell(parse_query(text))
 
 
+def _fragment(text):
+    """The query as ``minimality_check`` evaluates a fragment query: its
+    approximation printed by ``ell_to_text`` and parsed again."""
+    return parse_query(ell_to_text(_ell(text)))
+
+
 # node ids in D0: 0 document, 1 doc, 2 a, 3 b, 4 "x", 5 c, 6 "y"
 
 
 def test_eval_ell_child_chain(d0):
-    assert eval_ell(_ell("/doc/a/b"), d0) == [3]
+    assert eval_full(_fragment("/doc/a/b"), d0) == {3}
 
 
 def test_eval_ell_self_on_root(d0):
-    assert eval_ell(_ell("/doc/self::doc"), d0) == [1]
+    assert eval_full(_fragment("/doc/self::doc"), d0) == {1}
 
 
 def test_eval_ell_predicate_witness(d0):
-    assert eval_ell(_ell("/doc/a[c]/b"), d0) == [3]
+    assert eval_full(_fragment("/doc/a[c]/b"), d0) == {3}
     without_c = parse_xml("<doc><a><b>x</b></a></doc>")
-    assert eval_ell(_ell("/doc/a[c]/b"), without_c) == []
+    assert eval_full(_fragment("/doc/a[c]/b"), without_c) == set()
 
 
 def test_eval_ell_upward_and_text(d0):
-    assert eval_ell(_ell("//b/ancestor::a"), d0) == [2]
-    assert eval_ell(_ell("//c/text()"), d0) == [6]
-    assert eval_ell(_ell("//b/ancestor-or-self::node()"), d0) == [0, 1, 2, 3]
+    assert eval_full(_fragment("//b/ancestor::a"), d0) == {2}
+    assert eval_full(_fragment("//c/text()"), d0) == {6}
+    assert eval_full(_fragment("//b/ancestor-or-self::node()"), d0) == {0, 1, 2, 3}
 
 
 def test_eval_ell_union(d0):
-    assert eval_ell(_ell("/doc/a/b | //c"), d0) == [3, 5]
+    assert eval_full(_fragment("/doc/a/b | //c"), d0) == {3, 5}
 
 
 def test_eval_full_positions(d0):
@@ -149,7 +155,7 @@ def test_hand_built_tree_navigates_as_its_parsed_twin():
     g = parse_dtd("<!ELEMENT doc (a*)><!ELEMENT a EMPTY>")
     assert validate_tree(built, g) == validate_tree(parsed, g)
     assert validate_tree(built, g).path == "/doc/a/b"
-    assert eval_ell(_ell("//b/ancestor::a"), built) == [2]
+    assert eval_full(_fragment("//b/ancestor::a"), built) == {2}
     assert eval_full(parse_query("//b/ancestor::a"), built) == {2}
 
     built = Document([_element(
@@ -160,7 +166,109 @@ def test_hand_built_tree_navigates_as_its_parsed_twin():
         query = parse_query(text)
         assert eval_full(query, parsed), text
         assert eval_full(query, built) == eval_full(query, parsed), text
-        assert eval_ell(_ell(text), built) == eval_ell(_ell(text), parsed), text
+        assert eval_full(_fragment(text), built) == eval_full(_fragment(text), parsed), text
+
+
+# ---------------------------------------------------------------------------
+# Axes against their definitions
+
+_AXES = sorted(FULL_AXES - {"namespace"})  # the parser rejects namespace
+
+
+def _reference_axes(node, nodes, parents):
+    """Each axis from ``node`` as XPath 1.0 defines it, in axis order,
+    read off pre-order ids and parent chains: ``nodes`` are the content
+    nodes in id order, ``parents`` maps each node below the document to
+    its parent."""
+
+    def chain(n):  # ancestors, nearest first
+        out = []
+        while n in parents:
+            n = parents[n]
+            out.append(n)
+        return out
+
+    if isinstance(node, AttrNode):
+        up = [node.owner] + chain(node.owner)
+        axes = {"self": [node], "parent": up[:1], "ancestor": up, "ancestor-or-self": [node] + up}
+        return {axis: axes.get(axis, []) for axis in _AXES}
+    up = chain(node)
+    below = [m for m in nodes if node in chain(m)]
+    before = [m for m in nodes if m.nid < node.nid]
+    after = [m for m in nodes if m.nid > node.nid]
+    parent = parents.get(node)
+    siblings = [m for m in nodes if parent is not None and parents.get(m) is parent]
+    attributes = node.attributes if isinstance(node, Element) else ()
+    return {
+        "self": [node],
+        "child": [m for m in below if parents[m] is node],
+        "descendant": below,
+        "descendant-or-self": [node] + below,
+        "parent": up[:1],
+        "ancestor": up,
+        "ancestor-or-self": [node] + up,
+        "following-sibling": [m for m in after if m in siblings],
+        "preceding-sibling": [m for m in before if m in siblings][::-1],
+        "following": [m for m in after if m not in below],
+        "preceding": [m for m in before if m not in up][::-1],
+        "attribute": [AttrNode(node, name, value) for name, value in attributes],
+    }
+
+
+def _assert_axes_match_definitions(doc):
+    index = oracle._Index(doc)
+    nodes = [n for n in doc.iter_nodes() if isinstance(n, (Document, Element, TextNode))]
+    parents = parent_map(doc)
+    attrs = [AttrNode(n, k, v) for n in nodes if isinstance(n, Element) for k, v in n.attributes]
+    for node in nodes + attrs:
+        expected = _reference_axes(node, nodes, parents)
+        for axis in _AXES:
+            assert oracle._full_axis(node, axis, index) == expected[axis], (node, axis)
+
+
+def test_axes_match_definitions_on_generated_documents(
+    g0, xmark_grammar, recursive_grammar, mixed_grammar, deep_grammar
+):
+    grammars = [g0, xmark_grammar, recursive_grammar, mixed_grammar, deep_grammar]
+    grammars += [parse_dtd(_synthetic_dtd(seed)[0]) for seed in range(4)]
+    for g in grammars:
+        for seed in range(8):
+            cfg = GenConfig(seed=seed, max_depth=6)
+            _assert_axes_match_definitions(generate_document(g, cfg))
+
+
+def test_axes_match_definitions_around_comments_and_pis():
+    # comments and PIs take node ids but are no XPath nodes here, so the
+    # content nodes' ids have gaps
+    first = Element("a", (("id", "1"), ("kind", "x")))
+    first.children.extend([PINode("p", "d"), _element("b", TextNode("y")), CommentNode("k")])
+    doc = Document([
+        CommentNode("before"),
+        _element(
+            "r",
+            TextNode("x"),
+            CommentNode("c"),
+            first,
+            PINode("q", ""),
+            _element("a", _element("b"), CommentNode("m"), _element("c", TextNode("z"))),
+            TextNode("w"),
+        ),
+        PINode("after", "t"),
+    ])
+    _assert_axes_match_definitions(doc)
+    parsed = parse_xml(serialize(doc))
+    _assert_axes_match_definitions(parsed)
+    assert [n.nid for n in parsed.iter_nodes()] == [n.nid for n in doc.iter_nodes()]
+
+
+def test_non_finite_numbers_print_as_xpath_strings():
+    # XPath 1.0 section 4.2: string(NaN) is 'NaN', string(+-infinity) is
+    # '(-)Infinity'; number() reads text as Python's float() does
+    nan = parse_xml("<doc><a><b>x</b></a></doc>")
+    assert eval_full(parse_query("/doc/a[string(number(b)) = 'NaN']"), nan) == {2}
+    huge = parse_xml("<doc><a><b>1e999</b></a><a><b>-1e999</b></a></doc>")
+    assert eval_full(parse_query("/doc/a[string(number(b)) = 'Infinity']"), huge) == {2}
+    assert eval_full(parse_query("/doc/a[string(number(b)) = '-Infinity']"), huge) == {5}
 
 
 # ---------------------------------------------------------------------------

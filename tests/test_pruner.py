@@ -52,7 +52,7 @@ from xmlprojector.grammar import (
     _validate_general,
     alt,
 )
-from xmlprojector.oracle import eval_full, results_match
+from xmlprojector.oracle import PrunedPair, eval_full
 from xmlprojector.pruner import (
     InvalidDocumentError,
     NotStreamableError,
@@ -385,7 +385,8 @@ def test_whitespace_text_answer_survives_both_pruners(mixed_grammar):
         doc = parse_xml(xml)
         pruned, origin = prune_tree_with_origin(doc, pi)
         expected = eval_full(query, doc)
-        assert results_match(expected, eval_full(query, pruned), doc, pruned, origin), xml
+        pair = PrunedPair(doc, pruned, origin)
+        assert pair.results_match(expected, eval_full(query, pruned)), xml
         streamed: list[str] = []
         prune_file(xml, pi, streamed.append)
         assert "".join(streamed) == serialize(pruned), xml

@@ -285,7 +285,7 @@ def test_query_nesting_bound_runs_end_to_end(recursive_grammar):
     # at the bound, every stage that recurses per level stays within the
     # recursion limit, even called from 200 frames deep
     from xmlprojector import infer_projector, parse_xml
-    from xmlprojector.oracle import eval_ell, eval_full
+    from xmlprojector.oracle import eval_full
 
     levels = 30
     doc = parse_xml(
@@ -300,7 +300,7 @@ def test_query_nesting_bound_runs_end_to_end(recursive_grammar):
         q = parse_query(text)
         ell = approximate_to_ell(q)
         assert infer_projector([ell], recursive_grammar).mask
-        assert eval_full(q, doc) <= set(eval_ell(ell, doc))
+        assert eval_full(q, doc) <= eval_full(parse_query(ell_to_text(ell)), doc)
 
     for text in _nested_queries(MAX_QUERY_NESTING).values():
         nested_call(200, lambda: run(text))
