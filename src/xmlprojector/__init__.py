@@ -55,25 +55,25 @@ from .grammar import (
     validate_tree,
 )
 from .inference import (
-    MinimalityReport,
     Projector,
     empty_projector,
     identity_projector,
     infer_projector,
     infer_types,
-    minimality_check,
     parse_projector_text,
     projector_to_text,
     step_transition,
 )
 from .oracle import (
     GenConfig,
+    MinimalityReport,
     OracleError,
     SoundnessReport,
     check_soundness,
     enumerate_documents,
     eval_full,
     generate_document,
+    minimality_check,
 )
 from .pruner import (
     InvalidDocumentError,

@@ -14,11 +14,11 @@ top-down-determinism check that decides whether one-pass streaming is
 possible, rule reachability, and the line-oriented text format used by
 grammar and projector files.
 
-``Grammar`` also owns the rule index, built once at construction: the
-rules in sort order, each name's rules and the names each rule's content
-mentions (``sorted_rules``, ``rules_of``, ``child_names``); a rule read
-from text gives its names without its regex being parsed, so loading a
-projector builds no content regex.  Every other
+A ``Rule`` holds the names its content mentions (``child_names``), and
+one read from text holds its regex text unparsed until its content is
+first read, so loading a projector builds no content regex.  ``Grammar``
+owns the rule index, built once at construction: the rules in sort order
+and each name's rules (``sorted_rules``, ``rules_of``).  Every other
 question about the grammar's structure is answered on key masks (ints,
 bit i for the i-th sorted rule, one bit more for the document node):
 one-step and reachability masks down and up (``child_mask``,
@@ -48,7 +48,7 @@ each node for ``validate_tree``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import compress, groupby
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -201,42 +201,66 @@ def names_in(regex: ContentRegex) -> frozenset[str]:
 # Rules and grammars
 
 
-@dataclass(frozen=True, eq=False)
 class Rule:
     """One production: ``name -> label [ content ]`` or ``name -> String``.
 
-    An element rule read from text (``parse_rule_text``) keeps its regex
-    text and the names in it, and parses the text into ``content`` on the
-    first read of ``content``: when its automaton is compiled, it is
-    printed, pickled or compared with a rule of its name and label, or it
-    breaks a sort tie.  Loading checked the text, so that parse cannot
-    fail.  Such a rule equals, hashes, pickles and sorts like the rule
-    built with the parsed content.  Concurrent first reads each parse and
-    store an equal value, so a shared rule is safe to read from any
-    thread.
+    A rule holds its name, its label (None for a text rule), the names its
+    content mentions (``_names``, empty for a text rule) and either its
+    content or, for an element rule read from text (``from_text``), its
+    regex text.  The text is parsed into ``content`` on the first read of
+    ``content``: when its automaton is compiled, it is printed, pickled or
+    compared with a rule of its name and label, or it breaks a sort tie.
+    Loading checked the text, so that parse cannot fail.  Such a rule
+    equals, hashes, pickles and sorts like the rule built with the parsed
+    content.  Concurrent first reads each parse and store an equal value,
+    so a shared rule is safe to read from any thread.  Setting or deleting
+    an attribute raises ``FrozenInstanceError``, an ``AttributeError``.
     """
 
-    name: str
-    label: Label | None
-    content: ContentRegex | None
+    __slots__ = ("name", "label", "_names", "_content", "_regex", "_hash")
 
-    def __post_init__(self):
-        if (self.label is None) != (self.content is None):
+    def __init__(self, name: str, label: Label | None, content: ContentRegex | None):
+        if (label is None) != (content is None):
             raise GrammarError("rule must have both label and content, or neither")
-        if not _NAME_RE.match(self.name):
-            raise GrammarError(f"illegal rule name {self.name!r}")
+        self._fill(name, label, () if content is None else tuple(names_in(content)), content, None)
+
+    @classmethod
+    def from_text(cls, name: str, label: Label, regex: str, names: tuple[str, ...]) -> "Rule":
+        """The element rule whose content is ``regex``, a text
+        ``parse_regex_text`` accepts that mentions ``names``."""
+        rule = cls.__new__(cls)
+        rule._fill(name, label, names, None, regex)
+        return rule
+
+    def _fill(self, name: str, label: Label | None, names: tuple[str, ...],
+              content: ContentRegex | None, regex: str | None) -> None:
+        if not _NAME_RE.match(name):
+            raise GrammarError(f"illegal rule name {name!r}")
+        _set_name(self, name)
+        _set_label(self, label)
+        _set_names(self, names)
+        _set_content(self, content)
+        _set_regex(self, regex)
         # rules live in sets.  Equal rules share a name and a label, so the
         # hash need not read the content, whose tree may be deeper than the
         # recursion limit; DTD imports give each name one rule.
-        object.__setattr__(self, "_hash", hash((self.name, self.label)))
+        _set_hash(self, hash((name, label)))
 
-    def _content_names(self) -> tuple[str, ...]:
-        """The names an element rule's content mentions."""
-        return tuple(names_in(self.content))
+    @property
+    def content(self) -> ContentRegex | None:
+        content = self._content
+        if content is None and self._regex is not None:
+            content = parse_regex_text(self._regex)
+            _set_content(self, content)
+        return content
+
+    def __setattr__(self, attr, value):
+        raise FrozenInstanceError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise FrozenInstanceError(f"cannot delete field {attr!r}")
 
     def __eq__(self, other):
-        # the dataclass's own test, but a rule read from text, of a subclass,
-        # equals the rule built with its content
         if not isinstance(other, Rule):
             return NotImplemented
         return (self.name, self.label, self.content) == (other.name, other.label, other.content)
@@ -279,36 +303,11 @@ class Rule:
         return f"Rule({rule_to_text(self)!r})"
 
 
-class _RuleFromText(Rule):
-    """An element rule read from text: its regex text, which
-    ``parse_regex_text`` accepts, is parsed into ``content`` on first read
-    (see ``Rule``), and the names in it were read at load.  A subclass, so
-    that reading any other attribute of any rule stays a plain attribute
-    read.  Attributes are set with ``object.__setattr__``: writing the
-    instance's ``__dict__`` would slow every later attribute read."""
-
-    @classmethod
-    def make(cls, name: str, label: Label, regex: str, names: tuple[str, ...]) -> Rule:
-        """The rule; ``names``: the names ``regex`` mentions."""
-        if not _NAME_RE.match(name):
-            raise GrammarError(f"illegal rule name {name!r}")
-        rule = cls.__new__(cls)
-        fields = {"name": name, "label": label, "_regex": regex, "_content": None,
-                  "_hash": hash((name, label)), "_names": names}
-        for attr, value in fields.items():
-            object.__setattr__(rule, attr, value)
-        return rule
-
-    def _content_names(self) -> tuple[str, ...]:
-        return self._names
-
-    @property
-    def content(self) -> ContentRegex:
-        content = self._content
-        if content is None:
-            content = parse_regex_text(self._regex)
-            object.__setattr__(self, "_content", content)
-        return content
+# The slots' own setters, which ``Rule.__setattr__`` does not reach; they
+# write faster than ``object.__setattr__``, which looks the slot up by name.
+_set_name, _set_label, _set_names, _set_content, _set_regex, _set_hash = (
+    getattr(Rule, slot).__set__ for slot in Rule.__slots__
+)
 
 
 # What a text-neutral element rule's children step, for one-pass walks:
@@ -347,7 +346,6 @@ class Grammar:
         "attributes",
         "_sorted",
         "_by_name",
-        "_child_names",
         "_text_children",
         "_automata",
         "_index",
@@ -358,7 +356,6 @@ class Grammar:
         "_tag_masks",
         "_kind_masks",
         "_streamable",
-        "_text_neutral",
         "_plans",
     )
 
@@ -375,13 +372,10 @@ class Grammar:
             raise GrammarError("grammar needs at least one start name")
         self._sorted: tuple[Rule, ...] = _in_sort_order(self.rules)
         by_name: dict[str, list[Rule]] = {}
-        self._child_names: dict[Rule, tuple[str, ...]] = {}
         for rule in self._sorted:
             by_name.setdefault(rule.name, []).append(rule)
-            if not rule.is_text:
-                self._child_names[rule] = rule._content_names()
         self._by_name: dict[str, tuple[Rule, ...]] = {n: tuple(rs) for n, rs in by_name.items()}
-        missing = self.start.union(*self._child_names.values()) - self._by_name.keys()
+        missing = self.start.union(*[rule._names for rule in self._sorted]) - self._by_name.keys()
         if missing:
             raise GrammarError("names without rules: " + ", ".join(sorted(missing)))
         self._text_children: dict[Rule, tuple[Rule, ...]] = {}
@@ -395,7 +389,6 @@ class Grammar:
         self._tag_masks: dict[str, int] = {}
         self._kind_masks: tuple[int, int, int] = (0, 0, 0)  # wildcard, element, text
         self._streamable: bool | None = None
-        self._text_neutral: dict[Rule, bool] = {}
         self._plans: dict[Rule, StepPlan | None] = {}
 
     def __eq__(self, other):
@@ -424,7 +417,7 @@ class Grammar:
 
     def child_names(self, rule: Rule) -> tuple[str, ...]:
         """Names the rule's content mentions; none for text rules."""
-        return self._child_names.get(rule, ())
+        return rule._names
 
     def text_children(self, rule: Rule) -> tuple[Rule, ...]:
         """The text rules one child step below the rule, in sort order:
@@ -451,13 +444,8 @@ class Grammar:
         child, or one text name whose step the automaton ``absorbs``, so
         whitespace consumed as that name leaves every continuation open
         that skipping it would.  DTD rules always are: their text name
-        occurs only as ``(#PCDATA | ...)*``.  Cached per rule."""
-        found = self._text_neutral.get(rule)
-        if found is None:
-            text = self.text_children(rule)
-            found = len(text) <= 1 and (not text or self.automaton(rule).absorbs(text[0].name))
-            self._text_neutral[rule] = found
-        return found
+        occurs only as ``(#PCDATA | ...)*``."""
+        return self.plan(rule) is not None
 
     def plan(self, rule: Rule) -> StepPlan | None:
         """What the children of a node the element rule generates step, for
@@ -472,11 +460,13 @@ class Grammar:
         except KeyError:
             pass
         plan = None
-        if self.text_neutral(rule):
-            auto, text = self.automaton(rule), self.text_children(rule)
+        text = self.text_children(rule)
+        if len(text) <= 1:
+            auto = self.automaton(rule)
             text_rule = text[0] if text else None
-            plan = (auto._rows, auto.start_state, auto._accepting, text_rule,
-                    text_rule.name if text else None)
+            if text_rule is None or auto.absorbs(text_rule.name):
+                plan = (auto._rows, auto.start_state, auto._accepting, text_rule,
+                        text_rule.name if text_rule else None)
         self._plans[rule] = plan
         return plan
 
@@ -507,7 +497,7 @@ class Grammar:
                 tags[rule.label.tag] = tags.get(rule.label.tag, 0) | bit
         down = [0] * (n + 1)
         for i, rule in enumerate(rules):
-            for name in self.child_names(rule):
+            for name in rule._names:
                 down[i] |= of_name[name]
         for name in self.start:
             down[n] |= of_name[name]
@@ -1327,7 +1317,7 @@ def parse_rule_text(text: str, line: int | None = None) -> Rule:
         names = _regex_names(regex)
         if names is None:  # the parser raises its own error for the text
             return Rule.element(name, tag, parse_regex_text(regex))
-        return _RuleFromText.make(name, WILDCARD_LABEL if tag == "_" else Label(tag), regex, names)
+        return Rule.from_text(name, WILDCARD_LABEL if tag == "_" else Label(tag), regex, names)
     except (GrammarError, GrammarFormatError) as exc:
         raise GrammarFormatError(str(exc), line) from None
 

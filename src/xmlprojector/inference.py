@@ -21,7 +21,7 @@ document node's bit cleared; ``infer_projector`` returns the fold's mask
 as is.  ``kept``, the frozenset of kept rules, is decoded on first read
 and cached; concurrent first reads store the same value, so a shared
 projector is safe to read from any thread.  Projector files, the walk
-tables and ``minimality_check`` read the mask's bits, so inferring,
+tables and ``oracle.minimality_check`` read the mask's bits, so inferring,
 saving, loading and pruning never decode it.
 
 Each step maps a whole mask: forward, its context's image (``_image``),
@@ -65,8 +65,6 @@ from .xpath import (
     TagTest,
     TextTest,
     Wildcard,
-    ell_to_text,
-    parse_query,
 )
 
 @dataclass(frozen=True, init=False)
@@ -367,71 +365,3 @@ def parse_projector_text(text: str) -> Projector:
         raise GrammarFormatError(str(exc)) from None
     # one bit per `+` line; every rule read is the grammar's
     return Projector(g, g.mask_of(kept))
-
-
-# ---------------------------------------------------------------------------
-# Minimality probing
-
-
-@dataclass(frozen=True)
-class MinimalityReport:
-    """Outcome of a brute-force search for a droppable kept rule.
-
-    status 'minimal': every kept rule has a generated counterexample
-    document proving the queries need it.  status 'witness': `witness` can
-    be dropped without changing any query result on any document tried
-    (and the document supply was exhausted, so the claim is tight for the
-    bounded corpus).  status 'budget_exhausted': some rule never showed a
-    counterexample but the corpus was cut off by the budget.
-    """
-
-    status: str
-    witness: Rule | None
-    docs_tested: int
-
-
-def minimality_check(
-    p: Projector, qs: Sequence[QueryEll], budget: int, max_star_repeat: int = 2
-) -> MinimalityReport:
-    from . import oracle, pruner  # local import: oracle depends on this module
-
-    g = p.grammar
-    docs = []
-    complete = True
-    for doc in oracle.enumerate_documents(g, max_star_repeat=max_star_repeat):
-        if len(docs) >= budget:
-            complete = False
-            break
-        docs.append(doc)
-
-    if not p.mask:
-        return MinimalityReport("minimal", None, len(docs))
-
-    parsed = [parse_query(ell_to_text(q)) for q in qs]
-    baselines = []
-    for doc in docs:
-        interp = oracle.require_interpretation(doc, g)
-        baselines.append((doc, interp, [oracle.eval_full(q, doc) for q in parsed]))
-
-    unused: Rule | None = None
-    for bit in mask_bits(p.mask):
-        candidate = Projector(g, p.mask & ~bit)
-        needed = False
-        for doc, interp, expected in baselines:
-            pruned, origin = pruner.prune_tree_with_origin(doc, candidate, interpretation=interp)
-            pair = oracle.PrunedPair(doc, pruned, origin)
-            if any(
-                not pair.results_match(q_expected, oracle.eval_full(q, pruned))
-                for q, q_expected in zip(parsed, expected)
-            ):
-                needed = True
-                break
-        if not needed:
-            unused = g.sorted_rules()[bit.bit_length() - 1]
-            break
-
-    if unused is None:
-        return MinimalityReport("minimal", None, len(docs))
-    if complete:
-        return MinimalityReport("witness", unused, len(docs))
-    return MinimalityReport("budget_exhausted", unused, len(docs))

@@ -2,23 +2,28 @@
 
 Everything here favors obviousness over speed.  ``eval_full``, the one
 evaluator, answers the parsed XPath subset (all axes, positional
-predicates, a small function set) and exists purely as a test oracle;
+predicates, a small function set, XPath 1.0's conversions between
+strings, numbers and booleans) and exists purely as a test oracle;
 fragment queries go through it as their text (``xpath.ell_to_text``).
-Each call builds one ``_Index`` of the document in one pre-order pass,
-from which every axis is a lookup or a slice.  ``generate_document``
-draws random members of a grammar's language; ``enumerate_documents``
-lists them lazily and exhaustively within bounds.  ``check_soundness``
-ties the pipeline together: prune with an inferred projector, then demand
-that every query answers identically on the original and the pruned
-document.
+It reads an ``_Index`` of the document, built in one pre-order pass, from
+which every axis is a lookup or a slice.  ``generate_document`` draws
+random members of a grammar's language; ``enumerate_documents`` lists
+them lazily and exhaustively within bounds.  ``check_soundness`` ties the
+pipeline together: prune with an inferred projector, then demand that
+every query answers identically on the original and the pruned document.
+``minimality_check`` searches enumerated documents for a kept rule that
+no query needs.  Both index each document and each pruned copy once
+(``PrunedPair``) and evaluate every query against those indexes.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field, replace
+from decimal import Decimal
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .doc import Document, Element, TextNode, serialize, string_value, subtree_text
@@ -38,6 +43,7 @@ from .grammar import (
     Star,
     _validate_general,
     is_streamable,
+    mask_bits,
 )
 from .inference import Projector, infer_projector
 from .pruner import InvalidDocumentError, UnresolvableTagError, prune_file, prune_tree_with_origin
@@ -51,10 +57,12 @@ from .xpath import (
     NodeTest,
     NumberLiteral,
     PathExpr,
+    QueryEll,
     StringLiteral,
     TextTest,
     Wildcard,
     approximate_to_ell,
+    ell_to_text,
     parse_query,
 )
 
@@ -81,10 +89,10 @@ class _Index:
     in ``order``; ``end``, the place past its subtree; ``parent``; ``kids``,
     its content children; ``rank``, its place among its parent's.  So a
     subtree is ``order[pos:end]`` and what follows it ``order[end:]``
-    (Grust's pre/post plane).
+    (Grust's pre/post plane).  ``by_nid`` finds a node by its id.
     """
 
-    __slots__ = ("doc", "order", "pos", "end", "parent", "kids", "rank")
+    __slots__ = ("doc", "order", "pos", "end", "parent", "kids", "rank", "by_nid")
 
     def __init__(self, doc: Document):
         order: list[_TreeNode] = [doc]
@@ -114,6 +122,7 @@ class _Index:
                 frames.pop()
         self.doc, self.order, self.pos, self.end = doc, order, pos, end
         self.parent, self.kids, self.rank = parent, kids_of, rank_of
+        self.by_nid = {node.nid: node for node in order}
 
     def ancestors(self, node: _TreeNode) -> list[_TreeNode]:
         out: list[_TreeNode] = []
@@ -141,10 +150,14 @@ ResultId = int | tuple
 def eval_full(q: FullQuery, d: Document) -> set[ResultId]:
     """Evaluate a parsed query from the document node: the union of its
     branches' results, as node ids and ``AttrNode.rid`` tuples."""
+    return _eval(q, _Index(d))
+
+
+def _eval(q: FullQuery, idx: _Index) -> set[ResultId]:
+    """``eval_full`` on the indexed document."""
     out: set[ResultId] = set()
-    idx = _Index(d)
     for path in q.branches:
-        for node in _full_path(path.steps, [d], idx):
+        for node in _full_path(path.steps, [idx.doc], idx):
             out.add(node.rid if isinstance(node, AttrNode) else node.nid)
     return out
 
@@ -310,6 +323,9 @@ def _node_string(node) -> str:
 
 
 def _to_string(value) -> str:
+    """XPath 1.0's string() of a value (section 4.2): a finite number in
+    decimal with no exponent, an integer without a point, and otherwise
+    the fewest digits that tell it from every other double."""
     if isinstance(value, list):
         return _node_string(value[0]) if value else ""
     if isinstance(value, bool):
@@ -319,21 +335,27 @@ def _to_string(value) -> str:
             return "NaN"
         if value == _INF or value == -_INF:
             return "Infinity" if value > 0 else "-Infinity"
-        return repr(int(value)) if value == int(value) else repr(value)
+        if value.is_integer():
+            return str(int(value))  # -0 prints as 0
+        return format(Decimal(repr(value)), "f")
     return value
 
 
+# XPath 1.0's numeric strings (section 4.4): XML whitespace, an optional
+# minus and a Number, ``Digits ('.' Digits?)? | '.' Digits``.
+_NUMBER_RE = re.compile(r"[ \t\r\n]*-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[ \t\r\n]*")
+
+
 def _to_number(value) -> float:
+    """XPath 1.0's number() of a value: NaN for a string that is not a
+    numeric string, the nearest double (maybe infinite) otherwise."""
     if isinstance(value, list):
         return _to_number(_to_string(value))
     if isinstance(value, bool):
         return 1.0 if value else 0.0
     if isinstance(value, float):
         return value
-    try:
-        return float(value.strip())
-    except (ValueError, AttributeError):
-        return float("nan")
+    return float(value) if _NUMBER_RE.fullmatch(value) else _NAN
 
 
 def _to_bool(value) -> bool:
@@ -416,6 +438,7 @@ class GenConfig:
 
 
 _INF = float("inf")
+_NAN = float("nan")
 _TEXT_ALPHABET = ("x", "y", "some text")  # text and attribute values
 _WILDCARD_TAGS = ("a", "b", "c")
 _ATTRIBUTE_PROBABILITY = 0.5  # chance per declared attribute
@@ -447,7 +470,11 @@ def generate_document(g: Grammar, cfg: GenConfig = GenConfig()) -> Document:
     """Sample one document from the grammar's language, deterministically
     per (grammar, config).  Raises OracleError if no start name can finish
     within the depth budget."""
-    cost = _min_depths(g)
+    return _generate(g, cfg, _min_depths(g))
+
+
+def _generate(g: Grammar, cfg: GenConfig, cost: dict[str, float]) -> Document:
+    """``generate_document`` given the grammar's ``_min_depths``."""
     rng = random.Random(cfg.seed)
 
     blocked = [n for n in sorted(g.start) if cost[n] > cfg.max_depth]
@@ -548,8 +575,11 @@ def _mm(regex: ContentRegex, cost: dict[str, float]) -> float:
     return _mm(regex.inner, cost)
 
 
+_ENUMERATED_TEXT = "t"  # the one text string enumerated documents hold
+
+
 def enumerate_documents(
-    g: Grammar, *, max_star_repeat: int = 2, max_depth: int = 8, text: str = "t"
+    g: Grammar, *, max_star_repeat: int = 2, max_depth: int = 8
 ) -> Iterator[Document]:
     """Bounded-exhaustive enumeration: every document whose star repetitions
     stay within `max_star_repeat` and whose depth stays within `max_depth`,
@@ -560,7 +590,7 @@ def enumerate_documents(
     def trees(name: str, depth: int) -> Iterator[tuple]:
         for rule in g.rules_of(name):
             if rule.is_text:
-                yield ("t", text)
+                yield ("t", _ENUMERATED_TEXT)
             elif 1 + _mm(rule.content, cost) <= depth:
                 for word in words(rule.content, depth - 1):
                     for children in forests(word, depth - 1):
@@ -648,16 +678,18 @@ def require_interpretation(doc: Document, g: Grammar) -> Interpretation:
 
 
 class PrunedPair:
-    """A document and its pruned copy, with the id maps that comparing
-    query results across them reads, built once for every query."""
+    """A document and its pruned copy, each indexed once (``original``,
+    ``pruned``) for every query, with the id maps that comparing query
+    results across them reads.  The original may be given as its index,
+    so that the pruned copies of one document share one."""
 
-    __slots__ = ("origin", "old_to_new", "original_nodes", "pruned_nodes")
+    __slots__ = ("origin", "old_to_new", "original", "pruned")
 
-    def __init__(self, original: Document, pruned: Document, origin: dict[int, int]):
+    def __init__(self, original: Document | _Index, pruned: Document, origin: dict[int, int]):
         self.origin = origin
         self.old_to_new = {old: new for new, old in origin.items()}
-        self.original_nodes = {n.nid: n for n in original.iter_nodes()}
-        self.pruned_nodes = {n.nid: n for n in pruned.iter_nodes()}
+        self.original = original if isinstance(original, _Index) else _Index(original)
+        self.pruned = _Index(pruned)
 
     def results_match(self, expected: Iterable[ResultId], got: Iterable[ResultId]) -> bool:
         """Compare query results across pruning.
@@ -681,7 +713,7 @@ class PrunedPair:
             new_id = self.old_to_new.get(rid)
             if new_id is None:
                 return False
-            if subtree_text(self.original_nodes[rid]) != subtree_text(self.pruned_nodes[new_id]):
+            if subtree_text(self.original.by_nid[rid]) != subtree_text(self.pruned.by_nid[new_id]):
                 return False
         return True
 
@@ -775,9 +807,10 @@ def check_soundness(
     pi = projector if projector is not None else infer_projector(ells, g)
 
     streamable = is_streamable(pi.grammar)
+    cost = _min_depths(g)
     report = SoundnessReport(n=n, passed=True)
     for i in range(n):
-        doc = generate_document(g, replace(cfg, seed=cfg.seed + i))
+        doc = _generate(g, replace(cfg, seed=cfg.seed + i), cost)
         interp = require_interpretation(doc, g)
         pruned, origin = prune_tree_with_origin(doc, pi, interpretation=interp)
         source, in_memory = serialize(doc), serialize(pruned)
@@ -796,8 +829,8 @@ def check_soundness(
                     return report
         pair = PrunedPair(doc, pruned, origin)
         for text, query in zip(texts, parsed):
-            expected = eval_full(query, doc)
-            got = eval_full(query, pruned)
+            expected = _eval(query, pair.original)
+            got = _eval(query, pair.pruned)
             try:
                 ok = pair.results_match(expected, got)
             except KeyError:
@@ -815,3 +848,58 @@ def check_soundness(
                 if stop_on_first_failure:
                     return report
     return report
+
+
+# ---------------------------------------------------------------------------
+# Minimality probing
+
+
+@dataclass(frozen=True)
+class MinimalityReport:
+    """Outcome of a brute-force search for a droppable kept rule.
+
+    status 'minimal': every kept rule has a generated counterexample
+    document proving the queries need it.  status 'witness': `witness` can
+    be dropped without changing any query result on any document tried
+    (and the document supply was exhausted, so the claim is tight for the
+    bounded corpus).  status 'budget_exhausted': some rule never showed a
+    counterexample but the corpus was cut off by the budget.
+    """
+
+    status: str
+    witness: Rule | None
+    docs_tested: int
+
+
+def minimality_check(p: Projector, qs: Sequence[QueryEll], budget: int) -> MinimalityReport:
+    """Drop each kept rule in turn, in sort order, and look for a document
+    among the first ``budget`` that ``enumerate_documents`` lists, with its
+    default bounds, on which some query's answer changes; the first rule
+    without one is the witness."""
+    g = p.grammar
+    docs = list(islice(enumerate_documents(g), budget + 1))
+    complete = len(docs) <= budget
+    del docs[budget:]
+    if not p.mask:
+        return MinimalityReport("minimal", None, len(docs))
+
+    parsed = [parse_query(ell_to_text(q)) for q in qs]
+    baselines = []
+    for doc in docs:
+        index = _Index(doc)
+        expected = [_eval(q, index) for q in parsed]
+        baselines.append((doc, index, require_interpretation(doc, g), expected))
+
+    for bit in mask_bits(p.mask):
+        candidate = Projector(g, p.mask & ~bit)
+        for doc, index, interp, expected in baselines:
+            pruned, origin = prune_tree_with_origin(doc, candidate, interpretation=interp)
+            pair = PrunedPair(index, pruned, origin)
+            if not all(pair.results_match(want, _eval(q, pair.pruned))
+                       for q, want in zip(parsed, expected)):
+                break  # the rule is needed
+        else:
+            unused = g.sorted_rules()[bit.bit_length() - 1]
+            status = "witness" if complete else "budget_exhausted"
+            return MinimalityReport(status, unused, len(docs))
+    return MinimalityReport("minimal", None, len(docs))

@@ -691,6 +691,22 @@ def test_rule_pickle_recomputes_cached_hash():
     assert pickle.loads(data) == rule and hash(pickle.loads(data)) == hash(rule)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Rule.element("A", "a", Star(Atom("B"))),
+    lambda: Rule.text("T"),
+    lambda: parse_rule_text("A -> a [ B* ]"),
+])
+def test_rules_are_immutable(make):
+    rule = make()
+    before = (rule.name, rule.label, rule.content, hash(rule))
+    for attr in ("name", "label", "content", "_names", "_content", "_hash", "other"):
+        with pytest.raises(AttributeError):
+            setattr(rule, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(rule, attr)
+    assert (rule.name, rule.label, rule.content, hash(rule)) == before
+
+
 def test_grammar_requires_declared_names():
     with pytest.raises(GrammarError):
         Grammar(start=("A",), rules=(Rule.element("A", "a", Atom("Missing")),))

@@ -263,12 +263,70 @@ def test_axes_match_definitions_around_comments_and_pis():
 
 def test_non_finite_numbers_print_as_xpath_strings():
     # XPath 1.0 section 4.2: string(NaN) is 'NaN', string(+-infinity) is
-    # '(-)Infinity'; number() reads text as Python's float() does
+    # '(-)Infinity'; a numeric string beyond the largest double rounds to
+    # an infinity (section 4.4)
     nan = parse_xml("<doc><a><b>x</b></a></doc>")
     assert eval_full(parse_query("/doc/a[string(number(b)) = 'NaN']"), nan) == {2}
-    huge = parse_xml("<doc><a><b>1e999</b></a><a><b>-1e999</b></a></doc>")
+    big = "1" + "0" * 400
+    huge = parse_xml(f"<doc><a><b>{big}</b></a><a><b>-{big}</b></a></doc>")
     assert eval_full(parse_query("/doc/a[string(number(b)) = 'Infinity']"), huge) == {2}
     assert eval_full(parse_query("/doc/a[string(number(b)) = '-Infinity']"), huge) == {5}
+
+
+_NUMBERS_DOC = (
+    "<doc><a><b>1_000</b></a><a><b>inf</b></a><a><b>0.0000001</b></a>"
+    "<a><b> 12 </b></a><a><b>1e3</b></a><a><b>+5</b></a></doc>"
+)
+
+
+@pytest.mark.parametrize("query, selected", [
+    # ids of the <a> items: 2 '1_000', 5 'inf', 8 '0.0000001', 11 ' 12 ',
+    # 14 '1e3', 17 '+5'.  An XPath 1.0 number is whitespace, an optional
+    # '-' and digits with at most one '.' (section 4.4); anything else,
+    # Python's '1_000', 'inf', '1e3' and '+5' among it, is NaN
+    ("/doc/a[number(b) = 1000]", set()),
+    ("/doc/a[b > 100]", set()),
+    ("/doc/a[number(b) = 5]", set()),
+    ("/doc/a[number(b) = 12]", {11}),
+    ("/doc/a[b = 12]", {11}),
+    ("/doc/a[string(number(b)) = 'NaN']", {2, 5, 14, 17}),
+    # a finite number prints in decimal with no exponent (section 4.2)
+    ("/doc/a[string(number(b)) = '0.0000001']", {8}),
+    ("/doc/a[string(number(b)) = '12']", {11}),
+])
+def test_number_conversions_follow_xpath(query, selected):
+    assert eval_full(parse_query(query), parse_xml(_NUMBERS_DOC)) == selected
+
+
+# ids: 0 document, 1 r, 2 p, 3 n, 4 "  ab  c ", 5 m, 6 "x", 7 p, 8 n, 9 "x",
+# 10 m, 11 "y"
+_FUNCTIONS_DOC = "<r><p><n>  ab  c </n><m>x</m></p><p><n>x</n><m>y</m></p></r>"
+
+
+@pytest.mark.parametrize("query, selected", [
+    ("/r/p[true()]", {2, 7}),
+    ("/r/p[false()]", set()),
+    ("/r/p[false() or true()]", {2, 7}),
+    ("/r/p[string-length(n) = 8]", {2}),
+    ("/r/p[string-length(n) = 1]", {7}),
+    ("/r/p/n[string-length() = 8]", {3}),
+    ("/r/p[string-length(/r) = 11]", {2, 7}),
+    ("/r/p[normalize-space(n) = 'ab c']", {2}),
+    ("/r/p/n[normalize-space() = 'x']", {8}),
+    ("/r/p[normalize-space(n) = n]", {7}),
+    ("/r/p[string(n = 'x') = 'true']", {7}),
+    ("/r/p[string(n = 'x') = 'false']", {2}),
+    ("/r/p[(n = 'x') = true()]", {7}),
+    ("/r/p[(n = 'x') = false()]", {2}),
+    # node-set = node-set: some pair of string-values is equal
+    ("/r/p[n = m]", set()),
+    ("/r/p[n = /r/p/m]", {7}),
+    ("/r/p[m = /r/p/n]", {2}),
+    ("/r/p[m != /r/p/n]", {2, 7}),
+    ("/r/p[n = /r/nothing]", set()),
+])
+def test_oracle_functions_by_hand(query, selected):
+    assert eval_full(parse_query(query), parse_xml(_FUNCTIONS_DOC)) == selected
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +454,22 @@ def test_soundness_pass(g0):
     report = check_soundness(g0, ["/doc/a/b"], 100, GenConfig(seed=0, max_depth=8))
     assert report.passed
     assert report.lines() == ["PASS n=100"]
+
+
+@pytest.mark.parametrize("query", [
+    # absolute paths and comparisons as predicate operands, a whole
+    # subtree as an argument, and the constant and string functions
+    "//item[name = /site/people/person/name]",
+    "//person[string-length(/site/regions) > 1]",
+    "//person[string(name = 'x') = 'true']",
+    "//person[(name = 'x') = true()]",
+    "//person[contains(name/descendant-or-self::node(), 'x')]",
+    "//person[normalize-space(name) = 'x']",
+    "//person[false() or true()]",
+])
+def test_soundness_of_value_predicates(xmark_grammar, query):
+    report = check_soundness(xmark_grammar, [query], 20, GenConfig(seed=3))
+    assert report.passed, report.lines()
 
 
 def test_soundness_fault_injection_fails(g0):
