@@ -17,6 +17,7 @@ from typing import IO
 from .doc import XmlSyntaxError, parse_xml, serialize
 from .dtd import DtdError, parse_dtd
 from .grammar import (
+    GrammarError,
     GrammarFormatError,
     Invalid,
     grammar_to_text,
@@ -45,7 +46,8 @@ class InputFileError(ValueError):
 
 
 _USAGE_ERRORS = (
-    DtdError, GrammarFormatError, QuerySyntaxError, XmlSyntaxError, OracleError, InputFileError
+    DtdError, GrammarError, GrammarFormatError, QuerySyntaxError, XmlSyntaxError, OracleError,
+    InputFileError,
 )
 _DATA_ERRORS = (InvalidDocumentError, UnresolvableTagError)
 
@@ -70,9 +72,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except RecursionError as exc:
         # documents are walked with explicit stacks, a content-model group
-        # is one node and parse_query bounds query nesting, so two things
-        # still recurse per nesting level: document generation (`gen`,
-        # `check`) and content-model parentheses
+        # is one node, DTD import and regex printing and parsing are loops
+        # and parse_query bounds query nesting; what still recurses once
+        # per content-model parenthesis is compiling a content automaton
+        # (`validate`, in-memory `prune`), comparing content regexes and
+        # generating words for them (`gen`, `check`)
         print(f"error: input nested too deeply ({exc})", file=sys.stderr)
         return 2
 

@@ -68,6 +68,17 @@ def collector_paused() -> Iterator[None]:
             gc.enable()
 
 
+# The characters of XML 1.0 (fifth edition) names other than `:`, as the
+# bodies of regular-expression classes: NCNAME_START_CHARS may begin a
+# name and NCNAME_CHARS continue one.  An element name may hold `:` too;
+# an XPath name test holds it only between prefix and local name.
+NCNAME_START_CHARS = (
+    "A-Z_a-z\u00c0-\u00d6\u00d8-\u00f6\u00f8-\u02ff\u0370-\u037d\u037f-\u1fff\u200c\u200d"
+    "\u2070-\u218f\u2c00-\u2fef\u3001-\ud7ff\uf900-\ufdcf\ufdf0-\ufffd\U00010000-\U000effff"
+)
+NCNAME_CHARS = NCNAME_START_CHARS + "\\-.0-9\u00b7\u0300-\u036f\u203f\u2040"
+
+
 # ---------------------------------------------------------------------------
 # Tree nodes
 

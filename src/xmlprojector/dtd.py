@@ -6,7 +6,16 @@ text name so that text under one tag can be pruned independently of text
 under another; mixed content interleaves that text name with the declared
 element names; EMPTY becomes Epsilon and ANY a star over every declared
 name plus a fresh text name.  ATTLIST declarations contribute attribute
-metadata only.
+metadata only.  An element named `_` is rejected: `_` is how grammars
+write the wildcard label, which matches every tag.
+
+Each children or mixed content model is read in one loop over an explicit
+stack of expat's model tuples (``_content_regex``), so parenthesis depth is
+unbounded.  The loop builds the regex bottom-up through ``seq`` and
+``alt``, uses one shared ``Atom`` per declared name, and collects the tags
+the model mentions as it goes; the rule takes their names from there
+instead of walking its finished regex, and tags nobody declared fail the
+import once every declaration is read.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from .grammar import (
     Atom,
     ContentRegex,
     Grammar,
+    Label,
     Opt,
     Plus,
     Rule,
@@ -26,6 +36,12 @@ from .grammar import (
     alt,
     seq,
 )
+
+
+# expat's content-model constants, bound once for the loop that reads every particle
+_EMPTY, _ANY, _MIXED = _xm.XML_CTYPE_EMPTY, _xm.XML_CTYPE_ANY, _xm.XML_CTYPE_MIXED
+_NAME, _SEQ, _CHOICE = _xm.XML_CTYPE_NAME, _xm.XML_CTYPE_SEQ, _xm.XML_CTYPE_CHOICE
+_ONCE, _OPT, _REP = _xm.XML_CQUANT_NONE, _xm.XML_CQUANT_OPT, _xm.XML_CQUANT_REP
 
 
 class DtdError(ValueError):
@@ -37,14 +53,6 @@ class DtdError(ValueError):
         if line is not None:
             message = f"{message} (line {line}, column {column})"
         super().__init__(message)
-
-
-_QUANT_WRAP = {
-    _xm.XML_CQUANT_NONE: lambda r: r,
-    _xm.XML_CQUANT_OPT: Opt,
-    _xm.XML_CQUANT_REP: Star,
-    _xm.XML_CQUANT_PLUS: Plus,
-}
 
 
 def _collect_declarations(text: str) -> tuple[list[tuple[str, tuple]], dict[str, tuple[str, ...]]]:
@@ -80,22 +88,12 @@ def _collect_declarations(text: str) -> tuple[list[tuple[str, tuple]], dict[str,
     return decls, {k: tuple(v) for k, v in attlists.items()}
 
 
-def _referenced_tags(model: tuple) -> set[str]:
-    mtype, _, name, children = model
-    refs: set[str] = set()
-    if mtype == _xm.XML_CTYPE_NAME:
-        refs.add(name)
-    for child in children:
-        refs |= _referenced_tags(child)
-    return refs
-
-
 def parse_dtd(text: str | bytes, root: str | None = None) -> Grammar:
     """Import DTD element declarations as a grammar.
 
     The first declared element supplies the start name unless ``root``
-    names another declared element.  Rejects duplicate declarations and
-    references to undeclared elements.
+    names another declared element.  Rejects duplicate declarations, an
+    element named ``_`` and references to undeclared elements.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -104,22 +102,19 @@ def parse_dtd(text: str | bytes, root: str | None = None) -> Grammar:
         raise DtdError("no element declarations found")
 
     seen: dict[str, tuple] = {}
-    order: list[str] = []
     duplicates: list[str] = []
     for tag, model in decls:
         if tag in seen:
             duplicates.append(tag)
         else:
             seen[tag] = model
-            order.append(tag)
     if duplicates:
         raise DtdError("duplicate element declarations: " + ", ".join(sorted(set(duplicates))))
-
-    undeclared = sorted(
-        {ref for model in seen.values() for ref in _referenced_tags(model) if ref not in seen}
-    )
-    if undeclared:
-        raise DtdError("undeclared elements referenced: " + ", ".join(undeclared))
+    if "_" in seen:
+        raise DtdError(
+            "element '_' cannot be imported: grammars write the wildcard label, "
+            "which matches every tag, as `_`"
+        )
 
     used_names: set[str] = set()
 
@@ -132,41 +127,88 @@ def parse_dtd(text: str | bytes, root: str | None = None) -> Grammar:
         used_names.add(name)
         return name
 
-    name_of = {tag: fresh(tag[0].upper() + tag[1:]) for tag in order}
-
+    name_of = {tag: fresh(tag[0].upper() + tag[1:]) for tag in seen}
+    atoms = {tag: Atom(name) for tag, name in name_of.items()}  # shared by every rule
+    undeclared: set[str] = set()
     rules: list[Rule] = []
-
-    def convert(model: tuple) -> ContentRegex:
-        mtype, quant, name, children = model
-        wrap = _QUANT_WRAP[quant]
-        if mtype == _xm.XML_CTYPE_NAME:
-            return wrap(Atom(name_of[name]))
-        if mtype == _xm.XML_CTYPE_SEQ:
-            return wrap(seq(*(convert(c) for c in children)))
-        if mtype == _xm.XML_CTYPE_CHOICE:
-            return wrap(alt(*(convert(c) for c in children)))
-        raise DtdError("unexpected content particle in declaration")
-
-    for tag in order:
-        mtype, quant, _, children = seen[tag]
-        if mtype == _xm.XML_CTYPE_EMPTY:
-            content: ContentRegex = EPSILON
-        elif mtype == _xm.XML_CTYPE_ANY:
-            text_name = fresh("T" + name_of[tag])
+    for tag, model in seen.items():
+        mtype, quant, _, children = model
+        name = name_of[tag]
+        if mtype == _EMPTY:
+            rules.append(Rule._with_names(name, Label(tag), EPSILON, ()))
+            continue
+        if mtype == _ANY:
+            text_name = fresh("T" + name)
             rules.append(Rule.text(text_name))
-            content = Star(alt(Atom(text_name), *(Atom(name_of[t]) for t in order)))
-        elif mtype == _xm.XML_CTYPE_MIXED:
-            text_name = fresh("T" + name_of[tag])
+            content = Star(alt(Atom(text_name), *atoms.values()))
+            rules.append(Rule._with_names(name, Label(tag), content, (text_name, *name_of.values())))
+            continue
+        tags: set[str] = set()
+        if mtype == _MIXED:
+            text_name = fresh("T" + name)
             rules.append(Rule.text(text_name))
-            content = Star(alt(Atom(text_name), *(convert(c) for c in children)))
+            names = [text_name]
+            content = Star(_content_regex(_CHOICE, _ONCE, children, [Atom(text_name)], atoms, tags))
+        elif mtype == _SEQ or mtype == _CHOICE:
+            names = []
+            content = _content_regex(mtype, quant, children, [], atoms, tags)
         else:
-            content = convert(seen[tag])
-        rules.append(Rule.element(name_of[tag], tag, content))
+            raise DtdError("unexpected content particle in declaration")
+        if not tags <= name_of.keys():
+            undeclared.update(t for t in tags if t not in name_of)
+        elif not undeclared:  # once a tag is undeclared, the loop only looks for more
+            names.extend([name_of[t] for t in tags])
+            rules.append(Rule._with_names(name, Label(tag), content, tuple(names)))
+    if undeclared:
+        raise DtdError("undeclared elements referenced: " + ", ".join(sorted(undeclared)))
 
     if root is not None:
         if root not in name_of:
             raise DtdError(f"requested root element {root!r} is not declared")
         start = name_of[root]
     else:
-        start = name_of[order[0]]
+        start = name_of[next(iter(seen))]
     return Grammar((start,), rules, attlists)
+
+
+def _content_regex(kind: int, quant: int, children: tuple, parts: list[ContentRegex],
+                   atoms: dict[str, Atom], tags: set[str]) -> ContentRegex:
+    """The regex of a group of ``kind`` (sequence or choice) and quantifier
+    ``quant`` over expat's model tuples ``children``, after ``parts``,
+    built bottom-up through ``seq`` and ``alt``; the tags its names
+    mention are added to ``tags``.
+
+    One loop over an explicit stack of the open groups, so parenthesis
+    depth is unbounded: a frame holds an enclosing group's kind,
+    quantifier, iterator over its children and finished parts.  A name is
+    its tag's atom in ``atoms``, or Epsilon for an undeclared tag, on
+    which the import fails."""
+    frames: list[tuple] = []
+    it = iter(children)
+    while True:
+        for ctype, cquant, tag, grandchildren in it:
+            if ctype == _NAME:
+                tags.add(tag)
+                leaf = atoms.get(tag, EPSILON)
+                parts.append(leaf if cquant == _ONCE else _quantified(leaf, cquant))
+            elif ctype == _SEQ or ctype == _CHOICE:
+                frames.append((kind, quant, it, parts))
+                kind, quant, it, parts = ctype, cquant, iter(grandchildren), []
+                break
+            else:
+                raise DtdError("unexpected content particle in declaration")
+        else:
+            group = seq(*parts) if kind == _SEQ else alt(*parts)
+            if quant != _ONCE:
+                group = _quantified(group, quant)
+            if not frames:
+                return group
+            kind, quant, it, parts = frames.pop()
+            parts.append(group)
+
+
+def _quantified(regex: ContentRegex, quant: int) -> ContentRegex:
+    """The regex under a particle's quantifier: ``?``, ``*`` or ``+``."""
+    if quant == _OPT:
+        return Opt(regex)
+    return Star(regex) if quant == _REP else Plus(regex)

@@ -53,9 +53,21 @@ from itertools import compress, groupby
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .doc import CommentNode, Document, Element, Node, PINode, TextNode, collector_paused, node_path
+from .doc import (
+    NCNAME_CHARS,
+    NCNAME_START_CHARS,
+    CommentNode,
+    Document,
+    Element,
+    Node,
+    PINode,
+    TextNode,
+    collector_paused,
+    node_path,
+)
 
-_NAME_RE = re.compile(r"[A-Za-z_:][\w.\-:]*\Z")
+# rule names and element tags: XML names
+_NAME_RE = re.compile(f"[:{NCNAME_START_CHARS}][:{NCNAME_CHARS}]*\\Z")
 # ``rules_in`` decodes a mask in C when more than one in _DENSE of the rules'
 # bits is set, where that beat the bit-by-bit loop on grammars of 30 to 600
 # rules; _DIGITS turns its binary digits into the selectors of ``compress``.
@@ -230,6 +242,16 @@ class Rule:
         ``parse_regex_text`` accepts that mentions ``names``."""
         rule = cls.__new__(cls)
         rule._fill(name, label, names, None, regex)
+        return rule
+
+    @classmethod
+    def _with_names(cls, name: str, label: Label, content: ContentRegex,
+                    names: tuple[str, ...]) -> "Rule":
+        """``Rule(name, label, content)`` for a caller that knows the
+        ``names`` the content mentions, as the DTD import does: the
+        content is not walked for them."""
+        rule = cls.__new__(cls)
+        rule._fill(name, label, names, content, None)
         return rule
 
     def _fill(self, name: str, label: Label | None, names: tuple[str, ...],
@@ -1182,22 +1204,47 @@ def reachable_rules(g: Grammar, from_rules: Iterable[Rule]) -> frozenset[Rule]:
 _TOKEN_RE = re.compile(r"[()|*+?]|[^\s()|*+?\[\]]+")
 
 
-def regex_to_text(regex: ContentRegex, _prec: int = 0) -> str:
-    # precedence: 0 alt, 1 seq, 2 postfix
-    if isinstance(regex, Empty):
-        return "#empty"
-    if isinstance(regex, Epsilon):
-        return "#eps"
-    if isinstance(regex, Atom):
-        return regex.name
-    if isinstance(regex, Alt):
-        text = " | ".join(regex_to_text(part, 1) for part in regex.parts)
-        return f"({text})" if _prec > 0 else text
-    if isinstance(regex, Seq):
-        text = " ".join(regex_to_text(part, 2) for part in regex.parts)
-        return f"({text})" if _prec > 1 else text
-    suffix = {Star: "*", Plus: "+", Opt: "?"}[type(regex)]
-    return f"{regex_to_text(regex.inner, 2)}{suffix}"
+def regex_to_text(regex: ContentRegex) -> str:
+    """The regex in the text syntax, parenthesised only where precedence
+    needs it (alternation binds loosest, then sequence, then the postfix
+    operators).  One loop over an explicit stack, so parenthesis depth is
+    unbounded: the stack holds the pieces still to print, last first,
+    each a literal text or a regex with the precedence of its place."""
+    out: list[str] = []
+    work: list = [(regex, 0)]
+    while work:
+        item = work.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        r, prec = item
+        kind = type(r)
+        if kind is Atom:
+            out.append(r.name)
+        elif kind is Seq or kind is Alt:
+            # an alternation's parts print at precedence 1, a sequence's at
+            # 2, and a group in a place of that precedence or more needs ()
+            inner, sep = (1, " | ") if kind is Alt else (2, " ")
+            if prec >= inner:
+                work.append(")")
+            for part in reversed(r.parts):
+                work.append((part, inner))
+                work.append(sep)
+            if r.parts:
+                work.pop()  # the separator before the first part
+            if prec >= inner:
+                work.append("(")
+        elif kind is Epsilon:
+            out.append("#eps")
+        elif kind is Empty:
+            out.append("#empty")
+        else:
+            work.append(_SUFFIXES[kind])
+            work.append((r.inner, 2))
+    return "".join(out)
+
+
+_SUFFIXES = {Star: "*", Plus: "+", Opt: "?"}
 
 
 # The tokens that are not names: a constant stands for its value, a

@@ -16,6 +16,8 @@ import enum
 import re
 from dataclasses import dataclass
 
+from .doc import NCNAME_CHARS, NCNAME_START_CHARS
+
 
 class QuerySyntaxError(ValueError):
     def __init__(self, message: str, position: int | None = None):
@@ -202,10 +204,11 @@ def pred_and(parts: list[Predicate]) -> Predicate | None:
 
 # One token per match: a name (group 1), any other token (group 2), or a
 # character no token starts with, which matches neither group.
+_NCNAME = f"[{NCNAME_START_CHARS}][{NCNAME_CHARS}]*"
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     \s*(?:
-        ([A-Za-z_][\w.\-]*(?::[A-Za-z_][\w.\-]*)?)   # names, maybe prefixed
+        ({_NCNAME}(?::{_NCNAME})?)                  # names, maybe prefixed
       | ( // | / | :: | [\[\]()@|,*+\-=]
         | '[^']*' | "[^"]*"                         # string literals
         | \d+\.\d+ | \.\d+ | \d+                    # numbers

@@ -7,7 +7,14 @@ import pytest
 
 from xmlprojector.cli import main
 
-from xmlprojector import parse_projector_text, parse_xml, projector_to_text, serialize
+from xmlprojector import (
+    GrammarError,
+    parse_projector_text,
+    parse_xml,
+    projector_to_text,
+    prune_tree,
+    serialize,
+)
 from xmlprojector.doc import subtree_text
 
 from xmlprojector.xpath import MAX_QUERY_NESTING
@@ -175,6 +182,68 @@ def test_usage_errors_exit_2(g0_dtd, tmp_path, capsys):
     assert run(["infer", "--dtd", g0_dtd, "--query", "/doc["]) == 2
     assert run(["infer", "--dtd", g0_dtd]) == 2
     assert run(["prune", "--projector", str(tmp_path / "missing.proj")]) == 2
+
+
+def test_element_named_like_the_wildcard_is_a_usage_error(tmp_path, capsys):
+    dtd = tmp_path / "wild.dtd"
+    dtd.write_text("<!ELEMENT r (_, b)>\n<!ELEMENT _ EMPTY>\n<!ELEMENT b EMPTY>\n")
+    assert run(["infer", "--dtd", str(dtd), "--query", "/r/b"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: element '_' cannot be imported: grammars write the wildcard label, "
+        "which matches every tag, as `_`\n"
+    )
+
+
+def test_grammar_errors_are_usage_errors(g0_dtd, monkeypatch, capsys):
+    def bad_import(*args, **kwargs):
+        raise GrammarError("illegal element tag '1r'")
+
+    monkeypatch.setattr("xmlprojector.cli.parse_dtd", bad_import)
+    assert run(["infer", "--dtd", g0_dtd, "--query", "/doc"]) == 2
+    assert capsys.readouterr().err == "error: illegal element tag '1r'\n"
+
+
+_NON_ASCII_DTD = """\
+<!ELEMENT été (titre, (ça | note)*)>
+<!ELEMENT titre (#PCDATA)>
+<!ELEMENT ça (#PCDATA | note)*>
+<!ELEMENT note (#PCDATA)>
+"""
+_NON_ASCII_XML = "<été><titre>Août</titre><ça>œuf <note>à</note></ça><note>non</note></été>"
+
+
+def test_non_ascii_names_infer_prune_and_validate(tmp_path, capsys):
+    dtd, doc = tmp_path / "u.dtd", tmp_path / "u.xml"
+    dtd.write_text(_NON_ASCII_DTD, encoding="utf-8")
+    doc.write_bytes(_NON_ASCII_XML.encode("utf-8"))
+    proj, out = tmp_path / "p.proj", tmp_path / "out.xml"
+    query = ["--dtd", str(dtd), "--query", "//ça/text()"]
+    assert run(["infer", *query, "-o", str(proj)]) == 0
+    assert capsys.readouterr().err == "kept 3 of 7 rules (4 dropped)\n"
+    assert proj.read_text(encoding="utf-8") == (
+        "start: Été\n"
+        "- Note -> note [ TNote* ]\n"
+        "- TNote -> String\n"
+        "- TTitre -> String\n"
+        "- Titre -> titre [ TTitre* ]\n"
+        "+ TÇa -> String\n"
+        "+ Ça -> ça [ (TÇa | Note)* ]\n"
+        "+ Été -> été [ Titre (Ça | Note)* ]\n"
+    )
+    # both pruners give the same bytes, from the DTD and from the file
+    expected = "<été><ça>œuf </ça></été>".encode("utf-8")
+    projector = parse_projector_text(proj.read_text(encoding="utf-8"))
+    assert serialize(prune_tree(parse_xml(doc.read_bytes()), projector)).encode("utf-8") == expected
+    for source in (query, ["--projector", str(proj)]):
+        assert run(["prune", *source, "-i", str(doc), "-o", str(out), "--stats"]) == 0
+        assert out.read_bytes() == expected
+        assert capsys.readouterr().err == (
+            "elements_in=5 elements_out=2 text_bytes_in=15 text_bytes_out=5 max_depth=3\n"
+        )
+    assert run(["validate", "--dtd", str(dtd), "-i", str(doc)]) == 0
+    assert capsys.readouterr().out == "valid (9 nodes typed)\n"
 
 
 def test_undecodable_input_files_are_usage_errors(g0_dtd, d0_xml, tmp_path, capsys):
@@ -417,6 +486,31 @@ def test_projector_with_deeply_nested_rule_prunes(tmp_path, capsys):
     assert run(["prune", "--projector", str(proj)], stdin=xml) == 0
     captured = capsys.readouterr()
     assert captured.out == xml and captured.err == ""
+
+
+def test_deeply_nested_group_infers_and_prunes(tmp_path, capsys):
+    # (a, (a, … (a, b)*…)*)*: the import, inference, projector printing
+    # and the streaming pruner run no recursion per group
+    depth = 3_000
+    group = "(a, " * depth + "b" + ")*" * depth
+    dtd = tmp_path / "deep-group.dtd"
+    dtd.write_text(f"<!ELEMENT r {group}>\n<!ELEMENT a (#PCDATA)>\n<!ELEMENT b EMPTY>\n")
+    query = ["--dtd", str(dtd), "--query", "//a"]
+    assert run(["infer", *query]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "start: R\n"
+        "+ A -> a [ TA* ]\n"
+        "- B -> b [ ]\n"
+        "+ R -> r [ " + "(A " * depth + "B" + ")*" * depth + " ]\n"
+        "+ TA -> String\n"
+    )
+    assert captured.err == "kept 3 of 4 rules (1 dropped)\n"
+    doc = tmp_path / "deep-group.xml"
+    doc.write_text("<r><a>x</a><a>y</a><b/></r>")
+    assert run(["prune", *query, "-i", str(doc)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "<r><a>x</a><a>y</a></r>" and captured.err == ""
 
 
 def test_wide_content_models(tmp_path, capsys):

@@ -714,6 +714,24 @@ def test_grammar_requires_declared_names():
         Grammar(start=("Nope",), rules=(Rule.text("T"),))
 
 
+def test_names_are_xml_names():
+    # a letter of any script, `_` or `:` first, then XML name characters
+    for name in ("été", "Été", "ça_1", "x·y", "e\u0301", ":a", "_a", "a.b-c", "日本"):
+        assert _NAME_RE.match(name)
+        assert str(Rule.element(name, name, EPSILON).label) == name
+    for name in ("1R", "-a", ".a", "·a", "\u0301e", "a b", "a/b", ""):
+        assert not _NAME_RE.match(name)
+    # digit-initial names fail as they always did
+    with pytest.raises(GrammarError, match=r"^illegal element tag '1R'$"):
+        Label("1R")
+    with pytest.raises(GrammarError, match=r"^illegal rule name '1R'$"):
+        Rule.text("1R")
+    with pytest.raises(GrammarFormatError, match=r"^line 3: illegal rule name '1R'$"):
+        parse_rule_text("1R -> r [ a ]", 3)
+    with pytest.raises(GrammarFormatError, match=r"^line 3: illegal element tag '1r'$"):
+        parse_rule_text("R -> 1r [ a ]", 3)
+
+
 def test_names_in():
     assert names_in(seq(Atom("A"), Star(alt(Atom("B"), Atom("C"))))) == {"A", "B", "C"}
 
@@ -839,6 +857,58 @@ def test_deeply_nested_rule_parses():
     assert rule.name == "R" and str(rule.label) == "r"
     assert hash(rule) == hash(Rule.element("R", "r", Atom("x")))
     assert rule in {rule} and rule != Rule.element("R", "r", Atom("x"))
+
+
+def _recursive_regex_to_text(regex, prec: int = 0) -> str:
+    """The recursive printer ``regex_to_text`` replaced: one call level per
+    parenthesis, kept here as the reference."""
+    # precedence: 0 alt, 1 seq, 2 postfix
+    if isinstance(regex, Empty):
+        return "#empty"
+    if isinstance(regex, Epsilon):
+        return "#eps"
+    if isinstance(regex, Atom):
+        return regex.name
+    if isinstance(regex, Alt):
+        text = " | ".join(_recursive_regex_to_text(part, 1) for part in regex.parts)
+        return f"({text})" if prec > 0 else text
+    if isinstance(regex, Seq):
+        text = " ".join(_recursive_regex_to_text(part, 2) for part in regex.parts)
+        return f"({text})" if prec > 1 else text
+    suffix = {Star: "*", Plus: "+", Opt: "?"}[type(regex)]
+    return f"{_recursive_regex_to_text(regex.inner, 2)}{suffix}"
+
+
+# groups built by hand as well as through seq/alt: of any length, trailing
+# groups of their own kind unspliced
+_raw_regex_strategy = st.recursive(
+    st.sampled_from([Atom("A"), Atom("B"), Epsilon(), Empty()]),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3).map(lambda parts: Seq(tuple(parts))),
+        st.lists(inner, max_size=3).map(lambda parts: Alt(tuple(parts))),
+        st.lists(inner, min_size=2, max_size=3).map(lambda parts: seq(*parts)),
+        st.lists(inner, min_size=2, max_size=3).map(lambda parts: alt(*parts)),
+        inner.map(Star),
+        inner.map(Plus),
+        inner.map(Opt),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_raw_regex_strategy)
+def test_loop_printer_matches_recursive_printer(regex):
+    assert regex_to_text(regex) == _recursive_regex_to_text(regex)
+
+
+def test_deeply_nested_groups_print_without_recursion():
+    depth = 3_000
+    text = "(A " * depth + "B" + ")*" * depth
+    regex = parse_regex_text(text)
+    assert regex_to_text(regex) == text
+    assert regex_to_text(regex.inner) == text[1:-2]  # the outermost group needs no ()
+    assert regex_to_text(parse_regex_text("(" * depth + "A" + ")" * depth)) == "A"
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,14 @@ def test_prefixed_names_are_plain_tags():
     assert path.steps[0].test == TagTest("ns:doc")
 
 
+def test_names_are_xml_names():
+    (path,) = parse_query("/été/ça:x·y").branches
+    assert [step.test for step in path.steps] == [TagTest("été"), TagTest("ça:x·y")]
+    for bad in ("/1a", "/·a", "/a:1b"):
+        with pytest.raises(QuerySyntaxError):
+            parse_query(bad)
+
+
 # ---------------------------------------------------------------------------
 # Approximation: per-rewrite behavior
 
