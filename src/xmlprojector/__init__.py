@@ -64,17 +64,6 @@ from .inference import (
     projector_to_text,
     step_transition,
 )
-from .oracle import (
-    GenConfig,
-    MinimalityReport,
-    OracleError,
-    SoundnessReport,
-    check_soundness,
-    enumerate_documents,
-    eval_full,
-    generate_document,
-    minimality_check,
-)
 from .pruner import (
     InvalidDocumentError,
     NotStreamableError,
@@ -100,3 +89,26 @@ from .xpath import (
     ell_to_text,
     parse_query,
 )
+
+# The oracle (document generation, the reference XPath evaluator and the
+# soundness checks) is imported on first use of one of its names, so that
+# `prune` and `infer` do not load it.
+_ORACLE_EXPORTS = frozenset({
+    "GenConfig",
+    "MinimalityReport",
+    "OracleError",
+    "SoundnessReport",
+    "check_soundness",
+    "enumerate_documents",
+    "eval_full",
+    "generate_document",
+    "minimality_check",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_EXPORTS:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

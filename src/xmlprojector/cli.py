@@ -3,12 +3,16 @@
 Exit codes: 0 success, 1 validation or soundness-check failure, 2 usage
 and format errors.  Documents read from files or `-` (stdin) and write to
 files or `-` (stdout); stats and diagnostics go to stderr so piped XML
-stays clean.
+stays clean.  Everything written to a file or to stdout is UTF-8, whatever
+the locale: documents, projectors, grammars and the `validate` and `check`
+lines.  Only `gen` and `check` import the oracle.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
+import io
 import os
 import sys
 from contextlib import ExitStack
@@ -30,7 +34,6 @@ from .inference import (
     parse_projector_text,
     projector_to_text,
 )
-from .oracle import GenConfig, OracleError, check_soundness, generate_document
 from .pruner import (
     InvalidDocumentError,
     PruneStats,
@@ -46,10 +49,16 @@ class InputFileError(ValueError):
 
 
 _USAGE_ERRORS = (
-    DtdError, GrammarError, GrammarFormatError, QuerySyntaxError, XmlSyntaxError, OracleError,
-    InputFileError,
+    DtdError, GrammarError, GrammarFormatError, QuerySyntaxError, XmlSyntaxError, InputFileError,
 )
 _DATA_ERRORS = (InvalidDocumentError, UnresolvableTagError)
+
+
+def _usage_errors() -> tuple[type[Exception], ...]:
+    """The errors that exit 2: ``_USAGE_ERRORS``, and ``OracleError`` once
+    ``gen`` or ``check`` has imported the oracle, which alone raises it."""
+    oracle = sys.modules.get(f"{__package__}.oracle")
+    return _USAGE_ERRORS if oracle is None else (*_USAGE_ERRORS, oracle.OracleError)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -64,7 +73,7 @@ def main(argv: list[str] | None = None) -> int:
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _USAGE_ERRORS as exc:
+    except _usage_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
@@ -75,8 +84,8 @@ def main(argv: list[str] | None = None) -> int:
         # is one node, DTD import and regex printing and parsing are loops
         # and parse_query bounds query nesting; what still recurses once
         # per content-model parenthesis is compiling a content automaton
-        # (`validate`, in-memory `prune`), comparing content regexes and
-        # generating words for them (`gen`, `check`)
+        # (`validate`, in-memory `prune`) and generating words for a
+        # content regex (`gen`, `check`)
         print(f"error: input nested too deeply ({exc})", file=sys.stderr)
         return 2
 
@@ -209,6 +218,8 @@ def _load_projector(args) -> Projector:
 def _at_least(value: int, flag: str, low: int) -> int:
     """A numeric flag's value, or a usage error that names the flag."""
     if value < low:
+        from .oracle import OracleError
+
         raise OracleError(f"{flag} must be >= {low}")
     return value
 
@@ -218,14 +229,40 @@ def _open_in(path: str) -> IO[bytes]:
 
 
 def _open_out(path: str) -> IO[str]:
-    if path == "-":
-        return sys.stdout
-    return open(path, "w", encoding="utf-8")
+    """A text stream that writes UTF-8 to the file, or to stdout for `-`.
+
+    stdout itself is returned where it encodes UTF-8 or has no byte buffer
+    below its text (a ``StringIO``, for one).  Otherwise the stream is a
+    UTF-8 writer over stdout's buffer, which ``_close`` detaches, leaving
+    ``sys.stdout`` open and as it was."""
+    if path != "-":
+        return open(path, "w", encoding="utf-8")
+    out = sys.stdout
+    encoding = getattr(out, "encoding", None)
+    if encoding is None or not hasattr(out, "buffer") or codecs.lookup(encoding).name == "utf-8":
+        return out
+    out.flush()  # what stdout holds goes first
+    return io.TextIOWrapper(out.buffer, encoding="utf-8")
 
 
 def _close(fh, path: str) -> None:
+    """Close what ``_open_in`` or ``_open_out`` opened.  Of `-`, only the
+    UTF-8 writer over stdout's buffer is let go: detaching it flushes it
+    and leaves the buffer open."""
     if path != "-":
         fh.close()
+    elif isinstance(fh, io.TextIOWrapper) and fh is not sys.stdout:
+        fh.detach()
+
+
+def _print_lines(lines: list[str]) -> None:
+    """Write lines to stdout as UTF-8, as documents are written."""
+    out = _open_out("-")
+    try:
+        for line in lines:
+            out.write(line + "\n")
+    finally:
+        _close(out, "-")
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +316,15 @@ def _cmd_validate(args) -> int:
         _close(src, args.input)
     result = validate_tree(doc, grammar)
     if isinstance(result, Invalid):
-        print(f"invalid at {result.path}: {result.reason}")
+        _print_lines([f"invalid at {result.path}: {result.reason}"])
         return 1
-    print(f"valid ({len(result)} nodes typed)")
+    _print_lines([f"valid ({len(result)} nodes typed)"])
     return 0
 
 
 def _cmd_gen(args) -> int:
+    from .oracle import GenConfig, generate_document
+
     grammar = parse_dtd(_read_text(args.dtd), root=args.root)
     cfg = GenConfig(
         seed=args.seed,
@@ -303,6 +342,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .oracle import GenConfig, check_soundness
+
     grammar = parse_dtd(_read_text(args.dtd), root=args.root)
     cfg = GenConfig(seed=args.seed, max_depth=_at_least(args.max_depth, "--max-depth", 1))
     report = check_soundness(grammar, _query_texts(args), _at_least(args.n, "--n", 1), cfg)
@@ -312,8 +353,7 @@ def _cmd_check(args) -> int:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(failure.document)
         doc_paths[i] = path
-    for line in report.lines(doc_paths):
-        print(line)
+    _print_lines(report.lines(doc_paths))
     return 0 if report.passed else 1
 
 

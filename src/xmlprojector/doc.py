@@ -20,9 +20,9 @@ numbers a tree of nodes built beforehand (generated or hand-built).
 
 Trees are acyclic, so reference counting frees them and the cyclic
 collector never finds anything in them; the builders (``parse_xml``, the
-walk and the witness copy of the in-memory pruner) run inside
-``collector_paused`` so that its generation collections do not walk a
-tree while it grows.
+walk and the witness copy of the in-memory pruner, and ``dtd.parse_dtd``
+for the grammar it builds) run inside ``collector_paused`` so that its
+generation collections do not walk a tree while it grows.
 """
 
 from __future__ import annotations
@@ -49,9 +49,17 @@ def collector_paused() -> Iterator[None]:
     """Run the block with the cyclic collector off; afterwards, also when
     the block raises, turn it back on if it was on before.
 
-    For building trees, which hold no reference cycles: the collections
-    that allocating their nodes would trigger walk the growing tree and
-    free nothing.  Reference counting still frees everything at once.
+    For building trees and grammars, which hold no reference cycles: the
+    collections that allocating their nodes would trigger walk the growing
+    value and free nothing.  Reference counting still frees everything at
+    once.  ``parse_xml``, the in-memory pruner's walk and witness copy and
+    ``dtd.parse_dtd`` run inside it.
+
+    The pause defers one pass rather than all of them: the young
+    generation's count goes on growing in the pause, so after a build of
+    any size the next allocation that the collector tracks once the pause
+    ends starts one young-generation collection, which walks everything
+    built in the pause once.
 
     ``gc`` switches are process-global, so while a build runs no thread
     collects cycles.  Overlapping builds in several threads end with the

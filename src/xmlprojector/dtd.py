@@ -16,6 +16,11 @@ unbounded.  The loop builds the regex bottom-up through ``seq`` and
 the model mentions as it goes; the rule takes their names from there
 instead of walking its finished regex, and tags nobody declared fail the
 import once every declaration is read.
+
+The import runs with the cyclic collector paused (``doc.collector_paused``),
+as the tree builders do: the labels, regexes and rules it makes hold no
+reference cycle, so the collections their allocation would start walk them
+and free nothing.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import xml.parsers.expat
 from xml.parsers.expat import model as _xm
 
+from .doc import collector_paused
 from .grammar import (
     EPSILON,
     Atom,
@@ -94,81 +100,88 @@ def parse_dtd(text: str | bytes, root: str | None = None) -> Grammar:
     The first declared element supplies the start name unless ``root``
     names another declared element.  Rejects duplicate declarations, an
     element named ``_`` and references to undeclared elements.
+
+    Runs with the cyclic collector paused (``collector_paused``): the
+    grammar holds no reference cycle, so the collections its allocations
+    would start find nothing to free.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    decls, attlists = _collect_declarations(text)
-    if not decls:
-        raise DtdError("no element declarations found")
+    with collector_paused():
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        decls, attlists = _collect_declarations(text)
+        if not decls:
+            raise DtdError("no element declarations found")
 
-    seen: dict[str, tuple] = {}
-    duplicates: list[str] = []
-    for tag, model in decls:
-        if tag in seen:
-            duplicates.append(tag)
+        seen: dict[str, tuple] = {}
+        duplicates: list[str] = []
+        for tag, model in decls:
+            if tag in seen:
+                duplicates.append(tag)
+            else:
+                seen[tag] = model
+        if duplicates:
+            raise DtdError("duplicate element declarations: " + ", ".join(sorted(set(duplicates))))
+        if "_" in seen:
+            raise DtdError(
+                "element '_' cannot be imported: grammars write the wildcard label, "
+                "which matches every tag, as `_`"
+            )
+
+        used_names: set[str] = set()
+
+        def fresh(base: str) -> str:
+            name = base
+            n = 1
+            while name in used_names:
+                n += 1
+                name = f"{base}_{n}"
+            used_names.add(name)
+            return name
+
+        name_of = {tag: fresh(tag[0].upper() + tag[1:]) for tag in seen}
+        atoms = {tag: Atom(name) for tag, name in name_of.items()}  # shared by every rule
+        undeclared: set[str] = set()
+        rules: list[Rule] = []
+        for tag, model in seen.items():
+            mtype, quant, _, children = model
+            name = name_of[tag]
+            if mtype == _EMPTY:
+                rules.append(Rule._with_names(name, Label(tag), EPSILON, ()))
+                continue
+            if mtype == _ANY:
+                text_name = fresh("T" + name)
+                rules.append(Rule.text(text_name))
+                content = Star(alt(Atom(text_name), *atoms.values()))
+                rules.append(Rule._with_names(name, Label(tag), content,
+                                              (text_name, *name_of.values())))
+                continue
+            tags: set[str] = set()
+            if mtype == _MIXED:
+                text_name = fresh("T" + name)
+                rules.append(Rule.text(text_name))
+                names = [text_name]
+                parts = [Atom(text_name)]
+                content = Star(_content_regex(_CHOICE, _ONCE, children, parts, atoms, tags))
+            elif mtype == _SEQ or mtype == _CHOICE:
+                names = []
+                content = _content_regex(mtype, quant, children, [], atoms, tags)
+            else:
+                raise DtdError("unexpected content particle in declaration")
+            if not tags <= name_of.keys():
+                undeclared.update(t for t in tags if t not in name_of)
+            elif not undeclared:  # once a tag is undeclared, the loop only looks for more
+                names.extend([name_of[t] for t in tags])
+                rules.append(Rule._with_names(name, Label(tag), content, tuple(names)))
+        if undeclared:
+            raise DtdError("undeclared elements referenced: " + ", ".join(sorted(undeclared)))
+
+        if root is not None:
+            if root not in name_of:
+                raise DtdError(f"requested root element {root!r} is not declared")
+            start = name_of[root]
         else:
-            seen[tag] = model
-    if duplicates:
-        raise DtdError("duplicate element declarations: " + ", ".join(sorted(set(duplicates))))
-    if "_" in seen:
-        raise DtdError(
-            "element '_' cannot be imported: grammars write the wildcard label, "
-            "which matches every tag, as `_`"
-        )
-
-    used_names: set[str] = set()
-
-    def fresh(base: str) -> str:
-        name = base
-        n = 1
-        while name in used_names:
-            n += 1
-            name = f"{base}_{n}"
-        used_names.add(name)
-        return name
-
-    name_of = {tag: fresh(tag[0].upper() + tag[1:]) for tag in seen}
-    atoms = {tag: Atom(name) for tag, name in name_of.items()}  # shared by every rule
-    undeclared: set[str] = set()
-    rules: list[Rule] = []
-    for tag, model in seen.items():
-        mtype, quant, _, children = model
-        name = name_of[tag]
-        if mtype == _EMPTY:
-            rules.append(Rule._with_names(name, Label(tag), EPSILON, ()))
-            continue
-        if mtype == _ANY:
-            text_name = fresh("T" + name)
-            rules.append(Rule.text(text_name))
-            content = Star(alt(Atom(text_name), *atoms.values()))
-            rules.append(Rule._with_names(name, Label(tag), content, (text_name, *name_of.values())))
-            continue
-        tags: set[str] = set()
-        if mtype == _MIXED:
-            text_name = fresh("T" + name)
-            rules.append(Rule.text(text_name))
-            names = [text_name]
-            content = Star(_content_regex(_CHOICE, _ONCE, children, [Atom(text_name)], atoms, tags))
-        elif mtype == _SEQ or mtype == _CHOICE:
-            names = []
-            content = _content_regex(mtype, quant, children, [], atoms, tags)
-        else:
-            raise DtdError("unexpected content particle in declaration")
-        if not tags <= name_of.keys():
-            undeclared.update(t for t in tags if t not in name_of)
-        elif not undeclared:  # once a tag is undeclared, the loop only looks for more
-            names.extend([name_of[t] for t in tags])
-            rules.append(Rule._with_names(name, Label(tag), content, tuple(names)))
-    if undeclared:
-        raise DtdError("undeclared elements referenced: " + ", ".join(sorted(undeclared)))
-
-    if root is not None:
-        if root not in name_of:
-            raise DtdError(f"requested root element {root!r} is not declared")
-        start = name_of[root]
-    else:
-        start = name_of[next(iter(seen))]
-    return Grammar((start,), rules, attlists)
+            start = name_of[next(iter(seen))]
+        return Grammar((start,), rules, attlists)
 
 
 def _content_regex(kind: int, quant: int, children: tuple, parts: list[ContentRegex],

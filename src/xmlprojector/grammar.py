@@ -14,11 +14,16 @@ top-down-determinism check that decides whether one-pass streaming is
 possible, rule reachability, and the line-oriented text format used by
 grammar and projector files.
 
-A ``Rule`` holds the names its content mentions (``child_names``), and
-one read from text holds its regex text unparsed until its content is
-first read, so loading a projector builds no content regex.  ``Grammar``
-owns the rule index, built once at construction: the rules in sort order
-and each name's rules (``sorted_rules``, ``rules_of``).  Every other
+Labels, content regexes and rules are immutable ``__slots__`` values
+sharing one small base (``_Frozen``), as cheap to build as the DTD import
+that makes thousands of them needs: a label hashes once, and a regex's
+``==`` and ``hash`` are loops, so parenthesis depth is unbounded.  A
+``Rule`` holds the names its content mentions, and one read from text
+holds its regex text unparsed until its content is first read, so
+loading a projector builds no content regex.  ``Grammar`` owns the rule
+index, built once at construction: the rules in sort order, found by
+sorting on names and printing regex text only for rules that share a
+name, and each name's rules (``sorted_rules``, ``rules_of``).  Every other
 question about the grammar's structure is answered on key masks (ints,
 bit i for the i-th sorted rule, one bit more for the document node):
 one-step and reachability masks down and up (``child_mask``,
@@ -48,9 +53,10 @@ each node for ``validate_tree``.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import FrozenInstanceError, dataclass
-from itertools import compress, groupby
-from operator import itemgetter
+from itertools import compress
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .doc import (
@@ -93,15 +99,53 @@ class GrammarFormatError(ValueError):
 # Labels and content regexes
 
 
-@dataclass(frozen=True)
-class Label:
+class _Frozen:
+    """Base of this module's immutable ``__slots__`` values.
+
+    Setting or deleting an attribute raises ``FrozenInstanceError``, an
+    ``AttributeError``, as on a frozen dataclass; ``__init__`` writes the
+    slots through their own setters, which ``__setattr__`` does not reach.
+    ``repr`` shows the constructor's arguments (``_fields``) as a dataclass
+    does, and pickling passes them back to the constructor, so whatever a
+    value caches is computed again in the process that loads it.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, attr, value):
+        raise FrozenInstanceError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise FrozenInstanceError(f"cannot delete field {attr!r}")
+
+    def __repr__(self):
+        args = ", ".join([f"{field}={getattr(self, field)!r}" for field in self._fields])
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        return (type(self), tuple([getattr(self, field) for field in self._fields]))
+
+
+class Label(_Frozen):
     """Element tag or the wildcard ``_`` (tag None) matching every tag."""
 
-    tag: str | None = None
+    __slots__ = ("tag", "_hash")
+    _fields = ("tag",)
 
-    def __post_init__(self):
-        if self.tag is not None and not _NAME_RE.match(self.tag):
-            raise GrammarError(f"illegal element tag {self.tag!r}")
+    def __init__(self, tag: str | None = None):
+        if tag is not None and not _NAME_RE.match(tag):
+            raise GrammarError(f"illegal element tag {tag!r}")
+        _set_tag(self, tag)
+        _set_label_hash(self, hash((tag,)))  # every rule hashes its label
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.tag == other.tag
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_wildcard(self) -> bool:
@@ -114,58 +158,123 @@ class Label:
         return "_" if self.tag is None else self.tag
 
 
+_set_tag, _set_label_hash = Label.tag.__set__, Label._hash.__set__
 WILDCARD_LABEL = Label(None)
 
 
-class ContentRegex:
+class ContentRegex(_Frozen):
+    """A content model: a regex over rule names.
+
+    Two regexes are equal when they are of one class and their fields are
+    equal, as frozen dataclasses are; ``==`` and ``hash`` walk the values
+    over explicit stacks, so parenthesis depth is unbounded.
+    """
+
     __slots__ = ()
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        work = [(self, other)]
+        while work:
+            a, b = work.pop()
+            if a is b:
+                continue
+            kind = type(a)
+            if type(b) is not kind:
+                return False
+            if kind is Atom:
+                if a.name != b.name:
+                    return False
+            elif kind is Seq or kind is Alt:
+                if len(a.parts) != len(b.parts):
+                    return False
+                work.extend(zip(a.parts, b.parts))
+            elif kind is not Empty and kind is not Epsilon:  # Star, Plus, Opt
+                work.append((a.inner, b.inner))
+        return True
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        # the hash of the classes and names met in pre-order
+        seen: list = []
+        work = [self]
+        while work:
+            r = work.pop()
+            kind = type(r)
+            seen.append(kind)
+            if kind is Atom:
+                seen.append(r.name)
+            elif kind is Seq or kind is Alt:
+                work.extend(r.parts)
+            elif kind is not Empty and kind is not Epsilon:
+                work.append(r.inner)
+        return hash(tuple(seen))
+
+
 class Empty(ContentRegex):
     """Matches no word at all (the empty language)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Epsilon(ContentRegex):
     """Matches only the empty word."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Atom(ContentRegex):
-    name: str
+    __slots__ = ("name",)
+    _fields = __slots__
+
+    def __init__(self, name: str):
+        _set_atom_name(self, name)
 
 
-@dataclass(frozen=True)
-class Seq(ContentRegex):
+class _Group(ContentRegex):
+    __slots__ = ("parts",)
+    _fields = __slots__
+
+    def __init__(self, parts: tuple[ContentRegex, ...]):
+        _set_parts(self, parts)
+
+
+class Seq(_Group):
     """Concatenation of two or more parts; build it with ``seq``, which keeps
     the last part from being a ``Seq`` so that equal sequences are equal."""
 
-    parts: tuple[ContentRegex, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Alt(ContentRegex):
+class Alt(_Group):
     """Union of two or more parts; build it with ``alt``, which keeps the
     last part from being an ``Alt`` so that equal unions are equal."""
 
-    parts: tuple[ContentRegex, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Star(ContentRegex):
-    inner: ContentRegex
+class _Unary(ContentRegex):
+    __slots__ = ("inner",)
+    _fields = __slots__
+
+    def __init__(self, inner: ContentRegex):
+        _set_inner(self, inner)
 
 
-@dataclass(frozen=True)
-class Plus(ContentRegex):
-    inner: ContentRegex
+class Star(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Opt(ContentRegex):
-    inner: ContentRegex
+class Plus(_Unary):
+    __slots__ = ()
 
+
+class Opt(_Unary):
+    __slots__ = ()
+
+
+_set_atom_name = Atom.name.__set__
+_set_parts, _set_inner = _Group.parts.__set__, _Unary.inner.__set__
 
 EMPTY = Empty()
 EPSILON = Epsilon()
@@ -213,7 +322,7 @@ def names_in(regex: ContentRegex) -> frozenset[str]:
 # Rules and grammars
 
 
-class Rule:
+class Rule(_Frozen):
     """One production: ``name -> label [ content ]`` or ``name -> String``.
 
     A rule holds its name, its label (None for a text rule), the names its
@@ -276,12 +385,6 @@ class Rule:
             _set_content(self, content)
         return content
 
-    def __setattr__(self, attr, value):
-        raise FrozenInstanceError(f"cannot assign to field {attr!r}")
-
-    def __delattr__(self, attr):
-        raise FrozenInstanceError(f"cannot delete field {attr!r}")
-
     def __eq__(self, other):
         if not isinstance(other, Rule):
             return NotImplemented
@@ -311,15 +414,9 @@ class Rule:
         return self.label is None
 
     def sort_key(self):
-        return self._sort_prefix() + ("" if self.is_text else regex_to_text(self.content),)
-
-    def _sort_prefix(self):
-        """``sort_key`` without the regex text, which is costly to print:
-        rules tie on it only where one name has two element rules with
-        one label."""
         if self.is_text:
-            return (self.name, 0, "")
-        return (self.name, 1, str(self.label))
+            return (self.name, 0, "", "")
+        return (self.name, 1, str(self.label), regex_to_text(self.content))
 
     def __repr__(self):
         return f"Rule({rule_to_text(self)!r})"
@@ -339,19 +436,25 @@ _set_name, _set_label, _set_names, _set_content, _set_regex, _set_hash = (
 StepPlan = tuple
 
 
+_rule_name = attrgetter("name")
+
+
 def _in_sort_order(rules: Iterable[Rule]) -> tuple[Rule, ...]:
-    """``tuple(sorted(rules, key=Rule.sort_key))``, printing a regex only
-    to decide a tie on the key's prefix.  The key is the prefix and then
-    the regex text, so sorting on the prefix and then each run of equal
-    prefixes on the whole key gives the same order, ties on the whole key
-    included: both sorts are stable.  A DTD import has one element rule
-    per name, so it prints no regex."""
-    keyed = sorted([(rule._sort_prefix(), rule) for rule in rules], key=itemgetter(0))
-    out: list[Rule] = []
-    for _, tied in groupby(keyed, key=itemgetter(0)):
-        run = [rule for _, rule in tied]
-        out.extend(sorted(run, key=Rule.sort_key) if len(run) > 1 else run)
-    return tuple(out)
+    """``tuple(sorted(rules, key=Rule.sort_key))``, building a key only for
+    rules that share a name.  Every key starts with the name, so sorting on
+    the name and then each run of equal names on the whole key gives the
+    same order, ties on the whole key included: both sorts are stable.  A
+    DTD import gives each name one rule, so it builds no key."""
+    ordered = sorted(rules, key=_rule_name)
+    names = list(map(_rule_name, ordered))
+    if len(set(names)) < len(names):
+        i = 0
+        while i < len(names):
+            j = bisect_right(names, names[i], i)
+            if j - i > 1:
+                ordered[i:j] = sorted(ordered[i:j], key=Rule.sort_key)
+            i = j
+    return tuple(ordered)
 
 
 class Grammar:

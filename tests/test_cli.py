@@ -1,7 +1,10 @@
 import gc
 import io
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -244,6 +247,90 @@ def test_non_ascii_names_infer_prune_and_validate(tmp_path, capsys):
         )
     assert run(["validate", "--dtd", str(dtd), "-i", str(doc)]) == 0
     assert capsys.readouterr().out == "valid (9 nodes typed)\n"
+
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _cli_process(argv, encoding: str, cwd) -> bytes:
+    """The CLI's stdout bytes from a fresh interpreter whose stdout encodes
+    ``encoding``; the process must exit 0 or 1 without a traceback."""
+    env = dict(os.environ, PYTHONPATH=_SRC, PYTHONIOENCODING=encoding)
+    done = subprocess.run([sys.executable, "-m", "xmlprojector.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, timeout=120)
+    assert done.returncode in (0, 1) and b"Traceback" not in done.stderr, done.stderr[-2000:]
+    return done.stdout
+
+
+@pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+def test_stdout_is_utf8_whatever_the_locale(encoding, tmp_path, capsys):
+    dtd, doc, bad = (str(tmp_path / name) for name in ("u.dtd", "u.xml", "bad.xml"))
+    Path(dtd).write_text(_NON_ASCII_DTD, encoding="utf-8")
+    Path(doc).write_bytes(_NON_ASCII_XML.encode("utf-8"))
+    Path(bad).write_bytes("<été><ça>œuf</ça></été>".encode("utf-8"))
+    query = ["--dtd", dtd, "--query", "//ça/text()"]
+    to_file = {
+        "infer": ["infer", *query],
+        "grammar": ["infer", "--dtd", dtd, "--emit-grammar"],
+        "prune": ["prune", *query, "-i", doc],
+        "gen": ["gen", "--dtd", dtd, "--seed", "3"],
+    }
+    for name, argv in to_file.items():
+        out = tmp_path / f"{name}.out"
+        _cli_process([*argv, "-o", str(out)], "utf-8", tmp_path)
+        assert not out.read_bytes().isascii(), name
+        assert _cli_process(argv, encoding, tmp_path) == out.read_bytes(), name
+    # a projector written to stdout loads again
+    proj = tmp_path / "u.proj"
+    proj.write_bytes(_cli_process(to_file["infer"], encoding, tmp_path))
+    assert _cli_process(["prune", "--projector", str(proj), "-i", doc], encoding, tmp_path) == (
+        "<été><ça>œuf </ça></été>".encode("utf-8")
+    )
+    # the validate and check lines, as the same commands print them in process
+    for argv in (["validate", "--dtd", dtd, "-i", bad],
+                 ["validate", "--dtd", dtd, "-i", doc],
+                 ["check", *query, "--n", "3", "--dump-dir", str(tmp_path)]):
+        run(argv)
+        expected = capsys.readouterr().out.encode("utf-8")
+        assert _cli_process(argv, encoding, tmp_path) == expected, argv
+        if argv[-1] == bad:
+            assert expected.startswith("invalid at /été".encode("utf-8"))
+
+
+def test_stdout_is_left_as_it_was(tmp_path, monkeypatch):
+    # a latin-1 stdout gets UTF-8 bytes, after what it held, and stays open
+    # and latin-1 for its next writes
+    dtd, doc = tmp_path / "u.dtd", tmp_path / "u.xml"
+    dtd.write_text(_NON_ASCII_DTD, encoding="utf-8")
+    doc.write_bytes(_NON_ASCII_XML.encode("utf-8"))
+    raw = io.BytesIO()
+    stdout = io.TextIOWrapper(raw, encoding="latin-1")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    stdout.write("é|")
+    assert main(["prune", "--dtd", str(dtd), "--query", "//ça/text()", "-i", str(doc)]) == 0
+    assert main(["validate", "--dtd", str(dtd), "-i", str(doc)]) == 0
+    assert sys.stdout is stdout and not stdout.closed and stdout.encoding == "latin-1"
+    stdout.write("|é")
+    stdout.flush()
+    assert raw.getvalue() == (
+        "é|".encode("latin-1") + "<été><ça>œuf </ça></été>valid (9 nodes typed)\n".encode("utf-8")
+        + "|é".encode("latin-1")
+    )
+
+
+def test_cli_import_leaves_the_oracle_unloaded():
+    # `prune` and `infer` do not pay for the oracle; the package still
+    # exports its names, loaded on first use
+    code = (
+        "import sys, xmlprojector.cli\n"
+        "print(sorted(m for m in ('xmlprojector.oracle', 'decimal') if m in sys.modules))\n"
+        "from xmlprojector import OracleError, check_soundness\n"
+        "print(OracleError.__module__, check_soundness.__module__)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=_SRC),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\nxmlprojector.oracle xmlprojector.oracle\n"
 
 
 def test_undecodable_input_files_are_usage_errors(g0_dtd, d0_xml, tmp_path, capsys):

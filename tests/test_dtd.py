@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -380,9 +382,68 @@ def test_deeply_nested_group_imports_without_recursion():
     g = parse_dtd(f"<!ELEMENT r {group}>\n<!ELEMENT a EMPTY>\n<!ELEMENT b EMPTY>")
     (rule,) = g.rules_of("R")
     assert set(rule._names) == {"A", "B"}
-    regex = rule.content
-    # compared level by level: == on the value itself would recurse
-    for _ in range(depth - 1):
-        assert isinstance(regex, Star) and regex.inner.parts[0] == Atom("A")
-        regex = regex.inner.parts[1]
-    assert regex == Star(seq(Atom("A"), Atom("B")))
+    expected = Atom("B")
+    for _ in range(depth):
+        expected = Star(seq(Atom("A"), expected))
+    # == and hash walk both values over explicit stacks
+    assert rule.content == expected and hash(rule.content) == hash(expected)
+    assert rule == Rule.element("R", "r", expected)
+    again = parse_dtd(f"<!ELEMENT r {group}>\n<!ELEMENT a EMPTY>\n<!ELEMENT b EMPTY>")
+    assert again == g and again.rules_of("R")[0].content is not rule.content
+    other = parse_dtd(f"<!ELEMENT r {group.replace('b', 'a')}>\n<!ELEMENT a EMPTY>")
+    assert other.rules_of("R")[0].content != rule.content
+    assert other.rules_of("R")[0] != rule
+
+
+# ---------------------------------------------------------------------------
+# The import pauses the cyclic collector: a grammar holds no reference cycle
+
+_BAD_DTDS = [
+    "",
+    "<!ELEMENT a (b)>",
+    "<!ELEMENT a EMPTY>\n<!ELEMENT a EMPTY>",
+    "<!ELEMENT a (b",
+    "<!ELEMENT _ EMPTY>",
+]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_import_leaves_the_collector_as_it_found_it(enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        parse_dtd(XMARK_DTD)
+        assert gc.isenabled() is enabled
+        for text in _BAD_DTDS:
+            with pytest.raises(DtdError):
+                parse_dtd(text)
+            assert gc.isenabled() is enabled
+        with pytest.raises(DtdError):
+            parse_dtd(G0_DTD, root="nope")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_import_runs_no_collection_per_rule():
+    """With a threshold that would start a collection every ten
+    allocations, importing 400 declarations starts almost none."""
+    n = 400
+    text = f"<!ELEMENT r ({' | '.join(f'e{i}' for i in range(n))})*>\n"
+    text += "".join(f"<!ELEMENT e{i} (#PCDATA | e{(i + 1) % n})*>\n" for i in range(n))
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    threshold = gc.get_threshold()
+    gc.collect()
+    gc.callbacks.append(count)
+    gc.set_threshold(10)
+    try:
+        g = parse_dtd(text)
+    finally:
+        gc.set_threshold(*threshold)
+        gc.callbacks.remove(count)
+    assert len(g.rules) == 2 * n + 1 and len(started) < 10

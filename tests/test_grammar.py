@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +44,7 @@ from xmlprojector.grammar import (
     _TOKEN_RE,
     EMPTY,
     EPSILON,
+    WILDCARD_LABEL,
     WalkTable,
     _regex_names,
     _validate_general,
@@ -707,6 +709,62 @@ def test_rules_are_immutable(make):
     assert (rule.name, rule.label, rule.content, hash(rule)) == before
 
 
+# ---------------------------------------------------------------------------
+# Labels and content regexes are immutable values: their repr, pickling,
+# equality and hashing are read by golden files, caches and sets
+
+_NESTED = Seq((Alt((Atom("a"), Star(Atom("b")))), Plus(Opt(Atom("c"))), EPSILON))
+_VALUES = [Label("a"), Label("été"), WILDCARD_LABEL, EMPTY, EPSILON, Atom("a"), _NESTED,
+           _NESTED.parts[0], _NESTED.parts[1], _NESTED.parts[1].inner, Star(_NESTED)]
+
+
+def test_value_repr_and_str():
+    assert (repr(Label("a")), str(Label("a"))) == ("Label(tag='a')", "a")
+    assert (repr(WILDCARD_LABEL), str(WILDCARD_LABEL)) == ("Label(tag=None)", "_")
+    assert WILDCARD_LABEL == Label() == Label(tag=None) and Label(tag="a") == Label("a")
+    assert repr(EMPTY) == str(EMPTY) == "Empty()"
+    assert repr(EPSILON) == str(EPSILON) == "Epsilon()"
+    nested = (
+        "Seq(parts=(Alt(parts=(Atom(name='a'), Star(inner=Atom(name='b')))), "
+        "Plus(inner=Opt(inner=Atom(name='c'))), Epsilon()))"
+    )
+    assert repr(_NESTED) == str(_NESTED) == nested
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_values_pickle_under_every_protocol(protocol):
+    for value in _VALUES:
+        data = pickle.dumps(value, protocol)
+        assert b"_hash" not in data  # a hash from another process would be stale
+        loaded = pickle.loads(data)
+        assert type(loaded) is type(value) and loaded == value
+        assert hash(loaded) == hash(value) and repr(loaded) == repr(value)
+
+
+def test_values_are_immutable():
+    fields = {Label: ["tag"], Empty: [], Epsilon: [], Atom: ["name"], Seq: ["parts"],
+              Alt: ["parts"], Star: ["inner"], Plus: ["inner"], Opt: ["inner"]}
+    for value in _VALUES:
+        before = repr(value), hash(value)
+        for attr in fields[type(value)] + ["other"]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, attr, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(value, attr)
+        assert (repr(value), hash(value)) == before
+
+
+def test_values_of_other_kinds_differ():
+    parts = (Atom("a"), Atom("b"))
+    assert Seq(parts) != Alt(parts) and Alt(parts) != Seq(parts)
+    assert Star(Atom("a")) != Plus(Atom("a")) != Opt(Atom("a")) != Star(Atom("a"))
+    assert EMPTY != EPSILON and Empty() == EMPTY and Epsilon() == EPSILON
+    assert Atom("a") != Atom("b") and Seq(parts) != Seq(parts[:1]) and Seq(parts) != Seq(parts[::-1])
+    assert Label("a") != Label("b") and Label("a") != WILDCARD_LABEL
+    assert Label("a") != "a" and Atom("a") != "a" and Label("a") != Atom("a")
+    assert len({Label("a"), Label("a"), WILDCARD_LABEL, Label()}) == 2
+
+
 def test_grammar_requires_declared_names():
     with pytest.raises(GrammarError):
         Grammar(start=("A",), rules=(Rule.element("A", "a", Atom("Missing")),))
@@ -839,12 +897,11 @@ def test_deeply_nested_groups_parse_without_recursion():
     # ((…((n0 n1) n2)…) n3000): each group is a two-part sequence
     text = "(" * depth + f"{names[0]} {names[1]})" + "".join(f" {n})" for n in names[2:])
     regex = parse_regex_text(text)
-    # compared level by level: == on the value itself would recurse
-    for name in reversed(names[2:]):
-        assert isinstance(regex, Seq) and len(regex.parts) == 2
-        regex, last = regex.parts
-        assert last == Atom(name)
-    assert regex == Seq((Atom(names[0]), Atom(names[1])))
+    expected = Seq((Atom(names[0]), Atom(names[1])))
+    for name in names[2:]:
+        expected = Seq((expected, Atom(name)))
+    # == and hash on the whole value are loops too
+    assert regex == expected and hash(regex) == hash(expected)
     assert names_in(parse_regex_text(text)) == set(names)
 
 
@@ -900,6 +957,16 @@ _raw_regex_strategy = st.recursive(
 @given(_raw_regex_strategy)
 def test_loop_printer_matches_recursive_printer(regex):
     assert regex_to_text(regex) == _recursive_regex_to_text(regex)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_raw_regex_strategy, _raw_regex_strategy)
+def test_regex_hashes_agree_with_equality(a, b):
+    copy = pickle.loads(pickle.dumps(a))  # equal, and built of other objects
+    assert copy == a and not copy != a and hash(copy) == hash(a)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert (a == b) == (repr(a) == repr(b)) == (b == a)
 
 
 def test_deeply_nested_groups_print_without_recursion():
