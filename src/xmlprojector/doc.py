@@ -5,13 +5,15 @@ pass-through comment/PI nodes), each edge held once, in the parent's
 ``children``: a tree is acyclic, and what walks up reads ``parent_map``.
 ``parse_xml`` builds that tree inside the expat callbacks; the streaming
 pruner (``pruner.prune_file``) runs in the same callbacks and prints
-what it keeps through ``CALLBACK_TEXT``, building no tree.  Trees print
-straight from their nodes (``serialize``, ``subtree_text``).  Both
-printers format through the same helpers (``_attributes``, ``escape``,
-``_pi_text``), so a tree and the callbacks it was parsed from print
-alike; ``test_parse_xml_numbers_nodes_as_it_builds`` checks that byte
-for byte.  This module is the one place that knows the output text
-format.
+what it keeps through ``CALLBACK_TEXT``, building no tree; only its end
+tags and its ``escape`` are written out inline there, the two formats it
+prints per element and per text event.  Trees print straight from their
+nodes (``serialize``, ``subtree_text``).  Both printers format through
+the same helpers (``_attributes``, ``escape``, ``_pi_text``), so a tree
+and the callbacks it was parsed from print alike;
+``test_parse_xml_numbers_nodes_as_it_builds`` checks that byte for byte.
+Beside those two inlined forms, this module is the one place that knows
+the output text format.
 
 Node identifiers are pre-order positions: the document node is 0 and every
 node below it gets the next id in document order.  ``parse_xml`` and the
@@ -28,9 +30,10 @@ generation collections do not walk a tree while it grows.
 from __future__ import annotations
 
 import gc
+import re
 import xml.parsers.expat
 from contextlib import contextmanager
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 
 class XmlSyntaxError(ValueError):
@@ -78,13 +81,47 @@ def collector_paused() -> Iterator[None]:
 
 # The characters of XML 1.0 (fifth edition) names other than `:`, as the
 # bodies of regular-expression classes: NCNAME_START_CHARS may begin a
-# name and NCNAME_CHARS continue one.  An element name may hold `:` too;
-# an XPath name test holds it only between prefix and local name.
-NCNAME_START_CHARS = (
-    "A-Z_a-z\u00c0-\u00d6\u00d8-\u00f6\u00f8-\u02ff\u0370-\u037d\u037f-\u1fff\u200c\u200d"
+# name and NCNAME_CHARS continue one, and the _ASCII classes are their
+# ASCII parts.  An element name may hold `:` too; an XPath name test
+# holds it only between prefix and local name.
+NCNAME_START_ASCII = "A-Z_a-z"
+NCNAME_ASCII = NCNAME_START_ASCII + "\\-.0-9"
+NCNAME_START_CHARS = NCNAME_START_ASCII + (
+    "\u00c0-\u00d6\u00d8-\u00f6\u00f8-\u02ff\u0370-\u037d\u037f-\u1fff\u200c\u200d"
     "\u2070-\u218f\u2c00-\u2fef\u3001-\ud7ff\uf900-\ufdcf\ufdf0-\ufffd\U00010000-\U000effff"
 )
 NCNAME_CHARS = NCNAME_START_CHARS + "\\-.0-9\u00b7\u0300-\u036f\u203f\u2040"
+
+
+class NamePattern:
+    """A regular expression over XML names: ``template(start, chars)``
+    gives its source from a name-start class and a name class.
+
+    ``re`` turns each full class, which spans up to U+EFFFF, into a
+    bitmap, which takes milliseconds, so ``ascii`` is compiled from the
+    ASCII classes at once and ``full`` from the full classes only on the
+    first text that is not ASCII; on ASCII text the two match alike."""
+
+    __slots__ = ("template", "flags", "ascii", "full")
+
+    def __init__(self, template: Callable[[str, str], str], flags: int = 0):
+        self.template = template
+        self.flags = flags
+        self.ascii = re.compile(template(NCNAME_START_ASCII, NCNAME_ASCII), flags)
+        self.full: re.Pattern[str] | None = None
+
+    def of(self, text: str) -> re.Pattern[str]:
+        """The compiled pattern to run on ``text``."""
+        if text.isascii():
+            return self.ascii
+        if self.full is None:
+            self.full = re.compile(self.template(NCNAME_START_CHARS, NCNAME_CHARS), self.flags)
+        return self.full
+
+    def match(self, text: str) -> re.Match[str] | None:
+        if text.isascii():  # ``of``, inlined: names are checked one by one
+            return self.ascii.match(text)
+        return self.of(text).match(text)
 
 
 # ---------------------------------------------------------------------------

@@ -60,11 +60,10 @@ from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .doc import (
-    NCNAME_CHARS,
-    NCNAME_START_CHARS,
     CommentNode,
     Document,
     Element,
+    NamePattern,
     Node,
     PINode,
     TextNode,
@@ -73,7 +72,7 @@ from .doc import (
 )
 
 # rule names and element tags: XML names
-_NAME_RE = re.compile(f"[:{NCNAME_START_CHARS}][:{NCNAME_CHARS}]*\\Z")
+_NAME_RE = NamePattern(lambda start, chars: f"[:{start}][:{chars}]*\\Z")
 # ``rules_in`` decodes a mask in C when more than one in _DENSE of the rules'
 # bits is set, where that beat the bit-by-bit loop on grammars of 30 to 600
 # rules; _DIGITS turns its binary digits into the selectors of ``compress``.
@@ -853,19 +852,24 @@ class WalkEntry:
     """One element rule's row of a ``WalkTable``, or the document node's
     (rule and name None).  ``bit``: the key's one-bit mask.  ``kept``: the
     rule's bit is in the kept mask, or for the document node, the kept
-    mask is not empty.  ``text_kept``: the rule's text child's bit is.
+    mask is not empty.  ``text_kept``: the entry is kept and so is the
+    rule's text child's bit.  ``leaf``: the rule's content has no element
+    child, wildcards included, so no child tag resolves under it; False
+    for the document node.
     ``by_tag``: the entries of the child tags met so far, exact tags only.
     ``plan``: the rule's step plan (``Grammar.plan``), filled on the
     entry's first open, when ``walk_tree`` first opens an element of the
     rule; None before, and on a rule that is not text-neutral."""
 
-    __slots__ = ("name", "bit", "kept", "text_kept", "by_tag", "rule", "plan")
+    __slots__ = ("name", "bit", "kept", "text_kept", "leaf", "by_tag", "rule", "plan")
 
-    def __init__(self, name: str | None, rule: Rule | None, bit: int, kept: bool, text_kept: bool):
+    def __init__(self, name: str | None, rule: Rule | None, bit: int, kept: bool,
+                 text_kept: bool, leaf: bool):
         self.name = name
         self.bit = bit
         self.kept = kept
         self.text_kept = text_kept
+        self.leaf = leaf
         self.by_tag: dict[str, WalkEntry] = {}
         self.rule = rule
         self.plan: StepPlan | None = None
@@ -895,7 +899,7 @@ class WalkTable:
     def __init__(self, g: Grammar, kept: int = 0):
         self.grammar = g
         self.kept = kept
-        self.root = WalkEntry(None, None, g.bit(None), kept != 0, False)
+        self.root = WalkEntry(None, None, g.bit(None), kept != 0, False, False)
         self._entries: dict[int, WalkEntry] = {}  # by the rule's bit
 
     def child(self, parent: WalkEntry, tag: str) -> WalkEntry | None:
@@ -913,9 +917,10 @@ class WalkTable:
         entry = self._entries.get(found)
         if entry is None:
             i = found.bit_length() - 1  # the one bit
-            rule, kept = g._sorted[i], self.kept
-            text = rows[i] & g._kind_masks[2]  # at most one text rule
-            entry = WalkEntry(rule.name, rule, found, bool(found & kept), bool(text & kept))
+            rule, kept, row = g._sorted[i], self.kept, rows[i]
+            text = row & g._kind_masks[2]  # at most one text rule
+            entry = WalkEntry(rule.name, rule, found, bool(found & kept),
+                              bool(found & kept and text & kept), not row & g._kind_masks[1])
             self._entries[found] = entry
         if not found & wild:
             parent.by_tag[tag] = entry

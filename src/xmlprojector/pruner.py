@@ -3,19 +3,20 @@
 Two pruners with one observable contract.  The streaming pruner,
 ``prune_file``, handles top-down deterministic (streamable) grammars in
 a single pass inside the expat callbacks, holding nothing but a stack of
-kept frames and a depth counter, so memory follows document depth rather
-than document size.  ``prune_tree`` handles arbitrary regular tree
-grammars.  On streamable grammars it validates and copies in one
-top-down pass building no witness (``grammar.walk_tree``, the walk that
-also types nodes for ``validate_tree``), which holds one frame per open
-element and clones each kept node in pre-order as it reaches it;
-elsewhere, and wherever that pass gives up, it validates with the
-general algorithm and then erases every node whose witnessing rule was
-dropped.  Both copies run with the cyclic collector paused
-(``doc.collector_paused``).  The handlers and the walk read one
-``WalkTable`` built per call, whose entries and tag links are made as
-the document first meets them.  On streamable grammars both pruners
-produce byte-identical serializations of valid documents.
+frames, one per open kept element or dropped leaf, and a depth counter,
+so memory follows document depth rather than document size.
+``prune_tree`` handles arbitrary regular tree grammars.  On streamable
+grammars it validates and copies in one top-down pass building no
+witness (``grammar.walk_tree``, the walk that also types nodes for
+``validate_tree``), which holds one frame per open element and clones
+each kept node in pre-order as it reaches it; elsewhere, and wherever
+that pass gives up, it validates with the general algorithm and then
+erases every node whose witnessing rule was dropped.  Both copies run
+with the cyclic collector paused (``doc.collector_paused``).  The
+handlers and the walk read one ``WalkTable`` built per call, whose
+entries and tag links are made as the document first meets them.  On
+streamable grammars both pruners produce byte-identical serializations
+of valid documents.
 """
 
 from __future__ import annotations
@@ -117,16 +118,21 @@ def prune_file(
     come out pruned where ``prune_tree`` raises InvalidDocumentError.
     Comments and processing instructions ride along wherever the
     surrounding element is kept.  State is one frame per open kept element
-    plus a counter inside pruned regions, so memory follows input depth,
-    never input size.
+    or dropped leaf plus a counter inside other pruned regions, so memory
+    follows input depth, never input size.
 
     Each start tag is resolved through the walk table from the innermost
-    kept frame, whose entry says whether the element, and text under it,
-    is kept; the handlers read no step plan, so no automaton is
-    compiled.  On entering a dropped subtree the handlers are swapped for
-    ones that only count, and comments and PIs go unhandled, until the
-    subtree closes; text there is counted only when ``stats`` is given,
-    and goes unhandled otherwise.
+    frame, whose entry says whether the element, and text under it, is
+    kept; the handlers read no step plan, so no automaton is compiled.
+    A kept element's frame carries its end tag, pushed as it opens, which
+    its end event prints.  A dropped element whose rule has no element
+    child (``WalkEntry.leaf``) stays in these handlers as a frame that
+    prints nothing: its text is counted, never printed, and an element
+    below it, which the grammar does not allow, is skipped unchecked as
+    in any dropped subtree.  On entering any other dropped subtree the
+    handlers are swapped for ones that only count, and comments and PIs
+    go unhandled, until the subtree closes; text there is counted only
+    when ``stats`` is given, and goes unhandled otherwise.
     """
     if policy not in ("strict", "drop"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -135,15 +141,17 @@ def prune_file(
     table = WalkTable(p.grammar, p.mask)
     child = table.child
     strict = policy == "strict"
-    start_text, end_text, escape_text, comment_text, pi_text = CALLBACK_TEXT
+    start_text, _, _, comment_text, pi_text = CALLBACK_TEXT
     parser = new_parser()
     out: list[str] = []
     append = out.append
-    # The document node's entry, then the kept frames only.  The document
-    # node's entry is kept unless the projector is empty, and its text is
-    # not: what comments, PIs and text outside the root need.
+    # The document node's entry, then one frame per open kept element or
+    # dropped leaf.  The document node's entry is kept unless the
+    # projector is empty, and its text is not: what comments, PIs and
+    # text outside the root need.  ``closes`` holds each frame's closing
+    # text: its end tag, or "" for a dropped leaf, which prints nothing.
     stack: list[WalkEntry] = [table.root]
-    tags: list[str] = []  # the kept frames' tags: the input path, for diagnostics
+    closes: list[str] = []
     depth = resume = max_depth = 0  # resume: the depth a dropped subtree hangs from
     elements_in = elements_out = text_in = text_out = 0
 
@@ -155,14 +163,23 @@ def prune_file(
             max_depth = depth
         top = stack[-1]
         entry = top.by_tag.get(tag) or child(top, tag)
-        if entry is not None and entry.kept:
-            elements_out += 1
-            stack.append(entry)
-            tags.append(tag)
-            append(start_text(tag, attrs))
-            return
-        if entry is None and strict:
-            raise UnresolvableTagError(tag, "/" + "/".join(tags + [tag]))
+        if entry is not None:
+            if entry.kept:
+                elements_out += 1
+                stack.append(entry)
+                closes.append(f"</{tag}>")
+                append(start_text(tag, attrs))
+                return
+            if entry.leaf:
+                stack.append(entry)
+                closes.append("")
+                return
+        elif strict and (top.kept or not top.leaf):
+            # nothing below a dropped leaf is checked, as in any dropped
+            # subtree; below a kept frame, every frame is kept, so the
+            # closing texts are the input path's end tags
+            path = "".join(["/" + close[2:-1] for close in closes])
+            raise UnresolvableTagError(tag, f"{path}/{tag}")
         resume = depth - 1
         parser.StartElementHandler = skip_start
         parser.EndElementHandler = skip_end
@@ -173,8 +190,7 @@ def prune_file(
         nonlocal depth
         depth -= 1
         stack.pop()
-        tags.pop()
-        append(end_text(tag))
+        append(closes.pop())
 
     def text(data):
         nonlocal text_in, text_out
@@ -182,7 +198,8 @@ def prune_file(
         text_in += size
         if stack[-1].text_kept:
             text_out += size
-            append(escape_text(data))
+            # doc.escape, inlined
+            append(data.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;"))
 
     def comment(data):
         if stack[-1].kept:

@@ -16,7 +16,7 @@ import enum
 import re
 from dataclasses import dataclass
 
-from .doc import NCNAME_CHARS, NCNAME_START_CHARS
+from .doc import NamePattern
 
 
 class QuerySyntaxError(ValueError):
@@ -202,13 +202,14 @@ def pred_and(parts: list[Predicate]) -> Predicate | None:
 # ---------------------------------------------------------------------------
 # Concrete-syntax parser
 
-# One token per match: a name (group 1), any other token (group 2), or a
-# character no token starts with, which matches neither group.
-_NCNAME = f"[{NCNAME_START_CHARS}][{NCNAME_CHARS}]*"
-_TOKEN_RE = re.compile(
-    rf"""
+
+def _token_pattern(start: str, chars: str) -> str:
+    """One token per match: a name (group 1), any other token (group 2),
+    or a character no token starts with, which matches neither group."""
+    ncname = f"[{start}][{chars}]*"
+    return rf"""
     \s*(?:
-        ({_NCNAME}(?::{_NCNAME})?)                  # names, maybe prefixed
+        ({ncname}(?::{ncname})?)                    # names, maybe prefixed
       | ( // | / | :: | [\[\]()@|,*+\-=]
         | '[^']*' | "[^"]*"                         # string literals
         | \d+\.\d+ | \.\d+ | \d+                    # numbers
@@ -216,9 +217,10 @@ _TOKEN_RE = re.compile(
         | != | <= | >= | < | >
         )
       | \S
-    )""",
-    re.X,
-)
+    )"""
+
+
+_TOKEN_RE = NamePattern(_token_pattern, re.X)
 
 _NODE_TYPE_TESTS = {"text", "node", "comment", "processing-instruction"}
 _COMPARISONS = {"=", "!=", "<", "<=", ">", ">="}
@@ -245,11 +247,11 @@ class _Tokens:
     __slots__ = ("text", "toks", "names", "i", "depth")
 
     def __init__(self, text: str):
-        pairs = _TOKEN_RE.findall(text)
+        pairs = _TOKEN_RE.of(text).findall(text)
         toks = [name or other for name, other in pairs]
         if "" in toks:
             # the bad character ends the match, after any whitespace
-            m = next(m for m in _TOKEN_RE.finditer(text) if m.lastindex is None)
+            m = next(m for m in _TOKEN_RE.of(text).finditer(text) if m.lastindex is None)
             at = m.end() - 1
             raise QuerySyntaxError(f"cannot tokenize {text[at:].strip()[:10]!r}", at)
         self.text = text
@@ -262,7 +264,7 @@ class _Tokens:
         """A syntax error at the start of token k, or at the end of the text."""
         if self.toks[k] is None:
             return QuerySyntaxError(message, len(self.text))
-        m = list(_TOKEN_RE.finditer(self.text))[k]
+        m = list(_TOKEN_RE.of(self.text).finditer(self.text))[k]
         return QuerySyntaxError(message, m.start(m.lastindex))
 
     def expect(self, tok: str) -> None:

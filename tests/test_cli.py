@@ -333,6 +333,28 @@ def test_cli_import_leaves_the_oracle_unloaded():
     assert done.stdout == "[]\nxmlprojector.oracle xmlprojector.oracle\n"
 
 
+def test_ascii_inputs_compile_no_full_name_class(g0_dtd, d0_xml, tmp_path):
+    # importing the command line and pruning ASCII input leave the full
+    # Unicode name classes uncompiled; the first non-ASCII name compiles them
+    code = (
+        "import io, sys, contextlib\n"
+        "from xmlprojector import cli, grammar, xpath\n"
+        "patterns = (grammar._NAME_RE, xpath._TOKEN_RE)\n"
+        "print([p.full for p in patterns])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['infer', '--dtd', sys.argv[1], '--query', '//b', '-o', sys.argv[3]]) == 0\n"
+        "    assert cli.main(['prune', '--projector', sys.argv[3], '-i', sys.argv[2]]) == 0\n"
+        "print([p.full for p in patterns])\n"
+        "grammar.Label('\u00e9t\u00e9'), xpath.parse_query('//\u00e9t\u00e9')\n"
+        "print([p.full is not None for p in patterns])\n"
+    )
+    argv = [sys.executable, "-c", code, g0_dtd, d0_xml, str(tmp_path / "p.proj")]
+    done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=_SRC),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[None, None]\n[None, None]\n[True, True]\n"
+
+
 def test_undecodable_input_files_are_usage_errors(g0_dtd, d0_xml, tmp_path, capsys):
     # a DTD, projector or query file that is not UTF-8: exit 2, one error
     # line naming the file

@@ -33,11 +33,13 @@ from xmlprojector import (
     is_streamable,
     parse_dtd,
     parse_grammar_text,
+    parse_query,
     parse_xml,
     reachable_rules,
     serialize,
     validate_tree,
 )
+from xmlprojector import xpath
 from xmlprojector.doc import Document, Element, TextNode, subtree_text
 from xmlprojector.grammar import (
     _NAME_RE,
@@ -383,6 +385,25 @@ def test_tag_tables(g0):
     assert table.root.by_tag == {} and top.by_tag == {}
     # a tag under two start names resolves two ways: no table may be walked
     assert not is_streamable(parse_grammar_text("start: A B\nA -> a [ ]\nB -> a [ ]\n"))
+
+
+def test_walk_entry_leaf_on_xmark():
+    # a rule is a leaf when no element child, wildcards included, can
+    # occur under it: EMPTY and text-only rules are, `Item` is not
+    table = WalkTable(parse_dtd(XMARK_DTD))
+    entry = table.root
+    for tag in ("site", "regions", "africa", "item"):
+        entry = table.child(entry, tag)
+        assert entry.rule.name == tag.capitalize() and not entry.leaf
+    assert not table.root.leaf
+    incategory, quantity = table.child(entry, "incategory"), table.child(entry, "quantity")
+    assert incategory.rule.content == EPSILON and incategory.leaf
+    assert quantity.rule.content != EPSILON and quantity.leaf
+    # a rule whose only child is a wildcard element is not a leaf
+    g = parse_grammar_text("start: F\nF -> f [ W* ]\nW -> _ [ T* ]\nT -> String\n")
+    table = WalkTable(g)
+    f = table.child(table.root, "f")
+    assert not f.leaf and table.child(f, "anything").leaf
 
 
 def _ref_streamable(g: Grammar) -> bool:
@@ -788,6 +809,51 @@ def test_names_are_xml_names():
         parse_rule_text("1R -> r [ a ]", 3)
     with pytest.raises(GrammarFormatError, match=r"^line 3: illegal element tag '1r'$"):
         parse_rule_text("R -> 1r [ a ]", 3)
+
+
+# Name characters of both kinds, non-name characters of both kinds, and
+# the XPath operators a query strings names together with.
+_NAME_PARTS = st.sampled_from(
+    ["a", "Z", "_", ":", "-", ".", "1", "x", "é", "Été", "·", "\u0301", "日本", "€", "\u00d7",
+     "\U00010000", " ", "/", "*", "[", "]", "@", "'", "=", "//", "::"]
+)
+_ASCII_PARTS = st.sampled_from(["a", "Z", "_", ":", "-", ".", "1", "x", " ", "/", "[", "]", "@"])
+_NAMES = st.one_of(st.lists(_NAME_PARTS, max_size=6), st.lists(_ASCII_PARTS, max_size=6)).map("".join)
+
+
+def _name_verdicts(text: str) -> list:
+    """The accept/reject verdict and message of every reader of names on
+    ``text``: element tags, rule names, DTD names and XPath queries."""
+    readers = [
+        lambda: Label(text).tag,
+        lambda: Rule.text(text).name,
+        lambda: grammar_to_text(parse_dtd(f"<!ELEMENT {text} EMPTY>")),
+        lambda: repr(parse_query(text)),
+        lambda: repr(parse_query(f"/{text}//x[{text}]")),
+    ]
+    verdicts = []
+    for read in readers:
+        try:
+            verdicts.append(read())
+        except ValueError as exc:
+            verdicts.append((type(exc).__name__, str(exc)))
+    return verdicts
+
+
+@given(_NAMES)
+def test_ascii_name_classes_match_the_full_classes(text):
+    # the name patterns run their ASCII classes on ASCII text; the full
+    # classes give every verdict and message alike
+    patterns = (_NAME_RE, xpath._TOKEN_RE)
+    ascii_verdicts = _name_verdicts(text)
+    saved = [pattern.ascii for pattern in patterns]
+    try:
+        for pattern in patterns:
+            pattern.ascii = pattern.of("\u00e9")
+        assert _name_verdicts(text) == ascii_verdicts
+    finally:
+        for pattern, ascii in zip(patterns, saved):
+            pattern.ascii = ascii
 
 
 def test_names_in():

@@ -443,6 +443,49 @@ def test_strict_streaming_is_not_validation(recursive_grammar):
         prune_tree(parse_xml(xml), pi)
 
 
+# A hand-written projector whose dropped rule `A` has no element child
+# (a dropped leaf, which the kept handlers carry as a silent frame) but
+# keeps the text rule under it.
+_LEAF_PROJECTOR = "start: F\n+ F -> f [ A* ]\n- A -> a [ T* ]\n+ T -> String\n"
+
+
+@pytest.mark.parametrize("policy", ["strict", "drop"])
+@pytest.mark.parametrize("with_stats", [True, False], ids=["stats", "no-stats"])
+@pytest.mark.parametrize(
+    "xml, output, strict_path, line",
+    [
+        # an element under a dropped leaf is not checked, under either policy
+        ("<f><a>hi</a><a>x<b/>y</a></f>", "<f></f>", None,
+         "elements_in=4 elements_out=1 text_bytes_in=4 text_bytes_out=0 max_depth=3"),
+        # comments and PIs inside a dropped leaf print nothing
+        ("<f><!--k--><a>h<!--c--><?pi d?>i</a><?pk?></f>", "<f><!--k--><?pk?></f>", None,
+         "elements_in=2 elements_out=1 text_bytes_in=2 text_bytes_out=0 max_depth=2"),
+        # an unknown tag under a kept frame: the strict policy's error
+        ("<f><a>hi</a><zz/></f>", "<f></f>", "/f/zz",
+         "elements_in=3 elements_out=1 text_bytes_in=2 text_bytes_out=0 max_depth=2"),
+    ],
+    ids=["element-under-leaf", "comment-and-pi", "unknown-tag"],
+)
+def test_stream_dropped_leaf(xml, output, strict_path, line, policy, with_stats):
+    pi = parse_projector_text(_LEAF_PROJECTOR)
+    stats = PruneStats() if with_stats else None
+    out: list[str] = []
+    if strict_path is not None and policy == "strict":
+        with pytest.raises(UnresolvableTagError) as info:
+            prune_file(xml, pi, out.append, policy=policy, stats=stats)
+        assert info.value.path == strict_path
+    else:
+        prune_file(xml, pi, out.append, policy=policy, stats=stats)
+        assert "".join(out) == output
+    if stats is not None:
+        assert stats.line() == line
+
+
+def test_tree_prune_drops_a_leaf_with_its_kept_text():
+    pi = parse_projector_text(_LEAF_PROJECTOR)
+    assert serialize(prune_tree(parse_xml("<f><a>hi</a></f>"), pi)) == "<f></f>"
+
+
 # ---------------------------------------------------------------------------
 # The fused pruner (prune_file, inside the expat callbacks) on decorated
 # documents: read in pieces, read whole, and against the in-memory pruner
