@@ -67,11 +67,13 @@ def _collect_declarations(text: str) -> tuple[list[tuple[str, tuple]], dict[str,
         text = text[1:]
     if text.lstrip().startswith("<?xml"):
         # external subsets may carry a text declaration; it cannot appear
-        # inside an internal subset, so strip it before wrapping
+        # inside an internal subset, so blank it, and any space before it,
+        # before wrapping: whitespace is legal there, and expat then counts
+        # lines and columns over the text as given
         head, sep, rest = text.partition("?>")
         if not sep:
             raise DtdError("unterminated text declaration")
-        text = rest
+        text = "\n".join([" " * len(line) for line in (head + sep).split("\n")]) + rest
     wrapped = "<!DOCTYPE __dtd__ [\n" + text + "\n]>\n<__dtd__/>"
 
     decls: list[tuple[str, tuple]] = []

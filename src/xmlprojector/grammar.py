@@ -165,8 +165,9 @@ class ContentRegex(_Frozen):
     """A content model: a regex over rule names.
 
     Two regexes are equal when they are of one class and their fields are
-    equal, as frozen dataclasses are; ``==`` and ``hash`` walk the values
-    over explicit stacks, so parenthesis depth is unbounded.
+    equal, as frozen dataclasses are.  ``==``, ``hash``, ``repr`` and
+    pickling read the value's post-order shape (``_shape``) or its nodes
+    (``_postorder``), one loop each, so parenthesis depth is unbounded.
     """
 
     __slots__ = ()
@@ -174,40 +175,32 @@ class ContentRegex(_Frozen):
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        work = [(self, other)]
-        while work:
-            a, b = work.pop()
-            if a is b:
-                continue
-            kind = type(a)
-            if type(b) is not kind:
-                return False
-            if kind is Atom:
-                if a.name != b.name:
-                    return False
-            elif kind is Seq or kind is Alt:
-                if len(a.parts) != len(b.parts):
-                    return False
-                work.extend(zip(a.parts, b.parts))
-            elif kind is not Empty and kind is not Epsilon:  # Star, Plus, Opt
-                work.append((a.inner, b.inner))
-        return True
+        return self is other or _shape(self) == _shape(other)
 
     def __hash__(self):
-        # the hash of the classes and names met in pre-order
-        seen: list = []
-        work = [self]
-        while work:
-            r = work.pop()
+        return hash(_shape(self))
+
+    def __repr__(self):
+        # the dataclass-style text, each node's built after its parts'
+        texts: list[str] = []
+        for r in _postorder(self):
             kind = type(r)
-            seen.append(kind)
             if kind is Atom:
-                seen.append(r.name)
+                text = f"Atom(name={r.name!r})"
             elif kind is Seq or kind is Alt:
-                work.extend(r.parts)
-            elif kind is not Empty and kind is not Epsilon:
-                work.append(r.inner)
-        return hash(tuple(seen))
+                n = len(r.parts)
+                parts = ", ".join(texts[len(texts) - n:]) + ("," if n == 1 else "")
+                del texts[len(texts) - n:]
+                text = f"{kind.__qualname__}(parts=({parts}))"
+            elif kind is Star or kind is Plus or kind is Opt:
+                text = f"{kind.__qualname__}(inner={texts.pop()})"
+            else:
+                text = f"{kind.__qualname__}()"
+            texts.append(text)
+        return texts[0]
+
+    def __reduce__(self):
+        return (_from_shape, (_shape(self),))
 
 
 class Empty(ContentRegex):
@@ -301,20 +294,59 @@ def _group(kind: type, parts: tuple[ContentRegex, ...], identity: ContentRegex) 
 
 
 def names_in(regex: ContentRegex) -> frozenset[str]:
-    """The names the regex mentions.  A loop over an explicit stack, so
-    parenthesis depth is unbounded."""
-    names: set[str] = set()
+    """The names the regex mentions."""
+    return frozenset([r.name for r in _postorder(regex) if type(r) is Atom])
+
+
+def _postorder(regex: ContentRegex) -> list[ContentRegex]:
+    """The regex's nodes, each after its parts, parts left to right.  A
+    loop over an explicit stack, so parenthesis depth is unbounded."""
+    nodes = []
     work = [regex]
     while work:
         r = work.pop()
+        nodes.append(r)  # reversed below: right parts come out first
         kind = type(r)
-        if kind is Atom:
-            names.add(r.name)
-        elif kind is Seq or kind is Alt:
+        if kind is Seq or kind is Alt:
             work.extend(r.parts)
         elif kind is Star or kind is Plus or kind is Opt:
             work.append(r.inner)
-    return frozenset(names)
+    nodes.reverse()
+    return nodes
+
+
+def _shape(regex: ContentRegex) -> tuple:
+    """The regex as a flat tuple: each node in post-order as its class,
+    followed by its name for an ``Atom`` or its number of parts for a
+    group.  Equal regexes, and only they, have equal shapes."""
+    shape: list = []
+    for r in _postorder(regex):
+        kind = type(r)
+        shape.append(kind)
+        if kind is Atom:
+            shape.append(r.name)
+        elif kind is Seq or kind is Alt:
+            shape.append(len(r.parts))
+    return tuple(shape)
+
+
+def _from_shape(shape: tuple) -> ContentRegex:
+    """The regex whose ``_shape`` is ``shape``, built in one loop."""
+    built: list[ContentRegex] = []
+    fields = iter(shape)
+    for kind in fields:
+        if kind is Atom:
+            built.append(Atom(next(fields)))
+        elif kind is Seq or kind is Alt:
+            k = len(built) - next(fields)
+            parts = tuple(built[k:])
+            del built[k:]
+            built.append(kind(parts))
+        elif kind is Star or kind is Plus or kind is Opt:
+            built.append(kind(built.pop()))
+        else:
+            built.append(kind())
+    return built[0]
 
 
 # ---------------------------------------------------------------------------
@@ -929,7 +961,7 @@ class WalkTable:
 
 def walk_tree(
     doc: Document, table: WalkTable, typed: Interpretation | None = None
-) -> tuple[Document, dict[int, int]] | None:
+) -> Document | None:
     """The one validating top-down walk, over a ``WalkTable`` on a
     streamable grammar: each child's entry from its parent's, one
     automaton step per child, an accepting state after the last; text
@@ -940,8 +972,9 @@ def walk_tree(
 
     Copies the nodes the table keeps as it reaches them (kept elements,
     the text of rules whose text is kept, comments and PIs under kept
-    elements) and returns the copy with its origin map (new node id ->
-    old, for elements and text); each clone takes the next pre-order id.
+    elements) and returns the copy, each clone taking the next pre-order
+    id as it is made, and no map back to the input (origin maps come
+    from ``pruner.prune_tree_with_origin`` alone).
     With ``typed``, which needs a table that keeps nothing, it also
     records in ``typed``, in pre-order, the rule of each element and of
     each text node the automaton steps.  None where the walk gives up: a
@@ -954,7 +987,6 @@ def walk_tree(
         return None
     plan_of, child_of = table.grammar.plan, table.child
     pruned = Document()
-    origin = {0: 0}
     nid = 0
     # The open element's frame, in locals: its children's iterator, its
     # entry, its clone (None in a dropped subtree, which is validated but
@@ -991,7 +1023,6 @@ def walk_tree(
                             element = Element(child.tag, child.attributes)
                             element.nid = nid
                             clone.children.append(element)
-                            origin[nid] = child.nid
                             clone = element
                         else:
                             clone = None
@@ -1013,7 +1044,6 @@ def walk_tree(
                             text = TextNode(child.content)
                             text.nid = nid
                             clone.children.append(text)
-                            origin[nid] = child.nid
                         elif typed is not None:
                             typed[child.nid] = text_rule
                     elif child.content.strip():
@@ -1031,7 +1061,7 @@ def walk_tree(
                 if state not in accepting:
                     return None
                 if not frames:
-                    return pruned, origin
+                    return pruned
                 (it, entry, clone, state, rows, accepting, text_rule, text_name,
                  by_tag, copy_text) = frames.pop()
 

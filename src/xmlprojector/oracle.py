@@ -35,7 +35,6 @@ from .grammar import (
     Epsilon,
     Grammar,
     Interpretation,
-    Invalid,
     Opt,
     Plus,
     Rule,
@@ -46,7 +45,14 @@ from .grammar import (
     mask_bits,
 )
 from .inference import Projector, infer_projector
-from .pruner import InvalidDocumentError, UnresolvableTagError, prune_file, prune_tree_with_origin
+from .pruner import (
+    InvalidDocumentError,
+    UnresolvableTagError,
+    _checked,
+    prune_file,
+    prune_tree,
+    prune_tree_with_origin,
+)
 from .xpath import (
     BinaryOp,
     Expr,
@@ -671,10 +677,7 @@ def require_interpretation(doc: Document, g: Grammar) -> Interpretation:
     (``walk_tree``) over the walk table the streaming handlers read too,
     and ``check_soundness`` compares both pruners against this witness,
     so a fault in the walk or the table would pass unseen."""
-    result = _validate_general(doc, g)
-    if isinstance(result, Invalid):
-        raise InvalidDocumentError(result)
-    return result
+    return _checked(_validate_general(doc, g))
 
 
 class PrunedPair:
@@ -757,22 +760,18 @@ def _stream_mismatch(source: str, expected: str, pi: Projector) -> str | None:
 
 
 def _tree_mismatch(
-    doc: Document, pi: Projector, witness: Document, witness_text: str, origin: dict[int, int]
+    doc: Document, pi: Projector, witness: Document, witness_text: str
 ) -> str | None:
-    """Why ``prune_tree_with_origin`` given no interpretation, the path
-    ``prune_tree`` users run, does not give ``witness``, the copy by
-    witness (serialized as ``witness_text``, mapped back by ``origin``),
-    or None."""
+    """Why ``prune_tree`` does not give ``witness``, the copy by witness
+    (serialized as ``witness_text``), or None."""
     try:
-        pruned, got_origin = prune_tree_with_origin(doc, pi)
+        pruned = prune_tree(doc, pi)
     except InvalidDocumentError as exc:
         return f"prune_tree failed: {exc}"
     if serialize(pruned) != witness_text:
         return "prune_tree output differs from the copy by witness"
     if [n.nid for n in pruned.iter_nodes()] != [n.nid for n in witness.iter_nodes()]:
         return "prune_tree node ids differ from the copy by witness"
-    if got_origin != origin:
-        return "prune_tree origin differs from the copy by witness"
     return None
 
 
@@ -787,14 +786,13 @@ def check_soundness(
 ) -> SoundnessReport:
     """Generate n documents and verify that pruning preserves every query.
 
-    Queries are answered on ``prune_tree``'s output, copied by the
-    general validator's witness.  On streamable grammars each document is
-    also pruned by ``prune_file``, the path the CLI runs, whose output
-    must equal the serialized ``prune_tree`` output byte for byte, and by
-    ``prune_tree_with_origin`` without a witness, the one-pass path
-    ``prune_tree`` takes, whose copy must equal the witness copy in
-    serialization, node ids and ``origin``; a mismatch is a failure with
-    query ``(prune_file)`` or ``(prune_tree)``.
+    Queries are answered on the copy by the general validator's witness
+    (``prune_tree_with_origin``).  On streamable grammars each document
+    is also pruned by ``prune_file``, the path the CLI runs, whose output
+    must equal the serialized witness copy byte for byte, and by
+    ``prune_tree`` without a witness, whose one-pass copy must equal the
+    witness copy in serialization and node ids; a mismatch is a failure
+    with query ``(prune_file)`` or ``(prune_tree)``.
     The projector defaults to the one inferred for the whole batch; pass
     one explicitly for fault-injection runs.  Raises OracleError unless
     n >= 1.
@@ -818,7 +816,7 @@ def check_soundness(
         report.bytes_out += len(in_memory.encode("utf-8"))
         mismatches = (
             (("(prune_file)", _stream_mismatch(source, in_memory, pi)),
-             ("(prune_tree)", _tree_mismatch(doc, pi, pruned, in_memory, origin)))
+             ("(prune_tree)", _tree_mismatch(doc, pi, pruned, in_memory)))
             if streamable else ()
         )
         for pruner_name, detail in mismatches:

@@ -11,12 +11,12 @@ witness (``grammar.walk_tree``, the walk that also types nodes for
 ``validate_tree``), which holds one frame per open element and clones
 each kept node in pre-order as it reaches it; elsewhere, and wherever
 that pass gives up, it validates with the general algorithm and then
-erases every node whose witnessing rule was dropped.  Both copies run
-with the cyclic collector paused (``doc.collector_paused``).  The
-handlers and the walk read one ``WalkTable`` built per call, whose
-entries and tag links are made as the document first meets them.  On
-streamable grammars both pruners produce byte-identical serializations
-of valid documents.
+erases every node whose witnessing rule was dropped, the one copy that
+maps nodes to their sources (``prune_tree_with_origin``).  Both copies
+pause the cyclic collector.  The handlers and the walk read one
+``WalkTable`` built per call, whose entries and tag links are made as
+the document first meets them.  On streamable grammars both pruners
+produce byte-identical serializations of valid documents.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .grammar import (
     WalkTable,
     _validate_general,
     is_streamable,
+    validate_tree,
     walk_tree,
 )
 from .inference import Projector
@@ -258,13 +259,31 @@ def prune_tree(
     stats: PruneStats | None = None,
 ) -> Document:
     """Prune in memory; ``stats`` receives the counters ``prune_file``
-    reports for the same document."""
-    pruned, _ = prune_tree_with_origin(doc, p, interpretation=interpretation)
+    reports for the same document.  Without an interpretation, a
+    streamable grammar is validated and copied in one pass that builds
+    no witness (``walk_tree`` over the projector's kept mask).  Elsewhere,
+    and wherever that pass gives up, the general algorithm validates
+    (``validate_tree`` would only repeat the walk) and the copy by
+    witness follows, as for a given interpretation, which one validation
+    may share across projectors."""
+    walk = interpretation is None and is_streamable(p.grammar)
+    pruned = walk_tree(doc, WalkTable(p.grammar, p.mask)) if walk else None
+    if pruned is None:
+        if interpretation is None:
+            interpretation = _checked(_validate_general(doc, p.grammar))
+        pruned = prune_tree_with_origin(doc, p, interpretation)[0]
     if stats is not None:
         elements_in, text_in, depth = _tree_counts(doc)
         elements_out, text_out, _ = _tree_counts(pruned)
         stats.add(elements_in, elements_out, text_in, text_out, depth)
     return pruned
+
+
+def _checked(result: Interpretation | Invalid) -> Interpretation:
+    """A validation's interpretation, or InvalidDocumentError."""
+    if isinstance(result, Invalid):
+        raise InvalidDocumentError(result)
+    return result
 
 
 def _tree_counts(doc: Document) -> tuple[int, int, int]:
@@ -285,36 +304,19 @@ def _tree_counts(doc: Document) -> tuple[int, int, int]:
 def prune_tree_with_origin(
     doc: Document, p: Projector, interpretation: Interpretation | None = None
 ) -> tuple[Document, dict[int, int]]:
-    """Prune via a validation witness; also map new node ids to old ones.
+    """Prune by a validation witness, typing the document with
+    ``validate_tree`` if no interpretation is given (InvalidDocumentError
+    where it is Invalid), and map new node ids to old ones for elements
+    and text: the only producer of origin maps, which the oracle reads.
 
     Kept nodes appear in the same relative order as in the input, so the
-    mapping is injective and order-preserving.  Without an
-    interpretation, a streamable grammar is validated and copied in one
-    top-down pass that builds no witness (``walk_tree`` over the
-    projector's kept mask); a grammar that is not streamable, an empty
-    document, a rule that is not text-neutral or a rejection takes the
-    other path: the general validation algorithm, which writes the
-    InvalidDocumentError diagnostics, then the copy by witness, which
-    reads the projector's decoded ``kept`` set.
-    ``validate_tree``'s top-down pass is the same walk, so it would give
-    up on exactly these documents and is not run again.  A precomputed
-    interpretation may be supplied to amortize validation across many
-    projectors of the same grammar; it is copied by witness.  Both copies
-    run over an explicit stack, so nesting depth is unbounded, give each
-    clone the next pre-order id as they link it into its parent's
-    ``children``, and pause the cyclic collector while the copy grows
-    (``doc.collector_paused``).
+    mapping is injective and order-preserving.  The copy runs over an
+    explicit stack, so nesting depth is unbounded, gives each clone the
+    next pre-order id as it links it into its parent's ``children``, and
+    pauses the cyclic collector while it grows (``doc.collector_paused``).
     """
     if interpretation is None:
-        if is_streamable(p.grammar):
-            copied = walk_tree(doc, WalkTable(p.grammar, p.mask))
-            if copied is not None:
-                return copied
-        result = _validate_general(doc, p.grammar)
-        if isinstance(result, Invalid):
-            raise InvalidDocumentError(result)
-        interpretation = result
-
+        interpretation = _checked(validate_tree(doc, p.grammar))
     pruned = Document()
     origin = {0: 0}  # new nid -> old nid, for elements and text
     nid = 0

@@ -187,6 +187,22 @@ def test_usage_errors_exit_2(g0_dtd, tmp_path, capsys):
     assert run(["prune", "--projector", str(tmp_path / "missing.proj")]) == 2
 
 
+def test_prune_projector_sources_are_usage_errors(g0_dtd, d0_xml, tmp_path, capsys):
+    # a projector file excludes a DTD or queries, and prune needs one of them
+    proj = tmp_path / "p.proj"
+    assert run(["infer", "--dtd", g0_dtd, "--query", "//b", "-o", str(proj)]) == 0
+    capsys.readouterr()
+    for extra in (["--dtd", g0_dtd], ["--query", "//a"]):
+        assert run(["prune", "--projector", str(proj), *extra, "-i", d0_xml]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --projector excludes --dtd/--query/--queries\n"
+    assert run(["prune", "-i", d0_xml]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need either --projector or --dtd with queries\n"
+
+
 def test_element_named_like_the_wildcard_is_a_usage_error(tmp_path, capsys):
     dtd = tmp_path / "wild.dtd"
     dtd.write_text("<!ELEMENT r (_, b)>\n<!ELEMENT _ EMPTY>\n<!ELEMENT b EMPTY>\n")

@@ -123,6 +123,33 @@ def test_text_declaration_stripped():
     assert g.start == {"A"}
 
 
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ('<?xml version="1.0"?><!ELEMENT a (b>', 1, 36),
+        ('<?xml version="1.0"\n  encoding="utf-8"?>\n<!ELEMENT a (b>', 3, 15),
+        ('\n\n<?xml version="1.0"?>\n<!ELEMENT a (b>', 4, 15),
+    ],
+)
+def test_syntax_error_position_counts_the_text_declaration(text, line, column):
+    # the declaration is blanked, not dropped, so positions are the input's
+    with pytest.raises(DtdError) as err:
+        parse_dtd(text)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_unterminated_text_declaration_rejected():
+    with pytest.raises(DtdError, match="unterminated text declaration"):
+        parse_dtd('<?xml version="1.0" <!ELEMENT a EMPTY>')
+
+
+def test_byte_order_mark_and_bytes_import_as_text():
+    expected = grammar_to_text(parse_dtd(G0_DTD))
+    for text in ("\ufeff" + G0_DTD, G0_DTD.encode("utf-8"), ("\ufeff" + G0_DTD).encode("utf-8")):
+        g = parse_dtd(text)
+        assert g == parse_dtd(G0_DTD) and grammar_to_text(g) == expected
+
+
 def test_nested_groups():
     g = parse_dtd("<!ELEMENT g ((a | b)+, c?)>\n<!ELEMENT a EMPTY>\n<!ELEMENT b EMPTY>\n<!ELEMENT c EMPTY>")
     (rule,) = [r for r in g.rules_of("G") if not r.is_text]

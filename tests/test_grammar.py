@@ -1035,6 +1035,47 @@ def test_regex_hashes_agree_with_equality(a, b):
     assert (a == b) == (repr(a) == repr(b)) == (b == a)
 
 
+def _recursive_repr(regex) -> str:
+    """The dataclass-style ``repr`` with one call level per node, kept
+    here as the reference for the loop that builds it."""
+    kind = type(regex)
+    if kind is Atom:
+        return f"Atom(name={regex.name!r})"
+    if kind in (Seq, Alt):
+        parts = [_recursive_repr(part) for part in regex.parts]
+        return f"{kind.__name__}(parts=({', '.join(parts)}{',' if len(parts) == 1 else ''}))"
+    if kind in (Star, Plus, Opt):
+        return f"{kind.__name__}(inner={_recursive_repr(regex.inner)})"
+    return f"{kind.__name__}()"
+
+
+@settings(max_examples=500, deadline=None)
+@given(_raw_regex_strategy)
+def test_loop_repr_matches_recursive_repr(regex):
+    assert repr(regex) == _recursive_repr(regex)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        loaded = pickle.loads(pickle.dumps(regex, protocol))
+        assert loaded == regex and hash(loaded) == hash(regex) and repr(loaded) == repr(regex)
+
+
+def test_deeply_nested_values_pickle_and_print():
+    # the 3 000-level group (a, (a, … b)*)*: its rule and grammar pickle,
+    # and its content prints, with no call level per group
+    depth = 3_000
+    g = parse_dtd(f"<!ELEMENT r {'(a, ' * depth}b{')*' * depth}>\n"
+                  "<!ELEMENT a (#PCDATA)>\n<!ELEMENT b EMPTY>\n")
+    rule = g.rules_of("R")[0]
+    assert repr(rule.content) == (
+        "Star(inner=Seq(parts=(Atom(name='A'), " * depth + "Atom(name='B')" + ")))" * depth
+    )
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        loaded = pickle.loads(pickle.dumps(rule, protocol))
+        assert loaded == rule and loaded.content == rule.content
+        assert hash(loaded.content) == hash(rule.content)
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):  # Grammar needs protocol 2
+        assert pickle.loads(pickle.dumps(g, protocol)) == g
+
+
 def test_deeply_nested_groups_print_without_recursion():
     depth = 3_000
     text = "(A " * depth + "B" + ")*" * depth

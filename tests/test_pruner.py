@@ -884,22 +884,24 @@ def test_tree_builders_run_no_collection_per_node(recursive_grammar):
 
 def test_deep_copy_keeps_its_origin_map(recursive_grammar):
     # 100 000 sections, each with a title whose text is dropped: the walk
-    # and the witness copy give the same tree and the same origin map
+    # gives the witness copy's tree and ids, and the witness copy, typed
+    # by validate_tree or given the interpretation, maps it back
     g = recursive_grammar
     levels = 100_000
     doc = parse_xml("<doc>" + "<section><title>t</title>" * levels + "</section>" * levels + "</doc>")
     p = Projector(g, [r for r in g.sorted_rules() if not r.is_text])
-    pruned, origin = prune_tree_with_origin(doc, p)
+    pruned = prune_tree(doc, p)
+    witness, origin = prune_tree_with_origin(doc, p)
     expected = {0: 0, 1: 1}
     for k in range(levels):
         expected[2 + 2 * k] = 2 + 3 * k  # section
         expected[3 + 2 * k] = 3 + 3 * k  # title
     assert origin == expected
-    witness, witness_origin = prune_tree_with_origin(doc, p, validate_tree(doc, g))
-    assert witness_origin == expected
+    assert prune_tree_with_origin(doc, p, validate_tree(doc, g))[1] == expected
     assert serialize(witness) == serialize(pruned) == (
         "<doc>" + "<section><title></title>" * levels + "</section>" * levels + "</doc>"
     )
+    assert [n.nid for n in pruned.iter_nodes()] == [n.nid for n in witness.iter_nodes()]
 
 
 def test_deep_rejection_reaches_the_general_diagnostics(recursive_grammar):
@@ -926,7 +928,12 @@ def test_pruned_copy_numbers_clones_as_it_copies(name):
         old = {node.nid: node for node in doc.iter_nodes()}
         old_parents = parent_map(doc)
         for pi in projectors:
+            # the one-pass copy numbers its clones in pre-order, as the
+            # witness copy does, whose origin map leads back to the sources
+            walked = prune_tree(doc, pi)
             pruned, origin = prune_tree_with_origin(doc, pi)
+            assert [n.nid for n in _assert_preorder_ids(walked)] == [n.nid for n in pruned.iter_nodes()]
+            assert serialize(walked) == serialize(pruned)
             parents = parent_map(pruned)
             for node in _assert_preorder_ids(pruned)[1:]:
                 if isinstance(node, (CommentNode, PINode)):
@@ -972,34 +979,41 @@ def test_one_pass_copy_matches_witness_copy(case):
         witness = _validate_general(doc, g)
         for pi in projectors:
             if isinstance(witness, Invalid):
-                with pytest.raises(InvalidDocumentError) as exc:
-                    prune_tree_with_origin(doc, pi)
-                assert (exc.value.path, exc.value.reason) == (witness.path, witness.reason)
+                for prune in (prune_tree, prune_tree_with_origin):
+                    with pytest.raises(InvalidDocumentError) as exc:
+                        prune(doc, pi)
+                    assert (exc.value.path, exc.value.reason) == (witness.path, witness.reason)
                 outcomes.add("invalid")
                 continue
-            got, got_origin = prune_tree_with_origin(doc, pi)
-            want, want_origin = prune_tree_with_origin(doc, pi, witness)
+            got = prune_tree(doc, pi)
+            want, _ = prune_tree_with_origin(doc, pi, witness)
             assert serialize(got) == serialize(want), (case, serialize(doc))
             assert [n.nid for n in got.iter_nodes()] == [n.nid for n in want.iter_nodes()]
-            assert got_origin == want_origin
             outcomes.add("copied")
     assert outcomes == {"invalid", "copied"}
 
 
 def test_one_pass_copy_gives_up_where_top_down_validation_does(monkeypatch):
-    # validate_tree's top-down pass and the one-pass copy are one walk, so
-    # under the identity projector the copy gives up on exactly the
-    # documents validate_tree does: each then calls the general algorithm
-    # once, and neither calls it where the walk decides.
-    calls = []
-    general = grammar._validate_general
+    # validate_tree's top-down pass and prune_tree's one-pass copy are one
+    # walk, so under the identity projector the copy gives up on exactly
+    # the documents validate_tree does: each then calls the general
+    # algorithm once, and neither calls it where the walk decides.
+    # prune_tree walks each document once, whether or not the walk gives up.
+    calls, walks = [], []
+    general, walk = grammar._validate_general, grammar.walk_tree
 
     def counted(doc, g):
         calls.append(doc)
         return general(doc, g)
 
+    def counted_walk(doc, table, typed=None):
+        walks.append(doc)
+        return walk(doc, table, typed)
+
     monkeypatch.setattr(grammar, "_validate_general", counted)
     monkeypatch.setattr(pruner, "_validate_general", counted)
+    monkeypatch.setattr(grammar, "walk_tree", counted_walk)
+    monkeypatch.setattr(pruner, "walk_tree", counted_walk)
     inputs = [(g, [parse_xml(xml) for xml in docs]) for g, docs in _validation_cases().values()]
     inputs += [_differential_inputs(case) for case in sorted(_differential_cases())]
     gave_up = set()
@@ -1012,10 +1026,12 @@ def test_one_pass_copy_gives_up_where_top_down_validation_does(monkeypatch):
             validate_tree(doc, g)
             by_validation = len(calls)
             calls.clear()
+            walks.clear()
             try:
-                prune_tree_with_origin(doc, pi)
+                prune_tree(doc, pi)
             except InvalidDocumentError:
                 pass
             assert len(calls) == by_validation, serialize(doc)
+            assert len(walks) == 1, serialize(doc)
             gave_up.add(by_validation)
     assert gave_up == {0, 1}

@@ -230,6 +230,26 @@ def test_attribute_step_dropped():
     )
 
 
+def test_attribute_step_followed_by_a_step_keeps_the_owner_subtree():
+    # the owner is the result and the steps after @b go unread: its whole
+    # subtree stays
+    assert ell_to_text(_ell("//a/@b/..")) == (
+        "/descendant-or-self::node()/child::a/descendant-or-self::node()"
+    )
+
+
+@pytest.mark.parametrize("text", ["//a/@b/..", "//a/@b/parent::*/c"])
+def test_attribute_step_followed_by_a_step_is_sound(text):
+    from xmlprojector import GenConfig, check_soundness, parse_dtd
+
+    g = parse_dtd(
+        "<!ELEMENT doc (a | c)*>\n<!ELEMENT a (c*, d?)>\n<!ATTLIST a b CDATA #IMPLIED>\n"
+        "<!ELEMENT c (#PCDATA)>\n<!ELEMENT d (#PCDATA)>\n"
+    )
+    report = check_soundness(g, [text], 60, GenConfig(seed=3))
+    assert report.passed, report.lines()
+
+
 def test_attribute_predicate_is_harmless():
     branch = _branch("//person[@id]/name")
     assert branch[1].pred == PathExists((SELF_STEP,))
