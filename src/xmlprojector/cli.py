@@ -178,7 +178,9 @@ def _check_arguments(check):
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    """The file's text, less a leading byte-order mark: U+FEFF is a name
+    character, so a query or rule name would take it in."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
@@ -255,14 +257,13 @@ def _close(fh, path: str) -> None:
         fh.detach()
 
 
-def _print_lines(lines: list[str]) -> None:
-    """Write lines to stdout as UTF-8, as documents are written."""
-    out = _open_out("-")
+def _write_text(path: str, text: str) -> None:
+    """Write text as UTF-8 to the file, or to stdout for `-`."""
+    out = _open_out(path)
     try:
-        for line in lines:
-            out.write(line + "\n")
+        out.write(text)
     finally:
-        _close(out, "-")
+        _close(out, path)
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +278,7 @@ def _cmd_infer(args) -> int:
         projector = infer_projector(_load_queries(args), grammar)
         text = projector_to_text(projector)
     # opened only now, so that a usage error leaves an existing file as it was
-    out = _open_out(args.output)
-    try:
-        out.write(text)
-    finally:
-        _close(out, args.output)
+    _write_text(args.output, text)
     if not args.emit_grammar:
         kept, total = projector.mask.bit_count(), len(grammar.rules)
         print(f"kept {kept} of {total} rules ({total - kept} dropped)", file=sys.stderr)
@@ -316,9 +313,9 @@ def _cmd_validate(args) -> int:
         _close(src, args.input)
     result = validate_tree(doc, grammar)
     if isinstance(result, Invalid):
-        _print_lines([f"invalid at {result.path}: {result.reason}"])
+        _write_text("-", f"invalid at {result.path}: {result.reason}\n")
         return 1
-    _print_lines([f"valid ({len(result)} nodes typed)"])
+    _write_text("-", f"valid ({len(result)} nodes typed)\n")
     return 0
 
 
@@ -331,13 +328,7 @@ def _cmd_gen(args) -> int:
         max_depth=_at_least(args.max_depth, "--max-depth", 1),
         max_star_repeat=_at_least(args.max_star_repeat, "--max-star-repeat", 0),
     )
-    doc = generate_document(grammar, cfg)
-    out = _open_out(args.output)
-    try:
-        out.write(serialize(doc))
-        out.write("\n")
-    finally:
-        _close(out, args.output)
+    _write_text(args.output, serialize(generate_document(grammar, cfg)) + "\n")
     return 0
 
 
@@ -350,10 +341,9 @@ def _cmd_check(args) -> int:
     doc_paths: dict[int, str] = {}
     for i, failure in enumerate(report.failures):
         path = os.path.join(args.dump_dir, f"counterexample_{failure.seed}.xml")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(failure.document)
+        _write_text(path, failure.document)
         doc_paths[i] = path
-    _print_lines(report.lines(doc_paths))
+    _write_text("-", "".join(line + "\n" for line in report.lines(doc_paths)))
     return 0 if report.passed else 1
 
 

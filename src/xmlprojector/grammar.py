@@ -558,6 +558,11 @@ class Grammar:
     def __repr__(self):
         return f"Grammar(start={sorted(self.start)}, rules={len(self.rules)})"
 
+    def __reduce__(self):
+        # rebuild from what defines the grammar, under every protocol; the
+        # lazy tables and caches are left behind and refilled on use
+        return (Grammar, (self.start, self.sorted_rules(), self.attributes))
+
     def rules_of(self, name: str) -> tuple[Rule, ...]:
         """The name's rules, in ``sorted_rules()`` order."""
         return self._by_name.get(name, ())
@@ -665,14 +670,16 @@ class Grammar:
         return index
 
     def _parent_rows(self) -> list[int]:
-        """The transpose of the child rows, built on first use: only the
-        parent and ancestor steps read it, so loading a projector and
-        pruning never build it.  The document node is nobody's child."""
+        """The transpose of the child rows, the document node's included,
+        built on first use: only the parent and ancestor steps read it, so
+        loading a projector and pruning never build it.  The start rules'
+        rows hold the document node; its own row is empty, as it is
+        nobody's child."""
         if not self._up:
             if self._index is None:
                 self._index_masks()
             up = [0] * len(self._down)
-            for i, row in enumerate(self._down[:-1]):
+            for i, row in enumerate(self._down):
                 bit = 1 << i
                 for child in mask_bits(row):
                     up[child.bit_length() - 1] |= bit
@@ -702,7 +709,8 @@ class Grammar:
         return [rules[bit.bit_length() - 1] for bit in mask_bits(mask)]
 
     # The four steps below take any mask of keys and return the union of
-    # its keys' steps; the document node's bit is never in a result.
+    # its keys' steps.  Only the downward steps never return the document
+    # node's bit; the upward ones return it above the start rules.
 
     def child_mask(self, mask: int) -> int:
         """The keys one child step below some key in the mask."""
@@ -716,8 +724,9 @@ class Grammar:
         return out
 
     def parent_mask(self, mask: int) -> int:
-        """The rules one parent step above some key in the mask, whether
-        the start names reach them or not."""
+        """The keys one parent step above some key in the mask, whether
+        the start names reach them or not: the document node's bit is
+        here iff the mask holds a start rule."""
         rows, out = self._up or self._parent_rows(), 0
         while mask:
             low = mask & -mask
@@ -734,9 +743,10 @@ class Grammar:
         return _closures_union(self._down, self._below, mask)
 
     def above(self, mask: int) -> int:
-        """The rules one or more parent steps above some key in the mask,
-        whether the start names reach them or not.  Each key's closure is
-        cached."""
+        """The keys one or more parent steps above some key in the mask,
+        whether the start names reach them or not: the document node's
+        bit is here iff the mask meets ``below(bit(None))``.  Each key's
+        closure is cached."""
         return _closures_union(self._parent_rows(), self._above, mask)
 
     def tag_mask(self, tag: str) -> int:

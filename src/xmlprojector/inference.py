@@ -130,18 +130,6 @@ def empty_projector(g: Grammar) -> Projector:
 # union of the grammar's cached rows, and every node test is one AND.
 
 
-def _parents(g: Grammar, keys: int, doc: int) -> int:
-    """The keys one parent step above some key: every rule whose content
-    mentions its name, and the document node above the start rules."""
-    return g.parent_mask(keys) | (doc if keys & g.child_mask(doc) else 0)
-
-
-def _ancestors(g: Grammar, keys: int, doc: int) -> int:
-    """The keys one or more parent steps above some key: the document node
-    is above every rule the start names reach."""
-    return g.above(keys) | (doc if keys & g.below(doc) else 0)
-
-
 def _image(g: Grammar, ctx: int, axis: Axis, doc: int) -> int:
     """The keys one `axis` step from some key of the context.
 
@@ -158,11 +146,11 @@ def _image(g: Grammar, ctx: int, axis: Axis, doc: int) -> int:
         return ctx | g.below(ctx)
     live = g.below(doc) | doc
     if axis is Axis.PARENT:
-        return _parents(g, ctx, doc) & live
+        return g.parent_mask(ctx) & live
     if axis is Axis.ANCESTOR:
-        return _ancestors(g, ctx, doc) & live
+        return g.above(ctx) & live
     if axis is Axis.ANCESTOR_OR_SELF:
-        return ctx | _ancestors(g, ctx, doc) & live
+        return ctx | g.above(ctx) & live
     raise ValueError(f"unknown axis {axis!r}")
 
 
@@ -174,11 +162,11 @@ def _preimage(g: Grammar, needed: int, axis: Axis, doc: int) -> int:
     if axis is Axis.SELF:
         return needed
     if axis is Axis.CHILD:
-        return _parents(g, needed, doc)
+        return g.parent_mask(needed)
     if axis is Axis.DESCENDANT:
-        return _ancestors(g, needed, doc)
+        return g.above(needed)
     if axis is Axis.DESCENDANT_OR_SELF:
-        return needed | _ancestors(g, needed, doc)
+        return needed | g.above(needed)
     needed_live = needed & (g.below(doc) | doc)
     if axis is Axis.PARENT:
         return g.child_mask(needed_live)

@@ -34,13 +34,11 @@ from .grammar import (
     Empty,
     Epsilon,
     Grammar,
-    Interpretation,
     Opt,
     Plus,
     Rule,
     Seq,
     Star,
-    _validate_general,
     is_streamable,
     mask_bits,
 )
@@ -48,10 +46,10 @@ from .inference import Projector, infer_projector
 from .pruner import (
     InvalidDocumentError,
     UnresolvableTagError,
-    _checked,
     prune_file,
     prune_tree,
     prune_tree_with_origin,
+    require_interpretation,
 )
 from .xpath import (
     BinaryOp,
@@ -671,15 +669,6 @@ def enumerate_documents(
 # Soundness checking
 
 
-def require_interpretation(doc: Document, g: Grammar) -> Interpretation:
-    """The general validator's witness, or InvalidDocumentError.  Not
-    ``validate_tree``: its top-down pass is the one-pass copy's walk
-    (``walk_tree``) over the walk table the streaming handlers read too,
-    and ``check_soundness`` compares both pruners against this witness,
-    so a fault in the walk or the table would pass unseen."""
-    return _checked(_validate_general(doc, g))
-
-
 class PrunedPair:
     """A document and its pruned copy, each indexed once (``original``,
     ``pruned``) for every query, with the id maps that comparing query
@@ -790,8 +779,8 @@ def check_soundness(
     (``prune_tree_with_origin``).  On streamable grammars each document
     is also pruned by ``prune_file``, the path the CLI runs, whose output
     must equal the serialized witness copy byte for byte, and by
-    ``prune_tree`` without a witness, whose one-pass copy must equal the
-    witness copy in serialization and node ids; a mismatch is a failure
+    ``prune_tree``, whose one-pass copy must equal the witness copy in
+    serialization and node ids; a mismatch is a failure
     with query ``(prune_file)`` or ``(prune_tree)``.
     The projector defaults to the one inferred for the whole batch; pass
     one explicitly for fault-injection runs.  Raises OracleError unless
@@ -810,7 +799,7 @@ def check_soundness(
     for i in range(n):
         doc = _generate(g, replace(cfg, seed=cfg.seed + i), cost)
         interp = require_interpretation(doc, g)
-        pruned, origin = prune_tree_with_origin(doc, pi, interpretation=interp)
+        pruned, origin = prune_tree_with_origin(doc, pi, interp)
         source, in_memory = serialize(doc), serialize(pruned)
         report.bytes_in += len(source.encode("utf-8"))
         report.bytes_out += len(in_memory.encode("utf-8"))
@@ -891,7 +880,7 @@ def minimality_check(p: Projector, qs: Sequence[QueryEll], budget: int) -> Minim
     for bit in mask_bits(p.mask):
         candidate = Projector(g, p.mask & ~bit)
         for doc, index, interp, expected in baselines:
-            pruned, origin = prune_tree_with_origin(doc, candidate, interpretation=interp)
+            pruned, origin = prune_tree_with_origin(doc, candidate, interp)
             pair = PrunedPair(index, pruned, origin)
             if not all(pair.results_match(want, _eval(q, pair.pruned))
                        for q, want in zip(parsed, expected)):

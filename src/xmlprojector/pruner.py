@@ -9,11 +9,13 @@ so memory follows document depth rather than document size.
 grammars it validates and copies in one top-down pass building no
 witness (``grammar.walk_tree``, the walk that also types nodes for
 ``validate_tree``), which holds one frame per open element and clones
-each kept node in pre-order as it reaches it; elsewhere, and wherever
-that pass gives up, it validates with the general algorithm and then
-erases every node whose witnessing rule was dropped, the one copy that
-maps nodes to their sources (``prune_tree_with_origin``).  Both copies
-pause the cyclic collector.  The handlers and the walk read one
+each kept node in pre-order as it reaches it.  Elsewhere, and wherever
+that pass gives up, ``require_interpretation`` types the document with
+the general algorithm (the only code that turns its result into a
+witness or InvalidDocumentError), and ``prune_tree_with_origin`` erases
+every node whose witnessing rule was dropped: the copy by a given
+witness, and the one copy that maps nodes to their sources.  Both
+copies pause the cyclic collector.  The handlers and the walk read one
 ``WalkTable`` built per call, whose entries and tag links are made as
 the document first meets them.  On streamable grammars both pruners
 produce byte-identical serializations of valid documents.
@@ -37,13 +39,13 @@ from .doc import (
     new_parser,
 )
 from .grammar import (
+    Grammar,
     Interpretation,
     Invalid,
     WalkEntry,
     WalkTable,
     _validate_general,
     is_streamable,
-    validate_tree,
     walk_tree,
 )
 from .inference import Projector
@@ -251,27 +253,16 @@ def prune_file(
 # In-memory pruner
 
 
-def prune_tree(
-    doc: Document,
-    p: Projector,
-    interpretation: Interpretation | None = None,
-    *,
-    stats: PruneStats | None = None,
-) -> Document:
+def prune_tree(doc: Document, p: Projector, *, stats: PruneStats | None = None) -> Document:
     """Prune in memory; ``stats`` receives the counters ``prune_file``
-    reports for the same document.  Without an interpretation, a
-    streamable grammar is validated and copied in one pass that builds
-    no witness (``walk_tree`` over the projector's kept mask).  Elsewhere,
-    and wherever that pass gives up, the general algorithm validates
-    (``validate_tree`` would only repeat the walk) and the copy by
-    witness follows, as for a given interpretation, which one validation
-    may share across projectors."""
-    walk = interpretation is None and is_streamable(p.grammar)
-    pruned = walk_tree(doc, WalkTable(p.grammar, p.mask)) if walk else None
+    reports for the same document.  A streamable grammar is validated and
+    copied in one pass that builds no witness (``walk_tree`` over the
+    projector's kept mask).  Elsewhere, and wherever that pass gives up,
+    the general algorithm's witness (``require_interpretation``) is
+    copied by ``prune_tree_with_origin``."""
+    pruned = walk_tree(doc, WalkTable(p.grammar, p.mask)) if is_streamable(p.grammar) else None
     if pruned is None:
-        if interpretation is None:
-            interpretation = _checked(_validate_general(doc, p.grammar))
-        pruned = prune_tree_with_origin(doc, p, interpretation)[0]
+        pruned = prune_tree_with_origin(doc, p, require_interpretation(doc, p.grammar))[0]
     if stats is not None:
         elements_in, text_in, depth = _tree_counts(doc)
         elements_out, text_out, _ = _tree_counts(pruned)
@@ -279,8 +270,13 @@ def prune_tree(
     return pruned
 
 
-def _checked(result: Interpretation | Invalid) -> Interpretation:
-    """A validation's interpretation, or InvalidDocumentError."""
+def require_interpretation(doc: Document, g: Grammar) -> Interpretation:
+    """The general validator's witness, or InvalidDocumentError.  Not
+    ``validate_tree``: its top-down pass is the one-pass copy's walk
+    (``walk_tree``) over the walk table the streaming handlers read too,
+    and the oracle compares both pruners against the copy by this
+    witness, so a fault in the walk or the table would pass unseen."""
+    result = _validate_general(doc, g)
     if isinstance(result, Invalid):
         raise InvalidDocumentError(result)
     return result
@@ -302,12 +298,13 @@ def _tree_counts(doc: Document) -> tuple[int, int, int]:
 
 
 def prune_tree_with_origin(
-    doc: Document, p: Projector, interpretation: Interpretation | None = None
+    doc: Document, p: Projector, interpretation: Interpretation
 ) -> tuple[Document, dict[int, int]]:
-    """Prune by a validation witness, typing the document with
-    ``validate_tree`` if no interpretation is given (InvalidDocumentError
-    where it is Invalid), and map new node ids to old ones for elements
-    and text: the only producer of origin maps, which the oracle reads.
+    """Prune by a validation witness, erasing every node whose witnessing
+    rule the projector drops, and map new node ids to old ones for
+    elements and text: the only producer of origin maps, which the oracle
+    reads.  It validates nothing; the caller chooses the witness
+    (``require_interpretation`` or ``validate_tree``).
 
     Kept nodes appear in the same relative order as in the input, so the
     mapping is injective and order-preserving.  The copy runs over an
@@ -315,8 +312,6 @@ def prune_tree_with_origin(
     next pre-order id as it links it into its parent's ``children``, and
     pauses the cyclic collector while it grows (``doc.collector_paused``).
     """
-    if interpretation is None:
-        interpretation = _checked(validate_tree(doc, p.grammar))
     pruned = Document()
     origin = {0: 0}  # new nid -> old nid, for elements and text
     nid = 0

@@ -29,7 +29,7 @@ from xmlprojector import (
 from xmlprojector.cli import main
 from xmlprojector.doc import feed, new_parser
 from xmlprojector.oracle import require_interpretation
-from xmlprojector.pruner import PruneStats, prune_file
+from xmlprojector.pruner import PruneStats, prune_file, prune_tree_with_origin
 from xmlprojector.xpath import Axis
 
 from conftest import DEEP_DTD, G0_DTD, MIXED_DTD, RECURSIVE_DTD, XMARK_DTD, write_deep_doc, write_xmark_doc
@@ -356,7 +356,7 @@ def test_criterion_7_cross_pruner_agreement():
             docs.append((doc, require_interpretation(doc, grammar), serialize(doc)))
         for pi in projectors:
             for doc, interp, text in docs:
-                via_tree = serialize(prune_tree(doc, pi, interpretation=interp))
+                via_tree = serialize(prune_tree_with_origin(doc, pi, interp)[0])
                 via_stream: list[str] = []
                 prune_file(text, pi, via_stream.append)
                 assert via_tree == "".join(via_stream)

@@ -12,6 +12,8 @@ from xmlprojector.cli import main
 
 from xmlprojector import (
     GrammarError,
+    GrammarFormatError,
+    parse_grammar_text,
     parse_projector_text,
     parse_xml,
     projector_to_text,
@@ -744,3 +746,76 @@ def test_one_subcommand_parser_reads_as_the_full_parser(argv, capsys, monkeypatc
     monkeypatch.setattr(cli, "_build_parser", lambda command=None: built.append(command) or build(command))
     assert outcome(cli.main) == full
     assert built == [argv[0] if argv and argv[0] in cli._COMMANDS else None]
+
+
+# ---------------------------------------------------------------------------
+# Input files with a byte-order mark, and input errors
+
+
+_AB_DTD = "<!ELEMENT doc (a | b)*>\n<!ELEMENT a (#PCDATA)>\n<!ELEMENT b (#PCDATA)>\n"
+_AB_XML = "<doc><a>x</a><b>z</b><a>y</a></doc>"
+
+
+@pytest.fixture()
+def ab_files(tmp_path):
+    (tmp_path / "t.dtd").write_text(_AB_DTD)
+    (tmp_path / "t.xml").write_text(_AB_XML)
+    return str(tmp_path / "t.dtd"), str(tmp_path / "t.xml")
+
+
+def test_bom_prefixed_query_file_reads_as_its_text(ab_files, tmp_path, capsys):
+    # U+FEFF is a name character: read into the query, it would turn `//a`
+    # into a relative path that selects nothing
+    dtd, doc = ab_files
+    queries = tmp_path / "bom.q"
+    queries.write_bytes(b"\xef\xbb\xbf//a\n")
+    assert run(["infer", "--dtd", dtd, "--query", "//a"]) == 0
+    plain = capsys.readouterr()
+    assert run(["infer", "--dtd", dtd, "--queries", str(queries)]) == 0
+    assert capsys.readouterr() == plain
+    assert plain.err == "kept 3 of 5 rules (2 dropped)\n"
+    assert run(["prune", "--dtd", dtd, "--queries", str(queries), "-i", doc]) == 0
+    assert capsys.readouterr().out == "<doc><a>x</a><a>y</a></doc>"
+
+
+def test_bom_prefixed_projector_file_prunes_as_the_plain_one(ab_files, tmp_path, capsys):
+    dtd, doc = ab_files
+    proj = tmp_path / "t.proj"
+    assert run(["infer", "--dtd", dtd, "--query", "//a", "-o", str(proj)]) == 0
+    bom = tmp_path / "bom.proj"
+    bom.write_bytes(b"\xef\xbb\xbf" + proj.read_bytes())
+    capsys.readouterr()
+    for path in (proj, bom):
+        assert run(["prune", "--projector", str(path), "-i", doc]) == 0
+        assert capsys.readouterr().out == "<doc><a>x</a><a>y</a></doc>", path
+
+
+@pytest.mark.parametrize("text, error", [
+    ("start: Doc\n+ Doc -> doc [ A* ]\n", "names without rules: A"),
+    ("start: Doc\nattlist:\n+ Doc -> doc [ ]\n", "line 2: attlist needs a tag"),
+    ("+ Doc -> doc [ ]\n", "missing `start:` header"),
+])
+def test_malformed_projector_files_are_usage_errors(text, error, d0_xml, tmp_path, capsys):
+    proj = tmp_path / "p.proj"
+    proj.write_text(text)
+    assert run(["prune", "--projector", str(proj), "-i", d0_xml]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    with pytest.raises(GrammarFormatError) as exc:  # a grammar file reads the same lines
+        parse_grammar_text(text.replace("+ ", ""))
+    assert str(exc.value) == error
+
+
+def test_check_reports_and_dumps_a_failure(ab_files, tmp_path, monkeypatch, capsys):
+    # an unsound projector, the empty one, fails the check on the first
+    # document with an `a`, which is dumped where the FAIL line says
+    from xmlprojector import empty_projector, oracle
+
+    monkeypatch.setattr(oracle, "infer_projector", lambda queries, g: empty_projector(g))
+    dtd, _ = ab_files
+    dump = tmp_path / "D"
+    dump.mkdir()
+    assert run(["check", "--dtd", dtd, "--query", "//a", "--n", "3", "--dump-dir", str(dump)]) == 1
+    out = capsys.readouterr().out
+    assert out == f"FAIL seed=1 query=//a doc={dump / 'counterexample_1.xml'}\n"
+    assert "<a>" in (dump / "counterexample_1.xml").read_text()
+    assert [p.name for p in dump.iterdir()] == ["counterexample_1.xml"]

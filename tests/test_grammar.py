@@ -1072,8 +1072,23 @@ def test_deeply_nested_values_pickle_and_print():
         loaded = pickle.loads(pickle.dumps(rule, protocol))
         assert loaded == rule and loaded.content == rule.content
         assert hash(loaded.content) == hash(rule.content)
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):  # Grammar needs protocol 2
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         assert pickle.loads(pickle.dumps(g, protocol)) == g
+
+
+def test_used_grammar_pickles_as_a_fresh_one():
+    # a grammar pickles by its start names, rules and attributes: the key
+    # index, the closures, automata and plans that inference and
+    # validation fill stay behind, and a loaded copy refills them
+    g = parse_dtd(XMARK_DTD)
+    fresh = pickle.dumps(g)
+    doc = generate_document(g, GenConfig(seed=3, max_depth=8))
+    g.above(g.below(g.bit(None)))
+    assert is_streamable(g) and _validate_general(doc, g) == validate_tree(doc, g)
+    assert pickle.dumps(g) == fresh
+    loaded = pickle.loads(fresh)
+    assert loaded == g and loaded.attributes == g.attributes
+    assert validate_tree(doc, loaded) == validate_tree(doc, g)
 
 
 def test_deeply_nested_groups_print_without_recursion():
@@ -1278,3 +1293,26 @@ def test_rules_of_follow_sorted_rules():
     for g in _conftest_grammars():
         for name in {rule.name for rule in g.rules}:
             assert g.rules_of(name) == tuple(r for r in g.sorted_rules() if r.name == name)
+
+
+# ---------------------------------------------------------------------------
+# Key masks
+
+
+@pytest.mark.parametrize("ask", [
+    lambda g, key: g.parent_mask(key),
+    lambda g, key: g.child_mask(key),
+    lambda g, key: g.below(key),
+    lambda g, key: g.tag_mask("a"),
+    lambda g, key: g.text_mask(),
+], ids=["parent_mask", "child_mask", "below", "tag_mask", "text_mask"])
+def test_each_lazy_accessor_builds_the_key_index_on_a_fresh_grammar(ask):
+    # called first on a fresh grammar, each accessor builds the index
+    # itself and answers as it does once another call has built it
+    built = parse_dtd(G0_DTD)
+    built.bit(None)
+    for i in range(len(built.sorted_rules()) + 1):
+        fresh = parse_dtd(G0_DTD)
+        assert fresh._index is None
+        assert ask(fresh, 1 << i) == ask(built, 1 << i), i
+        assert fresh._index is not None

@@ -29,7 +29,7 @@ from xmlprojector import (
 )
 from xmlprojector import oracle, pruner
 from xmlprojector.doc import CommentNode, Document, Element, PINode, TextNode, parent_map
-from xmlprojector.oracle import AttrNode, OracleError
+from xmlprojector.oracle import AttrNode, OracleError, require_interpretation
 from xmlprojector.pruner import prune_tree_with_origin
 from xmlprojector.xpath import FULL_AXES, ell_to_text
 
@@ -544,7 +544,7 @@ def test_identity_pruning_is_noop_for_eval(g0):
     queries = ["/doc/a/b", "//c", "/doc/a[c]/b", "//b/ancestor::a", "//text()"]
     for seed in range(15):
         doc = generate_document(g0, GenConfig(seed=seed, max_depth=8))
-        pruned, origin = prune_tree_with_origin(doc, identity_projector(g0))
+        pruned, origin = prune_tree_with_origin(doc, identity_projector(g0), require_interpretation(doc, g0))
         for text in queries:
             q = parse_query(text)
             got = {origin[r] if isinstance(r, int) else r for r in eval_full(q, pruned)}
@@ -555,7 +555,7 @@ def test_origin_mapping_is_order_preserving(g0):
     pi = infer_projector([_ell("/doc/a/b")], g0)
     for seed in range(20):
         doc = generate_document(g0, GenConfig(seed=seed, max_depth=8))
-        pruned, origin = prune_tree_with_origin(doc, pi)
+        pruned, origin = prune_tree_with_origin(doc, pi, require_interpretation(doc, g0))
         items = sorted(origin.items())
         olds = [old for _, old in items]
         assert olds == sorted(olds)

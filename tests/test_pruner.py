@@ -61,6 +61,7 @@ from xmlprojector.pruner import (
     prune_file,
     prune_tree,
     prune_tree_with_origin,
+    require_interpretation,
 )
 
 from conftest import (
@@ -383,7 +384,7 @@ def test_whitespace_text_answer_survives_both_pruners(mixed_grammar):
     pi = infer_projector([approximate_to_ell(query)], mixed_grammar)
     for xml in _WHITESPACE_DOCS:
         doc = parse_xml(xml)
-        pruned, origin = prune_tree_with_origin(doc, pi)
+        pruned, origin = prune_tree_with_origin(doc, pi, require_interpretation(doc, mixed_grammar))
         expected = eval_full(query, doc)
         pair = PrunedPair(doc, pruned, origin)
         assert pair.results_match(expected, eval_full(query, pruned)), xml
@@ -827,7 +828,6 @@ def test_tree_builders_leave_the_collector_as_they_found_it(collector, recursive
     calls = [
         lambda: parse_xml(valid),
         lambda: prune_tree(doc, p),
-        lambda: prune_tree_with_origin(doc, p),
         lambda: prune_tree_with_origin(doc, p, validate_tree(doc, g)),  # the witness copy
         lambda: validate_tree(doc, g),
         lambda: validate_tree(parse_xml(invalid), g),  # falls back to _validate_general
@@ -840,7 +840,7 @@ def test_tree_builders_leave_the_collector_as_they_found_it(collector, recursive
     raising = [
         (XmlSyntaxError, lambda: parse_xml(broken)),
         (InvalidDocumentError, lambda: prune_tree(parse_xml(invalid), p)),
-        (InvalidDocumentError, lambda: prune_tree_with_origin(parse_xml(invalid), p)),
+        (InvalidDocumentError, lambda: require_interpretation(parse_xml(invalid), g)),
     ]
     for error, call in raising:
         with pytest.raises(error):
@@ -885,19 +885,18 @@ def test_tree_builders_run_no_collection_per_node(recursive_grammar):
 def test_deep_copy_keeps_its_origin_map(recursive_grammar):
     # 100 000 sections, each with a title whose text is dropped: the walk
     # gives the witness copy's tree and ids, and the witness copy, typed
-    # by validate_tree or given the interpretation, maps it back
+    # by validate_tree, maps it back
     g = recursive_grammar
     levels = 100_000
     doc = parse_xml("<doc>" + "<section><title>t</title>" * levels + "</section>" * levels + "</doc>")
     p = Projector(g, [r for r in g.sorted_rules() if not r.is_text])
     pruned = prune_tree(doc, p)
-    witness, origin = prune_tree_with_origin(doc, p)
+    witness, origin = prune_tree_with_origin(doc, p, validate_tree(doc, g))
     expected = {0: 0, 1: 1}
     for k in range(levels):
         expected[2 + 2 * k] = 2 + 3 * k  # section
         expected[3 + 2 * k] = 3 + 3 * k  # title
     assert origin == expected
-    assert prune_tree_with_origin(doc, p, validate_tree(doc, g))[1] == expected
     assert serialize(witness) == serialize(pruned) == (
         "<doc>" + "<section><title></title>" * levels + "</section>" * levels + "</doc>"
     )
@@ -927,11 +926,12 @@ def test_pruned_copy_numbers_clones_as_it_copies(name):
         doc = parse_xml(data)
         old = {node.nid: node for node in doc.iter_nodes()}
         old_parents = parent_map(doc)
+        witness = require_interpretation(doc, g)
         for pi in projectors:
             # the one-pass copy numbers its clones in pre-order, as the
             # witness copy does, whose origin map leads back to the sources
             walked = prune_tree(doc, pi)
-            pruned, origin = prune_tree_with_origin(doc, pi)
+            pruned, origin = prune_tree_with_origin(doc, pi, witness)
             assert [n.nid for n in _assert_preorder_ids(walked)] == [n.nid for n in pruned.iter_nodes()]
             assert serialize(walked) == serialize(pruned)
             parents = parent_map(pruned)
@@ -979,9 +979,9 @@ def test_one_pass_copy_matches_witness_copy(case):
         witness = _validate_general(doc, g)
         for pi in projectors:
             if isinstance(witness, Invalid):
-                for prune in (prune_tree, prune_tree_with_origin):
+                for call in (lambda: prune_tree(doc, pi), lambda: require_interpretation(doc, g)):
                     with pytest.raises(InvalidDocumentError) as exc:
-                        prune(doc, pi)
+                        call()
                     assert (exc.value.path, exc.value.reason) == (witness.path, witness.reason)
                 outcomes.add("invalid")
                 continue
