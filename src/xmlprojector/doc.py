@@ -33,6 +33,8 @@ import gc
 import re
 import xml.parsers.expat
 from contextlib import contextmanager
+from dataclasses import FrozenInstanceError
+from operator import attrgetter
 from typing import IO, Callable, Iterable, Iterator
 
 
@@ -122,6 +124,66 @@ class NamePattern:
         if text.isascii():  # ``of``, inlined: names are checked one by one
             return self.ascii.match(text)
         return self.of(text).match(text)
+
+
+class _Frozen:
+    """Base of the package's immutable ``__slots__`` values: the grammar's
+    labels, content regexes and rules (``grammar``) and the query syntax
+    and fragment values (``xpath``).
+
+    Setting or deleting an attribute raises ``FrozenInstanceError``, an
+    ``AttributeError``, as on a frozen dataclass; ``__init__`` writes the
+    slots through their own setters, which ``__setattr__`` does not reach.
+    Over the constructor's arguments (``_fields``) the defaults behave as
+    a frozen dataclass's: values are equal when they are of one class and
+    their fields are equal, the hash is computed from the fields, ``repr``
+    prints ``Class(field=value, ...)``, and pickling passes the fields back
+    to the constructor, so whatever a value caches is computed again in the
+    process that loads it.  ``==`` and ``hash`` read the fields through
+    ``_key``, an ``attrgetter`` each subclass gets from its ``_fields``.
+    ``repr`` takes one Python frame per nested value, half the dataclass's,
+    so a query nested ``xpath.MAX_QUERY_NESTING`` deep prints from as deep
+    in the stack as the pipeline runs it.  Grammar values replace ``==``,
+    ``hash`` and ``repr`` where theirs must not recurse or must hash once.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _key = attrgetter("__class__")
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the field tuple for two fields or more, the bare value for one,
+        # and for none the class, which values of one class share
+        cls._key = attrgetter(*cls._fields) if cls._fields else attrgetter("__class__")
+
+    def __setattr__(self, attr, value):
+        raise FrozenInstanceError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise FrozenInstanceError(f"cannot delete field {attr!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        mine, theirs = key(self), key(other)
+        # identical fields are equal, as in the dataclass's tuple comparison
+        return mine is theirs or mine == theirs
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        # a loop in this frame, whose f-string calls each field's repr
+        # directly: no call in between counts against the recursion limit
+        args = []
+        for field in self._fields:
+            args.append(f"{field}={getattr(self, field)!r}")
+        return f"{type(self).__qualname__}({', '.join(args)})"
+
+    def __reduce__(self):
+        return (type(self), tuple([getattr(self, field) for field in self._fields]))
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ top-down-determinism check that decides whether one-pass streaming is
 possible, rule reachability, and the line-oriented text format used by
 grammar and projector files.
 
-Labels, content regexes and rules are immutable ``__slots__`` values
-sharing one small base (``_Frozen``), as cheap to build as the DTD import
-that makes thousands of them needs: a label hashes once, and a regex's
-``==`` and ``hash`` are loops, so parenthesis depth is unbounded.  A
+Labels, content regexes and rules are immutable ``__slots__`` values on
+the package's one value base (``doc._Frozen``, which the query values of
+``xpath`` share), as cheap to build as the DTD import that makes
+thousands of them needs: a label hashes once, and a regex's ``==`` and
+``hash`` are loops, so parenthesis depth is unbounded.  A
 ``Rule`` holds the names its content mentions, and one read from text
 holds its regex text unparsed until its content is first read, so
 loading a projector builds no content regex.  ``Grammar`` owns the rule
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter
 from typing import Iterable, Iterator
@@ -67,6 +68,7 @@ from .doc import (
     Node,
     PINode,
     TextNode,
+    _Frozen,
     collector_paused,
     node_path,
 )
@@ -96,34 +98,6 @@ class GrammarFormatError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Labels and content regexes
-
-
-class _Frozen:
-    """Base of this module's immutable ``__slots__`` values.
-
-    Setting or deleting an attribute raises ``FrozenInstanceError``, an
-    ``AttributeError``, as on a frozen dataclass; ``__init__`` writes the
-    slots through their own setters, which ``__setattr__`` does not reach.
-    ``repr`` shows the constructor's arguments (``_fields``) as a dataclass
-    does, and pickling passes them back to the constructor, so whatever a
-    value caches is computed again in the process that loads it.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __setattr__(self, attr, value):
-        raise FrozenInstanceError(f"cannot assign to field {attr!r}")
-
-    def __delattr__(self, attr):
-        raise FrozenInstanceError(f"cannot delete field {attr!r}")
-
-    def __repr__(self):
-        args = ", ".join([f"{field}={getattr(self, field)!r}" for field in self._fields])
-        return f"{type(self).__qualname__}({args})"
-
-    def __reduce__(self):
-        return (type(self), tuple([getattr(self, field) for field in self._fields]))
 
 
 class Label(_Frozen):

@@ -8,15 +8,21 @@ from and/or over existential path tests.  ``approximate_to_ell`` maps the
 former onto the latter so that every piece of data the original query can
 touch is also touched by the approximation; the rewrites may widen a query
 but never narrow it.
+
+The node tests and the values of both representations are immutable
+``__slots__`` values on the package's one value base (``doc._Frozen``,
+which the grammar's values share), each with a hand-written constructor
+that writes its slots through their own setters, so the module generates
+no code at import.  Equality, hashing, pickling and ``repr`` text are
+those of the frozen dataclasses they replaced.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 
-from .doc import NamePattern
+from .doc import NamePattern, _Frozen
 
 
 class QuerySyntaxError(ValueError):
@@ -53,35 +59,44 @@ FULL_AXES = set(ELL_AXES) | {
 }
 
 
-class NodeTest:
+class NodeTest(_Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class TagTest(NodeTest):
-    tag: str
+    __slots__ = ("tag",)
+    _fields = __slots__
+
+    def __init__(self, tag: str):
+        _set_tag(self, tag)
 
     def text(self) -> str:
         return self.tag
 
 
-@dataclass(frozen=True)
 class Wildcard(NodeTest):
+    __slots__ = ()
+
     def text(self) -> str:
         return "*"
 
 
-@dataclass(frozen=True)
 class TextTest(NodeTest):
+    __slots__ = ()
+
     def text(self) -> str:
         return "text()"
 
 
-@dataclass(frozen=True)
 class NodeAny(NodeTest):
+    __slots__ = ()
+
     def text(self) -> str:
         return "node()"
 
+
+# The slots' own setters, which ``_Frozen.__setattr__`` does not reach.
+_set_tag = TagTest.tag.__set__
 
 WILDCARD = Wildcard()
 TEXT_TEST = TextTest()
@@ -92,99 +107,147 @@ NODE_ANY = NodeAny()
 # Full XPath abstract syntax
 
 
-class Expr:
+class Expr(_Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FullStep:
-    axis: str
-    test: NodeTest
-    predicates: tuple[Expr, ...] = ()
+class FullStep(_Frozen):
+    __slots__ = ("axis", "test", "predicates")
+    _fields = __slots__
+
+    def __init__(self, axis: str, test: NodeTest, predicates: tuple[Expr, ...] = ()):
+        _set_full_axis(self, axis)
+        _set_full_test(self, test)
+        _set_predicates(self, predicates)
 
 
-@dataclass(frozen=True)
 class PathExpr(Expr):
-    absolute: bool
-    steps: tuple[FullStep, ...]
+    __slots__ = ("absolute", "steps")
+    _fields = __slots__
+
+    def __init__(self, absolute: bool, steps: tuple[FullStep, ...]):
+        _set_absolute(self, absolute)
+        _set_steps(self, steps)
 
 
-@dataclass(frozen=True)
 class BinaryOp(Expr):
-    op: str  # 'or' 'and' '=' '!=' '<' '<=' '>' '>='
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")  # op: 'or' 'and' '=' '!=' '<' '<=' '>' '>='
+    _fields = __slots__
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        _set_op(self, op)
+        _set_op_left(self, left)
+        _set_op_right(self, right)
 
 
-@dataclass(frozen=True)
 class FunctionCall(Expr):
-    name: str
-    args: tuple[Expr, ...]
+    __slots__ = ("name", "args")
+    _fields = __slots__
+
+    def __init__(self, name: str, args: tuple[Expr, ...]):
+        _set_function(self, name)
+        _set_args(self, args)
 
 
-@dataclass(frozen=True)
-class StringLiteral(Expr):
-    value: str
+class _Literal(Expr):
+    __slots__ = ("value",)
+    _fields = __slots__
+
+    def __init__(self, value: str | float):
+        _set_value(self, value)
 
 
-@dataclass(frozen=True)
-class NumberLiteral(Expr):
-    value: float
+class StringLiteral(_Literal):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FullQuery:
-    branches: tuple[PathExpr, ...]
+class NumberLiteral(_Literal):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.branches:
+
+class FullQuery(_Frozen):
+    __slots__ = ("branches",)
+    _fields = __slots__
+
+    def __init__(self, branches: tuple[PathExpr, ...]):
+        if not branches:
             raise QuerySyntaxError("query has no paths")
+        _set_full_branches(self, branches)
+
+
+_set_full_axis, _set_full_test, _set_predicates = (
+    getattr(FullStep, slot).__set__ for slot in FullStep.__slots__
+)
+_set_absolute, _set_steps = (getattr(PathExpr, slot).__set__ for slot in PathExpr.__slots__)
+_set_op, _set_op_left, _set_op_right = (
+    getattr(BinaryOp, slot).__set__ for slot in BinaryOp.__slots__
+)
+_set_function, _set_args = (getattr(FunctionCall, slot).__set__ for slot in FunctionCall.__slots__)
+_set_value = _Literal.value.__set__
+_set_full_branches = FullQuery.branches.__set__
 
 
 # ---------------------------------------------------------------------------
 # The restricted fragment
 
 
-class Predicate:
+class Predicate(_Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class PathExists(Predicate):
     """Existential test: the relative path selects at least one node."""
 
-    path: tuple["StepEll", ...]
+    __slots__ = ("path",)
+    _fields = __slots__
+
+    def __init__(self, path: tuple[StepEll, ...]):
+        _set_path(self, path)
 
 
-@dataclass(frozen=True)
-class PredAnd(Predicate):
-    left: Predicate
-    right: Predicate
+class _Junction(Predicate):
+    __slots__ = ("left", "right")
+    _fields = __slots__
+
+    def __init__(self, left: Predicate, right: Predicate):
+        _set_left(self, left)
+        _set_right(self, right)
 
 
-@dataclass(frozen=True)
-class PredOr(Predicate):
-    left: Predicate
-    right: Predicate
+class PredAnd(_Junction):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StepEll:
-    axis: Axis
-    test: NodeTest
-    pred: Predicate | None = None
+class PredOr(_Junction):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class QueryEll:
+class StepEll(_Frozen):
+    __slots__ = ("axis", "test", "pred")
+    _fields = __slots__
+
+    def __init__(self, axis: Axis, test: NodeTest, pred: Predicate | None = None):
+        _set_axis(self, axis)
+        _set_test(self, test)
+        _set_pred(self, pred)
+
+
+class QueryEll(_Frozen):
     """Union of absolute step paths, each evaluated from the document node."""
 
-    branches: tuple[tuple[StepEll, ...], ...]
+    __slots__ = ("branches",)
+    _fields = __slots__
 
-    def __post_init__(self):
-        if not self.branches:
+    def __init__(self, branches: tuple[tuple[StepEll, ...], ...]):
+        if not branches:
             raise QuerySyntaxError("query has no branches")
+        _set_branches(self, branches)
 
+
+_set_path = PathExists.path.__set__
+_set_left, _set_right = _Junction.left.__set__, _Junction.right.__set__
+_set_axis, _set_test, _set_pred = (getattr(StepEll, slot).__set__ for slot in StepEll.__slots__)
+_set_branches = QueryEll.branches.__set__
 
 SELF_STEP = StepEll(Axis.SELF, NODE_ANY)
 SUBTREE_STEP = StepEll(Axis.DESCENDANT_OR_SELF, NODE_ANY)
@@ -286,6 +349,11 @@ class _Tokens:
 
     def close(self, tok: str) -> None:
         """Take the closing `]` or `)` of the innermost level."""
+        if self.toks[self.i] == "|":
+            raise self.error(
+                "unsupported: union '|' inside a predicate, parentheses or arguments; "
+                "unite whole paths at the top level", self.i
+            )
         self.expect(tok)
         self.depth -= 1
 

@@ -1,3 +1,6 @@
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +11,11 @@ from xmlprojector.xpath import (
     SUBTREE_STEP,
     Axis,
     BinaryOp,
+    FullQuery,
     FullStep,
     FunctionCall,
     NodeAny,
+    NumberLiteral,
     PathExists,
     PathExpr,
     PredAnd,
@@ -19,8 +24,10 @@ from xmlprojector.xpath import (
     MAX_QUERY_NESTING,
     QuerySyntaxError,
     StepEll,
+    StringLiteral,
     TagTest,
     TextTest,
+    Wildcard,
     approximate_to_ell,
     ell_to_text,
     parse_query,
@@ -149,6 +156,17 @@ def test_parse_error_points_at_the_offending_token(text, offset):
     assert info.value.position == offset
 
 
+@pytest.mark.parametrize("text", ["//a[b|c]", "/doc[count(a|b) > 1]", "/doc[(a|b)]", "/a[f(b, c|d)]"])
+def test_union_below_the_top_level_is_rejected_by_name(text):
+    with pytest.raises(QuerySyntaxError) as info:
+        parse_query(text)
+    assert info.value.position == text.index("|")
+    assert str(info.value).startswith(
+        "unsupported: union '|' inside a predicate, parentheses or arguments; "
+        "unite whole paths at the top level (at offset "
+    )
+
+
 def test_prefixed_names_are_plain_tags():
     (path,) = parse_query("/ns:doc/ns:a").branches
     assert path.steps[0].test == TagTest("ns:doc")
@@ -160,6 +178,110 @@ def test_names_are_xml_names():
     for bad in ("/1a", "/·a", "/a:1b"):
         with pytest.raises(QuerySyntaxError):
             parse_query(bad)
+
+
+# ---------------------------------------------------------------------------
+# Query values are immutable values: their repr is read by golden files, and
+# their equality and hashing by the approximation's deduplication
+
+_QUERY_FIELDS = {
+    TagTest: ["tag"], Wildcard: [], TextTest: [], NodeAny: [],
+    FullStep: ["axis", "test", "predicates"], PathExpr: ["absolute", "steps"],
+    BinaryOp: ["op", "left", "right"], FunctionCall: ["name", "args"],
+    StringLiteral: ["value"], NumberLiteral: ["value"], FullQuery: ["branches"],
+    PathExists: ["path"], PredAnd: ["left", "right"], PredOr: ["left", "right"],
+    StepEll: ["axis", "test", "pred"], QueryEll: ["branches"],
+}
+_VALUE_QUERY = "/doc/*[contains(b, 'x') and 2.5 != position() or text()]//node() | //a[not(c) and d]/@id"
+
+
+def _query_values() -> list:
+    """Every distinct value inside one parse of _VALUE_QUERY and its
+    approximation, each whole before its parts."""
+    found: list = []
+
+    def visit(value):
+        if isinstance(value, tuple):
+            for item in value:
+                visit(item)
+        elif type(value) in _QUERY_FIELDS and value not in found:
+            found.append(value)
+            for field in _QUERY_FIELDS[type(value)]:
+                visit(getattr(value, field))
+
+    q = parse_query(_VALUE_QUERY)
+    visit(q)
+    visit(approximate_to_ell(q))
+    return found
+
+
+def test_query_values_cover_every_class():
+    assert {type(value) for value in _query_values()} == set(_QUERY_FIELDS)
+
+
+def test_query_values_are_immutable():
+    for value in _query_values():
+        before = repr(value), hash(value)
+        for attr in _QUERY_FIELDS[type(value)] + ["other"]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, attr, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(value, attr)
+        assert (repr(value), hash(value)) == before
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_query_values_pickle_under_every_protocol(protocol):
+    for value in _query_values():
+        loaded = pickle.loads(pickle.dumps(value, protocol))
+        assert type(loaded) is type(value) and loaded == value
+        assert hash(loaded) == hash(value) and repr(loaded) == repr(value)
+
+
+def test_query_value_repr():
+    assert repr(parse_query("/a[b = 1]")) == (
+        "FullQuery(branches=(PathExpr(absolute=True, steps=(FullStep(axis='child', "
+        "test=TagTest(tag='a'), predicates=(BinaryOp(op='=', left=PathExpr(absolute=False, "
+        "steps=(FullStep(axis='child', test=TagTest(tag='b'), predicates=()),)), "
+        "right=NumberLiteral(value=1.0)),)),)),))"
+    )
+    step = StepEll(Axis.CHILD, TagTest("a"))
+    assert repr(step) == "StepEll(axis=<Axis.CHILD: 'child'>, test=TagTest(tag='a'), pred=None)"
+    assert repr(StepEll(Axis.CHILD, TagTest("a"), PathExists((SELF_STEP,)))) == (
+        "StepEll(axis=<Axis.CHILD: 'child'>, test=TagTest(tag='a'), pred=PathExists("
+        "path=(StepEll(axis=<Axis.SELF: 'self'>, test=NodeAny(), pred=None),)))"
+    )
+    assert repr(Wildcard()) == "Wildcard()"
+
+
+def test_query_value_constructors():
+    assert FullStep("child", Wildcard()).predicates == ()
+    assert StepEll(Axis.CHILD, Wildcard()).pred is None
+    assert FullStep(axis="self", test=NODE_ANY, predicates=()) == FullStep("self", NodeAny())
+    assert StepEll(axis=Axis.SELF, test=NODE_ANY, pred=None) == SELF_STEP
+    with pytest.raises(QuerySyntaxError, match=r"^query has no paths$"):
+        FullQuery(())
+    with pytest.raises(QuerySyntaxError, match=r"^query has no branches$"):
+        QueryEll(())
+
+
+def test_query_values_of_other_kinds_differ():
+    assert Wildcard() != NodeAny() and TextTest() != NodeAny() and Wildcard() == Wildcard()
+    assert TagTest("a") != StringLiteral("a") and TagTest("a") != "a" and "a" != TagTest("a")
+    assert TagTest("a").__eq__("a") is NotImplemented
+    assert StringLiteral("1") != NumberLiteral(1.0) and NumberLiteral(1.0) == NumberLiteral(1)
+    exists = PathExists((SELF_STEP,))
+    assert PredAnd(exists, exists) != PredOr(exists, exists)
+    assert StepEll(Axis.CHILD, Wildcard(), exists) != StepEll(Axis.CHILD, Wildcard())
+    assert len({Wildcard(), Wildcard(), NodeAny(), TextTest(), TagTest("a"), TagTest("a")}) == 4
+
+
+@pytest.mark.parametrize("text", [_VALUE_QUERY, "/a | //b[c]/..", "//x[count(y)=0]/following::z"])
+def test_two_parses_are_equal_and_hash_alike(text):
+    first, second = parse_query(text), parse_query(text)
+    assert first == second and hash(first) == hash(second) and first is not second
+    ell, again = approximate_to_ell(first), approximate_to_ell(second)
+    assert ell == again and hash(ell) == hash(again)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +431,10 @@ def _nested_queries(levels: int) -> dict[str, str]:
     }
 
 
+def _nested_call(depth, f):
+    return f() if depth == 0 else _nested_call(depth - 1, f)
+
+
 def test_query_nesting_bound_runs_end_to_end(recursive_grammar):
     # at the bound, every stage that recurses per level stays within the
     # recursion limit, even called from 200 frames deep
@@ -321,9 +447,6 @@ def test_query_nesting_bound_runs_end_to_end(recursive_grammar):
         + "</section>" * levels + "</doc>"
     )
 
-    def nested_call(depth, f):
-        return f() if depth == 0 else nested_call(depth - 1, f)
-
     def run(text):
         q = parse_query(text)
         ell = approximate_to_ell(q)
@@ -331,7 +454,20 @@ def test_query_nesting_bound_runs_end_to_end(recursive_grammar):
         assert eval_full(q, doc) <= eval_full(parse_query(ell_to_text(ell)), doc)
 
     for text in _nested_queries(MAX_QUERY_NESTING).values():
-        nested_call(200, lambda: run(text))
+        _nested_call(200, lambda: run(text))
+
+
+@pytest.mark.parametrize("name", sorted(_nested_queries(1)))
+def test_query_values_at_the_nesting_bound(name):
+    # the parsed query and its approximation print, compare, hash and
+    # pickle from the top of the stack, and print from as deep as the
+    # pipeline stages run above
+    q = parse_query(_nested_queries(MAX_QUERY_NESTING)[name])
+    for value in (q, approximate_to_ell(q)):
+        text = repr(value)
+        loaded = pickle.loads(pickle.dumps(value))
+        assert loaded == value and hash(loaded) == hash(value) and repr(loaded) == text
+        assert _nested_call(200, lambda: repr(value)) == text
 
 
 def test_query_nesting_past_the_bound_is_a_syntax_error():
