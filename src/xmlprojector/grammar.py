@@ -56,8 +56,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress
-from operator import attrgetter
+from itertools import accumulate, compress, count
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator
 
 from .doc import (
@@ -133,6 +133,14 @@ class Label(_Frozen):
 
 _set_tag, _set_label_hash = Label.tag.__set__, Label._hash.__set__
 WILDCARD_LABEL = Label(None)
+
+
+def _named_label(tag: str) -> Label:
+    """``Label(tag)`` for a tag the caller has checked is a name."""
+    label = Label.__new__(Label)
+    _set_tag(label, tag)
+    _set_label_hash(label, hash((tag,)))
+    return label
 
 
 class ContentRegex(_Frozen):
@@ -369,8 +377,8 @@ class Rule(_Frozen):
         return rule
 
     def _fill(self, name: str, label: Label | None, names: tuple[str, ...],
-              content: ContentRegex | None, regex: str | None) -> None:
-        if not _NAME_RE.match(name):
+              content: ContentRegex | None, regex: str | None, check: bool = True) -> None:
+        if check and not _NAME_RE.match(name):
             raise GrammarError(f"illegal rule name {name!r}")
         _set_name(self, name)
         _set_label(self, label)
@@ -1425,35 +1433,56 @@ def rule_to_text(rule: Rule) -> str:
     return f"{rule.name} -> {rule.label} [ {regex_to_text(rule.content)} ]"
 
 
-# Where ``parse_regex_text`` has no part for an operator to apply to or for
-# the text to end on: after `(` or `|`, an operator other than `(`, or the
-# end; and at the start, such an operator.  Whitespace and `[ ]`, which the
-# tokenizer skips, may come between.  Two patterns, as one searched with an
-# alternation took three times as long.
-_NO_PART_RE = re.compile(r"[(|][\s\[\]]*(?:[|)*+?]|\Z)")
-_NO_FIRST_PART_RE = re.compile(r"[\s\[\]]*[|)*+?]")
-_PAREN_RE = re.compile(r"[()]")
-_NAME_TOKEN_RE = re.compile(r"[^\s()|*+?\[\]]+")  # _TOKEN_RE's names, #eps and #empty
+# Where ``parse_regex_text`` finds no part for an operator to apply to or
+# for the text to end on, in regex texts each set between newlines: after
+# `(` or `|`, an operator other than `(`, or the text's end; and at the
+# text's start, such an operator.  Whitespace, which the tokenizer skips,
+# may come between.  Each pattern starts with a literal, which ``re`` finds
+# fast: one pattern with an alternation took four times as long.
+_NO_PART_RES = (
+    re.compile(r"\([^\S\n]*[|)*+?\n]"),
+    re.compile(r"\|[^\S\n]*[|)*+?\n]"),
+    re.compile(r"\n[^\S\n]*[|)*+?]"),
+)
+# The UTF-8 bytes that are not `(`, `)` or a newline, and the depth each
+# of those three adds.
+_NOT_PARENS = bytes(sorted(set(range(256)) - set(b"()\n")))
+_DEPTH_STEP = {ord("("): 1, ord(")"): -1, ord("\n"): 0}
+_NEWLINE = ord("\n")
+_CONSTANTS = frozenset(["#eps", "#empty"])
+_OPERATORS_AS_SPACES = str.maketrans("()|*+?", "      ")
+_AS_SPACES = str.maketrans("[]\n", "   ")  # what the tokenizer skips besides whitespace
+
+
+def _regex_lines_parse(texts: str) -> bool:
+    """True iff ``parse_regex_text`` accepts each line of ``texts``, which
+    hold no `[` or `]`.  It checks where parts are missing and whether
+    each line's parentheses balance for all lines at once, in time linear
+    in their length, and builds no regex: the parentheses balance iff the
+    running depth over the lines is never negative and is 0 at every
+    newline."""
+    texts = f"\n{texts}\n"
+    if any(p.search(texts) for p in _NO_PART_RES):
+        return False
+    if "(" not in texts and ")" not in texts:
+        return True
+    parens = texts.encode().translate(None, _NOT_PARENS)
+    depths = list(accumulate(map(_DEPTH_STEP.__getitem__, parens)))
+    return min(depths) >= 0 and not any(compress(depths, map(_NEWLINE.__eq__, parens)))
+
+
+def _names_by_line(texts: str) -> list[tuple[str, ...]]:
+    """The names each line of ``texts``, a regex text that
+    ``parse_regex_text`` accepts, mentions, each once."""
+    lines = texts.translate(_OPERATORS_AS_SPACES).split("\n")
+    return [tuple(set(line.split()) - _CONSTANTS) for line in lines]
 
 
 def _regex_names(text: str) -> tuple[str, ...] | None:
     """The names a regex text mentions, or None where ``parse_regex_text``
-    rejects the text: a check of where parts are missing and of the
-    parentheses' balance, building no regex."""
-    if _NO_PART_RE.search(text) or _NO_FIRST_PART_RE.match(text):
-        return None
-    if "(" in text or ")" in text:
-        depth = 0
-        for paren in _PAREN_RE.findall(text):
-            depth += 1 if paren == "(" else -1
-            if depth < 0:
-                return None
-        if depth:
-            return None
-    names = set(_NAME_TOKEN_RE.findall(text))
-    names.discard("#eps")
-    names.discard("#empty")
-    return tuple(names)
+    rejects the text."""
+    text = text.translate(_AS_SPACES)
+    return _names_by_line(text)[0] if _regex_lines_parse(text) else None
 
 
 # A rule's name and arrow; its body is the rest of the text without the
@@ -1505,43 +1534,98 @@ def grammar_to_text(g: Grammar) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_grammar_lines(
-    text: str,
-) -> tuple[list[str], dict[str, tuple[str, ...]], list[tuple[int, str, str]]]:
-    """Shared front-end for grammar and projector files.
+# One line of a grammar or projector file, its line break included.  The
+# breaks are those of ``str.splitlines``, and _GAP is the whitespace within
+# a line.  The groups a line fills tell its kind: none for a blank or
+# comment line; the header from `start:` or `attlist:` on; or for a rule
+# line, its mark and its text (the line stripped, mark and all).  When the
+# text is a rule as ``parse_rule_text`` reads it, with spaces or tabs
+# between its parts, its name and label names and no `[` or `]` in its
+# regex text, its name, label (none for `String`) and regex text fill
+# three more.  ``findall`` thus gives one row per line, and an empty row
+# at the end of the text.  U+1680, the one whitespace character in the
+# name classes, ends a name here as it does in ``parse_rule_text``.
+_BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
+_GAP = rf"[^\S{_BREAKS}]"
 
-    Returns (start names, attlists, rule lines as (lineno, mark, text))
-    where mark is '+', '-', or '' for unmarked lines.
-    """
+
+def _line_source(start: str, chars: str) -> str:
+    start, chars = (c.replace("\u037f-\u1fff", "\u037f-\u167f\u1681-\u1fff")
+                    for c in (start, chars))
+    name = f"[:{start}][:{chars}]*"
+    rule = rf"({name})[ \t]+->[ \t]+(?:String|({name})[ \t]*\[([^{_BREAKS}\[\]]*)\])"
+    return (
+        rf"{_GAP}*(?:(?:#[^{_BREAKS}]*|(start:[^{_BREAKS}]*)|(attlist:[^{_BREAKS}]*))?"
+        rf"|(?:([+-]){_GAP}+(?=\S))?({rule}|\S(?:[^{_BREAKS}]*\S)?))"
+        rf"{_GAP}*(?:\r\n|[{_BREAKS}]|\Z)"
+    )
+
+
+_LINE_RE = NamePattern(_line_source)
+_mark_of_row, _regex_of_row = itemgetter(2), itemgetter(6)
+
+
+def _read_rule_file(text: str, marked: bool) -> tuple[Grammar, list[Rule], str]:
+    """Read a grammar file or, ``marked``, a projector file, whose rule
+    lines need a `+` or `-` mark.  Returns the grammar, its rules in line
+    order and, for a projector file, their marks, one character a rule.
+
+    One ``findall`` of ``_LINE_RE`` splits the text into lines and takes
+    each well-formed rule line apart, which checks its name and label.
+    One ``_regex_lines_parse`` checks the regex texts of all those lines,
+    and their rules are built with no check run again.  A rule line the
+    pattern does not take apart is read by ``parse_rule_text``, and so is
+    one whose regex text the check rejects, which raises its error.
+    Errors come in this order: an `attlist:` with no tag, a missing
+    `start:`, the rule lines' errors in line order (a line's own error
+    before its missing mark), then the grammar's."""
     start: list[str] = []
     attrs: dict[str, tuple[str, ...]] = {}
-    rule_lines: list[tuple[int, str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if stripped.startswith("start:"):
-            start.extend(stripped[len("start:") :].split())
-            continue
-        if stripped.startswith("attlist:"):
-            parts = stripped[len("attlist:") :].split()
+    rules: list[Rule | None] = []  # None: a line for ``parse_rule_text``
+    odd = False
+    rows = _LINE_RE.of(text).findall(text)
+    regexes = "\n".join(map(_regex_of_row, rows))  # line i: row i's regex text
+    for lineno, row, names in zip(count(1), rows, _names_by_line(regexes)):
+        head, attlist, _, rule_text, name, tag, regex = row
+        if name:
+            rule = Rule.__new__(Rule)
+            if tag:
+                label = WILDCARD_LABEL if tag == "_" else _named_label(tag)
+                rule._fill(name, label, names, None, regex.strip(), check=False)
+            else:
+                rule._fill(name, None, (), None, None, check=False)
+            rules.append(rule)
+        elif rule_text:
+            rules.append(None)
+            odd = True
+        elif head:
+            start.extend(head[len("start:") :].split())
+        elif attlist:
+            parts = attlist[len("attlist:") :].split()
             if not parts:
                 raise GrammarFormatError("attlist needs a tag", lineno)
             attrs[parts[0]] = tuple(parts[1:])
-            continue
-        mark = ""
-        if stripped[0] in "+-" and len(stripped) > 1 and stripped[1].isspace():
-            mark, stripped = stripped[0], stripped[1:].strip()
-        rule_lines.append((lineno, mark, stripped))
     if not start:
         raise GrammarFormatError("missing `start:` header")
-    return start, attrs, rule_lines
+    marks = "".join(map(_mark_of_row, rows))
+    parsed = _regex_lines_parse(regexes)
+    if not parsed or odd or marked and len(marks) < len(rules):
+        taken, rules = iter(rules), []
+        for lineno, (_, _, mark, rule_text, _, _, regex) in enumerate(rows, 1):
+            if rule_text:
+                rule = next(taken)
+                if rule is None or not parsed and not _regex_lines_parse(regex):
+                    rule = parse_rule_text(rule_text, lineno)
+                if marked and not mark:
+                    raise GrammarFormatError("projector rule lines need a +/- mark", lineno)
+                rules.append(rule)
+    try:
+        return Grammar(start, rules, attrs), rules, marks
+    except GrammarError as exc:
+        raise GrammarFormatError(str(exc)) from None
 
 
 def parse_grammar_text(text: str) -> Grammar:
-    start, attrs, rule_lines = _parse_grammar_lines(text)
-    rules = [parse_rule_text(line, lineno) for lineno, _, line in rule_lines]
-    try:
-        return Grammar(start, rules, attrs)
-    except GrammarError as exc:
-        raise GrammarFormatError(str(exc)) from None
+    """Read a grammar file, ``grammar_to_text``'s format, in one pass (see
+    ``_read_rule_file``).  A rule line's `+` or `-` mark is ignored."""
+    return _read_rule_file(text, False)[0]

@@ -38,17 +38,16 @@ positions, so every candidate is retained.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import is_
 from typing import Iterable, Sequence
 
 from .grammar import (
     Grammar,
-    GrammarError,
-    GrammarFormatError,
     Rule,
     _header_lines,
-    _parse_grammar_lines,
+    _read_rule_file,
     mask_bits,
-    parse_rule_text,
     rule_to_text,
 )
 from .xpath import (
@@ -336,20 +335,16 @@ def projector_to_text(p: Projector) -> str:
     return "\n".join(lines) + "\n"
 
 
+_MARK_BITS = str.maketrans("+-", "10")
+
+
 def parse_projector_text(text: str) -> Projector:
-    start, attrs, rule_lines = _parse_grammar_lines(text)
-    rules: list[Rule] = []
-    kept: list[Rule] = []
-    for lineno, mark, line in rule_lines:
-        rule = parse_rule_text(line, lineno)
-        if not mark:
-            raise GrammarFormatError("projector rule lines need a +/- mark", lineno)
-        rules.append(rule)
-        if mark == "+":
-            kept.append(rule)
-    try:
-        g = Grammar(start, rules, attrs)
-    except GrammarError as exc:
-        raise GrammarFormatError(str(exc)) from None
+    """Read a projector file (``projector_to_text``'s format) in one pass;
+    see ``grammar._read_rule_file``.  Rules read in ``sorted_rules()``
+    order, as ``projector_to_text`` writes them, give the mask straight
+    from their marks: bit i is line i's."""
+    g, rules, marks = _read_rule_file(text, True)
+    if len(rules) == len(g.sorted_rules()) and all(map(is_, rules, g.sorted_rules())):
+        return Projector(g, int(marks[::-1].translate(_MARK_BITS), 2))
     # one bit per `+` line; every rule read is the grammar's
-    return Projector(g, g.mask_of(kept))
+    return Projector(g, g.mask_of(compress(rules, map("+".__eq__, marks))))

@@ -373,6 +373,28 @@ def test_ascii_inputs_compile_no_full_name_class(g0_dtd, d0_xml, tmp_path):
     assert done.stdout == "[None, None]\n[None, None]\n[True, True]\n"
 
 
+def test_ascii_files_compile_no_full_line_pattern(g0_dtd, d0_xml, tmp_path):
+    # the file reader's line pattern holds the name classes too: inferring
+    # and loading an ASCII projector leave its full form uncompiled, and the
+    # first non-ASCII projector compiles it
+    code = (
+        "import io, sys, contextlib\n"
+        "from xmlprojector import cli, grammar, inference\n"
+        "print(grammar._LINE_RE.full)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['infer', '--dtd', sys.argv[1], '--query', '//b', '-o', sys.argv[3]]) == 0\n"
+        "    assert cli.main(['prune', '--projector', sys.argv[3], '-i', sys.argv[2]]) == 0\n"
+        "print(grammar._LINE_RE.full)\n"
+        "inference.parse_projector_text('start: Été\\n+ Été -> été [ ]\\n')\n"
+        "print(grammar._LINE_RE.full is not None)\n"
+    )
+    argv = [sys.executable, "-c", code, g0_dtd, d0_xml, str(tmp_path / "p.proj")]
+    done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=_SRC),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "None\nNone\nTrue\n"
+
+
 def test_undecodable_input_files_are_usage_errors(g0_dtd, d0_xml, tmp_path, capsys):
     # a DTD, projector or query file that is not UTF-8: exit 2, one error
     # line naming the file

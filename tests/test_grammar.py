@@ -33,6 +33,7 @@ from xmlprojector import (
     is_streamable,
     parse_dtd,
     parse_grammar_text,
+    parse_projector_text,
     parse_query,
     parse_xml,
     reachable_rules,
@@ -1240,6 +1241,164 @@ def test_rule_lines_read_as_before_on_examples(text):
 def test_rule_lines_read_as_before(text):
     # the same rule, or the same error type and message with its line
     assert _read_outcome(parse_rule_text, text) == _read_outcome(_old_parse_rule_text, text)
+
+
+# ---------------------------------------------------------------------------
+# Whole grammar and projector files
+
+
+def _old_read_file(text: str, marked: bool) -> tuple[Grammar, int]:
+    """The file readers as they were before they read a file in one pass:
+    one ``splitlines`` loop for the headers and marks, then
+    ``parse_rule_text`` per rule line.  ``marked``: a projector file,
+    whose rule lines need a mark and whose `+` lines give the mask."""
+    start: list[str] = []
+    attrs: dict[str, tuple[str, ...]] = {}
+    rule_lines: list[tuple[int, str, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if stripped.startswith("start:"):
+            start.extend(stripped[len("start:") :].split())
+            continue
+        if stripped.startswith("attlist:"):
+            parts = stripped[len("attlist:") :].split()
+            if not parts:
+                raise GrammarFormatError("attlist needs a tag", lineno)
+            attrs[parts[0]] = tuple(parts[1:])
+            continue
+        mark = ""
+        if stripped[0] in "+-" and len(stripped) > 1 and stripped[1].isspace():
+            mark, stripped = stripped[0], stripped[1:].strip()
+        rule_lines.append((lineno, mark, stripped))
+    if not start:
+        raise GrammarFormatError("missing `start:` header")
+    rules: list[Rule] = []
+    kept: list[Rule] = []
+    for lineno, mark, line in rule_lines:
+        rule = parse_rule_text(line, lineno)
+        if marked and not mark:
+            raise GrammarFormatError("projector rule lines need a +/- mark", lineno)
+        rules.append(rule)
+        if mark == "+":
+            kept.append(rule)
+    try:
+        g = Grammar(start, rules, attrs)
+    except GrammarError as exc:
+        raise GrammarFormatError(str(exc)) from None
+    return g, g.mask_of(kept)
+
+
+def _file_outcome(read, text):
+    """What a reader makes of a file, reading no rule's content: the
+    grammar's parts and the mask, or the error's type and message."""
+    try:
+        g, mask = read(text)
+    except (GrammarError, GrammarFormatError) as exc:
+        return type(exc).__name__, str(exc)
+    rules = [
+        (r.name, r.label, frozenset(r._names), r._regex, r._content) for r in g.sorted_rules()
+    ]
+    return g.start, g.attributes, rules, mask
+
+
+def _read_grammar(text):
+    return parse_grammar_text(text), None
+
+
+def _read_projector(text):
+    p = parse_projector_text(text)
+    return p.grammar, p.mask
+
+
+def _old_read_grammar(text):
+    return _old_read_file(text, False)[0], None
+
+
+def _old_read_projector(text):
+    return _old_read_file(text, True)
+
+
+_FILE_NAMES = ["R", "a", "b", "c.d", "été"]
+_FILE_LABELS = ["r", "_", "a", "été", "String", "1x", "a\u1680b"]  # U+1680 is whitespace
+_REGEXES = ["", "a", "(a | b)*", "c.d? #eps", "été+ a", "a (b", "| a", "a )", "R*"]
+_GAPS = ["", " ", "\t", "\u3000"]
+
+
+def _file_lines():
+    gaps = st.sampled_from(_GAPS)
+    regex = st.one_of(
+        st.sampled_from(_REGEXES), st.lists(st.sampled_from(_CHECK_TOKENS), max_size=8).map("".join)
+    )
+    body = st.one_of(
+        st.just("String"),
+        st.builds("{} [ {} ]".format, st.sampled_from(_FILE_LABELS), regex),
+    )
+    rule = st.builds(
+        "{}{}{} -> {}{}".format,
+        gaps,
+        st.sampled_from(["", "+ ", "- ", "+", "-\t", "+\u3000"]),
+        st.sampled_from(_FILE_NAMES + ["1A", "a\u1680b"]),
+        body,
+        gaps,
+    )
+    free = st.builds(
+        "{}{}".format,
+        st.sampled_from(["", "+ ", "- "]),
+        st.lists(st.sampled_from(_LINE_TOKENS + _CHECK_TOKENS), max_size=10).map("".join),
+    )
+    header = st.builds("{}{}".format, gaps, st.sampled_from([
+        "start: R", "start:R a", "start:", "start: \t", "+ start: R", "attlist: r x y",
+        "attlist:a", "attlist: r", "attlist:\t", "attlist: été",
+    ]))
+    other = st.sampled_from(["", " ", "\t", "\u3000", "#", "# a -> b", "  #x", "\x1f"])
+    return st.one_of(rule, rule, rule, rule, free, header, other)
+
+
+@st.composite
+def _files(draw):
+    lines = draw(st.lists(st.tuples(_file_lines(), st.sampled_from(
+        ["\n", "\r\n", "\r", "\x0c", "\x85", "\u2028", "\x0b", "\x1e", "\u2029"])), max_size=10))
+    text = "".join(line + brk for line, brk in lines)
+    if lines and draw(st.booleans()):
+        text = text[: -len(lines[-1][1])]  # no line break at the end
+    if draw(st.sampled_from([True, True, True, False])):
+        text = "start: R\nR -> r [ (a | b)* c.d? ]\na -> String\nb -> String\nc.d -> String\n" + text
+    return text
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_files())
+def test_files_read_as_before(text):
+    # the same grammar, rules and mask, or the same error type and message
+    assert _file_outcome(_read_grammar, text) == _file_outcome(_old_read_grammar, text)
+    marked = text.replace("\nR ->", "\n+ R ->").replace("\na ->", "\n- a ->")
+    marked = marked.replace("\nb ->", "\n+ b ->").replace("\nc.d ->", "\n- c.d ->")
+    for projector in (text, marked):
+        assert _file_outcome(_read_projector, projector) == _file_outcome(
+            _old_read_projector, projector
+        )
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        # header errors first, in line order, even after a bad rule line
+        ("start: A\n+ A -> a [ (B ]\nattlist:\n", "line 3: attlist needs a tag"),
+        ("+ A -> a [ (B ]\n", "missing `start:` header"),
+        # a line's own error before its missing mark
+        ("start: A\n1A -> a [ ]\n", "line 2: illegal rule name '1A'"),
+        # rule lines in line order
+        ("start: A\nA -> a [ ]\n+ B -> b [ ( ]\n", "line 2: projector rule lines need a +/- mark"),
+        # grammar-level errors last
+        ("start: A\n+ A -> a [ B ]\n", "names without rules: B"),
+    ],
+)
+def test_file_errors_come_in_order(text, message):
+    with pytest.raises(GrammarFormatError) as raised:
+        parse_projector_text(text)
+    assert str(raised.value) == message
 
 
 # ---------------------------------------------------------------------------
