@@ -109,6 +109,9 @@ class Label(_Frozen):
     def __init__(self, tag: str | None = None):
         if tag is not None and not _NAME_RE.match(tag):
             raise GrammarError(f"illegal element tag {tag!r}")
+        self._fill(tag)
+
+    def _fill(self, tag: str | None) -> None:
         _set_tag(self, tag)
         _set_label_hash(self, hash((tag,)))  # every rule hashes its label
 
@@ -133,14 +136,6 @@ class Label(_Frozen):
 
 _set_tag, _set_label_hash = Label.tag.__set__, Label._hash.__set__
 WILDCARD_LABEL = Label(None)
-
-
-def _named_label(tag: str) -> Label:
-    """``Label(tag)`` for a tag the caller has checked is a name."""
-    label = Label.__new__(Label)
-    _set_tag(label, tag)
-    _set_label_hash(label, hash((tag,)))
-    return label
 
 
 class ContentRegex(_Frozen):
@@ -335,6 +330,11 @@ def _from_shape(shape: tuple) -> ContentRegex:
 # Rules and grammars
 
 
+def _check_rule_name(name: str) -> None:
+    if not _NAME_RE.match(name):
+        raise GrammarError(f"illegal rule name {name!r}")
+
+
 class Rule(_Frozen):
     """One production: ``name -> label [ content ]`` or ``name -> String``.
 
@@ -356,12 +356,14 @@ class Rule(_Frozen):
     def __init__(self, name: str, label: Label | None, content: ContentRegex | None):
         if (label is None) != (content is None):
             raise GrammarError("rule must have both label and content, or neither")
+        _check_rule_name(name)
         self._fill(name, label, () if content is None else tuple(names_in(content)), content, None)
 
     @classmethod
     def from_text(cls, name: str, label: Label, regex: str, names: tuple[str, ...]) -> "Rule":
         """The element rule whose content is ``regex``, a text
         ``parse_regex_text`` accepts that mentions ``names``."""
+        _check_rule_name(name)
         rule = cls.__new__(cls)
         rule._fill(name, label, names, None, regex)
         return rule
@@ -372,14 +374,13 @@ class Rule(_Frozen):
         """``Rule(name, label, content)`` for a caller that knows the
         ``names`` the content mentions, as the DTD import does: the
         content is not walked for them."""
+        _check_rule_name(name)
         rule = cls.__new__(cls)
         rule._fill(name, label, names, content, None)
         return rule
 
     def _fill(self, name: str, label: Label | None, names: tuple[str, ...],
-              content: ContentRegex | None, regex: str | None, check: bool = True) -> None:
-        if check and not _NAME_RE.match(name):
-            raise GrammarError(f"illegal rule name {name!r}")
+              content: ContentRegex | None, regex: str | None) -> None:
         _set_name(self, name)
         _set_label(self, label)
         _set_names(self, names)
@@ -1445,7 +1446,8 @@ _NO_PART_RES = (
     re.compile(r"\n[^\S\n]*[|)*+?]"),
 )
 # The UTF-8 bytes that are not `(`, `)` or a newline, and the depth each
-# of those three adds.
+# of those three adds.  A lone surrogate, which only a str built in Python
+# holds, encodes under "surrogatepass" to three bytes of 0x80 or more.
 _NOT_PARENS = bytes(sorted(set(range(256)) - set(b"()\n")))
 _DEPTH_STEP = {ord("("): 1, ord(")"): -1, ord("\n"): 0}
 _NEWLINE = ord("\n")
@@ -1466,7 +1468,7 @@ def _regex_lines_parse(texts: str) -> bool:
         return False
     if "(" not in texts and ")" not in texts:
         return True
-    parens = texts.encode().translate(None, _NOT_PARENS)
+    parens = texts.encode("utf-8", "surrogatepass").translate(None, _NOT_PARENS)
     depths = list(accumulate(map(_DEPTH_STEP.__getitem__, parens)))
     return min(depths) >= 0 and not any(compress(depths, map(_NEWLINE.__eq__, parens)))
 
@@ -1589,11 +1591,14 @@ def _read_rule_file(text: str, marked: bool) -> tuple[Grammar, list[Rule], str]:
         head, attlist, _, rule_text, name, tag, regex = row
         if name:
             rule = Rule.__new__(Rule)
-            if tag:
-                label = WILDCARD_LABEL if tag == "_" else _named_label(tag)
-                rule._fill(name, label, names, None, regex.strip(), check=False)
+            if tag == "_":
+                rule._fill(name, WILDCARD_LABEL, names, None, regex.strip())
+            elif tag:
+                label = Label.__new__(Label)
+                label._fill(tag)
+                rule._fill(name, label, names, None, regex.strip())
             else:
-                rule._fill(name, None, (), None, None, check=False)
+                rule._fill(name, None, (), None, None)
             rules.append(rule)
         elif rule_text:
             rules.append(None)

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import is_
 from typing import Iterable, Sequence
 
 from .grammar import (
@@ -335,16 +334,9 @@ def projector_to_text(p: Projector) -> str:
     return "\n".join(lines) + "\n"
 
 
-_MARK_BITS = str.maketrans("+-", "10")
-
-
 def parse_projector_text(text: str) -> Projector:
     """Read a projector file (``projector_to_text``'s format) in one pass;
-    see ``grammar._read_rule_file``.  Rules read in ``sorted_rules()``
-    order, as ``projector_to_text`` writes them, give the mask straight
-    from their marks: bit i is line i's."""
+    see ``grammar._read_rule_file``."""
     g, rules, marks = _read_rule_file(text, True)
-    if len(rules) == len(g.sorted_rules()) and all(map(is_, rules, g.sorted_rules())):
-        return Projector(g, int(marks[::-1].translate(_MARK_BITS), 2))
     # one bit per `+` line; every rule read is the grammar's
     return Projector(g, g.mask_of(compress(rules, map("+".__eq__, marks))))

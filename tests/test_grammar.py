@@ -1393,6 +1393,12 @@ def test_files_read_as_before(text):
         ("start: A\nA -> a [ ]\n+ B -> b [ ( ]\n", "line 2: projector rule lines need a +/- mark"),
         # grammar-level errors last
         ("start: A\n+ A -> a [ B ]\n", "names without rules: B"),
+        # a lone surrogate, which only a str built in Python holds, is read
+        # as any other character: by the line pattern, by parse_rule_text
+        # (the U+3000 gap), and in a regex text that does not parse
+        ("start: R\n+ R -> r [ (R) \ud800 ]\n", "names without rules: \ud800"),
+        ("start: R\n+ R\u3000-> r [ (R) \ud800 ]\n", "names without rules: \ud800"),
+        ("start: R\n+ R -> r [ (\ud800 ]\n", "line 2: missing ')' in content regex"),
     ],
 )
 def test_file_errors_come_in_order(text, message):
